@@ -16,7 +16,6 @@ from .analytic import (
     amplify,
     apply_loss,
     concat_stages,
-    concatenate,
     detection_ratio,
     effective_loss_fraction,
     homodyne_density_css,
@@ -72,7 +71,6 @@ __all__ = [
     "amplify",
     "amplification_threshold",
     "concat_stages",
-    "concatenate",
     "purity_mixed_css",
     "run_suite",
 ]

@@ -37,11 +37,13 @@ __all__ = [
     "amplify",
     "amplification_threshold",
     "concat_stages",
-    "concatenate",
     "purity_mixed_css",
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+# beyond |k| = sqrt(-ln(5e-324)) the Gaussian factor e^{-k^2} of both
+# outcome densities underflows to 0
+_K_REPRESENTABLE = math.sqrt(-math.log(5e-324))
 
 
 def normalization(params: CssParams) -> float:
@@ -181,6 +183,12 @@ def purify(state: MixedCss, tap: TapSetting) -> tuple[MixedCss, float, float]:
     params = state.params
     _require_normalizable(params)
     _warn_if_blind_tap(tap.T)
+    density_css = homodyne_density_css(tap.k, params, tap.T)
+    density_mix = homodyne_density_mix(tap.k)
+    if state.p * density_css + (1.0 - state.p) * density_mix == 0.0:
+        raise ZeroDensityError(
+            f"event of zero density: the outcome k={tap.k!r} never occurs"
+        )
     theta = theta_of_k(tap.k, params.alpha, tap.R)
     ratio = detection_ratio(params, tap.T, theta)
     p_out = state.p / (state.p + ratio * (1.0 - state.p))
@@ -188,7 +196,7 @@ def purify(state: MixedCss, tap: TapSetting) -> tuple[MixedCss, float, float]:
         CssParams(math.sqrt(tap.T) * params.alpha, (params.phi + theta) % TWO_PI),
         p_out,
     )
-    return out, homodyne_density_css(tap.k, params, tap.T), homodyne_density_mix(tap.k)
+    return out, density_css, density_mix
 
 
 def purify_with_inefficiency(state: MixedCss, tap: TapSetting) -> MixedCss:
@@ -288,18 +296,24 @@ def window_acceptance(
 
     Reporting plumbing only: the purification results themselves condition
     on exact outcomes (densities), not windows. Integrates the joint
-    outcome density p P_C + (1-p) P_0 by adaptive quadrature.
+    outcome density p P_C + (1-p) P_0 by adaptive quadrature over the
+    part of the window where e^{-k^2} is representable, |k| <= 27.28;
+    outside it both densities are 0, so a window there accepts nothing.
     """
     _require_normalizable(state.params)
     if half_width < 0.0:
         raise ValueError("window half-width must be >= 0")
+    lo = max(center - half_width, -_K_REPRESENTABLE)
+    hi = min(center + half_width, _K_REPRESENTABLE)
+    if lo >= hi:
+        return 0.0
 
     def joint(k: float) -> float:
         return state.p * homodyne_density_css(k, state.params, T) + (
             1.0 - state.p
         ) * homodyne_density_mix(k)
 
-    value, _ = quad(joint, center - half_width, center + half_width)
+    value, _ = quad(joint, lo, hi)
     return min(max(value, 0.0), 1.0)
 
 
@@ -338,8 +352,14 @@ def amplify(state: MixedCss) -> MixedCss:
 
 def amplification_threshold(alpha: float) -> float:
     """Input fraction above which the phi=pi amplifier improves the state:
-    (e^{2 alpha^2} - 1)^2 / 2. Below 1 iff alpha^2 < ln(1 + sqrt(2))/2."""
-    return 0.5 * math.expm1(2.0 * alpha * alpha) ** 2
+    (e^{2 alpha^2} - 1)^2 / 2. Below 1 iff alpha^2 < ln(1 + sqrt(2))/2.
+
+    Returns math.inf where the threshold exceeds the float range
+    (alpha >~ 13.3): no input fraction gains there."""
+    try:
+        return 0.5 * math.expm1(2.0 * alpha * alpha) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def concat_stages(p_in: float, alpha: float) -> tuple[float, float]:
@@ -353,17 +373,6 @@ def concat_stages(p_in: float, alpha: float) -> tuple[float, float]:
     p_mid = p_in / (p_in + ratio * (1.0 - p_in))
     boosted = amplify(MixedCss(CssParams(alpha / math.sqrt(2.0), 0.0), p_mid))
     return p_mid, boosted.p
-
-
-def concatenate(p_in: float, alpha: float) -> float:
-    """Purify two copies (T=1/2, optimal outcome k=0, phi=0), then amplify
-    them back to amplitude alpha; returns the final fraction.
-
-    The first stage leaves amplitude alpha/sqrt(2), which the amplifier
-    restores. Over the whole admissible grid the net change is negative:
-    amplification degrades faster than conditioning repairs.
-    """
-    return concat_stages(p_in, alpha)[1]
 
 
 def purity_mixed_css(state: MixedCss) -> float:

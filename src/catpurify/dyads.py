@@ -6,10 +6,12 @@ Every state that the protocols here can produce is a finite sum
 
 of multimode coherent dyads. Linear loss, beam splitters, quadrature
 projections and on/off photodetection each map such sums to such sums,
-so the whole pipeline can be evaluated in closed form term by term with
-no Fock-space truncation. This module is the brute-force oracle used to
-cross-check the formulas in :mod:`catpurify.analytic`; it shares no
-derivation with them beyond the coherent-state overlap.
+so the whole pipeline can be evaluated in closed form with no Fock-space
+truncation. A state is held as three arrays (coefficients, ket and bra
+amplitudes) and every operation acts on all terms at once. This module is
+the brute-force oracle used to cross-check the formulas in
+:mod:`catpurify.analytic`; it shares no derivation with them beyond the
+coherent-state overlap.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import DegenerateStateError, StateFamilyError, ZeroDensityError
 from .states import TWO_PI, CssParams, MixedCss
 
 __all__ = [
-    "DyadTerm",
     "DyadState",
     "overlap",
     "make_coherent",
@@ -38,7 +41,6 @@ __all__ = [
     "loss_on_dyad",
     "bs_on_product",
     "homodyne_amplitude",
-    "hermite_quadrature_amplitude",
     "project_quadrature",
     "project_click",
     "extract_fraction",
@@ -54,78 +56,86 @@ _QUARTIC_ROOT_PI = math.pi ** (-0.25)
 _MIN_DENSITY = 1e-300
 
 
-@dataclass(frozen=True)
-class DyadTerm:
-    """One weighted dyad c * |ket><bra| over a fixed number of modes."""
+@dataclass(frozen=True, eq=False)
+class DyadState:
+    """sum_i coeff[i] |ket[i]><bra[i]|: `coeff` has shape [n], `ket` and
+    `bra` have shape [n, m] with one column per mode.
 
-    coeff: complex
-    ket: tuple[complex, ...]
-    bra: tuple[complex, ...]
+    No operation here changes these arrays in place, and derived states
+    may share them, so treat them as read-only.
+    """
+
+    coeff: np.ndarray
+    ket: np.ndarray
+    bra: np.ndarray
 
     def __post_init__(self) -> None:
-        ket = tuple(complex(a) for a in self.ket)
-        bra = tuple(complex(a) for a in self.bra)
-        if len(ket) != len(bra) or len(ket) < 1:
+        coeff = np.asarray(self.coeff, dtype=complex)
+        ket = np.asarray(self.ket, dtype=complex)
+        bra = np.asarray(self.bra, dtype=complex)
+        if ket.ndim != 2 or ket.shape != bra.shape or ket.shape[1] < 1:
             raise ValueError("ket and bra must list the same nonzero number of modes")
-        c = complex(self.coeff)
-        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-            raise ValueError("dyad coefficient must be finite")
-        object.__setattr__(self, "coeff", c)
+        if coeff.shape != ket.shape[:1]:
+            raise ValueError("one coefficient per dyad is required")
+        if not np.isfinite(coeff).all():
+            raise ValueError("dyad coefficients must be finite")
+        object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "ket", ket)
         object.__setattr__(self, "bra", bra)
 
+    @property
+    def mode_count(self) -> int:
+        return self.ket.shape[1]
 
-@dataclass(frozen=True)
-class DyadState:
-    """A finite complex combination of coherent dyads on `mode_count` modes."""
 
-    terms: tuple[DyadTerm, ...]
-    mode_count: int
+def _overlap(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """<left|right> across the last (mode) axis, broadcast over the others."""
+    # sum_j conj(l_j) (r_j - l_j/2) - |r_j|^2/2; vecdot conjugates its first argument
+    return np.exp(np.vecdot(left, right - 0.5 * left) - 0.5 * np.vecdot(right, right))
 
-    def __post_init__(self) -> None:
-        terms = tuple(self.terms)
-        for t in terms:
-            if len(t.ket) != self.mode_count:
-                raise ValueError("term mode count does not match the state")
-        object.__setattr__(self, "terms", terms)
+
+def _gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """G[i, j] = <left[i]|right[j]> for two [n, m] amplitude arrays."""
+    return _overlap(left[:, None], right[None])
 
 
 def overlap(beta: complex, gamma: complex) -> complex:
     """Coherent overlap <beta|gamma> = exp(-|beta|^2/2 - |gamma|^2/2 + conj(beta)*gamma)."""
-    beta = complex(beta)
-    gamma = complex(gamma)
-    return cmath.exp(
-        -0.5 * (beta.real**2 + beta.imag**2)
-        - 0.5 * (gamma.real**2 + gamma.imag**2)
-        + beta.conjugate() * gamma
+    return complex(_overlap(np.array([beta], complex), np.array([gamma], complex)))
+
+
+def _weighted_sum(*parts: tuple[float, DyadState]) -> DyadState:
+    """sum_k w_k * state_k with all terms kept as they are."""
+    return DyadState(
+        np.concatenate([w * s.coeff for w, s in parts]),
+        np.concatenate([s.ket for _, s in parts]),
+        np.concatenate([s.bra for _, s in parts]),
     )
-
-
-def _multi_overlap(left: Sequence[complex], right: Sequence[complex]) -> complex:
-    """<left|right> across all modes."""
-    out = 1.0 + 0.0j
-    for a, b in zip(left, right):
-        out *= overlap(a, b)
-    return out
 
 
 def merge_terms(state: DyadState, tol: float = PRUNE_TOL) -> DyadState:
-    """Combine terms with identical dyads and drop those below `tol`."""
-    acc: dict[tuple[tuple[complex, ...], tuple[complex, ...]], complex] = {}
-    for t in state.terms:
-        key = (t.ket, t.bra)
-        acc[key] = acc.get(key, 0.0 + 0.0j) + t.coeff
-    kept = tuple(
-        DyadTerm(c, ket, bra) for (ket, bra), c in acc.items() if abs(c) >= tol
-    )
-    return DyadState(kept, state.mode_count)
+    """Combine terms with identical dyads and drop those below `tol`.
+
+    Dyads match on exact amplitude equality (so -0.0 and +0.0 match), and
+    terms keep the order of each dyad's first occurrence.
+    """
+    rows = np.concatenate([state.ket, state.bra], axis=1).tolist()
+    first: dict[tuple[complex, ...], int] = {}
+    owner = [first.setdefault(tuple(row), i) for i, row in enumerate(rows)]
+    summed = state.coeff
+    if len(first) < len(owner):
+        summed = np.zeros_like(summed)
+        np.add.at(summed, owner, state.coeff)  # each sum lands on its first occurrence
+    lead = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    kept = lead[np.abs(summed[lead]) >= tol]
+    if len(kept) == len(owner):
+        return state
+    return DyadState(summed[kept], state.ket[kept], state.bra[kept])
 
 
 def trace(state: DyadState) -> complex:
     """Trace; the trace of c|k><b| is c * prod_j <b_j|k_j>."""
-    return sum(
-        (t.coeff * _multi_overlap(t.bra, t.ket) for t in state.terms), 0.0 + 0.0j
-    )
+    return complex(state.coeff @ _overlap(state.bra, state.ket))
 
 
 def normalize(state: DyadState) -> DyadState:
@@ -134,69 +144,69 @@ def normalize(state: DyadState) -> DyadState:
     tr = trace(state).real
     if tr < _MIN_DENSITY:
         raise ZeroDensityError("cannot normalize a state of vanishing trace")
-    scaled = DyadState(
-        tuple(DyadTerm(t.coeff / tr, t.ket, t.bra) for t in state.terms),
-        state.mode_count,
-    )
-    return merge_terms(scaled)
+    return merge_terms(DyadState(state.coeff / tr, state.ket, state.bra))
 
 
 def make_coherent(*amplitudes: complex) -> DyadState:
     """Density operator of a product coherent state, one amplitude per mode."""
     if not amplitudes:
         raise ValueError("at least one mode amplitude is required")
-    amps = tuple(complex(a) for a in amplitudes)
-    return DyadState((DyadTerm(1.0, amps, amps),), len(amps))
+    return DyadState([1.0], [amplitudes], [amplitudes])
+
+
+def _dephased_dyads(alpha: float) -> DyadState:
+    """(|alpha><alpha| + |-alpha><-alpha|)/2, its two terms unmerged."""
+    amps = [[alpha], [-alpha]]
+    return DyadState([0.5, 0.5], amps, amps)
 
 
 def make_incoherent(alpha: float) -> DyadState:
     """The fully dephased pair: equal mixture of |alpha> and |-alpha>."""
-    a = complex(alpha)
-    state = DyadState(
-        (DyadTerm(0.5, (a,), (a,)), DyadTerm(0.5, (-a,), (-a,))), 1
+    return merge_terms(_dephased_dyads(alpha))
+
+
+def _css_dyads(params: CssParams) -> DyadState:
+    """The unnormalized density of |alpha> + e^{i phi}|-alpha>; its trace
+    is the squared norm of that superposition."""
+    a = params.alpha
+    phase = cmath.exp(1j * params.phi)
+    return DyadState(
+        [1.0, phase.conjugate(), phase, 1.0],
+        [[a], [a], [-a], [-a]],
+        [[a], [-a], [a], [-a]],
     )
-    return merge_terms(state)
 
 
 def make_css(params: CssParams) -> DyadState:
     """Normalized density of the superposition |alpha> + e^{i phi}|-alpha>."""
     if params.is_degenerate:
         raise DegenerateStateError("the (alpha=0, phi=pi) superposition has zero norm")
-    a = complex(params.alpha)
-    norm = 2.0 * (1.0 + math.cos(params.phi) * math.exp(-2.0 * params.alpha**2))
-    phase = cmath.exp(1j * params.phi)
-    inv = 1.0 / norm
-    terms = (
-        DyadTerm(inv, (a,), (a,)),
-        DyadTerm(inv * phase.conjugate(), (a,), (-a,)),
-        DyadTerm(inv * phase, (-a,), (a,)),
-        DyadTerm(inv, (-a,), (-a,)),
-    )
-    return merge_terms(DyadState(terms, 1))
+    return normalize(_css_dyads(params))
 
 
 def make_mixed(state: MixedCss) -> DyadState:
-    """Dyad form of p * rho_css + (1 - p) * rho_0."""
+    """Dyad form of p * rho_css + (1 - p) * rho_0.
+
+    The dyads of rho_0 are two of those of rho_css, so the merged sum
+    lists the terms of rho_css."""
     if state.p == 0.0:
         return make_incoherent(state.params.alpha)
-    parts = [
-        DyadTerm(state.p * t.coeff, t.ket, t.bra) for t in make_css(state.params).terms
-    ]
-    if state.p < 1.0:
-        parts.extend(
-            DyadTerm((1.0 - state.p) * t.coeff, t.ket, t.bra)
-            for t in make_incoherent(state.params.alpha).terms
+    return merge_terms(
+        _weighted_sum(
+            (state.p, make_css(state.params)),
+            (1.0 - state.p, _dephased_dyads(state.params.alpha)),
         )
-    return merge_terms(DyadState(tuple(parts), 1))
+    )
 
 
 def tensor(left: DyadState, right: DyadState) -> DyadState:
-    terms = tuple(
-        DyadTerm(a.coeff * b.coeff, a.ket + b.ket, a.bra + b.bra)
-        for a in left.terms
-        for b in right.terms
+    """Product of every term of `left` with every term of `right`, left-major."""
+    i, j = np.divmod(np.arange(len(left.coeff) * len(right.coeff)), len(right.coeff))
+    return DyadState(
+        left.coeff[i] * right.coeff[j],
+        np.concatenate([left.ket[i], right.ket[j]], axis=1),
+        np.concatenate([left.bra[i], right.bra[j]], axis=1),
     )
-    return DyadState(terms, left.mode_count + right.mode_count)
 
 
 def attach_vacuum(state: DyadState) -> DyadState:
@@ -222,21 +232,14 @@ def loss_on_dyad(state: DyadState, mode: int, eta: float) -> DyadState:
         raise ValueError(f"loss transmittance must lie in (0, 1], got {eta!r}")
     if eta == 1.0:
         return state
-    root = math.sqrt(eta)
-    lost = 1.0 - eta
-    out = []
-    for t in state.terms:
-        a1 = t.ket[mode]
-        a2 = t.bra[mode]
-        factor = cmath.exp(
-            -0.5
-            * lost
-            * (abs(a1) ** 2 + abs(a2) ** 2 - 2.0 * a1 * a2.conjugate())
-        )
-        ket = t.ket[:mode] + (a1 * root,) + t.ket[mode + 1 :]
-        bra = t.bra[:mode] + (a2 * root,) + t.bra[mode + 1 :]
-        out.append(DyadTerm(t.coeff * factor, ket, bra))
-    return DyadState(tuple(out), state.mode_count)
+    a1 = state.ket[:, mode]
+    a2 = state.bra[:, mode]
+    factor = np.exp(
+        -0.5 * (1.0 - eta) * (np.abs(a1) ** 2 + np.abs(a2) ** 2 - 2.0 * a1 * a2.conj())
+    )
+    sides = np.array((state.ket, state.bra))
+    sides[..., mode] *= math.sqrt(eta)
+    return DyadState(state.coeff * factor, *sides)
 
 
 def bs_on_product(state: DyadState, modes: tuple[int, int], T: float) -> DyadState:
@@ -255,21 +258,16 @@ def bs_on_product(state: DyadState, modes: tuple[int, int], T: float) -> DyadSta
         raise ValueError(f"transmittance must lie in [0, 1], got {T!r}")
     ct = math.sqrt(T)
     cr = math.sqrt(1.0 - T)
-    out = []
-    for t in state.terms:
-        ket = list(t.ket)
-        bra = list(t.bra)
-        for vec in (ket, bra):
-            a, b = vec[ma], vec[mb]
-            vec[ma] = ct * a - cr * b
-            vec[mb] = cr * a + ct * b
-        out.append(DyadTerm(t.coeff, tuple(ket), tuple(bra)))
-    return DyadState(tuple(out), state.mode_count)
+    sides = np.array((state.ket, state.bra))
+    a, b = sides[..., ma], sides[..., mb]
+    sides[..., ma], sides[..., mb] = ct * a - cr * b, cr * a + ct * b
+    return DyadState(state.coeff, *sides)
 
 
 def homodyne_amplitude(beta: complex, x: float, lam: float) -> complex:
     """Amplitude <x_lam|beta> of finding quadrature value x at local
-    oscillator phase lam on a coherent state.
+    oscillator phase lam on a coherent state; `beta` may also be an array
+    of amplitudes.
 
     Convention: x_lam = (a e^{-i lam} + a^dagger e^{i lam}) / sqrt(2), so
 
@@ -279,9 +277,9 @@ def homodyne_amplitude(beta: complex, x: float, lam: float) -> complex:
     For real beta this satisfies <x_{pi/2}|-beta> =
     e^{i 2 sqrt(2) x beta} <x_{pi/2}|beta> identically.
     """
-    beta = complex(beta)
+    beta = np.asarray(beta, dtype=complex)
     rot = cmath.exp(-1j * lam)
-    return _QUARTIC_ROOT_PI * cmath.exp(
+    return _QUARTIC_ROOT_PI * np.exp(
         -0.5 * x * x
         + math.sqrt(2.0) * rot * x * beta
         - 0.5 * rot * rot * beta * beta
@@ -289,29 +287,12 @@ def homodyne_amplitude(beta: complex, x: float, lam: float) -> complex:
     )
 
 
-def hermite_quadrature_amplitude(
-    beta: complex, x: float, lam: float, terms: int = 60
-) -> complex:
-    """Validation-only evaluation of <x_lam|beta> as a truncated Fock sum.
-
-    Sums e^{-|beta|^2/2} beta^n / sqrt(n!) * e^{-i n lam} h_n(x) over the
-    first `terms` number states, with h_n the normalized Hermite functions.
-    Converges to homodyne_amplitude for moderate |beta| and |x|; it exists
-    purely so tests can check the closed form against an independent
-    expansion, and nothing in the package calls it.
-    """
-    beta = complex(beta)
-    h_prev = _QUARTIC_ROOT_PI * math.exp(-0.5 * x * x)
-    coef = cmath.exp(-0.5 * (beta.real**2 + beta.imag**2))
-    rot = cmath.exp(-1j * lam)
-    total = coef * h_prev
-    h_curr = math.sqrt(2.0) * x * h_prev
-    for n in range(1, terms):
-        coef = coef * beta * rot / math.sqrt(n)
-        total += coef * h_curr
-        h_next = x * math.sqrt(2.0 / (n + 1)) * h_curr - math.sqrt(n / (n + 1.0)) * h_prev
-        h_prev, h_curr = h_curr, h_next
-    return total
+def _drop_mode(state: DyadState, mode: int, coeff: np.ndarray) -> DyadState:
+    """The terms with new coefficients and one mode's column removed."""
+    if state.mode_count < 2:
+        raise ValueError("projection would leave no modes; keep at least one")
+    kept = [j for j in range(state.mode_count) if j != mode]
+    return DyadState(coeff, state.ket[:, kept], state.bra[:, kept])
 
 
 def project_quadrature(
@@ -324,17 +305,9 @@ def project_quadrature(
     together with the outcome density (trace of the unnormalized result).
     """
     _check_mode(state, mode)
-    if state.mode_count < 2:
-        raise ValueError("projection would leave no modes; keep at least one")
-    out = []
-    for t in state.terms:
-        amp_k = homodyne_amplitude(t.ket[mode], x, lam)
-        amp_b = homodyne_amplitude(t.bra[mode], x, lam)
-        coeff = t.coeff * amp_k * amp_b.conjugate()
-        ket = t.ket[:mode] + t.ket[mode + 1 :]
-        bra = t.bra[:mode] + t.bra[mode + 1 :]
-        out.append(DyadTerm(coeff, ket, bra))
-    reduced = DyadState(tuple(out), state.mode_count - 1)
+    sides = np.array((state.ket[:, mode], state.bra[:, mode]))
+    amp_k, amp_b = homodyne_amplitude(sides, x, lam)
+    reduced = _drop_mode(state, mode, state.coeff * amp_k * amp_b.conj())
     density = trace(reduced).real
     if density < _MIN_DENSITY:
         raise ZeroDensityError(f"homodyne density vanishes at x={x!r}")
@@ -351,56 +324,39 @@ def project_click(state: DyadState, mode: int) -> tuple[DyadState, float]:
     normalizing the conditional state then raises.
     """
     _check_mode(state, mode)
-    if state.mode_count < 2:
-        raise ValueError("projection would leave no modes; keep at least one")
-    out = []
-    for t in state.terms:
-        kept_ket = t.ket[:mode] + t.ket[mode + 1 :]
-        kept_bra = t.bra[:mode] + t.bra[mode + 1 :]
-        full = t.coeff * overlap(t.bra[mode], t.ket[mode])
-        thru_vacuum = t.coeff * overlap(t.bra[mode], 0.0) * overlap(0.0, t.ket[mode])
-        out.append(DyadTerm(full - thru_vacuum, kept_ket, kept_bra))
-    reduced = merge_terms(DyadState(tuple(out), state.mode_count - 1))
+    k = state.ket[:, mode]
+    b = state.bra[:, mode]
+    # <b|k> - <b|0><0|k> = <b|0><0|k> (e^{conj(b) k} - 1)
+    weight = np.exp(-0.5 * (np.abs(b) ** 2 + np.abs(k) ** 2)) * np.expm1(b.conj() * k)
+    reduced = merge_terms(_drop_mode(state, mode, state.coeff * weight))
     probability = trace(reduced).real
     return reduced, max(probability, 0.0)
 
 
 def gram_norm(state: DyadState) -> float:
     """Hilbert-Schmidt norm sqrt(tr[X^dagger X]) evaluated through coherent
-    Gram overlaps, valid for arbitrary (non-Hermitian) dyad combinations."""
-    total = 0.0 + 0.0j
-    for a in state.terms:
-        for b in state.terms:
-            total += (
-                a.coeff.conjugate()
-                * b.coeff
-                * _multi_overlap(a.ket, b.ket)
-                * _multi_overlap(b.bra, a.bra)
-            )
-    return math.sqrt(max(total.real, 0.0))
+    Gram overlaps, valid for arbitrary (non-Hermitian) dyad combinations:
+    tr[X^dagger X] = sum_ij conj(c_i) c_j <k_i|k_j> <b_j|b_i>."""
+    pairs = _gram(state.ket, state.ket) * _gram(state.bra, state.bra).T
+    return math.sqrt(max((state.coeff.conj() @ pairs @ state.coeff).real, 0.0))
 
 
 def expect_coherent(state: DyadState, gammas: Sequence[complex]) -> float:
     """Diagonal expectation <gamma_1 ... gamma_m| rho |gamma_1 ... gamma_m>."""
     if len(gammas) != state.mode_count:
         raise ValueError("one probe amplitude per mode is required")
-    total = 0.0 + 0.0j
-    for t in state.terms:
-        total += t.coeff * _multi_overlap(gammas, t.ket) * _multi_overlap(t.bra, gammas)
-    return total.real
+    probe = np.asarray(gammas, dtype=complex)
+    weights = state.coeff * _overlap(probe, state.ket) * _overlap(state.bra, probe)
+    return float(weights.sum().real)
 
 
 def hermiticity_defect(state: DyadState) -> float:
     """Largest coefficient mismatch between each dyad and its conjugate."""
-    acc: dict[tuple[tuple[complex, ...], tuple[complex, ...]], complex] = {}
-    for t in state.terms:
-        key = (t.ket, t.bra)
-        acc[key] = acc.get(key, 0.0 + 0.0j) + t.coeff
-    defect = 0.0
-    for (ket, bra), c in acc.items():
-        mirror = acc.get((bra, ket), 0.0 + 0.0j)
-        defect = max(defect, abs(c - mirror.conjugate()))
-    return defect
+    merged = merge_terms(state, tol=0.0)
+    ket, bra = merged.ket, merged.bra
+    mirrors = (ket[:, None] == bra[None]).all(-1) & (bra[:, None] == ket[None]).all(-1)
+    mirror = mirrors @ merged.coeff  # merged dyads are distinct: one match at most
+    return float(np.abs(merged.coeff - mirror.conj()).max(initial=0.0))
 
 
 def purity(state: DyadState) -> float:
@@ -408,34 +364,31 @@ def purity(state: DyadState) -> float:
     tr = trace(state).real
     if abs(tr - 1.0) > 1e-8:
         raise StateFamilyError(f"purity expects a unit-trace state, trace was {tr!r}")
-    total = 0.0 + 0.0j
-    for a in state.terms:
-        for b in state.terms:
-            total += (
-                a.coeff
-                * b.coeff
-                * _multi_overlap(a.bra, b.ket)
-                * _multi_overlap(b.bra, a.ket)
-            )
-    return total.real
+    # tr[rho^2] = sum_ij c_i c_j <b_i|k_j> <b_j|k_i>
+    cross = _gram(state.bra, state.ket)
+    return float((state.coeff @ (cross * cross.T) @ state.coeff).real)
 
 
-def _css_bra_amplitude(params: CssParams, against: complex) -> complex:
-    """<psi(params)|against> for the normalized superposition."""
-    norm = 2.0 * (1.0 + math.cos(params.phi) * math.exp(-2.0 * params.alpha**2))
-    a = complex(params.alpha)
-    phase = cmath.exp(-1j * params.phi)
-    return (overlap(a, against) + phase * overlap(-a, against)) / math.sqrt(norm)
+def _css_fidelity(params: CssParams, norm: float, state: DyadState) -> float:
+    """<psi|rho|psi> for psi = (|alpha> + e^{i phi}|-alpha>)/sqrt(norm) and
+    a single-mode rho, from the amplitudes <psi|beta> of its kets and bras."""
+    branches = np.array([params.alpha, -params.alpha])[:, None, None]
+    weights = np.array([1.0, cmath.exp(-1j * params.phi)])
+    sides = np.array((state.ket, state.bra))[:, None]
+    on_ket, on_bra = weights @ _overlap(branches, sides)
+    return float((state.coeff @ (on_ket * on_bra.conj())).real) / norm
 
 
 def extract_fraction(state: DyadState, params: CssParams) -> float:
     """Recover p from rho = p * rho_css(params) + (1 - p) * rho_0(alpha).
 
     Inverts the decomposition through the fidelity F = <psi|rho|psi>:
-    with F0 the (closed-form) fidelity of rho_0 against the superposition,
-    p = (F - F0)/(1 - F0). A residual check in the dyad Gram norm confirms
-    the input actually lies in the two-component family; failure signals a
-    physics bug upstream rather than a recoverable condition.
+    with F0 the fidelity of rho_0 against the superposition,
+    p = (F - F0)/(1 - F0). Both come from coherent overlaps, with the
+    norm of psi taken from the trace of its unnormalized density. A
+    residual check in the dyad Gram norm confirms the input actually lies
+    in the two-component family; failure signals a physics bug upstream
+    rather than a recoverable condition.
     """
     if state.mode_count != 1:
         raise ValueError("fraction extraction expects a single-mode state")
@@ -445,27 +398,14 @@ def extract_fraction(state: DyadState, params: CssParams) -> float:
         raise StateFamilyError(
             "the two-component family collapses at alpha=0; the fraction is undefined"
         )
-    g = math.exp(-2.0 * params.alpha**2)
-    cos_phi = math.cos(params.phi)
-    f0 = (1.0 + 2.0 * g * cos_phi + g * g) / (2.0 * (1.0 + g * cos_phi))
-    fid = 0.0 + 0.0j
-    for t in state.terms:
-        fid += (
-            t.coeff
-            * _css_bra_amplitude(params, t.ket[0])
-            * _css_bra_amplitude(params, t.bra[0]).conjugate()
-        )
-    p = (fid.real - f0) / (1.0 - f0)
+    css = _css_dyads(params)
+    dephased = _dephased_dyads(params.alpha)
+    norm = trace(css).real
+    f0 = _css_fidelity(params, norm, dephased)
+    p = (_css_fidelity(params, norm, state) - f0) / (1.0 - f0)
 
-    residual_terms = list(state.terms)
-    residual_terms.extend(
-        DyadTerm(-p * t.coeff, t.ket, t.bra) for t in make_css(params).terms
-    )
-    residual_terms.extend(
-        DyadTerm(-(1.0 - p) * t.coeff, t.ket, t.bra)
-        for t in make_incoherent(params.alpha).terms
-    )
-    residual = gram_norm(merge_terms(DyadState(tuple(residual_terms), 1), tol=0.0))
+    rest = _weighted_sum((1.0, state), (-p / norm, css), (p - 1.0, dephased))
+    residual = gram_norm(merge_terms(rest, tol=0.0))
     if residual > 1e-9:
         raise StateFamilyError(
             f"state outside model family: residual {residual:.3e} exceeds 1e-9"

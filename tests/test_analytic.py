@@ -7,6 +7,7 @@ they pin the formulas against silent regressions.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -20,7 +21,6 @@ from catpurify import (
     amplify,
     apply_loss,
     concat_stages,
-    concatenate,
     detection_ratio,
     effective_loss_fraction,
     homodyne_density_css,
@@ -240,6 +240,12 @@ class TestPurify:
         with pytest.raises(DegenerateStateError):
             purify(MixedCss(CssParams(0.0, math.pi), 0.5), TapSetting(0.5, 0.0))
 
+    def test_zero_density_outcome_rejected(self):
+        # both densities underflow to 0 at k=1e200; there is nothing to condition on
+        state = MixedCss(CssParams(1.0, math.pi), 0.5)
+        with pytest.raises(ZeroDensityError):
+            purify(state, TapSetting(0.5, 1e200))
+
     def test_blind_tap_warns_and_changes_nothing(self):
         with pytest.warns(UserWarning):
             out, _, _ = purify(
@@ -414,6 +420,36 @@ class TestWindowAcceptance:
         state = MixedCss(CssParams(1.0, math.pi), 0.5)
         assert window_acceptance(state, 0.5, 0.0, 12.0) == pytest.approx(1.0, abs=1e-8)
 
+    def test_wide_window_keeps_the_peak(self):
+        state = MixedCss(CssParams(1.0, math.pi), 0.5)
+        assert window_acceptance(state, 0.5, 0.0, 1e4) == pytest.approx(1.0, abs=1e-10)
+
+    def test_far_window_matches_erfc(self):
+        # [3, 9997]: integrate p P_C + (1-p) P_0 over [3, inf) with the complex
+        # erfc, (1/sqrt(pi)) int_a^inf e^{-k^2 + i theta k} dk
+        #     = e^{-theta^2/4} erfc(a - i theta/2) / 2
+        alpha, phi, p, T = 1.0, math.pi, 0.5, 0.5
+        with mpmath.workdps(30):
+            a2 = mpmath.mpf(alpha) ** 2
+            theta = 2 * mpmath.sqrt(2 * (1 - mpmath.mpf(T))) * alpha
+            tail = mpmath.erfc(3) / 2
+            wave = mpmath.re(
+                mpmath.exp(1j * phi - theta**2 / 4) * mpmath.erfc(3 - 0.5j * theta) / 2
+            )
+            css = (tail + mpmath.exp(-2 * T * a2) * wave) / (
+                1 + mpmath.cos(phi) * mpmath.exp(-2 * a2)
+            )
+            expected = float(p * css + (1 - p) * tail)
+        state = MixedCss(CssParams(alpha, phi), p)
+        assert window_acceptance(state, T, 5000.0, 4997.0) == pytest.approx(
+            expected, rel=1e-9
+        )
+
+    def test_window_past_representable_outcomes_accepts_nothing(self):
+        state = MixedCss(CssParams(1.0, math.pi), 0.5)
+        assert window_acceptance(state, 0.5, 100.0, 50.0) == 0.0
+        assert window_acceptance(state, 0.5, -1e300, 1e299) == 0.0
+
     def test_gaussian_window_matches_erf(self):
         # alpha = 0 reduces the joint density to the unit Gaussian
         state = MixedCss(CssParams(0.0, 0.0), 0.5)
@@ -475,6 +511,15 @@ class TestThresholdAndConcat:
     def test_small_amplitude_limit(self):
         assert amplification_threshold(0.01) < 1e-7
 
+    @pytest.mark.parametrize("alpha", [13.5, 30.0])
+    def test_beyond_float_range_is_infinite(self, alpha):
+        assert amplification_threshold(alpha) == math.inf
+
+    def test_largest_finite_values_unchanged(self):
+        for alpha in (10.0, 13.0, 13.3):
+            expected = 0.5 * math.expm1(2.0 * alpha * alpha) ** 2
+            assert amplification_threshold(alpha) == expected < math.inf
+
     def test_threshold_matches_gain_crossing(self):
         for alpha in (0.5, 0.6):
             target = amplification_threshold(alpha)
@@ -493,13 +538,13 @@ class TestThresholdAndConcat:
             assert 0.5 * (lo + hi) == pytest.approx(target, abs=1e-6)
 
     def test_concat_pure_input(self):
-        assert concatenate(1.0, 1.0) == 1.0
+        assert concat_stages(1.0, 1.0)[1] == 1.0
 
     def test_concat_reference_values(self):
         p_mid, p_final = concat_stages(0.5, 1.0)
         assert p_mid == pytest.approx(0.5464491031607007, abs=1e-15)
         assert p_final == pytest.approx(0.24181836090865347, abs=1e-15)
-        assert concatenate(0.5, 1.0) == p_final
+        assert concat_stages(0.5, 1.0)[1] == p_final
         assert p_final < 0.5
 
     def test_concat_matches_oracle(self):

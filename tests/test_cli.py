@@ -122,6 +122,17 @@ class TestPurifyCommand:
         assert code == 3
         assert err.startswith("physics error:")
 
+    def test_zero_density_outcome_is_a_physics_error(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "purify",
+            "--alpha", "1", "--phi", "pi", "--p-in", "0.5",
+            "--T", "0.5", "--k", "1e200",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("physics error:")
+
 
 class TestConfigFile:
     def test_flags_override_file(self, capsys, tmp_path):

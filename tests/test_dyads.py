@@ -3,7 +3,8 @@
 Expected values here are either algebraically trivial (vacuum overlaps,
 single-dyad loss factors) or frozen doubles produced by independent
 evaluations: direct closed-form arithmetic, a truncated Hermite-function
-expansion, and high-precision scans performed while the suite was built.
+expansion (`hermite_quadrature_amplitude` below), and high-precision scans
+performed while the suite was built.
 """
 
 import cmath
@@ -21,6 +22,28 @@ from catpurify.errors import (
 )
 
 HALF_PI = math.pi / 2.0
+_QUARTIC_ROOT_PI = math.pi ** (-0.25)
+
+
+def hermite_quadrature_amplitude(beta, x, lam, terms=60):
+    """Independent evaluation of <x_lam|beta> as a truncated Fock sum.
+
+    Sums e^{-|beta|^2/2} beta^n / sqrt(n!) * e^{-i n lam} h_n(x) over the
+    first `terms` number states, with h_n the normalized Hermite functions.
+    Converges to dyads.homodyne_amplitude for moderate |beta| and |x|.
+    """
+    beta = complex(beta)
+    h_prev = _QUARTIC_ROOT_PI * math.exp(-0.5 * x * x)
+    coef = cmath.exp(-0.5 * (beta.real**2 + beta.imag**2))
+    rot = cmath.exp(-1j * lam)
+    total = coef * h_prev
+    h_curr = math.sqrt(2.0) * x * h_prev
+    for n in range(1, terms):
+        coef = coef * beta * rot / math.sqrt(n)
+        total += coef * h_curr
+        h_next = x * math.sqrt(2.0 / (n + 1)) * h_curr - math.sqrt(n / (n + 1.0)) * h_prev
+        h_prev, h_curr = h_curr, h_next
+    return total
 
 
 def random_complex(rng, radius=2.0):
@@ -30,6 +53,68 @@ def random_complex(rng, radius=2.0):
 def random_mixture(rng, alpha_max=2.0):
     params = CssParams(rng.uniform(0.05, alpha_max), rng.uniform(0.0, 2.0 * math.pi))
     return dy.make_mixed(MixedCss(params, rng.uniform(0.0, 1.0)))
+
+
+class TestDyadState:
+    def test_mode_count_from_shape(self):
+        state = dy.DyadState([1.0, 0.5], [[0.1, 0.2, 0.3]] * 2, [[0.0, 0.0, 0.0]] * 2)
+        assert state.mode_count == 3
+        assert state.coeff.dtype == complex and state.ket.dtype == complex
+
+    @pytest.mark.parametrize(
+        "coeff,ket,bra",
+        [
+            ([1.0], [[1.0, 0.0]], [[1.0]]),  # ket and bra mode counts differ
+            ([1.0, 1.0], [[1.0], [0.5]], [[1.0]]),  # ket and bra term counts differ
+            ([1.0], np.zeros((1, 0)), np.zeros((1, 0))),  # no modes
+            ([1.0], [1.0], [1.0]),  # amplitudes not laid out as [terms, modes]
+            ([1.0, 2.0], [[1.0]], [[1.0]]),  # one coefficient too many
+        ],
+    )
+    def test_rejects_mismatched_shapes(self, coeff, ket, bra):
+        with pytest.raises(ValueError):
+            dy.DyadState(coeff, ket, bra)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rejects_non_finite_coefficients(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            dy.DyadState([0.5, bad], [[1.0], [-1.0]], [[1.0], [-1.0]])
+
+
+class TestMergeTerms:
+    def test_signed_zeros_fold_into_first_occurrence(self):
+        neg = complex(-0.0, -0.0)
+        state = dy.DyadState(
+            [1.0, 2.0, 3.0, 4.0],
+            [[0.5], [neg], [0.5], [0.0]],
+            [[1.0], [0.0], [1.0], [neg]],
+        )
+        merged = dy.merge_terms(state)
+        assert merged.coeff.tolist() == [4.0 + 0.0j, 6.0 + 0.0j]
+        assert merged.ket[:, 0].tolist() == [0.5 + 0.0j, 0.0j]
+        # the kept amplitudes are those of the first occurrence, signs included
+        assert math.copysign(1.0, merged.ket[1, 0].real) == -1.0
+        assert math.copysign(1.0, merged.bra[1, 0].real) == 1.0
+
+    def test_order_of_first_occurrence_and_pruning(self):
+        state = dy.DyadState(
+            [1.0, 2.0, -1.0, 3.0, 5.0],
+            [[0.3], [0.1], [0.3], [0.2], [0.1]],
+            [[0.3], [0.1], [0.3], [0.2], [0.1]],
+        )
+        merged = dy.merge_terms(state)
+        assert merged.ket[:, 0].tolist() == [0.1 + 0.0j, 0.2 + 0.0j]
+        assert merged.coeff.tolist() == [7.0 + 0.0j, 3.0 + 0.0j]
+        kept = dy.merge_terms(state, tol=0.0)
+        assert kept.ket[:, 0].tolist() == [0.3 + 0.0j, 0.1 + 0.0j, 0.2 + 0.0j]
+        assert kept.coeff.tolist() == [0.0j, 7.0 + 0.0j, 3.0 + 0.0j]
+
+    def test_distinct_dyads_are_kept_as_they_are(self):
+        state = dy.make_css(CssParams(0.7, 1.0))
+        merged = dy.merge_terms(state)
+        assert merged.coeff.tolist() == state.coeff.tolist()
+        assert merged.ket.tolist() == state.ket.tolist()
+        assert merged.bra.tolist() == state.bra.tolist()
 
 
 class TestOverlap:
@@ -67,10 +152,9 @@ class TestMakeStates:
 
     def test_alpha_zero_merges_to_single_vacuum_dyad(self):
         state = dy.make_css(CssParams(0.0, math.pi / 3.0))
-        assert len(state.terms) == 1
-        term = state.terms[0]
-        assert term.ket == (0.0 + 0.0j,) and term.bra == (0.0 + 0.0j,)
-        assert term.coeff == pytest.approx(1.0, abs=1e-15)
+        assert len(state.coeff) == 1
+        assert state.ket.tolist() == [[0.0 + 0.0j]] and state.bra.tolist() == [[0.0 + 0.0j]]
+        assert state.coeff[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateStateError):
@@ -91,20 +175,19 @@ class TestLoss:
 
     def test_single_offdiagonal_dyad(self):
         # exponent -0.5 * 0.5 * (1 + 1 + 2) = -1 for |1><-1| at eta = 1/2
-        dyad = dy.DyadState((dy.DyadTerm(1.0, (1.0,), (-1.0,)),), 1)
+        dyad = dy.DyadState([1.0], [[1.0]], [[-1.0]])
         out = dy.loss_on_dyad(dyad, 0, 0.5)
-        term = out.terms[0]
-        assert term.coeff == pytest.approx(math.exp(-1.0), abs=1e-15)
-        assert term.ket[0] == pytest.approx(math.sqrt(0.5), abs=1e-16)
-        assert term.bra[0] == pytest.approx(-math.sqrt(0.5), abs=1e-16)
+        assert out.coeff[0] == pytest.approx(math.exp(-1.0), abs=1e-15)
+        assert out.ket[0, 0] == pytest.approx(math.sqrt(0.5), abs=1e-16)
+        assert out.bra[0, 0] == pytest.approx(-math.sqrt(0.5), abs=1e-16)
 
     def test_diagonal_dyad_keeps_coefficient(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
             b = random_complex(rng)
-            dyad = dy.DyadState((dy.DyadTerm(0.7, (b,), (b,)),), 1)
+            dyad = dy.DyadState([0.7], [[b]], [[b]])
             out = dy.loss_on_dyad(dyad, 0, 0.3)
-            assert out.terms[0].coeff == pytest.approx(0.7, abs=1e-15)
+            assert out.coeff[0] == pytest.approx(0.7, abs=1e-15)
 
     def test_trace_and_hermiticity_preserved(self):
         rng = np.random.default_rng(15)
@@ -123,10 +206,9 @@ class TestLoss:
             e1, e2 = rng.uniform(0.1, 1.0, size=2)
             twice = dy.loss_on_dyad(dy.loss_on_dyad(state, 0, e2), 0, e1)
             once = dy.loss_on_dyad(state, 0, e1 * e2)
-            for a, b in zip(twice.terms, once.terms):
-                assert abs(a.coeff - b.coeff) <= 1e-12
-                assert abs(a.ket[0] - b.ket[0]) <= 1e-12
-                assert abs(a.bra[0] - b.bra[0]) <= 1e-12
+            assert np.abs(twice.coeff - once.coeff).max() <= 1e-12
+            assert np.abs(twice.ket - once.ket).max() <= 1e-12
+            assert np.abs(twice.bra - once.bra).max() <= 1e-12
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -137,14 +219,13 @@ class TestBeamSplitter:
     def test_splits_coherent_against_vacuum(self):
         state = dy.attach_vacuum(dy.make_coherent(1.3))
         out = dy.bs_on_product(state, (0, 1), 0.7)
-        term = out.terms[0]
-        assert term.ket[0] == pytest.approx(math.sqrt(0.7) * 1.3, abs=1e-15)
-        assert term.ket[1] == pytest.approx(math.sqrt(0.3) * 1.3, abs=1e-15)
+        assert out.ket[0, 0] == pytest.approx(math.sqrt(0.7) * 1.3, abs=1e-15)
+        assert out.ket[0, 1] == pytest.approx(math.sqrt(0.3) * 1.3, abs=1e-15)
 
     def test_vacuum_fixed_point(self):
         state = dy.attach_vacuum(dy.make_coherent(0.0))
         out = dy.bs_on_product(state, (0, 1), 0.42)
-        assert out.terms[0].ket == (0.0 + 0.0j, 0.0 + 0.0j)
+        assert out.ket.tolist() == [[0.0 + 0.0j, 0.0 + 0.0j]]
 
     def test_energy_conservation(self):
         rng = np.random.default_rng(17)
@@ -152,16 +233,15 @@ class TestBeamSplitter:
             a, b = random_complex(rng), random_complex(rng)
             state = dy.make_coherent(a, b)
             out = dy.bs_on_product(state, (0, 1), rng.uniform(0.0, 1.0))
-            term = out.terms[0]
             before = abs(a) ** 2 + abs(b) ** 2
-            after = abs(term.ket[0]) ** 2 + abs(term.ket[1]) ** 2
+            after = abs(out.ket[0, 0]) ** 2 + abs(out.ket[0, 1]) ** 2
             assert after == pytest.approx(before, abs=1e-14)
 
     def test_coefficients_unchanged(self):
         state = dy.make_css(CssParams(0.8, 1.1))
         joint = dy.attach_vacuum(state)
         out = dy.bs_on_product(joint, (0, 1), 0.25)
-        assert [t.coeff for t in out.terms] == [t.coeff for t in joint.terms]
+        assert out.coeff.tolist() == joint.coeff.tolist()
 
     def test_identical_modes_rejected(self):
         with pytest.raises(ValueError):
@@ -207,7 +287,7 @@ class TestHomodyneAmplitude:
     )
     def test_matches_hermite_expansion(self, beta, x, lam):
         closed = dy.homodyne_amplitude(beta, x, lam)
-        summed = dy.hermite_quadrature_amplitude(beta, x, lam, terms=60)
+        summed = hermite_quadrature_amplitude(beta, x, lam, terms=60)
         assert abs(closed - summed) <= 1e-10
 
 
@@ -218,8 +298,8 @@ class TestProjectQuadrature:
         assert density == pytest.approx(
             math.exp(-0.81) / math.sqrt(math.pi), abs=1e-15
         )
-        assert out.terms[0].ket == (0.7 + 0.0j,)
-        assert out.terms[0].coeff == pytest.approx(1.0, abs=1e-14)
+        assert out.ket.tolist() == [[0.7 + 0.0j]]
+        assert out.coeff[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_css_pipeline_density_and_conditional_state(self):
         state = dy.attach_vacuum(dy.make_css(CssParams(1.0, 0.0)))
@@ -263,8 +343,8 @@ class TestProjectClick:
         assert prob == pytest.approx(-math.expm1(-1.69), abs=1e-15)
         assert dy.trace(reduced).real == pytest.approx(prob, abs=1e-15)
         kept = dy.normalize(reduced)
-        assert kept.terms[0].ket == (0.9 + 0.0j,)
-        assert kept.terms[0].coeff == pytest.approx(1.0, abs=1e-14)
+        assert kept.ket.tolist() == [[0.9 + 0.0j]]
+        assert kept.coeff[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_amplifier_cascade_is_pure_for_pure_input(self):
         for phi in (0.0, math.pi, 1.234):
@@ -318,7 +398,7 @@ class TestPurityAndProbes:
         )
 
     def test_non_unit_trace_rejected(self):
-        bad = dy.DyadState((dy.DyadTerm(2.0, (0.0,), (0.0,)),), 1)
+        bad = dy.DyadState([2.0], [[0.0]], [[0.0]])
         with pytest.raises(StateFamilyError):
             dy.purity(bad)
 
@@ -332,11 +412,11 @@ class TestPurityAndProbes:
                 assert dy.expect_coherent(state, (g,)) >= -1e-12
 
     def test_hermiticity_defect_flags_asymmetry(self):
-        lopsided = dy.DyadState((dy.DyadTerm(1.0, (1.0,), (-1.0,)),), 1)
+        lopsided = dy.DyadState([1.0], [[1.0]], [[-1.0]])
         assert dy.hermiticity_defect(lopsided) > 0.5
 
     def test_trace_of_single_dyad(self):
-        dyad = dy.DyadState((dy.DyadTerm(0.3 + 0.1j, (1.2,), (0.4,)),), 1)
+        dyad = dy.DyadState([0.3 + 0.1j], [[1.2]], [[0.4]])
         expected = (0.3 + 0.1j) * dy.overlap(0.4, 1.2)
         assert dy.trace(dyad) == pytest.approx(expected, abs=1e-16)
 
@@ -363,10 +443,146 @@ class TestAmplifierSim:
         joint = dy.bs_on_product(joint, (0, 2), 0.5)
         joint, _ = dy.project_click(joint, 2)
         joint, _ = dy.project_click(joint, 0)
-        assert len(joint.terms) <= 64
+        assert len(joint.coeff) <= 64
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             dy.amplifier_sim(1.2, CssParams(0.5, 0.0))
         with pytest.raises(ValueError):
             dy.amplifier_sim(0.5, CssParams(0.0, 0.0))
+
+
+def random_dyads(rng, terms=7, modes=3):
+    """A non-Hermitian dyad sum whose last two dyads repeat its first two."""
+    distinct = terms - 2
+    ket = [[random_complex(rng) for _ in range(modes)] for _ in range(distinct)]
+    bra = [[random_complex(rng) for _ in range(modes)] for _ in range(distinct)]
+    coeff = [random_complex(rng, radius=1.0) for _ in range(terms)]
+    return dy.DyadState(coeff, ket + ket[:2], bra + bra[:2])
+
+
+def rows(state):
+    return [
+        (c, tuple(k), tuple(b))
+        for c, k, b in zip(state.coeff.tolist(), state.ket.tolist(), state.bra.tolist())
+    ]
+
+
+def multi_overlap(left, right):
+    out = 1.0 + 0.0j
+    for a, b in zip(left, right):
+        out *= dy.overlap(a, b)
+    return out
+
+
+class TestArrayFormMatchesTermLoops:
+    """Each array expression against the term-by-term loop it replaces.
+
+    Amplitude updates are the same float operations, so they must agree
+    exactly (merging depends on it); sums over terms may round in another
+    order, so those agree to 1e-12 relative to the terms' total weight.
+    """
+
+    def test_tensor(self):
+        rng = np.random.default_rng(31)
+        left, right = random_dyads(rng, 5, 2), random_dyads(rng, 4, 1)
+        expected = [
+            (ca * cb, ka + kb, ba + bb)
+            for ca, ka, ba in rows(left)
+            for cb, kb, bb in rows(right)
+        ]
+        got = rows(dy.tensor(left, right))
+        assert [t[1:] for t in got] == [t[1:] for t in expected]
+        for (c, _, _), (ref, _, _) in zip(got, expected):
+            assert abs(c - ref) <= 1e-15
+
+    def test_beam_splitter_and_loss_amplitudes(self):
+        rng = np.random.default_rng(32)
+        state = random_dyads(rng)
+        T, eta = 0.3, 0.6
+        ct, cr, root = math.sqrt(T), math.sqrt(1.0 - T), math.sqrt(eta)
+        mixed = dy.bs_on_product(state, (2, 0), T)
+        lossy = dy.loss_on_dyad(state, 1, eta)
+        for (c, k, b), (cm, km, bm), (cl, kl, bl) in zip(
+            rows(state), rows(mixed), rows(lossy)
+        ):
+            for vec, out in ((k, km), (b, bm)):
+                assert out[2] == ct * vec[2] - cr * vec[0]
+                assert out[0] == cr * vec[2] + ct * vec[0]
+                assert out[1] == vec[1]
+            assert cm == c
+            assert kl == (k[0], k[1] * root, k[2]) and bl == (b[0], b[1] * root, b[2])
+            a1, a2 = k[1], b[1]
+            exponent = abs(a1) ** 2 + abs(a2) ** 2 - 2.0 * a1 * a2.conjugate()
+            factor = cmath.exp(-0.5 * (1.0 - eta) * exponent)
+            assert abs(cl - c * factor) <= 1e-12 * abs(c * factor)
+
+    def test_merge_terms(self):
+        rng = np.random.default_rng(33)
+        state = random_dyads(rng)
+        acc = {}
+        for c, k, b in rows(state):
+            acc[(k, b)] = acc.get((k, b), 0.0 + 0.0j) + c
+        expected = [(c, k, b) for (k, b), c in acc.items() if abs(c) >= dy.PRUNE_TOL]
+        assert len(expected) == 5
+        assert rows(dy.merge_terms(state)) == expected
+
+    def test_trace_gram_norm_purity_and_probe(self):
+        rng = np.random.default_rng(34)
+        state = random_dyads(rng)
+        terms = rows(state)
+        scale = sum(abs(c) for c, _, _ in terms)
+        trace = sum(c * multi_overlap(b, k) for c, k, b in terms)
+        assert abs(dy.trace(state) - trace) <= 1e-12 * scale
+        hs = sum(
+            ca.conjugate() * cb * multi_overlap(ka, kb) * multi_overlap(bb, ba)
+            for ca, ka, ba in terms
+            for cb, kb, bb in terms
+        )
+        assert dy.gram_norm(state) ** 2 == pytest.approx(hs.real, abs=1e-12 * scale**2)
+        unit = dy.DyadState(state.coeff / dy.trace(state), state.ket, state.bra)
+        square = sum(
+            ca * cb * multi_overlap(ba, kb) * multi_overlap(bb, ka)
+            for ca, ka, ba in rows(unit)
+            for cb, kb, bb in rows(unit)
+        )
+        unit_scale = sum(abs(c) for c in unit.coeff)
+        assert dy.purity(unit) == pytest.approx(square.real, abs=1e-12 * unit_scale**2)
+        probe = [random_complex(rng) for _ in range(3)]
+        seen = sum(
+            c * multi_overlap(probe, k) * multi_overlap(b, probe) for c, k, b in terms
+        )
+        assert dy.expect_coherent(state, probe) == pytest.approx(
+            seen.real, abs=1e-12 * scale
+        )
+
+    def test_projections(self):
+        rng = np.random.default_rng(35)
+        state = random_dyads(rng)
+        scale = sum(abs(c) for c in state.coeff)
+        clicked, _ = dy.project_click(state, 1)
+        click = [
+            c * (dy.overlap(b[1], k[1]) - dy.overlap(b[1], 0.0) * dy.overlap(0.0, k[1]))
+            for c, k, b in rows(state)
+        ]
+        kept = [0, 2]
+        reference = dy.merge_terms(dy.DyadState(click, state.ket[:, kept], state.bra[:, kept]))
+        assert [t[1:] for t in rows(clicked)] == [t[1:] for t in rows(reference)]
+        assert np.abs(clicked.coeff - reference.coeff).max() <= 1e-12 * scale
+
+        tapped = dy.bs_on_product(dy.attach_vacuum(random_mixture(rng)), (0, 1), 0.4)
+        x, lam = 0.4, 1.1
+        amp = dy.homodyne_amplitude
+        weights = [
+            c * amp(k[1], x, lam) * amp(b[1], x, lam).conjugate() for c, k, b in rows(tapped)
+        ]
+        density = sum(
+            w * dy.overlap(b[0], k[0]) for w, (_, k, b) in zip(weights, rows(tapped))
+        )
+        cond, got = dy.project_quadrature(tapped, 1, x, lam)
+        assert got == pytest.approx(density.real, rel=1e-12)
+        scaled = np.array(weights) / density.real
+        expected = dy.merge_terms(dy.DyadState(scaled, tapped.ket[:, :1], tapped.bra[:, :1]))
+        assert [t[1:] for t in rows(cond)] == [t[1:] for t in rows(expected)]
+        tolerance = 1e-12 * np.abs(expected.coeff).sum()
+        assert np.abs(cond.coeff - expected.coeff).max() <= tolerance
