@@ -46,13 +46,36 @@ _SQRT_PI = math.sqrt(math.pi)
 _K_REPRESENTABLE = math.sqrt(-math.log(5e-324))
 
 
+def _pair_norm(phi: float, y: float) -> float:
+    """1 + cos(phi) e^{-y}, half the squared norm of |a> + e^{i phi}|-a> at
+    y = 2 a^2. Written (1 + c) + c expm1(-y): >= 0 for every input, exactly
+    0 at (pi, 0), and free of cancellation for small odd cats."""
+    c = math.cos(phi)
+    return (1.0 + c) + c * math.expm1(-y)
+
+
+def _posterior(p: float, ratio: float) -> float:
+    """p / (p + ratio (1 - p)): the fraction after an event `ratio` times as
+    likely for the dephased component as for the superposition."""
+    return p / (p + ratio * (1.0 - p))
+
+
+def _surviving_fraction(phi: float, kept: float, lost: float) -> float:
+    """(1 + cos(phi) e^{-kept}) e^{-lost} / (1 + cos(phi) e^{-kept-lost}),
+    the part of a pure cat left by a loss (kept = 2 eta a^2, lost =
+    2 (1 - eta) a^2). The denominator is the numerator plus 1 - e^{-lost},
+    so the fraction never exceeds 1."""
+    survived = _pair_norm(phi, kept) * math.exp(-lost)
+    return survived / (survived - math.expm1(-lost))
+
+
 def normalization(params: CssParams) -> float:
     """Squared norm of |alpha> + e^{i phi}|-alpha>: 2(1 + cos(phi) e^{-2 alpha^2}).
 
     Returns 0 exactly for the degenerate pair (alpha=0, phi=pi); callers
     that need a normalized state must check for that themselves.
     """
-    return 2.0 * (1.0 + math.cos(params.phi) * math.exp(-2.0 * params.alpha**2))
+    return 2.0 * _pair_norm(params.phi, 2.0 * params.alpha**2)
 
 
 def _require_normalizable(params: CssParams) -> None:
@@ -74,10 +97,7 @@ def loss_fraction(eta: float, params: CssParams) -> float:
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"transmittance must lie in (0, 1], got {eta!r}")
     a2 = params.alpha**2
-    cos_phi = math.cos(params.phi)
-    kept = 1.0 + cos_phi * math.exp(-2.0 * eta * a2)
-    original = 1.0 + cos_phi * math.exp(-2.0 * a2)
-    return kept / original * math.exp(-2.0 * (1.0 - eta) * a2)
+    return _surviving_fraction(params.phi, 2.0 * eta * a2, 2.0 * (1.0 - eta) * a2)
 
 
 def apply_loss(state: MixedCss, ch: ChannelSetting) -> MixedCss:
@@ -127,9 +147,8 @@ def homodyne_density_css(k: float, params: CssParams, T: float) -> float:
         raise ValueError(f"transmittance must lie in (0, 1], got {T!r}")
     theta = theta_of_k(k, params.alpha, 1.0 - T)
     a2 = params.alpha**2
-    num = 1.0 + math.cos(params.phi + theta) * math.exp(-2.0 * T * a2)
-    den = 1.0 + math.cos(params.phi) * math.exp(-2.0 * a2)
-    return max(math.exp(-k * k) / _SQRT_PI * num / den, 0.0)
+    kept = _pair_norm(params.phi + theta, 2.0 * T * a2)
+    return homodyne_density_mix(k) * kept / _pair_norm(params.phi, 2.0 * a2)
 
 
 def homodyne_density_mix(k: float) -> float:
@@ -148,13 +167,12 @@ def detection_ratio(params: CssParams, T: float, theta: float) -> float:
     if not 0.0 < T <= 1.0:
         raise ValueError(f"transmittance must lie in (0, 1], got {T!r}")
     a2 = params.alpha**2
-    num = 1.0 + math.cos(params.phi) * math.exp(-2.0 * a2)
-    den = 1.0 + math.cos(params.phi + theta) * math.exp(-2.0 * T * a2)
-    if den <= 0.0:
+    kept = _pair_norm(params.phi + theta, 2.0 * T * a2)
+    if kept <= 0.0:
         raise ZeroDensityError(
             "event of zero density: the superposition never produces this outcome"
         )
-    return num / den
+    return _pair_norm(params.phi, 2.0 * a2) / kept
 
 
 def _warn_if_blind_tap(T: float) -> None:
@@ -180,60 +198,48 @@ def purify(state: MixedCss, tap: TapSetting) -> tuple[MixedCss, float, float]:
             "purify is the ideal-detector path; use purify_with_inefficiency "
             f"for eta_H={tap.eta_H!r}"
         )
+    _warn_if_blind_tap(tap.T)
+    p_out, phi, density_css, density_mix = _condition(state, tap.T, tap.R, tap.k)
+    out = MixedCss(CssParams(math.sqrt(tap.T) * state.params.alpha, phi), p_out)
+    return out, density_css, density_mix
+
+
+def _condition(state: MixedCss, T: float, R: float, k: float) -> tuple[float, ...]:
+    """Ideal conditioning on outcome k behind a tap that keeps T of the
+    light and sends R to the detector: (p_out, phase out, P_C, P_0)."""
     params = state.params
     _require_normalizable(params)
-    _warn_if_blind_tap(tap.T)
-    density_css = homodyne_density_css(tap.k, params, tap.T)
-    density_mix = homodyne_density_mix(tap.k)
-    if state.p * density_css + (1.0 - state.p) * density_mix == 0.0:
-        raise ZeroDensityError(
-            f"event of zero density: the outcome k={tap.k!r} never occurs"
-        )
-    theta = theta_of_k(tap.k, params.alpha, tap.R)
-    ratio = detection_ratio(params, tap.T, theta)
-    p_out = state.p / (state.p + ratio * (1.0 - state.p))
-    out = MixedCss(
-        CssParams(math.sqrt(tap.T) * params.alpha, (params.phi + theta) % TWO_PI),
-        p_out,
-    )
-    return out, density_css, density_mix
+    theta = theta_of_k(k, params.alpha, R)
+    ratio = detection_ratio(params, T, theta)
+    density_mix = homodyne_density_mix(k)
+    density_css = density_mix / ratio
+    p = state.p
+    if p * density_css + (1.0 - p) * density_mix == 0.0:
+        raise ZeroDensityError(f"event of zero density: the outcome k={k!r} never occurs")
+    return _posterior(p, ratio), (params.phi + theta) % TWO_PI, density_css, density_mix
 
 
 def purify_with_inefficiency(state: MixedCss, tap: TapSetting) -> MixedCss:
     """Condition on outcome k with a detector of efficiency eta_H on the
     tapped arm.
 
-    The imperfection is modeled physically: the reflected mode passes a
-    loss channel of transmittance eta_H before an ideal quadrature
-    projection. The lost fraction carries which-path information, so the
-    conditional state keeps exactly the form p' rho_css + (1 - p') rho_0
-    at amplitude sqrt(T) alpha, with the cat coherence damped by
-    e^{-2 (1 - eta_H) R alpha^2} and the imprinted phase rescaled to
-    2 sqrt(2 eta_H R) alpha k.
+    The detector is one more linear loss, on the tapped arm, and the light
+    it misses might as well have stayed in the line: the stage is the ideal
+    conditioning behind a tap of reflectivity eta_H R, followed by a lossy
+    line of transmittance T / (1 - eta_H R) on the kept mode. The output
+    has amplitude sqrt(T) alpha, phase shift 2 sqrt(2 eta_H R) alpha k and
+    a fraction in [0, 1] by construction (nothing is clamped); a zero
+    density outcome raises ZeroDensityError, as in `purify`.
     """
     if tap.eta_H == 1.0:
         return purify(state, tap)[0]
-    params = state.params
-    _require_normalizable(params)
     _warn_if_blind_tap(tap.T)
-    a2 = params.alpha**2
-    R = tap.R
-    theta = 2.0 * math.sqrt(2.0 * tap.eta_H * R) * params.alpha * tap.k
-    damp = math.exp(-2.0 * (1.0 - tap.eta_H) * R * a2)
-    env = math.exp(-2.0 * tap.T * a2)
-    cos_out = math.cos(params.phi + theta)
-    norm_in = 1.0 + math.cos(params.phi) * math.exp(-2.0 * a2)
-    # joint outcome density relative to the Gaussian e^{-k^2}/sqrt(pi)
-    rel_css = (1.0 + damp * cos_out * env) / norm_in
-    joint = state.p * rel_css + (1.0 - state.p)
-    if joint <= 0.0:
-        raise ZeroDensityError("event of zero density under the inefficient detector")
-    cat_weight = state.p * damp * (1.0 + cos_out * env) / norm_in
-    p_out = cat_weight / joint
-    return MixedCss(
-        CssParams(math.sqrt(tap.T) * params.alpha, (params.phi + theta) % TWO_PI),
-        min(max(p_out, 0.0), 1.0),
-    )
+    missed = (1.0 - tap.eta_H) * tap.R
+    p_tapped, phi, _, _ = _condition(state, tap.T + missed, tap.eta_H * tap.R, tap.k)
+    a2 = state.params.alpha**2
+    survived = _surviving_fraction(phi, 2.0 * tap.T * a2, 2.0 * missed * a2)
+    out_params = CssParams(math.sqrt(tap.T) * state.params.alpha, phi)
+    return MixedCss(out_params, p_tapped * survived)
 
 
 def success_region(params: CssParams, R: float) -> tuple[tuple[float, float], ...]:
@@ -369,8 +375,7 @@ def concat_stages(p_in: float, alpha: float) -> tuple[float, float]:
         raise ValueError(f"fraction must lie in [0, 1], got {p_in!r}")
     if alpha <= 0.0:
         raise ValueError("concatenation needs alpha > 0")
-    ratio = detection_ratio(CssParams(alpha, 0.0), 0.5, 0.0)
-    p_mid = p_in / (p_in + ratio * (1.0 - p_in))
+    p_mid = _posterior(p_in, detection_ratio(CssParams(alpha, 0.0), 0.5, 0.0))
     boosted = amplify(MixedCss(CssParams(alpha / math.sqrt(2.0), 0.0), p_mid))
     return p_mid, boosted.p
 
@@ -387,5 +392,5 @@ def purity_mixed_css(state: MixedCss) -> float:
     p = state.p
     g = math.exp(-2.0 * state.params.alpha**2)
     cos_phi = math.cos(state.params.phi)
-    cross = (1.0 + 2.0 * g * cos_phi + g * g) / (2.0 * (1.0 + g * cos_phi))
+    cross = (1.0 + 2.0 * g * cos_phi + g * g) / normalization(state.params)
     return p * p + 2.0 * p * (1.0 - p) * cross + (1.0 - p) ** 2 * (1.0 + g * g) / 2.0

@@ -81,13 +81,15 @@ class SweepTable:
     metadata: Mapping[str, str]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(float(v) for v in row) for row in self.rows)
+        rows = tuple(tuple(map(float, row)) for row in self.rows)
         width = len(self.columns)
         for i, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError(
                     f"row {i} has {len(row)} values for {width} columns"
                 )
+            if all(map(math.isfinite, row)):
+                continue
             for (name, _), v in zip(self.columns, row):
                 if not math.isfinite(v):
                     raise ValueError(
@@ -128,43 +130,39 @@ def _gain_vs_k_rows(fixed, axes):
     R = 1.0 - T
     for k in axes[0].values():
         theta = analytic.theta_of_k(k, params.alpha, R)
-        ratio = analytic.detection_ratio(params, T, theta)
-        p_out = p_in / (p_in + ratio * (1.0 - p_in))
+        p_out = analytic._posterior(p_in, analytic.detection_ratio(params, T, theta))
         yield (k, p_out, p_out / p_in)
 
 
-def _branch_fraction(p_in: float, ratio: float) -> float:
-    return p_in / (p_in + ratio * (1.0 - p_in))
-
-
-def _pout_vs_pin_rows(fixed, axes):
-    alpha = fixed["alpha"]
-    T = fixed["T"]
+def _matched_ratios(alpha, T):
+    """Detection ratios of the two phase-matched taps at amplitude alpha:
+    phi=0 read at k=0, and phi=pi read at k_pi, the outcome whose phase
+    cancels pi. Returns (ratio_0, ratio_pi, k_pi)."""
     R = 1.0 - T
-    aligned = CssParams(alpha, 0.0)
     opposed = CssParams(alpha, math.pi)
-    ratio0 = analytic.detection_ratio(aligned, T, 0.0)
-    theta_pi = analytic.theta_of_k(analytic.optimal_k(opposed, R), alpha, R)
-    ratio_pi = analytic.detection_ratio(opposed, T, theta_pi)
-    for p_in in axes[0].values():
-        out0 = _branch_fraction(p_in, ratio0)
-        out_pi = _branch_fraction(p_in, ratio_pi)
-        yield (p_in, out0, out0 - p_in, out_pi, out_pi - p_in)
+    k_pi = analytic.optimal_k(opposed, R)
+    theta_pi = analytic.theta_of_k(k_pi, alpha, R)
+    return (
+        analytic.detection_ratio(CssParams(alpha, 0.0), T, 0.0),
+        analytic.detection_ratio(opposed, T, theta_pi),
+        k_pi,
+    )
 
 
-def _gain_vs_alpha_rows(fixed, axes):
-    T = fixed["T"]
-    R = 1.0 - T
-    p_in = fixed["p_in"]
-    for alpha in axes[0].values():
-        aligned = CssParams(alpha, 0.0)
-        opposed = CssParams(alpha, math.pi)
-        ratio0 = analytic.detection_ratio(aligned, T, 0.0)
-        theta_pi = analytic.theta_of_k(analytic.optimal_k(opposed, R), alpha, R)
-        ratio_pi = analytic.detection_ratio(opposed, T, theta_pi)
-        out0 = _branch_fraction(p_in, ratio0)
-        out_pi = _branch_fraction(p_in, ratio_pi)
-        yield (alpha, out0, out0 - p_in, out_pi, out_pi - p_in)
+def _pout_rows(fixed, axes):
+    """fig6 scans p_in at a fixed alpha, fig7 scans alpha at a fixed p_in;
+    the ratios depend on alpha alone, so they are computed once per alpha."""
+    (axis,) = axes
+    by_alpha = axis.name == "alpha"
+    alphas = axis.values() if by_alpha else (fixed["alpha"],)
+    p_values = (fixed["p_in"],) if by_alpha else axis.values()
+    for alpha in alphas:
+        ratio0, ratio_pi, _ = _matched_ratios(alpha, fixed["T"])
+        for p_in in p_values:
+            out0 = analytic._posterior(p_in, ratio0)
+            out_pi = analytic._posterior(p_in, ratio_pi)
+            x = alpha if by_alpha else p_in
+            yield (x, out0, out0 - p_in, out_pi, out_pi - p_in)
 
 
 def _gain_density_vs_T_rows(fixed, axes):
@@ -173,24 +171,18 @@ def _gain_density_vs_T_rows(fixed, axes):
     aligned = CssParams(alpha, 0.0)
     opposed = CssParams(alpha, math.pi)
     for T in axes[0].values():
-        R = 1.0 - T
-        ratio0 = analytic.detection_ratio(aligned, T, 0.0)
-        out0 = _branch_fraction(p_in, ratio0)
         density0 = analytic.homodyne_density_css(0.0, aligned, T)
         if T == 1.0:
             # the favorable outcome recedes to k -> inf: the phase-pi tap
-            # still shows the limiting gain but the event has density 0
-            ratio_pi = analytic.detection_ratio(opposed, T, math.pi)
-            out_pi = _branch_fraction(p_in, ratio_pi)
+            # still shows the limiting gain but the event has density 0;
+            # the blind phi=0 tap leaves the fraction as it is
+            ratio0, ratio_pi = 1.0, analytic.detection_ratio(opposed, T, math.pi)
             density_pi = 0.0
-            degenerate = 1.0
         else:
-            k_opt = analytic.optimal_k(opposed, R)
-            theta_pi = analytic.theta_of_k(k_opt, alpha, R)
-            ratio_pi = analytic.detection_ratio(opposed, T, theta_pi)
-            out_pi = _branch_fraction(p_in, ratio_pi)
-            density_pi = analytic.homodyne_density_css(k_opt, opposed, T)
-            degenerate = 0.0
+            ratio0, ratio_pi, k_pi = _matched_ratios(alpha, T)
+            density_pi = analytic.homodyne_density_css(k_pi, opposed, T)
+        out0 = analytic._posterior(p_in, ratio0)
+        out_pi = analytic._posterior(p_in, ratio_pi)
         yield (
             T,
             out0,
@@ -199,7 +191,7 @@ def _gain_density_vs_T_rows(fixed, axes):
             out_pi,
             out_pi / p_in,
             density_pi,
-            degenerate,
+            float(T == 1.0),
         )
 
 
@@ -248,7 +240,7 @@ _FIGURES: dict[str, _Figure] = {
             ("p_out_phipi", "1"),
             ("improvement_phipi", "1"),
         ),
-        _pout_vs_pin_rows,
+        _pout_rows,
     ),
     "fig7_gain_vs_alpha": _Figure(
         {"T": 0.5, "p_in": 0.5},
@@ -260,7 +252,7 @@ _FIGURES: dict[str, _Figure] = {
             ("p_out_phipi", "1"),
             ("improvement_phipi", "1"),
         ),
-        _gain_vs_alpha_rows,
+        _pout_rows,
     ),
     "fig8_gain_and_density_vs_T": _Figure(
         {"alpha": 1.0, "p_in": 0.5},

@@ -10,6 +10,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from catpurify import (
@@ -240,11 +242,16 @@ class TestPurify:
         with pytest.raises(DegenerateStateError):
             purify(MixedCss(CssParams(0.0, math.pi), 0.5), TapSetting(0.5, 0.0))
 
-    def test_zero_density_outcome_rejected(self):
+    @pytest.mark.parametrize(
+        "condition,eta_H",
+        [(purify, 1.0), (purify_with_inefficiency, 0.98)],
+        ids=["ideal", "eta_H=0.98"],
+    )
+    def test_zero_density_outcome_rejected(self, condition, eta_H):
         # both densities underflow to 0 at k=1e200; there is nothing to condition on
         state = MixedCss(CssParams(1.0, math.pi), 0.5)
         with pytest.raises(ZeroDensityError):
-            purify(state, TapSetting(0.5, 1e200))
+            condition(state, TapSetting(0.5, 1e200, eta_H))
 
     def test_blind_tap_warns_and_changes_nothing(self):
         with pytest.warns(UserWarning):
@@ -292,6 +299,78 @@ class TestPurifyWithInefficiency:
         assert dimmed.params.phi == pytest.approx(
             full.params.phi * math.sqrt(0.5), abs=1e-12
         )
+
+
+def _loss_fraction_mp(eta, alpha, phi):
+    """The surviving fraction of a pure cat at 50 digits, from the float inputs."""
+    with mpmath.workdps(50):
+        a2 = mpmath.mpf(alpha) ** 2
+        cos_phi = mpmath.cos(mpmath.mpf(phi))
+        kept = 1 + cos_phi * mpmath.exp(-2 * mpmath.mpf(eta) * a2)
+        original = 1 + cos_phi * mpmath.exp(-2 * a2)
+        return kept / original * mpmath.exp(-2 * (1 - mpmath.mpf(eta)) * a2)
+
+
+class TestLossFractionPrecision:
+    @pytest.mark.parametrize("alpha", [1e-4, 1e-6])
+    def test_small_odd_cat_matches_mpmath(self, alpha):
+        # 1 + cos(phi) e^{-2 alpha^2} cancels for an odd cat at small alpha
+        got = loss_fraction(0.5, CssParams(alpha, math.pi))
+        want = _loss_fraction_mp(0.5, alpha, math.pi)
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+_alphas = st.floats(1e-3, 5.0)
+_phases = st.floats(0.0, TWO_PI, exclude_max=True)
+_fractions = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+_taps = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_outcomes = st.floats(-6.0, 6.0)
+_efficiencies = st.just(1.0 - 1e-15) | st.floats(
+    0.0, 1.0, exclude_min=True, exclude_max=True
+)
+_properties = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+class TestFractionBounds:
+    """No result is clamped, so the bounds must hold by construction."""
+
+    @_properties
+    @given(_alphas, _phases, _fractions, _taps, _outcomes)
+    def test_purify_fraction_in_unit_interval(self, alpha, phi, p, T, k):
+        out, _, _ = purify(MixedCss(CssParams(alpha, phi), p), TapSetting(T, k))
+        assert 0.0 <= out.p <= 1.0
+
+    @_properties
+    @given(_alphas, _phases, _fractions, _taps, _outcomes, _efficiencies)
+    def test_inefficient_fraction_in_unit_interval(self, alpha, phi, p, T, k, eta_H):
+        state = MixedCss(CssParams(alpha, phi), p)
+        out = purify_with_inefficiency(state, TapSetting(T, k, eta_H))
+        assert 0.0 <= out.p <= 1.0
+
+    @_properties
+    @given(_alphas, _phases, _taps, _outcomes)
+    def test_css_density_non_negative(self, alpha, phi, T, k):
+        assert homodyne_density_css(k, CssParams(alpha, phi), T) >= 0.0
+
+    def test_pure_input_near_lossless_stays_in_bounds(self):
+        # a loss of 1e-16 leaves a surviving fraction 1 - O(1e-16); written
+        # as a plain quotient it rounds above 1 for about 0.1% of these draws
+        rng = np.random.default_rng(25)
+        for _ in range(2000):
+            state = MixedCss(
+                CssParams(rng.uniform(1e-3, 5.0), rng.uniform(0.0, TWO_PI)), 1.0
+            )
+            eta = 1.0 - rng.choice([1e-15, 1e-16])
+            tap = TapSetting(rng.uniform(0.01, 0.99), rng.uniform(-6.0, 6.0), eta)
+            assert 0.0 <= purify_with_inefficiency(state, tap).p <= 1.0
+            assert 0.0 <= apply_loss(state, ChannelSetting(eta)).p <= 1.0
+
+    @_properties
+    @given(_alphas, _phases, _fractions, _taps, _outcomes)
+    def test_ideal_detector_is_purify_exactly(self, alpha, phi, p, T, k):
+        state = MixedCss(CssParams(alpha, phi), p)
+        tap = TapSetting(T, k, 1.0)
+        assert purify_with_inefficiency(state, tap) == purify(state, tap)[0]
 
 
 class TestEffectiveLossFraction:

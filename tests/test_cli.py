@@ -122,12 +122,15 @@ class TestPurifyCommand:
         assert code == 3
         assert err.startswith("physics error:")
 
-    def test_zero_density_outcome_is_a_physics_error(self, capsys):
+    @pytest.mark.parametrize(
+        "detector", [(), ("--eta-H", "0.98")], ids=["ideal", "eta_H=0.98"]
+    )
+    def test_zero_density_outcome_is_a_physics_error(self, capsys, detector):
         code, out, err = run_cli(
             capsys,
             "purify",
             "--alpha", "1", "--phi", "pi", "--p-in", "0.5",
-            "--T", "0.5", "--k", "1e200",
+            "--T", "0.5", "--k", "1e200", *detector,
         )
         assert code == 3
         assert out == ""

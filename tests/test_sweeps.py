@@ -1,5 +1,6 @@
 """Tests for the figure-dataset sweeps and their CSV emission."""
 
+import hashlib
 import math
 from pathlib import Path
 
@@ -9,6 +10,19 @@ from catpurify import CssParams, detection_ratio, sweeps
 from catpurify.errors import ConfigError
 
 GOLDEN = Path(__file__).parent / "golden"
+
+# SHA-256 of each default figure CSV written with reproducible=True; a
+# refactor of the closed forms or the sweeps must leave every byte alone
+FIGURE_DIGESTS = {
+    "fig2_densities": "dbf4d3bb4aa5a275500783f99496ab9faca7ebc0a3643a03a0e87d7cc2e90b19",
+    "fig3_densities": "5a05ac82a24638d22aca6aee27909b9c15e775bf73d83d41ca6200c9625a6f3a",
+    "fig4_gain_vs_k_phi0": "24a5992f84a2c1d50bb003c155e95629bed96d234edeb7e05ef28409c5efd032",
+    "fig5_gain_vs_k_phipi": "116e426298e07bf10a51fb9ffa9a62c17f8a47eb2381942cb0c16ceea241265e",
+    "fig6_pout_vs_pin": "badf966d08714e6b6fa2174d41ef640b4b9ea78129eb84314401dc95b1373cf9",
+    "fig7_gain_vs_alpha": "d5f141068ba9eb338bc351add46abf7f66012906ce9f2036eb2b1845406940e7",
+    "fig8_gain_and_density_vs_T": "37cd7c8ae4657456d9b5c071e560961a85a0513a707460482687db5088756c1f",
+    "concat_scan": "9777c0638bd342afd4f7cbffeca56c776ff9252c050740ca8af5e9e8e425d8ad",
+}
 
 
 class TestGridAxis:
@@ -197,3 +211,11 @@ class TestEmission:
         path = tmp_path / "fig2.csv"
         sweeps.emit_csv(table, path, reproducible=True)
         assert path.read_bytes() == (GOLDEN / "fig2_densities.csv").read_bytes()
+
+    @pytest.mark.parametrize("figure_id", sweeps.FIGURE_IDS)
+    def test_matches_recorded_digest(self, figure_id, tmp_path):
+        table = sweeps.run_sweep(sweeps.default_spec(figure_id))
+        path = tmp_path / sweeps.csv_name(figure_id)
+        sweeps.emit_csv(table, path, reproducible=True)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == FIGURE_DIGESTS[figure_id]
