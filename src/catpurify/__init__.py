@@ -7,9 +7,14 @@ form p * rho_css(alpha, phi) + (1 - p) * rho_0(alpha); the dyad layer
 sums of coherent dyads and serves as the independent oracle;
 :mod:`catpurify.sweeps` regenerates the figure datasets and
 :mod:`catpurify.verify` runs the randomized cross-checks.
+
+Importing the package loads only the standard library: ``dyads``,
+``verify`` and ``run_suite`` need numpy and are imported on first use.
 """
 
-from . import analytic, dyads, sweeps, verify
+import importlib
+
+from . import analytic, sweeps
 from ._version import __version__
 from .analytic import (
     amplification_threshold,
@@ -38,7 +43,6 @@ from .errors import (
     ZeroDensityError,
 )
 from .states import ChannelSetting, CssParams, MixedCss, TapSetting
-from .verify import run_suite
 
 __all__ = [
     "__version__",
@@ -74,3 +78,11 @@ __all__ = [
     "purity_mixed_css",
     "run_suite",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("dyads", "verify"):
+        return importlib.import_module(f".{name}", __name__)
+    if name == "run_suite":
+        return importlib.import_module(".verify", __name__).run_suite
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

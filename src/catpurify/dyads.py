@@ -180,7 +180,9 @@ def _css_dyads(params: CssParams) -> DyadState:
 def make_css(params: CssParams) -> DyadState:
     """Normalized density of the superposition |alpha> + e^{i phi}|-alpha>."""
     if params.is_degenerate:
-        raise DegenerateStateError("the (alpha=0, phi=pi) superposition has zero norm")
+        raise DegenerateStateError(
+            f"the superposition at alpha={params.alpha!r}, phi={params.phi!r} has zero norm"
+        )
     return normalize(_css_dyads(params))
 
 

@@ -12,7 +12,8 @@ class PhysicsError(Exception):
 
 
 class DegenerateStateError(PhysicsError):
-    """The zero-norm superposition (alpha = 0 with phase pi) was required."""
+    """A superposition of zero norm was required: alpha = 0 with phase pi,
+    or an odd cat whose alpha^2 underflows."""
 
 
 class ZeroDensityError(PhysicsError):

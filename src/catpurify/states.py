@@ -18,6 +18,17 @@ from dataclasses import dataclass
 __all__ = ["CssParams", "MixedCss", "TapSetting", "ChannelSetting", "TWO_PI"]
 
 TWO_PI = 2.0 * math.pi
+# seed of `catpurify verify`; kept here so the CLI can show it without
+# importing the numpy-backed oracle
+DEFAULT_SEED = 20260814
+
+
+def _pair_norm(phi: float, y: float) -> float:
+    """1 + cos(phi) e^{-y}, half the squared norm of |a> + e^{i phi}|-a> at
+    y = 2 a^2. Written (1 + c) + c expm1(-y): >= 0 for every input, exactly
+    0 at (pi, 0), and free of cancellation for small odd cats."""
+    c = math.cos(phi)
+    return (1.0 + c) + c * math.expm1(-y)
 
 
 def _reduce_phase(phi: float) -> float:
@@ -40,8 +51,9 @@ class CssParams:
     alpha : real field amplitude, >= 0
     phi   : relative phase in radians, stored reduced to [0, 2*pi)
 
-    The pair (alpha=0, phi=pi) is constructible but degenerate: the
-    superposition has zero norm. Operations that need a normalized state
+    A pair whose superposition norm is 0 in floating point, such as
+    (alpha=0, phi=pi) or an odd cat whose alpha^2 underflows, is
+    constructible but degenerate. Operations that need a normalized state
     check `is_degenerate` and reject it.
     """
 
@@ -60,7 +72,7 @@ class CssParams:
 
     @property
     def is_degenerate(self) -> bool:
-        return self.alpha == 0.0 and self.phi == math.pi
+        return _pair_norm(self.phi, 2.0 * self.alpha**2) == 0.0
 
 
 @dataclass(frozen=True)

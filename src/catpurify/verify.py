@@ -16,11 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, dyads
-from .states import ChannelSetting, CssParams, MixedCss, TapSetting
+from .states import DEFAULT_SEED, ChannelSetting, CssParams, MixedCss, TapSetting
 
 __all__ = ["CheckResult", "run_suite", "DEFAULT_SEED"]
 
-DEFAULT_SEED = 20260814
 _HALF_PI = math.pi / 2.0
 
 

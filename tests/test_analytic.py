@@ -37,6 +37,7 @@ from catpurify import (
     theta_of_k,
     window_acceptance,
 )
+from catpurify import analytic
 from catpurify import dyads as dy
 from catpurify.errors import (
     DegenerateStateError,
@@ -536,6 +537,100 @@ class TestWindowAcceptance:
             assert window_acceptance(state, 0.5, 0.0, w) == pytest.approx(
                 math.erf(w), abs=1e-10
             )
+
+    def test_matches_erf_closed_form(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(300):
+            alpha = 10.0 ** rng.uniform(-3.0, math.log10(20.0))
+            T = 1.0 - rng.uniform()  # (0, 1]
+            phi, p = rng.uniform(0.0, TWO_PI), rng.uniform()
+            center = rng.uniform(-8.0, 8.0)
+            half_width = rng.uniform(0.0, 1.0 if rng.uniform() < 0.5 else 50.0)
+            got = window_acceptance(MixedCss(CssParams(alpha, phi), p), T, center, half_width)
+            expected = _window_reference(alpha, phi, p, T, center - half_width, center + half_width)
+            assert got == pytest.approx(expected, rel=1e-11), (alpha, phi, p, T, center, half_width)
+
+    @pytest.mark.parametrize("T", [1e-3, 1e-2])
+    def test_fast_phase_at_small_T(self, T):
+        # alpha=20 with nearly all light tapped: the outcome imprints
+        # c = 2 sqrt(2R) alpha ~ 56 radians per unit k, while e^{-2 T alpha^2}
+        # keeps the oscillating term in the density
+        rng = np.random.default_rng(5)
+        for center, half_width in [(0.0, 50.0), (0.3, 0.2), (-2.0, 1.5), (7.5, 0.5)]:
+            phi, p = rng.uniform(0.0, TWO_PI), rng.uniform()
+            got = window_acceptance(MixedCss(CssParams(20.0, phi), p), T, center, half_width)
+            expected = _window_reference(20.0, phi, p, T, center - half_width, center + half_width)
+            assert got == pytest.approx(expected, rel=1e-11), (phi, p, center, half_width)
+
+    @pytest.mark.parametrize("alpha", [30.0, 1e4])
+    def test_washed_out_phase_at_large_alpha(self, alpha):
+        # e^{-2 T alpha^2} underflows: the density is the Gaussian to rounding,
+        # though the outcome imprints c = 2 alpha radians per unit k
+        state = MixedCss(CssParams(alpha, 2.0), 0.6)
+        expected = _window_reference(alpha, 2.0, 0.6, 0.5, -0.8, 1.2)
+        assert window_acceptance(state, 0.5, 0.2, 1.0) == pytest.approx(expected, rel=1e-11)
+
+    def test_rule_matches_numpy_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        rule = sorted(analytic._GAUSS_LEGENDRE_20)
+        assert np.max(np.abs([x for x, _ in rule] - nodes)) <= 1e-15
+        assert np.max(np.abs([w for _, w in rule] - weights)) <= 1e-14
+
+
+def _window_reference(alpha, phi, p, T, lo, hi):
+    """int_lo^hi of p P_C + (1-p) P_0 in closed form at 60 digits, the
+    [lo, hi] form of the erfc value in test_far_window_matches_erfc. With
+    c = 2 sqrt(2R) alpha, (1/sqrt(pi)) int_lo^hi e^{-k^2 + i c k} dk
+    = e^{-c^2/4} [erfc(lo - ic/2) - erfc(hi - ic/2)] / 2; left of 0 the
+    mirrored erfc(ic/2 - hi) - erfc(ic/2 - lo) keeps it from cancelling."""
+    with mpmath.workdps(60):
+        alpha, phi, p, T, lo, hi = (mpmath.mpf(v) for v in (alpha, phi, p, T, lo, hi))
+        c = 2 * mpmath.sqrt(2 * (1 - T)) * alpha
+
+        def span(shift):
+            if lo >= 0:
+                return (mpmath.erfc(lo - shift) - mpmath.erfc(hi - shift)) / 2
+            return (mpmath.erfc(shift - hi) - mpmath.erfc(shift - lo)) / 2
+
+        gauss = span(0)
+        wave = mpmath.re(mpmath.exp(1j * phi - c * c / 4) * span(0.5j * c))
+        css = (gauss + mpmath.exp(-2 * T * alpha**2) * wave) / (
+            1 + mpmath.cos(phi) * mpmath.exp(-2 * alpha**2)
+        )
+        return float(p * css + (1 - p) * gauss)
+
+
+class TestUnderflowedNorm:
+    # alpha^2 underflows to 0, so the odd cat's norm 1 + cos(pi) e^{-2 alpha^2}
+    # is exactly 0: the pair is as degenerate as (alpha=0, phi=pi)
+    STATE = MixedCss(CssParams(1e-170, math.pi), 0.5)
+
+    def test_flagged_degenerate(self):
+        assert self.STATE.params.is_degenerate
+        assert normalization(self.STATE.params) == 0.0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: loss_fraction(0.5, s.params),
+            lambda s: homodyne_density_css(0.0, s.params, 0.5),
+            lambda s: purify(s, TapSetting(0.5, 0.0)),
+            lambda s: purify_with_inefficiency(s, TapSetting(0.5, 0.0, 0.98)),
+            lambda s: window_acceptance(s, 0.5, 0.0, 1.0),
+            purity_mixed_css,
+        ],
+        ids=[
+            "loss_fraction",
+            "homodyne_density_css",
+            "purify",
+            "purify_with_inefficiency",
+            "window_acceptance",
+            "purity_mixed_css",
+        ],
+    )
+    def test_rejected(self, call):
+        with pytest.raises(DegenerateStateError):
+            call(self.STATE)
 
 
 class TestAmplify:

@@ -122,6 +122,18 @@ class TestPurifyCommand:
         assert code == 3
         assert err.startswith("physics error:")
 
+    def test_underflowed_odd_cat_is_degenerate(self, capsys):
+        # alpha^2 underflows, so the odd cat's norm is exactly 0
+        code, out, err = run_cli(
+            capsys,
+            "purify",
+            "--alpha", "1e-170", "--phi", "pi", "--p-in", "0.5",
+            "--T", "0.5", "--k", "0",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("physics error:") and "zero norm" in err
+
     @pytest.mark.parametrize(
         "detector", [(), ("--eta-H", "0.98")], ids=["ideal", "eta_H=0.98"]
     )
@@ -300,3 +312,25 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    def test_verify_help_text_is_pinned(self, capsys, monkeypatch):
+        # the --seed default is shown without importing the oracle; the
+        # whole text is pinned so moving the constant cannot change a byte
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out == (
+            "usage: catpurify verify [-h] [--config PATH] [--format {plain,json,csv}]\n"
+            "                        [--draws DRAWS] [--amp-draws AMP_DRAWS] [--seed SEED]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help            show this help message and exit\n"
+            "  --config PATH         JSON file with parameters; flags override it\n"
+            "  --format {plain,json,csv}\n"
+            "                        output format (default plain)\n"
+            "  --draws DRAWS         draws per check (default 200)\n"
+            "  --amp-draws AMP_DRAWS\n"
+            "                        amplifier draws (default 50)\n"
+            "  --seed SEED           RNG seed (default 20260814)\n"
+        )

@@ -382,6 +382,16 @@ class TestExtractFraction:
         with pytest.raises(DegenerateStateError):
             dy.extract_fraction(dy.make_coherent(0.0), CssParams(0.0, math.pi))
 
+    def test_underflowed_odd_cat_rejected(self):
+        # alpha^2 underflows, so 1 + cos(pi) e^{-2 alpha^2} is exactly 0
+        params = CssParams(1e-170, math.pi)
+        with pytest.raises(DegenerateStateError):
+            dy.make_css(params)
+        with pytest.raises(DegenerateStateError):
+            dy.make_mixed(MixedCss(params, 0.5))
+        with pytest.raises(DegenerateStateError):
+            dy.extract_fraction(dy.make_coherent(0.0), params)
+
     def test_alpha_zero_family_rejected(self):
         with pytest.raises(StateFamilyError):
             dy.extract_fraction(dy.make_coherent(0.0), CssParams(0.0, 0.0))
