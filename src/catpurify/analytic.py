@@ -372,27 +372,31 @@ def amplify(state: MixedCss) -> MixedCss:
         p_out = A p^2 / [A p^2 + 2 p (1-p)/(1 +- g2) + (1-p)^2],
         A = (1 + g4) / (1 +- g2)^2,   g2 = e^{-2 alpha^2}, g4 = e^{-4 alpha^2},
 
-    upper signs for phi=0, lower for phi=pi.
+    upper signs for phi=0, lower for phi=pi. For phi=pi the odd gate
+    1 - g2 vanishes with alpha, so it is cleared from the denominator:
+    p_out = (1 + g4) / (1 + g4 + x (2 + x)) with x = (1-p)(1 - g2)/p,
+    which stays finite where (1 - g2)^2 underflows. A degenerate odd pair
+    raises DegenerateStateError.
     """
     params = state.params
     if params.alpha <= 0.0:
         raise ValueError("amplification needs alpha > 0")
-    if params.phi == 0.0:
-        sign = 1.0
-    elif params.phi == math.pi:
-        sign = -1.0
-    else:
+    if params.phi != 0.0 and params.phi != math.pi:
         raise ValueError(
             "the closed form covers phi in {0, pi} only; simulate other "
             "phases with catpurify.dyads.amplifier_sim"
         )
-    g2 = math.exp(-2.0 * params.alpha**2)
     g4 = math.exp(-4.0 * params.alpha**2)
-    gate = 1.0 + sign * g2
-    coeff = (1.0 + g4) / (gate * gate)
     p = state.p
-    den = coeff * p * p + 2.0 * p * (1.0 - p) / gate + (1.0 - p) ** 2
-    p_out = coeff * p * p / den if den > 0.0 else 0.0
+    if params.phi == 0.0:
+        gate = 1.0 + math.exp(-2.0 * params.alpha**2)
+        coeff = (1.0 + g4) / (gate * gate)
+        den = coeff * p * p + 2.0 * p * (1.0 - p) / gate + (1.0 - p) ** 2
+        p_out = coeff * p * p / den
+    else:
+        _require_normalizable(params)
+        x = (1.0 - p) * -math.expm1(-2.0 * params.alpha**2) / p if p > 0.0 else math.inf
+        p_out = (1.0 + g4) / (1.0 + g4 + x * (2.0 + x))
     return MixedCss(CssParams(math.sqrt(2.0) * params.alpha, 0.0), p_out)
 
 

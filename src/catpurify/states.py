@@ -44,7 +44,14 @@ def _reduce_phase(phi: float) -> float:
     return phi
 
 
-@dataclass(frozen=True)
+# Each record declares its fields for `dataclasses` (repr, ==, hash,
+# frozenness, `replace`, `fields`) but writes its own __init__, which
+# converts, validates and stores every field once; the messages show the
+# caller's input as given.
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class CssParams:
     """Amplitude and relative phase of a coherent-state superposition.
 
@@ -60,22 +67,22 @@ class CssParams:
     alpha: float
     phi: float = 0.0
 
-    def __post_init__(self) -> None:
-        alpha = float(self.alpha)
-        phi = float(self.phi)
-        if not math.isfinite(alpha) or alpha < 0.0:
-            raise ValueError(f"alpha must be a finite real >= 0, got {self.alpha!r}")
-        if not math.isfinite(phi):
-            raise ValueError(f"phi must be finite, got {self.phi!r}")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "phi", _reduce_phase(phi))
+    def __init__(self, alpha: float, phi: float = 0.0) -> None:
+        a = float(alpha)
+        f = float(phi)
+        if not 0.0 <= a < math.inf:
+            raise ValueError(f"alpha must be a finite real >= 0, got {alpha!r}")
+        if not math.isfinite(f):
+            raise ValueError(f"phi must be finite, got {phi!r}")
+        _set(self, "alpha", a)
+        _set(self, "phi", _reduce_phase(f))
 
     @property
     def is_degenerate(self) -> bool:
         return _pair_norm(self.phi, 2.0 * self.alpha**2) == 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MixedCss:
     """A decohered superposition: fraction p of the pure state, the rest
     fully dephased at the same amplitude."""
@@ -83,14 +90,15 @@ class MixedCss:
     params: CssParams
     p: float = 1.0
 
-    def __post_init__(self) -> None:
-        p = float(self.p)
-        if not math.isfinite(p) or not 0.0 <= p <= 1.0:
-            raise ValueError(f"fraction p must lie in [0, 1], got {self.p!r}")
-        object.__setattr__(self, "p", p)
+    def __init__(self, params: CssParams, p: float = 1.0) -> None:
+        q = float(p)
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"fraction p must lie in [0, 1], got {p!r}")
+        _set(self, "params", params)
+        _set(self, "p", q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TapSetting:
     """Tap-and-measure stage: a beam splitter of transmittance T whose
     reflected arm is read out by a homodyne detector at local-oscillator
@@ -105,33 +113,33 @@ class TapSetting:
     k: float = 0.0
     eta_H: float = 1.0
 
-    def __post_init__(self) -> None:
-        T = float(self.T)
-        k = float(self.k)
-        eta = float(self.eta_H)
-        if not math.isfinite(T) or not 0.0 < T <= 1.0:
-            raise ValueError(f"transmittance T must lie in (0, 1], got {self.T!r}")
-        if not math.isfinite(k):
-            raise ValueError(f"homodyne outcome k must be finite, got {self.k!r}")
-        if not math.isfinite(eta) or not 0.0 < eta <= 1.0:
-            raise ValueError(f"detector efficiency eta_H must lie in (0, 1], got {self.eta_H!r}")
-        object.__setattr__(self, "T", T)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "eta_H", eta)
+    def __init__(self, T: float, k: float = 0.0, eta_H: float = 1.0) -> None:
+        t = float(T)
+        x = float(k)
+        eta = float(eta_H)
+        if not 0.0 < t <= 1.0:
+            raise ValueError(f"transmittance T must lie in (0, 1], got {T!r}")
+        if not math.isfinite(x):
+            raise ValueError(f"homodyne outcome k must be finite, got {k!r}")
+        if not 0.0 < eta <= 1.0:
+            raise ValueError(f"detector efficiency eta_H must lie in (0, 1], got {eta_H!r}")
+        _set(self, "T", t)
+        _set(self, "k", x)
+        _set(self, "eta_H", eta)
 
     @property
     def R(self) -> float:
         return 1.0 - self.T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ChannelSetting:
     """A lossy transmission line of intensity transmittance eta."""
 
     eta: float
 
-    def __post_init__(self) -> None:
-        eta = float(self.eta)
-        if not math.isfinite(eta) or not 0.0 < eta <= 1.0:
-            raise ValueError(f"channel transmittance eta must lie in (0, 1], got {self.eta!r}")
-        object.__setattr__(self, "eta", eta)
+    def __init__(self, eta: float) -> None:
+        e = float(eta)
+        if not 0.0 < e <= 1.0:
+            raise ValueError(f"channel transmittance eta must lie in (0, 1], got {eta!r}")
+        _set(self, "eta", e)

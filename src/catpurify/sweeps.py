@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import chain
 from typing import Callable, Iterable, Mapping
 
 from . import analytic
@@ -83,18 +84,22 @@ class SweepTable:
     def __post_init__(self) -> None:
         rows = tuple(tuple(map(float, row)) for row in self.rows)
         width = len(self.columns)
-        for i, row in enumerate(rows):
-            if len(row) != width:
-                raise ValueError(
-                    f"row {i} has {len(row)} values for {width} columns"
-                )
-            if all(map(math.isfinite, row)):
-                continue
-            for (name, _), v in zip(self.columns, row):
-                if not math.isfinite(v):
+        # one pass over the whole table; the rows are walked only to name
+        # the first bad one
+        if not (
+            set(map(len, rows)) <= {width}
+            and all(map(math.isfinite, chain.from_iterable(rows)))
+        ):
+            for i, row in enumerate(rows):
+                if len(row) != width:
                     raise ValueError(
-                        f"non-finite value {v!r} in column {name!r}, row {i}"
+                        f"row {i} has {len(row)} values for {width} columns"
                     )
+                for (name, _), v in zip(self.columns, row):
+                    if not math.isfinite(v):
+                        raise ValueError(
+                            f"non-finite value {v!r} in column {name!r}, row {i}"
+                        )
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "columns", tuple(self.columns))
         object.__setattr__(self, "metadata", dict(self.metadata))
@@ -357,7 +362,8 @@ def emit_csv(table: SweepTable, path: str, reproducible: bool = False) -> None:
         stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         lines.append(f"# generated: {stamp}")
     lines.append(",".join(f"{name}[{unit}]" for name, unit in table.columns))
-    for row in table.rows:
-        lines.append(",".join(format(v, ".12g") for v in row))
+    # "%.12g" % v formats exactly as format(v, ".12g")
+    template = ",".join(["%.12g"] * len(table.columns))
+    lines += [template % row for row in table.rows]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n")

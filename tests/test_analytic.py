@@ -312,6 +312,17 @@ def _loss_fraction_mp(eta, alpha, phi):
         return kept / original * mpmath.exp(-2 * (1 - mpmath.mpf(eta)) * a2)
 
 
+def _odd_amplify_mp(alpha, p):
+    """The phi=pi amplifier fraction at 50 digits, from the float inputs, in
+    the uncleared form A p^2 / [A p^2 + 2 p (1-p)/gate + (1-p)^2]."""
+    with mpmath.workdps(50):
+        a2 = mpmath.mpf(alpha) ** 2
+        p = mpmath.mpf(p)
+        gate = -mpmath.expm1(-2 * a2)
+        coeff = (1 + mpmath.exp(-4 * a2)) / gate**2
+        return coeff * p**2 / (coeff * p**2 + 2 * p * (1 - p) / gate + (1 - p) ** 2)
+
+
 class TestLossFractionPrecision:
     @pytest.mark.parametrize("alpha", [1e-4, 1e-6])
     def test_small_odd_cat_matches_mpmath(self, alpha):
@@ -670,6 +681,20 @@ class TestAmplify:
     def test_zero_amplitude_rejected(self):
         with pytest.raises(ValueError):
             amplify(MixedCss(CssParams(0.0, 0.0), 0.5))
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("alpha", [1e-160, 1e-100, 1e-20, 1e-9, 1e-6, 1e-3])
+    def test_small_odd_cat_matches_mpmath(self, alpha, p):
+        # the odd gate 1 - e^{-2 alpha^2} is 0 in floating point below
+        # alpha ~ 1e-8 and its square underflows below alpha ~ 1e-80
+        got = amplify(MixedCss(CssParams(alpha, math.pi), p)).p
+        want = _odd_amplify_mp(alpha, p)
+        assert 0.0 <= got <= 1.0
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_degenerate_odd_pair_rejected(self):
+        with pytest.raises(DegenerateStateError):
+            amplify(MixedCss(CssParams(1e-170, math.pi), 0.5))
 
 
 class TestThresholdAndConcat:

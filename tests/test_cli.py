@@ -217,6 +217,22 @@ class TestAmplifyAndConcat:
         assert code == 2
         assert "amplifier_sim" in err
 
+    def test_small_odd_cat_succeeds(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "amplify", "--format", "json",
+            "--alpha", "1e-9", "--phi", "pi", "--p-in", "0.5",
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["p_out"] == 1.0
+
+    def test_degenerate_odd_pair_is_a_physics_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "amplify", "--alpha", "1e-170", "--phi", "pi", "--p-in", "0.5"
+        )
+        assert code == 3 and out == ""
+        assert "zero norm" in err
+
     def test_concat_flags_no_net_purification(self, capsys):
         code, out, _ = run_cli(capsys, "concat", "--alpha", "1", "--p-in", "0.5")
         assert code == 0

@@ -1,0 +1,202 @@
+"""Semantics of the parameter records: construction, identity, frozenness,
+`dataclasses` support and the exact validation messages.
+
+These pin behaviour that callers see, independent of how the records
+store their fields.
+"""
+
+import copy
+import inspect
+import math
+import pickle
+from dataclasses import FrozenInstanceError, fields, replace
+
+import pytest
+
+from catpurify import ChannelSetting, CssParams, MixedCss, TapSetting
+
+TWO_PI = 2.0 * math.pi
+
+
+class TestConstruction:
+    def test_positional_and_keyword_agree(self):
+        assert CssParams(1.5, 0.25) == CssParams(alpha=1.5, phi=0.25)
+        params = CssParams(1.0)
+        assert MixedCss(params, 0.5) == MixedCss(params=params, p=0.5)
+        assert TapSetting(0.5, 0.3, 0.9) == TapSetting(T=0.5, k=0.3, eta_H=0.9)
+        assert ChannelSetting(0.8) == ChannelSetting(eta=0.8)
+
+    def test_defaults(self):
+        assert CssParams(1.0).phi == 0.0
+        assert MixedCss(CssParams(1.0)).p == 1.0
+        tap = TapSetting(0.5)
+        assert (tap.k, tap.eta_H) == (0.0, 1.0)
+
+    def test_signatures(self):
+        def params(cls):
+            return [(p.name, p.default) for p in inspect.signature(cls).parameters.values()]
+
+        empty = inspect.Parameter.empty
+        assert params(CssParams) == [("alpha", empty), ("phi", 0.0)]
+        assert params(MixedCss) == [("params", empty), ("p", 1.0)]
+        assert params(TapSetting) == [("T", empty), ("k", 0.0), ("eta_H", 1.0)]
+        assert params(ChannelSetting) == [("eta", empty)]
+
+    def test_too_many_or_unknown_arguments_rejected(self):
+        with pytest.raises(TypeError):
+            CssParams(1.0, 0.0, 2.0)
+        with pytest.raises(TypeError):
+            CssParams(1.0, theta=0.0)
+        with pytest.raises(TypeError):
+            ChannelSetting()
+
+    def test_fields_converted_to_float(self):
+        params = CssParams(1, 0)
+        assert type(params.alpha) is float and type(params.phi) is float
+        assert type(MixedCss(params, 1).p) is float
+        tap = TapSetting(1, 0, 1)
+        assert all(type(v) is float for v in (tap.T, tap.k, tap.eta_H))
+        assert type(ChannelSetting(1).eta) is float
+        assert CssParams("0.5").alpha == 0.5
+
+    def test_params_record_stored_as_given(self):
+        params = CssParams(1.0, math.pi)
+        assert MixedCss(params, 0.5).params is params
+
+
+class TestIdentity:
+    def test_repr(self):
+        assert repr(CssParams(1, 7.0)) == f"CssParams(alpha=1.0, phi={7.0 - TWO_PI!r})"
+        assert repr(MixedCss(CssParams(0.5), 1)) == (
+            "MixedCss(params=CssParams(alpha=0.5, phi=0.0), p=1.0)"
+        )
+        assert repr(TapSetting(0.5, -1)) == "TapSetting(T=0.5, k=-1.0, eta_H=1.0)"
+        assert repr(ChannelSetting(1)) == "ChannelSetting(eta=1.0)"
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: CssParams(1, 0),
+            lambda: MixedCss(CssParams(0.5, math.pi), 0.25),
+            lambda: TapSetting(0.5, 0.1, 0.9),
+            lambda: ChannelSetting(0.7),
+        ],
+        ids=["CssParams", "MixedCss", "TapSetting", "ChannelSetting"],
+    )
+    def test_equal_records_hash_alike(self, make):
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert copy.deepcopy(a) == a
+        assert pickle.loads(pickle.dumps(a)) == a
+
+    def test_equality_after_conversion_and_reduction(self):
+        assert CssParams(1, 0) == CssParams(1.0, 0.0)
+        assert CssParams(1.0, TWO_PI) == CssParams(1.0, 0.0)
+        assert hash(CssParams(1.0, TWO_PI)) == hash(CssParams(1.0, 0.0))
+
+    def test_records_of_different_types_differ(self):
+        assert ChannelSetting(0.5) != TapSetting(0.5)
+        assert CssParams(1.0, 0.0) != (1.0, 0.0)
+        assert CssParams(1.0, 0.0) != CssParams(1.0, math.pi)
+
+
+class TestFrozen:
+    @pytest.mark.parametrize(
+        "record, name",
+        [
+            (CssParams(1.0), "alpha"),
+            (CssParams(1.0), "phi"),
+            (MixedCss(CssParams(1.0)), "p"),
+            (TapSetting(0.5), "T"),
+            (TapSetting(0.5), "eta_H"),
+            (ChannelSetting(0.5), "eta"),
+        ],
+    )
+    def test_assignment_rejected(self, record, name):
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, name, 0.5)
+        with pytest.raises(FrozenInstanceError):
+            delattr(record, name)
+
+    def test_new_attribute_rejected(self):
+        with pytest.raises(FrozenInstanceError):
+            CssParams(1.0).beta = 2.0
+
+    def test_reflectivity_is_derived(self):
+        tap = TapSetting(0.7)
+        assert tap.R == 1.0 - 0.7
+        assert "R" not in [f.name for f in fields(tap)]
+
+
+class TestDataclassSupport:
+    def test_field_names(self):
+        assert [f.name for f in fields(CssParams)] == ["alpha", "phi"]
+        assert [f.name for f in fields(MixedCss)] == ["params", "p"]
+        assert [f.name for f in fields(TapSetting)] == ["T", "k", "eta_H"]
+        assert [f.name for f in fields(ChannelSetting)] == ["eta"]
+
+    def test_replace_revalidates_and_reduces(self):
+        c = CssParams(1.0, 0.5)
+        moved = replace(c, phi=7.0)
+        assert moved == CssParams(1.0, 7.0 - TWO_PI)
+        assert moved.phi == 7.0 - TWO_PI
+        assert c.phi == 0.5
+        m = MixedCss(c, 0.5)
+        assert replace(m, p=0.25).p == 0.25
+        with pytest.raises(ValueError, match=r"fraction p must lie in \[0, 1\], got 2\.0"):
+            replace(m, p=2.0)
+        with pytest.raises(ValueError, match="transmittance T"):
+            replace(TapSetting(0.5), T=0.0)
+        assert replace(ChannelSetting(0.5), eta=1).eta == 1.0
+
+
+def _message(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+class TestMessages:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: CssParams(-0.1), "alpha must be a finite real >= 0, got -0.1"),
+            (lambda: CssParams(math.inf), "alpha must be a finite real >= 0, got inf"),
+            (lambda: CssParams("nan"), "alpha must be a finite real >= 0, got 'nan'"),
+            (lambda: CssParams(1.0, math.nan), "phi must be finite, got nan"),
+            (lambda: CssParams(1.0, "-inf"), "phi must be finite, got '-inf'"),
+            (lambda: MixedCss(CssParams(1.0), 1.2), "fraction p must lie in [0, 1], got 1.2"),
+            (lambda: MixedCss(CssParams(1.0), "nan"), "fraction p must lie in [0, 1], got 'nan'"),
+            (lambda: MixedCss(CssParams(1.0), -1), "fraction p must lie in [0, 1], got -1"),
+            (lambda: TapSetting(0.0), "transmittance T must lie in (0, 1], got 0.0"),
+            (lambda: TapSetting(2), "transmittance T must lie in (0, 1], got 2"),
+            (lambda: TapSetting(0.5, math.inf), "homodyne outcome k must be finite, got inf"),
+            (
+                lambda: TapSetting(0.5, 0.0, 0.0),
+                "detector efficiency eta_H must lie in (0, 1], got 0.0",
+            ),
+            (
+                lambda: TapSetting(0.5, eta_H="1.5"),
+                "detector efficiency eta_H must lie in (0, 1], got '1.5'",
+            ),
+            (lambda: ChannelSetting(1.5), "channel transmittance eta must lie in (0, 1], got 1.5"),
+            (lambda: ChannelSetting(math.nan), "channel transmittance eta must lie in (0, 1], got nan"),
+        ],
+    )
+    def test_exact_message(self, call, message):
+        assert _message(call) == message
+
+    def test_first_bad_field_is_reported(self):
+        assert _message(lambda: CssParams(-1.0, math.nan)).startswith("alpha ")
+        assert _message(lambda: TapSetting(0.0, math.inf, 0.0)).startswith("transmittance T ")
+        assert _message(lambda: TapSetting(0.5, math.inf, 0.0)).startswith("homodyne outcome k ")
+
+    def test_unconvertible_input_raises_from_float(self):
+        with pytest.raises(ValueError, match="could not convert string to float"):
+            CssParams("one")
+        with pytest.raises(TypeError):
+            CssParams(None)
+        with pytest.raises(TypeError):
+            MixedCss(CssParams(1.0), None)

@@ -102,6 +102,42 @@ class TestValidation:
         with pytest.raises(ValueError):
             sweeps.SweepTable((("x", "1"), ("y", "1")), ((1.0,),), {})
 
+    COLUMNS = (("x", "1"), ("y", "1"), ("z", "1"))
+    VALID = [(0.5 * i, -1.0, 1e-300) for i in range(1000)]
+
+    def test_ragged_row_after_valid_rows_named(self):
+        for row in [(1.0, 2.0), (1.0, 2.0, 3.0, 4.0)]:
+            message = f"row 1000 has {len(row)} values for 3 columns"
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                sweeps.SweepTable(self.COLUMNS, self.VALID + [row], {})
+
+    def test_first_ragged_row_named(self):
+        rows = self.VALID + [(1.0,), (float("nan"), 0.0, 0.0), ()]
+        with pytest.raises(ValueError, match="^row 1000 has 1 values for 3 columns$"):
+            sweeps.SweepTable(self.COLUMNS, rows, {})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_after_valid_rows_named(self, bad):
+        rows = self.VALID + [(0.0, bad, 0.0), (bad, 0.0, 0.0)]
+        message = f"non-finite value {bad!r} in column 'y', row 1000"
+        with pytest.raises(ValueError) as info:
+            sweeps.SweepTable(self.COLUMNS, rows, {})
+        assert str(info.value) == message
+
+    def test_ragged_row_reported_before_later_non_finite(self):
+        rows = self.VALID + [(float("nan"), 0.0, 0.0), (1.0,)]
+        with pytest.raises(ValueError, match="^non-finite value nan in column 'x', row 1000$"):
+            sweeps.SweepTable(self.COLUMNS, rows, {})
+        rows = self.VALID + [(1.0,), (float("nan"), 0.0, 0.0)]
+        with pytest.raises(ValueError, match="^row 1000 has 1 values for 3 columns$"):
+            sweeps.SweepTable(self.COLUMNS, rows, {})
+
+    def test_table_stores_float_tuples(self):
+        table = sweeps.SweepTable(self.COLUMNS[:2], [[1, True], (0.5, "2")], {"a": "b"})
+        assert table.rows == ((1.0, 1.0), (0.5, 2.0))
+        assert all(type(v) is float for row in table.rows for v in row)
+        assert table.columns == self.COLUMNS[:2] and table.metadata == {"a": "b"}
+
 
 class TestFigureContent:
     def test_fig2_center_row(self):
@@ -205,6 +241,17 @@ class TestEmission:
         header = next(ln for ln in lines if not ln.startswith("#"))
         assert header == "k[1],P_C[1],P_0[1]"
         assert path.read_text().endswith("\n")
+
+    def test_edge_values_match_per_value_format(self, tmp_path):
+        values = [-0.0, 5e-324, 1e-5, 0.1 + 0.2, 1e16, 123456789012.5, 7]
+        rows = [tuple(values[i:] + values[:i]) for i in range(len(values))]
+        rows += [(-1.5e-310, 2**53 + 1, -123456789012345.0, 1e300, -1e-300, 0.0, 1)]
+        table = sweeps.SweepTable(tuple((f"c{i}", "1") for i in range(len(values))), rows, {})
+        path = tmp_path / "edges.csv"
+        sweeps.emit_csv(table, path, reproducible=True)
+        body = path.read_text().splitlines()[1:]
+        assert body == [",".join(format(v, ".12g") for v in row) for row in rows]
+        assert body[0] == "-0,4.94065645841e-324,1e-05,0.3,1e+16,123456789012,7"
 
     def test_matches_golden_bytes(self, tmp_path):
         table = sweeps.run_sweep(sweeps.default_spec("fig2_densities"))
