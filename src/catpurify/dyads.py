@@ -8,7 +8,9 @@ of multimode coherent dyads. Linear loss, beam splitters, quadrature
 projections and on/off photodetection each map such sums to such sums,
 so the whole pipeline can be evaluated in closed form with no Fock-space
 truncation. A state is held as three arrays (coefficients, ket and bra
-amplitudes) and every operation acts on all terms at once. This module is
+amplitudes) and every operation acts on all terms at once. A leading
+batch axis holds many states of one term layout, one per batch member,
+and every operation then acts on all members at once. This module is
 the brute-force oracle used to cross-check the formulas in
 :mod:`catpurify.analytic`; it shares no derivation with them beyond the
 coherent-state overlap.
@@ -19,7 +21,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from operator import attrgetter
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -61,6 +64,14 @@ class DyadState:
     """sum_i coeff[i] |ket[i]><bra[i]|: `coeff` has shape [n], `ket` and
     `bra` have shape [n, m] with one column per mode.
 
+    A batch of B such states with one term layout adds a leading axis:
+    `coeff` [B, n], `ket` and `bra` [B, n, m]. Member b (coeff[b], ket[b],
+    bra[b]) goes through every operation as it would alone, except that
+    `merge_terms` merges or drops a term only where it may in every member.
+    Functions that return a number return one per member, as an array.
+    Parameters that take one value per member (transmittances, outcomes)
+    also take a single value for all of them.
+
     No operation here changes these arrays in place, and derived states
     may share them, so treat them as read-only.
     """
@@ -73,10 +84,12 @@ class DyadState:
         coeff = np.asarray(self.coeff, dtype=complex)
         ket = np.asarray(self.ket, dtype=complex)
         bra = np.asarray(self.bra, dtype=complex)
-        if ket.ndim != 2 or ket.shape != bra.shape or ket.shape[1] < 1:
-            raise ValueError("ket and bra must list the same nonzero number of modes")
-        if coeff.shape != ket.shape[:1]:
-            raise ValueError("one coefficient per dyad is required")
+        if ket.ndim not in (2, 3) or ket.shape != bra.shape or ket.shape[-1] < 1:
+            raise ValueError(
+                "ket and bra must share one shape, [n, m] or [batch, n, m], with m >= 1 modes"
+            )
+        if coeff.shape != ket.shape[:-1]:
+            raise ValueError("one coefficient per dyad and batch member is required")
         if not np.isfinite(coeff).all():
             raise ValueError("dyad coefficients must be finite")
         object.__setattr__(self, "coeff", coeff)
@@ -85,7 +98,37 @@ class DyadState:
 
     @property
     def mode_count(self) -> int:
-        return self.ket.shape[1]
+        return self.ket.shape[-1]
+
+
+def _stack_last(*parts: np.ndarray) -> np.ndarray:
+    """Equal-shape arrays of at most one (batch) axis, stacked along a new last axis."""
+    return np.array(parts).T
+
+
+def _scalar_or_batch(values: np.ndarray) -> complex | float | np.ndarray:
+    """A Python scalar for an unbatched state, one array entry per member otherwise."""
+    return values.item() if values.ndim == 0 else values
+
+
+def _first(values, where: np.ndarray):
+    """The first entry of `values`, broadcast to `where`, at which `where` holds."""
+    return np.broadcast_to(values, where.shape)[where][0].item()
+
+
+def _per_member(
+    state: DyadState, value, name: str, ok: Callable[[np.ndarray], np.ndarray], requirement: str
+) -> np.ndarray:
+    """A setting as a float array with a trailing term axis: a scalar, or
+    one value per batch member. `ok(values)` marks the admissible ones,
+    and the error names the first value that is not."""
+    values = np.asarray(value, dtype=float)
+    if values.ndim and values.shape != state.coeff.shape[:-1]:
+        raise ValueError(f"{name} takes one value, or one per batch member")
+    admissible = ok(values)
+    if not admissible.all():
+        raise ValueError(f"{name} must {requirement}, got {_first(values, ~admissible)!r}")
+    return values[..., None]
 
 
 def _overlap(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -95,8 +138,13 @@ def _overlap(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 def _gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """G[i, j] = <left[i]|right[j]> for two [n, m] amplitude arrays."""
-    return _overlap(left[:, None], right[None])
+    """G[..., i, j] = <left[..., i]|right[..., j]> for two [..., n, m] amplitude arrays."""
+    return _overlap(left[..., :, None, :], right[..., None, :, :])
+
+
+def _bilinear(left: np.ndarray, matrix: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """sum_ij left_i matrix_ij right_j for each batch member."""
+    return (left[..., None, :] @ matrix @ right[..., :, None])[..., 0, 0]
 
 
 def overlap(beta: complex, gamma: complex) -> complex:
@@ -104,12 +152,13 @@ def overlap(beta: complex, gamma: complex) -> complex:
     return complex(_overlap(np.array([beta], complex), np.array([gamma], complex)))
 
 
-def _weighted_sum(*parts: tuple[float, DyadState]) -> DyadState:
-    """sum_k w_k * state_k with all terms kept as they are."""
+def _weighted_sum(*parts: tuple[object, DyadState]) -> DyadState:
+    """sum_k w_k * state_k with all terms kept as they are; a weight is a
+    scalar or one value per batch member."""
     return DyadState(
-        np.concatenate([w * s.coeff for w, s in parts]),
-        np.concatenate([s.ket for _, s in parts]),
-        np.concatenate([s.bra for _, s in parts]),
+        np.concatenate([np.asarray(w)[..., None] * s.coeff for w, s in parts], axis=-1),
+        np.concatenate([s.ket for _, s in parts], axis=-2),
+        np.concatenate([s.bra for _, s in parts], axis=-2),
     )
 
 
@@ -117,98 +166,151 @@ def merge_terms(state: DyadState, tol: float = PRUNE_TOL) -> DyadState:
     """Combine terms with identical dyads and drop those below `tol`.
 
     Dyads match on exact amplitude equality (so -0.0 and +0.0 match), and
-    terms keep the order of each dyad's first occurrence.
+    terms keep the order of each dyad's first occurrence. In a batch, two
+    terms merge only if their amplitudes match in every member, and a
+    term is dropped only if it is below `tol` in every member.
     """
-    rows = np.concatenate([state.ket, state.bra], axis=1).tolist()
+    terms = state.coeff.shape[-1]
+    if terms == 0:
+        return state
+    amps = np.concatenate([state.ket, state.bra], axis=-1)
+    rows = amps.swapaxes(0, -2).reshape(terms, -1).tolist()  # one row per term
     first: dict[tuple[complex, ...], int] = {}
     owner = [first.setdefault(tuple(row), i) for i, row in enumerate(rows)]
     summed = state.coeff
-    if len(first) < len(owner):
+    if len(first) < terms:
         summed = np.zeros_like(summed)
-        np.add.at(summed, owner, state.coeff)  # each sum lands on its first occurrence
-    lead = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-    kept = lead[np.abs(summed[lead]) >= tol]
-    if len(kept) == len(owner):
+        np.add.at(summed.T, owner, state.coeff.T)  # each sum lands on its first occurrence
+    large = (np.abs(summed) >= tol).reshape(-1, terms).any(axis=0).tolist()
+    kept = [i for i in first.values() if large[i]]
+    if len(kept) == terms:
         return state
-    return DyadState(summed[kept], state.ket[kept], state.bra[kept])
+    return DyadState(summed[..., kept], state.ket[..., kept, :], state.bra[..., kept, :])
 
 
-def trace(state: DyadState) -> complex:
-    """Trace; the trace of c|k><b| is c * prod_j <b_j|k_j>."""
-    return complex(state.coeff @ _overlap(state.bra, state.ket))
+def _traces(state: DyadState) -> np.ndarray:
+    """The trace of each batch member (a numpy scalar for a single
+    state); the trace of c|k><b| is c * prod_j <b_j|k_j>."""
+    return (state.coeff * _overlap(state.bra, state.ket)).sum(axis=-1)
+
+
+def trace(state: DyadState) -> complex | np.ndarray:
+    """Trace: a complex number, or an array of one per batch member."""
+    return _scalar_or_batch(_traces(state))
+
+
+def _unit_trace_coeff(state: DyadState) -> np.ndarray:
+    """The coefficients rescaled to unit trace. Rejects states of
+    (near-)zero weight, which arise when conditioning on an impossible
+    measurement record."""
+    tr = _traces(state).real
+    if (tr < _MIN_DENSITY).any():
+        raise ZeroDensityError("cannot normalize a state of vanishing trace")
+    return state.coeff / tr[..., None]
 
 
 def normalize(state: DyadState) -> DyadState:
-    """Rescale to unit trace. Rejects states of (near-)zero weight, which
-    arise when conditioning on an impossible measurement record."""
-    tr = trace(state).real
-    if tr < _MIN_DENSITY:
-        raise ZeroDensityError("cannot normalize a state of vanishing trace")
-    return merge_terms(DyadState(state.coeff / tr, state.ket, state.bra))
+    """Rescale to unit trace; rejects states of vanishing trace."""
+    return merge_terms(DyadState(_unit_trace_coeff(state), state.ket, state.bra))
 
 
 def make_coherent(*amplitudes: complex) -> DyadState:
-    """Density operator of a product coherent state, one amplitude per mode."""
+    """Density operator of a product coherent state, one amplitude per mode.
+    Amplitude arrays, one entry per batch member, give a batch."""
     if not amplitudes:
         raise ValueError("at least one mode amplitude is required")
-    return DyadState([1.0], [amplitudes], [amplitudes])
+    amps = _stack_last(*np.broadcast_arrays(*amplitudes))[..., None, :]
+    return DyadState(np.ones(amps.shape[:-1]), amps, amps)
 
 
-def _dephased_dyads(alpha: float) -> DyadState:
+def _unpack(records, *attributes: str) -> tuple[list, list[np.ndarray]]:
+    """One record, or a sequence of them with one per batch member, as a
+    list; and each named attribute as a float array, 0-d for one record."""
+    single = isinstance(records, (CssParams, MixedCss))
+    rows = [records] if single else list(records)
+    shape = () if single else (len(rows),)
+    return rows, [np.array([attrgetter(a)(r) for r in rows]).reshape(shape) for a in attributes]
+
+
+def _dephased_dyads(alpha: np.ndarray) -> DyadState:
     """(|alpha><alpha| + |-alpha><-alpha|)/2, its two terms unmerged."""
-    amps = [[alpha], [-alpha]]
-    return DyadState([0.5, 0.5], amps, amps)
+    amps = _stack_last(alpha, -alpha)[..., None]
+    return DyadState(np.full(amps.shape[:-1], 0.5), amps, amps)
 
 
 def make_incoherent(alpha: float) -> DyadState:
-    """The fully dephased pair: equal mixture of |alpha> and |-alpha>."""
-    return merge_terms(_dephased_dyads(alpha))
+    """The fully dephased pair: equal mixture of |alpha> and |-alpha>; an
+    array of amplitudes gives one pair per batch member."""
+    return merge_terms(_dephased_dyads(np.asarray(alpha, dtype=float)))
 
 
-def _css_dyads(params: CssParams) -> DyadState:
-    """The unnormalized density of |alpha> + e^{i phi}|-alpha>; its trace
+def _css_dyads(alpha: np.ndarray, phase: np.ndarray) -> DyadState:
+    """The unnormalized density of |alpha> + phase |-alpha>; its trace
     is the squared norm of that superposition."""
-    a = params.alpha
-    phase = cmath.exp(1j * params.phi)
+    one = np.ones_like(phase)
     return DyadState(
-        [1.0, phase.conjugate(), phase, 1.0],
-        [[a], [a], [-a], [-a]],
-        [[a], [-a], [a], [-a]],
+        _stack_last(one, phase.conj(), phase, one),
+        _stack_last(alpha, alpha, -alpha, -alpha)[..., None],
+        _stack_last(alpha, -alpha, alpha, -alpha)[..., None],
     )
 
 
-def make_css(params: CssParams) -> DyadState:
-    """Normalized density of the superposition |alpha> + e^{i phi}|-alpha>."""
-    if params.is_degenerate:
-        raise DegenerateStateError(
-            f"the superposition at alpha={params.alpha!r}, phi={params.phi!r} has zero norm"
-        )
-    return normalize(_css_dyads(params))
+def _normalizable_css(rows: list[CssParams], alpha: np.ndarray, phi: np.ndarray) -> DyadState:
+    """The unnormalized superposition dyads, once every pair is known to
+    have a nonzero norm."""
+    for params in rows:
+        if params.is_degenerate:
+            raise DegenerateStateError(
+                f"the superposition at alpha={params.alpha!r}, phi={params.phi!r} has zero norm"
+            )
+    return _css_dyads(alpha, np.exp(1j * phi))
 
 
-def make_mixed(state: MixedCss) -> DyadState:
-    """Dyad form of p * rho_css + (1 - p) * rho_0.
+def make_css(params: CssParams | Sequence[CssParams]) -> DyadState:
+    """Normalized density of the superposition |alpha> + e^{i phi}|-alpha>;
+    a sequence of parameters gives one state per batch member."""
+    rows, (alpha, phi) = _unpack(params, "alpha", "phi")
+    return normalize(_normalizable_css(rows, alpha, phi))
+
+
+# the dephased pair as weights on the four superposition dyads
+_DEPHASED_WEIGHTS = np.array([0.5, 0.0, 0.0, 0.5])
+
+
+def _mixture(rows: list[CssParams], p: np.ndarray, alpha: np.ndarray, phi: np.ndarray) -> DyadState:
+    """p * rho_css + (1 - p) * rho_0 on the four dyads of rho_css."""
+    if not p.any():
+        return make_incoherent(alpha)
+    css = _normalizable_css(rows, alpha, phi)
+    coeff = p[..., None] * _unit_trace_coeff(css) + (1.0 - p)[..., None] * _DEPHASED_WEIGHTS
+    return merge_terms(DyadState(coeff, css.ket, css.bra))
+
+
+def make_mixed(state: MixedCss | Sequence[MixedCss]) -> DyadState:
+    """Dyad form of p * rho_css + (1 - p) * rho_0; a sequence of mixtures
+    gives one state per batch member.
 
     The dyads of rho_0 are two of those of rho_css, so the merged sum
-    lists the terms of rho_css."""
-    if state.p == 0.0:
-        return make_incoherent(state.params.alpha)
-    return merge_terms(
-        _weighted_sum(
-            (state.p, make_css(state.params)),
-            (1.0 - state.p, _dephased_dyads(state.params.alpha)),
-        )
-    )
+    lists the terms of rho_css. A batch needs every member's
+    superposition to be normalizable unless p = 0 for all of them."""
+    rows, (p, alpha, phi) = _unpack(state, "p", "params.alpha", "params.phi")
+    return _mixture([s.params for s in rows], p, alpha, phi)
 
 
 def tensor(left: DyadState, right: DyadState) -> DyadState:
-    """Product of every term of `left` with every term of `right`, left-major."""
-    i, j = np.divmod(np.arange(len(left.coeff) * len(right.coeff)), len(right.coeff))
-    return DyadState(
-        left.coeff[i] * right.coeff[j],
-        np.concatenate([left.ket[i], right.ket[j]], axis=1),
-        np.concatenate([left.bra[i], right.bra[j]], axis=1),
-    )
+    """Product of every term of `left` with every term of `right`, left-major.
+    An unbatched operand is shared by every member of a batched one."""
+    n_right = right.coeff.shape[-1]
+    i, j = np.divmod(np.arange(left.coeff.shape[-1] * n_right), n_right)
+    coeff = left.coeff[..., i] * right.coeff[..., j]
+
+    def joined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        out = np.empty(coeff.shape + (a.shape[-1] + b.shape[-1],), dtype=complex)
+        out[..., : a.shape[-1]] = a[..., i, :]  # assignment broadcasts an unbatched side
+        out[..., a.shape[-1] :] = b[..., j, :]
+        return out
+
+    return DyadState(coeff, joined(left.ket, right.ket), joined(left.bra, right.bra))
 
 
 def attach_vacuum(state: DyadState) -> DyadState:
@@ -222,7 +324,7 @@ def _check_mode(state: DyadState, mode: int) -> None:
 
 
 def loss_on_dyad(state: DyadState, mode: int, eta: float) -> DyadState:
-    """Linear loss of transmittance eta on one mode.
+    """Linear loss of transmittance eta in (0, 1] on one mode.
 
     On a single dyad |a1><a2| the environment trace leaves the amplitudes
     scaled by sqrt(eta) and multiplies the coefficient by
@@ -230,22 +332,23 @@ def loss_on_dyad(state: DyadState, mode: int, eta: float) -> DyadState:
     diagonal, so the channel is trace preserving.
     """
     _check_mode(state, mode)
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"loss transmittance must lie in (0, 1], got {eta!r}")
-    if eta == 1.0:
+    eta = _per_member(
+        state, eta, "loss transmittance", lambda e: (0.0 < e) & (e <= 1.0), "lie in (0, 1]"
+    )
+    if (eta == 1.0).all():
         return state
-    a1 = state.ket[:, mode]
-    a2 = state.bra[:, mode]
+    a1 = state.ket[..., mode]
+    a2 = state.bra[..., mode]
     factor = np.exp(
         -0.5 * (1.0 - eta) * (np.abs(a1) ** 2 + np.abs(a2) ** 2 - 2.0 * a1 * a2.conj())
     )
     sides = np.array((state.ket, state.bra))
-    sides[..., mode] *= math.sqrt(eta)
+    sides[..., mode] *= np.sqrt(eta)
     return DyadState(state.coeff * factor, *sides)
 
 
 def bs_on_product(state: DyadState, modes: tuple[int, int], T: float) -> DyadState:
-    """Beam splitter of transmittance T across two modes.
+    """Beam splitter of transmittance T in [0, 1] across two modes.
 
     Coherent amplitudes mix as (a, b) -> (sqrt(T) a - sqrt(R) b,
     sqrt(R) a + sqrt(T) b) with R = 1 - T, so |alpha>|0> goes to
@@ -256,10 +359,9 @@ def bs_on_product(state: DyadState, modes: tuple[int, int], T: float) -> DyadSta
     _check_mode(state, mb)
     if ma == mb:
         raise ValueError("beam splitter needs two distinct modes")
-    if not 0.0 <= T <= 1.0:
-        raise ValueError(f"transmittance must lie in [0, 1], got {T!r}")
-    ct = math.sqrt(T)
-    cr = math.sqrt(1.0 - T)
+    T = _per_member(state, T, "transmittance", lambda t: (0.0 <= t) & (t <= 1.0), "lie in [0, 1]")
+    ct = np.sqrt(T)
+    cr = np.sqrt(1.0 - T)
     sides = np.array((state.ket, state.bra))
     a, b = sides[..., ma], sides[..., mb]
     sides[..., ma], sides[..., mb] = ct * a - cr * b, cr * a + ct * b
@@ -268,8 +370,8 @@ def bs_on_product(state: DyadState, modes: tuple[int, int], T: float) -> DyadSta
 
 def homodyne_amplitude(beta: complex, x: float, lam: float) -> complex:
     """Amplitude <x_lam|beta> of finding quadrature value x at local
-    oscillator phase lam on a coherent state; `beta` may also be an array
-    of amplitudes.
+    oscillator phase lam on a coherent state; `beta` and `x` may also be
+    arrays that broadcast against each other.
 
     Convention: x_lam = (a e^{-i lam} + a^dagger e^{i lam}) / sqrt(2), so
 
@@ -294,29 +396,32 @@ def _drop_mode(state: DyadState, mode: int, coeff: np.ndarray) -> DyadState:
     if state.mode_count < 2:
         raise ValueError("projection would leave no modes; keep at least one")
     kept = [j for j in range(state.mode_count) if j != mode]
-    return DyadState(coeff, state.ket[:, kept], state.bra[:, kept])
+    return DyadState(coeff, state.ket[..., kept], state.bra[..., kept])
 
 
 def project_quadrature(
     state: DyadState, mode: int, x: float, lam: float
-) -> tuple[DyadState, float]:
-    """Condition on a homodyne outcome x (local-oscillator phase lam) on one mode.
+) -> tuple[DyadState, float | np.ndarray]:
+    """Condition on a homodyne outcome x (local-oscillator phase lam) on one
+    mode; a batch takes one outcome per member, or one for all.
 
     The measured mode collapses to scalar amplitudes on ket and bra sides;
     the function returns the remaining modes renormalized to unit trace,
     together with the outcome density (trace of the unnormalized result).
     """
     _check_mode(state, mode)
-    sides = np.array((state.ket[:, mode], state.bra[:, mode]))
+    x = _per_member(state, x, "homodyne outcome", np.isfinite, "be finite")
+    sides = np.array((state.ket[..., mode], state.bra[..., mode]))
     amp_k, amp_b = homodyne_amplitude(sides, x, lam)
     reduced = _drop_mode(state, mode, state.coeff * amp_k * amp_b.conj())
-    density = trace(reduced).real
-    if density < _MIN_DENSITY:
-        raise ZeroDensityError(f"homodyne density vanishes at x={x!r}")
-    return normalize(reduced), density
+    density = _traces(reduced).real
+    vanishing = density < _MIN_DENSITY
+    if vanishing.any():
+        raise ZeroDensityError(f"homodyne density vanishes at x={_first(x[..., 0], vanishing)!r}")
+    return normalize(reduced), _scalar_or_batch(density)
 
 
-def project_click(state: DyadState, mode: int) -> tuple[DyadState, float]:
+def project_click(state: DyadState, mode: int) -> tuple[DyadState, float | np.ndarray]:
     """Apply the on/off POVM element 1 - |0><0| on a mode and trace it out.
 
     Per dyad, tr_mode[(1 - |0><0|) |k><b|] = <b|k> - <b|0><0|k>, so the
@@ -326,34 +431,37 @@ def project_click(state: DyadState, mode: int) -> tuple[DyadState, float]:
     normalizing the conditional state then raises.
     """
     _check_mode(state, mode)
-    k = state.ket[:, mode]
-    b = state.bra[:, mode]
+    k = state.ket[..., mode]
+    b = state.bra[..., mode]
     # <b|k> - <b|0><0|k> = <b|0><0|k> (e^{conj(b) k} - 1)
     weight = np.exp(-0.5 * (np.abs(b) ** 2 + np.abs(k) ** 2)) * np.expm1(b.conj() * k)
     reduced = merge_terms(_drop_mode(state, mode, state.coeff * weight))
-    probability = trace(reduced).real
-    return reduced, max(probability, 0.0)
+    return reduced, _scalar_or_batch(np.maximum(_traces(reduced).real, 0.0))
 
 
-def gram_norm(state: DyadState) -> float:
+def gram_norm(state: DyadState) -> float | np.ndarray:
     """Hilbert-Schmidt norm sqrt(tr[X^dagger X]) evaluated through coherent
     Gram overlaps, valid for arbitrary (non-Hermitian) dyad combinations:
     tr[X^dagger X] = sum_ij conj(c_i) c_j <k_i|k_j> <b_j|b_i>."""
-    pairs = _gram(state.ket, state.ket) * _gram(state.bra, state.bra).T
-    return math.sqrt(max((state.coeff.conj() @ pairs @ state.coeff).real, 0.0))
+    pairs = _gram(state.ket, state.ket) * np.swapaxes(_gram(state.bra, state.bra), -1, -2)
+    square = _bilinear(state.coeff.conj(), pairs, state.coeff).real
+    return _scalar_or_batch(np.sqrt(np.maximum(square, 0.0)))
 
 
-def expect_coherent(state: DyadState, gammas: Sequence[complex]) -> float:
+def expect_coherent(state: DyadState, gammas: Sequence[complex]) -> float | np.ndarray:
     """Diagonal expectation <gamma_1 ... gamma_m| rho |gamma_1 ... gamma_m>."""
     if len(gammas) != state.mode_count:
         raise ValueError("one probe amplitude per mode is required")
     probe = np.asarray(gammas, dtype=complex)
     weights = state.coeff * _overlap(probe, state.ket) * _overlap(state.bra, probe)
-    return float(weights.sum().real)
+    return _scalar_or_batch(weights.sum(axis=-1).real)
 
 
 def hermiticity_defect(state: DyadState) -> float:
-    """Largest coefficient mismatch between each dyad and its conjugate."""
+    """Largest coefficient mismatch between each dyad and its conjugate, for
+    an unbatched state."""
+    if state.coeff.ndim != 1:
+        raise ValueError("hermiticity_defect takes one state, not a batch")
     merged = merge_terms(state, tol=0.0)
     ket, bra = merged.ket, merged.bra
     mirrors = (ket[:, None] == bra[None]).all(-1) & (bra[:, None] == ket[None]).all(-1)
@@ -361,28 +469,33 @@ def hermiticity_defect(state: DyadState) -> float:
     return float(np.abs(merged.coeff - mirror.conj()).max(initial=0.0))
 
 
-def purity(state: DyadState) -> float:
+def purity(state: DyadState) -> float | np.ndarray:
     """Tr[rho^2] through the pairwise Gram overlaps of the dyad terms."""
-    tr = trace(state).real
-    if abs(tr - 1.0) > 1e-8:
-        raise StateFamilyError(f"purity expects a unit-trace state, trace was {tr!r}")
+    tr = _traces(state).real
+    off = np.abs(tr - 1.0) > 1e-8
+    if off.any():
+        raise StateFamilyError(f"purity expects a unit-trace state, trace was {_first(tr, off)!r}")
     # tr[rho^2] = sum_ij c_i c_j <b_i|k_j> <b_j|k_i>
     cross = _gram(state.bra, state.ket)
-    return float((state.coeff @ (cross * cross.T) @ state.coeff).real)
+    square = _bilinear(state.coeff, cross * np.swapaxes(cross, -1, -2), state.coeff)
+    return _scalar_or_batch(square.real)
 
 
-def _css_fidelity(params: CssParams, norm: float, state: DyadState) -> float:
-    """<psi|rho|psi> for psi = (|alpha> + e^{i phi}|-alpha>)/sqrt(norm) and
+def _css_fidelity(alpha: np.ndarray, phase: np.ndarray, norm, state: DyadState) -> np.ndarray:
+    """<psi|rho|psi> for psi = (|alpha> + phase |-alpha>)/sqrt(norm) and
     a single-mode rho, from the amplitudes <psi|beta> of its kets and bras."""
-    branches = np.array([params.alpha, -params.alpha])[:, None, None]
-    weights = np.array([1.0, cmath.exp(-1j * params.phi)])
+    branches = np.array([alpha, -alpha])[..., None, None]
     sides = np.array((state.ket, state.bra))[:, None]
-    on_ket, on_bra = weights @ _overlap(branches, sides)
-    return float((state.coeff @ (on_ket * on_bra.conj())).real) / norm
+    amps = _overlap(branches, sides)  # [side, branch, ..., term]
+    on_ket, on_bra = amps[:, 0] + phase.conj()[..., None] * amps[:, 1]
+    return (state.coeff * (on_ket * on_bra.conj())).sum(axis=-1).real / norm
 
 
-def extract_fraction(state: DyadState, params: CssParams) -> float:
-    """Recover p from rho = p * rho_css(params) + (1 - p) * rho_0(alpha).
+def extract_fraction(
+    state: DyadState, params: CssParams | Sequence[CssParams]
+) -> float | np.ndarray:
+    """Recover p from rho = p * rho_css(params) + (1 - p) * rho_0(alpha);
+    a batch takes one CssParams per member.
 
     Inverts the decomposition through the fidelity F = <psi|rho|psi>:
     with F0 the fidelity of rho_0 against the superposition,
@@ -394,30 +507,38 @@ def extract_fraction(state: DyadState, params: CssParams) -> float:
     """
     if state.mode_count != 1:
         raise ValueError("fraction extraction expects a single-mode state")
-    if params.is_degenerate:
-        raise DegenerateStateError("cannot extract against the zero-norm superposition")
-    if params.alpha == 0.0:
-        raise StateFamilyError(
-            "the two-component family collapses at alpha=0; the fraction is undefined"
-        )
-    css = _css_dyads(params)
-    dephased = _dephased_dyads(params.alpha)
-    norm = trace(css).real
-    f0 = _css_fidelity(params, norm, dephased)
-    p = (_css_fidelity(params, norm, state) - f0) / (1.0 - f0)
+    rows, (alpha, phi) = _unpack(params, "alpha", "phi")
+    if alpha.shape != state.coeff.shape[:-1]:
+        raise ValueError("fraction extraction needs one CssParams per batch member")
+    for target in rows:
+        if target.is_degenerate:
+            raise DegenerateStateError("cannot extract against the zero-norm superposition")
+        if target.alpha == 0.0:
+            raise StateFamilyError(
+                "the two-component family collapses at alpha=0; the fraction is undefined"
+            )
+    phase = np.exp(1j * phi)
+    css = _css_dyads(alpha, phase)
+    dephased = _dephased_dyads(alpha)
+    norm = _traces(css).real
+    f0 = _css_fidelity(alpha, phase, norm, dephased)
+    p = (_css_fidelity(alpha, phase, norm, state) - f0) / (1.0 - f0)
 
     rest = _weighted_sum((1.0, state), (-p / norm, css), (p - 1.0, dephased))
-    residual = gram_norm(merge_terms(rest, tol=0.0))
+    residual = np.max(gram_norm(merge_terms(rest, tol=0.0)))
     if residual > 1e-9:
         raise StateFamilyError(
             f"state outside model family: residual {residual:.3e} exceeds 1e-9"
         )
-    return min(max(p, 0.0), 1.0)
+    return _scalar_or_batch(np.clip(p, 0.0, 1.0))
 
 
-def amplifier_sim(state_fraction: float, params: CssParams) -> float:
+def amplifier_sim(
+    state_fraction: float | Sequence[float], params: CssParams | Sequence[CssParams]
+) -> float | np.ndarray:
     """Simulate the two-copy linear amplifier on dyads and return the
-    output CSS fraction.
+    output CSS fraction; a batch takes a sequence of fractions and one
+    CssParams per fraction.
 
     Two copies of the input mixture interfere on a balanced beam splitter;
     the difference port is compared against a coherent ancilla of amplitude
@@ -425,20 +546,24 @@ def amplifier_sim(state_fraction: float, params: CssParams) -> float:
     ports must register a click. The surviving mode is then a mixture in
     the (sqrt(2) alpha, 2 phi) family, whose fraction is extracted exactly.
     """
-    if not 0.0 <= state_fraction <= 1.0:
-        raise ValueError(f"state fraction must lie in [0, 1], got {state_fraction!r}")
-    if params.alpha <= 0.0:
+    rows, (alpha, phi) = _unpack(params, "alpha", "phi")
+    fraction = np.asarray(state_fraction, dtype=float)
+    if fraction.shape != alpha.shape:
+        raise ValueError("one state fraction per CssParams is required")
+    outside = ~((0.0 <= fraction) & (fraction <= 1.0))
+    if outside.any():
+        raise ValueError(f"state fraction must lie in [0, 1], got {_first(fraction, outside)!r}")
+    if (alpha <= 0.0).any():
         raise ValueError("amplification needs alpha > 0")
-    copy = make_mixed(MixedCss(params, state_fraction))
+    copy = _mixture(rows, fraction, alpha, phi)
     joint = tensor(copy, copy)
     joint = bs_on_product(joint, (0, 1), 0.5)  # mode 0 difference, mode 1 sum
-    joint = tensor(joint, make_coherent(math.sqrt(2.0) * params.alpha))
+    joint = tensor(joint, make_coherent(math.sqrt(2.0) * alpha))
     joint = bs_on_product(joint, (0, 2), 0.5)
     joint, _ = project_click(joint, 2)
     joint, _ = project_click(joint, 0)
-    weight = trace(joint).real
-    if weight < _MIN_DENSITY:
+    if (_traces(joint).real < _MIN_DENSITY).any():
         raise ZeroDensityError("both-click coincidence has vanishing probability")
     conditioned = normalize(joint)
-    out_params = CssParams(math.sqrt(2.0) * params.alpha, (2.0 * params.phi) % TWO_PI)
-    return extract_fraction(conditioned, out_params)
+    out = [CssParams(math.sqrt(2.0) * r.alpha, (2.0 * r.phi) % TWO_PI) for r in rows]
+    return extract_fraction(conditioned, out if alpha.ndim else out[0])

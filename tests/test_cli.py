@@ -316,6 +316,15 @@ class TestVerifyCommand:
         assert all(entry["passed"] for entry in payload)
         assert all(entry["max_error"] <= entry["tolerance"] for entry in payload)
 
+    @pytest.mark.parametrize(
+        "flag,value,name",
+        [("--seed", "-3", "seed"), ("--draws", "0", "draws"), ("--amp-draws", "-1", "amp_draws")],
+    )
+    def test_bad_counts_exit_two_naming_the_parameter(self, capsys, flag, value, name):
+        code, out, err = run_cli(capsys, "verify", flag, value)
+        assert code == 2 and out == ""
+        assert err == f"error: {name} must be an integer >= {0 if name == 'seed' else 1}, got {value}\n"
+
 
 class TestParser:
     def test_version_flag(self, capsys):

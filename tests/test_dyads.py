@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from catpurify import CssParams, MixedCss, analytic
+from catpurify import CssParams, MixedCss, TapSetting, analytic
 from catpurify import dyads as dy
 from catpurify.errors import (
     DegenerateStateError,
@@ -485,12 +485,64 @@ def multi_overlap(left, right):
     return out
 
 
+def random_batch(rng, members=4, terms=7, modes=3):
+    """A batch of non-Hermitian dyad sums with one term layout: every
+    member's last two dyads repeat its first two."""
+    distinct = terms - 2
+    shape = (members, distinct, modes)
+    ket = rng.uniform(-2.0, 2.0, shape) + 1j * rng.uniform(-2.0, 2.0, shape)
+    bra = rng.uniform(-2.0, 2.0, shape) + 1j * rng.uniform(-2.0, 2.0, shape)
+    coeff = rng.uniform(-1.0, 1.0, (members, terms)) + 1j * rng.uniform(-1.0, 1.0, (members, terms))
+    return dy.DyadState(
+        coeff,
+        np.concatenate([ket, ket[:, :2]], axis=1),
+        np.concatenate([bra, bra[:, :2]], axis=1),
+    )
+
+
+def member(state, i):
+    return dy.DyadState(state.coeff[i], state.ket[i], state.bra[i])
+
+
+def assert_same_terms(batched, singles, rel=0.0):
+    """Member i of `batched` against the unbatched state singles[i]: the
+    amplitudes exactly, the coefficients to `rel` of their total weight."""
+    assert batched.coeff.shape[0] == len(singles)
+    for i, single in enumerate(singles):
+        got = member(batched, i)
+        assert got.ket.tolist() == single.ket.tolist()
+        assert got.bra.tolist() == single.bra.tolist()
+        scale = np.abs(single.coeff).sum()
+        assert np.abs(got.coeff - single.coeff).max(initial=0.0) <= rel * scale
+
+
+def assert_close(batched_values, single_values, rel):
+    got = np.asarray(batched_values).tolist()
+    assert len(got) == len(single_values)
+    for value, ref in zip(got, single_values):
+        assert abs(value - ref) <= rel * max(abs(ref), 1.0)
+
+
+def mixture_batch(rng, members=5):
+    states = [
+        MixedCss(
+            CssParams(rng.uniform(0.05, 2.0), rng.uniform(0.0, 2.0 * math.pi)),
+            rng.uniform(0.0, 1.0),
+        )
+        for _ in range(members)
+    ]
+    return states, dy.make_mixed(states)
+
+
 class TestArrayFormMatchesTermLoops:
-    """Each array expression against the term-by-term loop it replaces.
+    """Each array expression against the term-by-term loop it replaces,
+    and each batched call against the unbatched call on every member.
 
     Amplitude updates are the same float operations, so they must agree
     exactly (merging depends on it); sums over terms may round in another
     order, so those agree to 1e-12 relative to the terms' total weight.
+    Batched traces, Gram norms, purities and fractions agree with the
+    unbatched ones to 1e-12 relative.
     """
 
     def test_tensor(self):
@@ -596,3 +648,177 @@ class TestArrayFormMatchesTermLoops:
         assert [t[1:] for t in rows(cond)] == [t[1:] for t in rows(expected)]
         tolerance = 1e-12 * np.abs(expected.coeff).sum()
         assert np.abs(cond.coeff - expected.coeff).max() <= tolerance
+
+    def test_batched_tensor_loss_and_beam_splitter(self):
+        rng = np.random.default_rng(41)
+        left, right = random_batch(rng, 4, 5, 2), random_batch(rng, 4, 4, 1)
+        singles = [dy.tensor(member(left, i), member(right, i)) for i in range(4)]
+        assert_same_terms(dy.tensor(left, right), singles)
+        shared = dy.make_coherent(0.3 - 0.2j)
+        singles = [dy.tensor(member(left, i), shared) for i in range(4)]
+        assert_same_terms(dy.tensor(left, shared), singles)
+        assert_same_terms(dy.attach_vacuum(left), [dy.attach_vacuum(member(left, i)) for i in range(4)])
+
+        state = random_batch(rng)
+        etas, Ts = rng.uniform(0.05, 1.0, 4), rng.uniform(0.0, 1.0, 4)
+        lossy = dy.loss_on_dyad(state, 1, etas)
+        assert_same_terms(lossy, [dy.loss_on_dyad(member(state, i), 1, etas[i]) for i in range(4)])
+        mixed = dy.bs_on_product(state, (2, 0), Ts)
+        assert_same_terms(mixed, [dy.bs_on_product(member(state, i), (2, 0), Ts[i]) for i in range(4)])
+        shared_T = dy.bs_on_product(state, (0, 1), 0.3)
+        assert_same_terms(shared_T, [dy.bs_on_product(member(state, i), (0, 1), 0.3) for i in range(4)])
+
+    def test_batched_trace_normalize_gram_norm_and_probe(self):
+        rng = np.random.default_rng(42)
+        state = random_batch(rng)
+        singles = [member(state, i) for i in range(4)]
+        assert_close(dy.trace(state), [dy.trace(s) for s in singles], 1e-12)
+        assert_close(dy.gram_norm(state), [dy.gram_norm(s) for s in singles], 1e-12)
+        probe = [complex(0.3, 0.1), complex(-0.5, 0.2), complex(0.0, 0.7)]
+        assert_close(
+            dy.expect_coherent(state, probe), [dy.expect_coherent(s, probe) for s in singles], 1e-12
+        )
+        _, mixed = mixture_batch(rng)
+        assert_same_terms(
+            dy.normalize(dy.loss_on_dyad(mixed, 0, 0.5)),
+            [dy.normalize(dy.loss_on_dyad(member(mixed, i), 0, 0.5)) for i in range(5)],
+            1e-12,
+        )
+
+    def test_batched_constructors_and_purity(self):
+        rng = np.random.default_rng(43)
+        states, mixed = mixture_batch(rng)
+        assert_same_terms(mixed, [dy.make_mixed(s) for s in states], 1e-15)
+        params = [s.params for s in states]
+        assert_same_terms(dy.make_css(params), [dy.make_css(p) for p in params], 1e-15)
+        alphas = [p.alpha for p in params]
+        assert_same_terms(dy.make_incoherent(alphas), [dy.make_incoherent(a) for a in alphas])
+        assert_same_terms(dy.make_coherent(alphas, 0.0), [dy.make_coherent(a, 0.0) for a in alphas])
+        assert_close(dy.purity(mixed), [dy.purity(dy.make_mixed(s)) for s in states], 1e-12)
+
+    def test_batched_projections_and_fraction(self):
+        rng = np.random.default_rng(44)
+        states, mixed = mixture_batch(rng)
+        Ts, xs = rng.uniform(0.1, 0.9, 5), rng.uniform(-2.0, 2.0, 5)
+        tapped = dy.bs_on_product(dy.attach_vacuum(mixed), (0, 1), Ts)
+        singles = [member(tapped, i) for i in range(5)]
+        cond, dens = dy.project_quadrature(tapped, 1, xs, HALF_PI)
+        pairs = [dy.project_quadrature(s, 1, x, HALF_PI) for s, x in zip(singles, xs)]
+        assert_same_terms(cond, [c for c, _ in pairs], 1e-12)
+        assert_close(dens, [d for _, d in pairs], 1e-12)
+        targets = [
+            analytic.purify(s, TapSetting(T, x))[0].params for s, T, x in zip(states, Ts, xs)
+        ]
+        assert_close(
+            dy.extract_fraction(cond, targets),
+            [dy.extract_fraction(c, t) for (c, _), t in zip(pairs, targets)],
+            1e-12,
+        )
+        clicked, prob = dy.project_click(tapped, 1)
+        pairs = [dy.project_click(s, 1) for s in singles]
+        assert_same_terms(clicked, [c for c, _ in pairs], 1e-12)
+        assert_close(prob, [p for _, p in pairs], 1e-12)
+
+    def test_batched_amplifier(self):
+        rng = np.random.default_rng(45)
+        fractions = rng.uniform(0.0, 1.0, 6).tolist()
+        params = [CssParams(rng.uniform(0.1, 1.5), rng.uniform(0.0, 2.0 * math.pi)) for _ in range(6)]
+        assert_close(
+            dy.amplifier_sim(fractions, params),
+            [dy.amplifier_sim(f, p) for f, p in zip(fractions, params)],
+            1e-12,
+        )
+
+    def test_scalar_results_stay_python_numbers(self):
+        state = dy.make_mixed(MixedCss(CssParams(0.8, 1.0), 0.6))
+        assert type(dy.trace(state)) is complex
+        for value in (dy.gram_norm(state), dy.purity(state), dy.expect_coherent(state, [0.1])):
+            assert type(value) is float
+        _, density = dy.project_quadrature(dy.attach_vacuum(state), 1, 0.3, HALF_PI)
+        _, prob = dy.project_click(dy.attach_vacuum(state), 1)
+        assert type(density) is float and type(prob) is float
+        assert type(dy.extract_fraction(state, CssParams(0.8, 1.0))) is float
+
+    def test_batched_merge_requires_equality_in_every_member(self):
+        # terms 0 and 1 share amplitudes in member 0 only; term 2 repeats
+        # term 0 in both members
+        ket = np.array([[[0.5], [0.5], [0.5]], [[0.2], [0.7], [0.2]]])
+        state = dy.DyadState([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], ket, ket)
+        merged = dy.merge_terms(state)
+        assert merged.coeff.tolist() == [[4.0 + 0.0j, 2.0 + 0.0j], [10.0 + 0.0j, 5.0 + 0.0j]]
+        assert merged.ket[..., 0].tolist() == [[0.5 + 0.0j, 0.5 + 0.0j], [0.2 + 0.0j, 0.7 + 0.0j]]
+
+    def test_batched_prune_only_where_every_member_is_below_tol(self):
+        ket = np.array([[[0.1], [0.2], [0.3]], [[0.4], [0.5], [0.6]]])
+        state = dy.DyadState([[1.0, 1e-17, 1e-17], [1.0, 2.0, 0.0]], ket, ket)
+        merged = dy.merge_terms(state)
+        assert merged.coeff.tolist() == [[1.0 + 0.0j, 1e-17 + 0.0j], [1.0 + 0.0j, 2.0 + 0.0j]]
+        assert merged.ket[..., 0].tolist() == [[0.1 + 0.0j, 0.2 + 0.0j], [0.4 + 0.0j, 0.5 + 0.0j]]
+        assert dy.merge_terms(state, tol=0.0) is state
+
+    def test_batched_merge_matches_members(self):
+        rng = np.random.default_rng(46)
+        state = random_batch(rng)
+        merged = dy.merge_terms(state)
+        assert merged.coeff.shape == (4, 5)
+        assert_same_terms(merged, [dy.merge_terms(member(state, i)) for i in range(4)])
+
+
+class TestBatchValidation:
+    @pytest.mark.parametrize(
+        "coeff_shape,ket_shape,bra_shape",
+        [
+            ((2, 3), (2, 4, 1), (2, 4, 1)),  # one coefficient too few per member
+            ((3,), (2, 3, 1), (2, 3, 1)),  # coefficients without the batch axis
+            ((2, 3), (3, 3), (3, 3)),  # coefficients batched, amplitudes not
+            ((2, 3), (2, 3, 1), (3, 3, 1)),  # ket and bra batches differ
+            ((3, 3), (2, 3, 1), (2, 3, 1)),  # coefficient batch differs
+            ((1, 2, 3), (1, 2, 3, 1), (1, 2, 3, 1)),  # two batch axes
+        ],
+    )
+    def test_rejects_mismatched_batch_shapes(self, coeff_shape, ket_shape, bra_shape):
+        with pytest.raises(ValueError):
+            dy.DyadState(np.ones(coeff_shape), np.ones(ket_shape), np.ones(bra_shape))
+
+    def test_batch_shape_and_modes(self):
+        state = dy.DyadState(np.ones((2, 3)), np.ones((2, 3, 4)), np.zeros((2, 3, 4)))
+        assert state.mode_count == 4 and state.coeff.shape == (2, 3)
+
+    def test_settings_need_one_value_per_member(self):
+        state = dy.attach_vacuum(dy.make_coherent([0.1, 0.2, 0.3]))
+        with pytest.raises(ValueError, match="one per batch member"):
+            dy.loss_on_dyad(state, 0, [0.5, 0.5])
+        with pytest.raises(ValueError, match="one per batch member"):
+            dy.bs_on_product(state, (0, 1), [0.5] * 4)
+        with pytest.raises(ValueError, match="one per batch member"):
+            dy.project_quadrature(state, 1, [0.1, 0.2], HALF_PI)
+        with pytest.raises(ValueError, match=r"got 1\.5"):
+            dy.loss_on_dyad(state, 0, [0.5, 1.5, 0.5])
+        with pytest.raises(ValueError, match="one per batch member"):
+            dy.loss_on_dyad(dy.make_coherent(0.1, 0.0), 0, [0.5, 0.5])
+
+    def test_one_record_per_member(self):
+        state = dy.make_css([CssParams(0.5, 0.0), CssParams(0.6, 0.0)])
+        with pytest.raises(ValueError):
+            dy.extract_fraction(state, CssParams(0.5, 0.0))
+        with pytest.raises(ValueError):
+            dy.extract_fraction(state, [CssParams(0.5, 0.0)] * 3)
+        with pytest.raises(ValueError):
+            dy.amplifier_sim([0.5, 0.5], [CssParams(0.5, 0.0)])
+
+    def test_one_bad_member_rejects_the_batch(self):
+        tapped = dy.attach_vacuum(dy.make_coherent([0.5, 0.5]))
+        with pytest.raises(ZeroDensityError, match="x=40.0"):
+            dy.project_quadrature(tapped, 1, [0.0, 40.0], HALF_PI)
+        with pytest.raises(DegenerateStateError):
+            dy.make_css([CssParams(0.5, 0.0), CssParams(0.0, math.pi)])
+        with pytest.raises(StateFamilyError):
+            dy.extract_fraction(
+                dy.make_css([CssParams(1.0, 0.0)] * 2), [CssParams(1.0, 0.0), CssParams(0.8, 0.0)]
+            )
+        with pytest.raises(ValueError, match=r"got 1\.2"):
+            dy.amplifier_sim([0.5, 1.2], [CssParams(0.5, 0.0)] * 2)
+
+    def test_hermiticity_defect_takes_one_state(self):
+        with pytest.raises(ValueError):
+            dy.hermiticity_defect(dy.make_css([CssParams(0.5, 0.0)] * 2))

@@ -1,8 +1,75 @@
 """Cross-validation harness tests."""
 
+import math
+
+import numpy as np
 import pytest
 
-from catpurify import verify
+from catpurify import ChannelSetting, CssParams, MixedCss, TapSetting, analytic, verify
+from catpurify import dyads as dy
+
+HALF_PI = math.pi / 2.0
+TWO_PI = 2.0 * math.pi
+NAMES = [
+    "loss fraction",
+    "homodyne densities",
+    "purified fraction",
+    "inefficient-detector fraction",
+    "purity",
+    "amplifier coincidence fraction",
+]
+
+
+def sequential_draws(seed, draws, amp_draws):
+    """The parameters of every check from one rng.uniform call per draw and
+    parameter, in the order the per-draw checks made them."""
+    u = np.random.default_rng(seed).uniform
+    tables = [
+        [dict(alpha=u(0.02, 2.0), phi=u(0.0, TWO_PI), p=u(0.0, 1.0), eta=u(0.02, 1.0)) for _ in range(draws)],
+        [dict(alpha=u(0.02, 2.0), phi=u(0.0, TWO_PI), T=u(0.02, 0.98), k=u(-3.0, 3.0)) for _ in range(draws)],
+        [
+            dict(alpha=u(0.02, 2.0), phi=u(0.0, TWO_PI), p=u(0.0, 1.0), T=u(0.02, 0.98), k=u(-3.0, 3.0))
+            for _ in range(draws)
+        ],
+        [
+            dict(
+                alpha=u(0.02, 2.0), phi=u(0.0, TWO_PI), p=u(0.0, 1.0),
+                T=u(0.02, 0.98), k=u(-3.0, 3.0), eta_H=u(0.02, 1.0),
+            )
+            for _ in range(draws)
+        ],
+        [dict(alpha=u(0.02, 2.0), phi=u(0.0, TWO_PI), p=u(0.0, 1.0)) for _ in range(draws)],
+        [dict(branch=u(), alpha=u(0.05, 1.5), p=u(0.0, 1.0)) for _ in range(amp_draws)],
+    ]
+    return dict(zip(NAMES, tables))
+
+
+def mixture(d):
+    return MixedCss(CssParams(d["alpha"], d["phi"]), d["p"])
+
+
+def amplifier_params(d):
+    # the first number of an amplifier draw picks phi = 0 or pi
+    return CssParams(d["alpha"], 0.0 if d["branch"] < 0.5 else math.pi)
+
+
+def tapped(state, T):
+    return dy.bs_on_product(dy.attach_vacuum(dy.make_mixed(state)), (0, 1), T)
+
+
+def record_calls(monkeypatch, module, names):
+    """Wrap module functions so that each call's result is logged by name."""
+    log = {name: [] for name in names}
+    for name in names:
+        original = getattr(module, name)
+
+        def wrapper(*args, _original=original, _name=name, **kwargs):
+            out = _original(*args, **kwargs)
+            log[_name].append(out)
+            return out
+
+        monkeypatch.setattr(module, name, wrapper)
+    return log
 
 
 def test_full_suite_is_green():
@@ -53,3 +120,144 @@ def test_rejects_empty_suite():
         verify.run_suite(draws=0)
     with pytest.raises(ValueError):
         verify.run_suite(draws=10, amp_draws=0)
+
+
+@pytest.mark.parametrize(
+    "args,name",
+    [
+        ((2.5, 1), "draws"),
+        (("5", 1), "draws"),
+        ((True, 1), "draws"),
+        ((-1, 1), "draws"),
+        ((5, 1.0), "amp_draws"),
+        ((5, False), "amp_draws"),
+        ((5, 1, 1.5), "seed"),
+        ((5, 1, -3), "seed"),
+        ((5, 1, True), "seed"),
+        ((5, 1, "7"), "seed"),
+    ],
+)
+def test_rejects_bad_arguments_by_name(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        verify.run_suite(*args)
+
+
+def test_accepts_numpy_integers():
+    a = verify.run_suite(np.int64(3), np.int32(2), np.uint64(11))
+    assert a == verify.run_suite(3, 2, 11)
+
+
+def test_draws_equal_sequential_per_draw_calls(monkeypatch):
+    seed, draws, amp_draws = 12345, 40, 9
+    captured = []
+    original = verify._draw
+
+    def capture(*args, **kwargs):
+        out = original(*args, **kwargs)
+        captured.append(out)
+        return out
+
+    monkeypatch.setattr(verify, "_draw", capture)
+    verify.run_suite(draws, amp_draws, seed)
+    expected = sequential_draws(seed, draws, amp_draws)
+    assert len(captured) == 6
+    for table, rows in zip(captured, expected.values()):
+        assert list(table) == list(rows[0])
+        assert [dict(zip(table, values)) for values in zip(*table.values())] == rows
+
+
+def test_max_error_is_the_largest_single_draw_error():
+    # the amplifier error of each draw, recomputed one draw at a time
+    seed, amp_draws = 99, 12
+    res = verify.run_suite(1, amp_draws, seed)[5]
+    rows = sequential_draws(seed, 1, amp_draws)["amplifier coincidence fraction"]
+    errors = [
+        abs(
+            analytic.amplify(MixedCss(amplifier_params(d), d["p"])).p
+            - dy.amplifier_sim(d["p"], amplifier_params(d))
+        )
+        for d in rows
+    ]
+    assert res.max_error == pytest.approx(max(errors), abs=1e-15)
+
+
+def test_batched_oracle_matches_single_draw_calls(monkeypatch):
+    seed, draws, amp_draws = verify.DEFAULT_SEED, 200, 50
+    log = record_calls(
+        monkeypatch, dy, ("extract_fraction", "project_quadrature", "purity", "amplifier_sim")
+    )
+    verify.run_suite(draws, amp_draws, seed)
+    monkeypatch.undo()
+    fractions = log["extract_fraction"][:3]  # the amplifier extracts last, inside its simulation
+    densities = [dens for _, dens in log["project_quadrature"]]
+    expected = sequential_draws(seed, draws, amp_draws)
+
+    def close(batched, singles):
+        assert len(batched) == len(singles)
+        assert np.abs(np.asarray(batched) - singles).max() <= 1e-11
+
+    rows = expected["loss fraction"]
+    close(fractions[0], [
+        dy.extract_fraction(
+            dy.loss_on_dyad(dy.make_mixed(mixture(d)), 0, d["eta"]),
+            analytic.apply_loss(mixture(d), ChannelSetting(d["eta"])).params,
+        )
+        for d in rows
+    ])
+    rows = expected["homodyne densities"]
+    for p, batched in ((1.0, densities[0]), (0.0, densities[1])):
+        close(batched, [
+            dy.project_quadrature(
+                tapped(MixedCss(CssParams(d["alpha"], d["phi"]), p), d["T"]), 1, d["k"], HALF_PI
+            )[1]
+            for d in rows
+        ])
+    rows = expected["purified fraction"]
+    singles = [
+        dy.project_quadrature(tapped(mixture(d), d["T"]), 1, d["k"], HALF_PI) for d in rows
+    ]
+    close(densities[2], [dens for _, dens in singles])
+    close(fractions[1], [
+        dy.extract_fraction(cond, analytic.purify(mixture(d), TapSetting(d["T"], d["k"]))[0].params)
+        for (cond, _), d in zip(singles, rows)
+    ])
+    rows = expected["inefficient-detector fraction"]
+    singles = [
+        dy.project_quadrature(dy.loss_on_dyad(tapped(mixture(d), d["T"]), 1, d["eta_H"]), 1, d["k"], HALF_PI)
+        for d in rows
+    ]
+    close(densities[3], [dens for _, dens in singles])
+    close(fractions[2], [
+        dy.extract_fraction(
+            cond,
+            analytic.purify_with_inefficiency(mixture(d), TapSetting(d["T"], d["k"], d["eta_H"])).params,
+        )
+        for (cond, _), d in zip(singles, rows)
+    ])
+    close(log["purity"][0], [dy.purity(dy.make_mixed(mixture(d))) for d in expected["purity"]])
+    close(log["amplifier_sim"][0], [
+        dy.amplifier_sim(d["p"], amplifier_params(d)) for d in expected["amplifier coincidence fraction"]
+    ])
+
+
+def test_each_check_is_one_array_pass(monkeypatch):
+    # a per-draw loop would call these hundreds of times
+    log = record_calls(monkeypatch, dy, ("project_quadrature", "extract_fraction"))
+    verify.run_suite(200, 50)
+    assert 0 < len(log["project_quadrature"]) <= 2 * len(NAMES)
+    assert 0 < len(log["extract_fraction"]) <= 2 * len(NAMES)
+
+
+def test_nan_oracle_value_fails_its_check(monkeypatch):
+    original = dy.purity
+
+    def poisoned(state):
+        values = np.array(original(state), dtype=float)
+        values[2] = math.nan  # a NaN is the worst error, not one to skip
+        return values
+
+    monkeypatch.setattr(dy, "purity", poisoned)
+    results = verify.run_suite(8, 1, 31)
+    assert [res.passed for res in results] == [True] * 4 + [False, True]
+    assert math.isnan(results[4].max_error)
+    assert results[4].describe().startswith("FAIL purity: max |analytic - oracle| = nan")
