@@ -16,7 +16,10 @@ import math
 import warnings
 
 from .errors import DegenerateStateError, PhysicsError, ZeroDensityError
-from .states import TWO_PI, ChannelSetting, CssParams, MixedCss, TapSetting, _pair_norm
+from .states import (
+    _POSITIVE_UNIT, _UNIT, TWO_PI, ChannelSetting, CssParams, MixedCss, TapSetting,
+    _checked, _pair_norm, _require_normalizable,
+)
 
 __all__ = [
     "normalization",
@@ -39,6 +42,10 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
+# alpha^2 is written alpha * alpha, which past alpha = 1.34e154 is inf where
+# alpha**2 raises OverflowError; every e^{-c alpha^2} is then 0. A
+# coefficient c that can be 0 is guarded, since 0 * inf is NaN.
+
 # beyond |k| = sqrt(-ln(5e-324)) the Gaussian factor e^{-k^2} of both
 # outcome densities underflows to 0
 _K_REPRESENTABLE = math.sqrt(-math.log(5e-324))
@@ -65,14 +72,7 @@ def normalization(params: CssParams) -> float:
     Returns 0 exactly for a degenerate pair (see `CssParams.is_degenerate`);
     callers that need a normalized state must check for that themselves.
     """
-    return 2.0 * _pair_norm(params.phi, 2.0 * params.alpha**2)
-
-
-def _require_normalizable(params: CssParams) -> None:
-    if params.is_degenerate:
-        raise DegenerateStateError(
-            f"the superposition at alpha={params.alpha!r}, phi={params.phi!r} has zero norm"
-        )
+    return 2.0 * _pair_norm(params.phi, 2.0 * (params.alpha * params.alpha))
 
 
 def loss_fraction(eta: float, params: CssParams) -> float:
@@ -84,10 +84,10 @@ def loss_fraction(eta: float, params: CssParams) -> float:
     sqrt(eta) alpha with the phase unchanged.
     """
     _require_normalizable(params)
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"transmittance must lie in (0, 1], got {eta!r}")
-    a2 = params.alpha**2
-    return _surviving_fraction(params.phi, 2.0 * eta * a2, 2.0 * (1.0 - eta) * a2)
+    eta = _checked(eta, "transmittance", _POSITIVE_UNIT)
+    a2 = params.alpha * params.alpha
+    lost = 2.0 * (1.0 - eta) * a2 if eta < 1.0 else 0.0
+    return _surviving_fraction(params.phi, 2.0 * eta * a2, lost)
 
 
 def apply_loss(state: MixedCss, ch: ChannelSetting) -> MixedCss:
@@ -113,10 +113,9 @@ def effective_loss_fraction(
     physically (attenuation on the tapped mode before an ideal projection).
     The two do not agree in general.
     """
-    if not 0.0 < T <= 1.0:
-        raise ValueError(f"transmittance must lie in (0, 1], got {T!r}")
-    if not 0.0 < eta_H <= 1.0:
-        raise ValueError(f"detector efficiency must lie in (0, 1], got {eta_H!r}")
+    T = _checked(T, "transmittance", _POSITIVE_UNIT)
+    eta_H = _checked(eta_H, "detector efficiency", _POSITIVE_UNIT)
+    eta = _checked(eta, "transmittance", _POSITIVE_UNIT)
     return loss_fraction(eta * (T + eta_H * (1.0 - T)), params)
 
 
@@ -124,8 +123,7 @@ def theta_of_k(k: float, alpha: float, R: float) -> float:
     """Phase shift theta = 2 sqrt(2 R) alpha k imprinted on the kept mode by
     a homodyne outcome k on the reflected arm. Reported unreduced; compare
     phases mod 2 pi."""
-    if not 0.0 <= R <= 1.0:
-        raise ValueError(f"reflectivity must lie in [0, 1], got {R!r}")
+    R = _checked(R, "reflectivity", _UNIT)
     return 2.0 * math.sqrt(2.0 * R) * alpha * k
 
 
@@ -133,10 +131,9 @@ def homodyne_density_css(k: float, params: CssParams, T: float) -> float:
     """Outcome density of the pi/2-quadrature on the tapped arm when the
     input is the pure superposition and the tap transmits T."""
     _require_normalizable(params)
-    if not 0.0 < T <= 1.0:
-        raise ValueError(f"transmittance must lie in (0, 1], got {T!r}")
+    T = _checked(T, "transmittance", _POSITIVE_UNIT)
     theta = theta_of_k(k, params.alpha, 1.0 - T)
-    a2 = params.alpha**2
+    a2 = params.alpha * params.alpha
     kept = _pair_norm(params.phi + theta, 2.0 * T * a2)
     return homodyne_density_mix(k) * kept / _pair_norm(params.phi, 2.0 * a2)
 
@@ -154,9 +151,8 @@ def detection_ratio(params: CssParams, T: float, theta: float) -> float:
     Purification succeeds iff the ratio is below 1; over theta it is
     minimized at theta = -phi (mod 2 pi).
     """
-    if not 0.0 < T <= 1.0:
-        raise ValueError(f"transmittance must lie in (0, 1], got {T!r}")
-    a2 = params.alpha**2
+    T = _checked(T, "transmittance", _POSITIVE_UNIT)
+    a2 = params.alpha * params.alpha
     kept = _pair_norm(params.phi + theta, 2.0 * T * a2)
     if kept <= 0.0:
         raise ZeroDensityError(
@@ -226,8 +222,9 @@ def purify_with_inefficiency(state: MixedCss, tap: TapSetting) -> MixedCss:
     _warn_if_blind_tap(tap.T)
     missed = (1.0 - tap.eta_H) * tap.R
     p_tapped, phi, _, _ = _condition(state, tap.T + missed, tap.eta_H * tap.R, tap.k)
-    a2 = state.params.alpha**2
-    survived = _surviving_fraction(phi, 2.0 * tap.T * a2, 2.0 * missed * a2)
+    a2 = state.params.alpha * state.params.alpha
+    lost = 2.0 * missed * a2 if missed else 0.0
+    survived = _surviving_fraction(phi, 2.0 * tap.T * a2, lost)
     out_params = CssParams(math.sqrt(tap.T) * state.params.alpha, phi)
     return MixedCss(out_params, p_tapped * survived)
 
@@ -241,13 +238,13 @@ def success_region(params: CssParams, R: float) -> tuple[tuple[float, float], ..
     wrap-around point when necessary, ordered by lower endpoint. An empty
     tuple means no outcome helps.
     """
-    if not 0.0 <= R <= 1.0:
-        raise ValueError(f"reflectivity must lie in [0, 1], got {R!r}")
+    R = _checked(R, "reflectivity", _UNIT)
     if params.alpha <= 0.0:
         raise DegenerateStateError(
             "alpha=0 leaves nothing to purify; the region degenerates"
         )
-    bound = math.cos(params.phi) * math.exp(-2.0 * R * params.alpha**2)
+    y = 2.0 * R * (params.alpha * params.alpha) if R else 0.0
+    bound = math.cos(params.phi) * math.exp(-y)
     if bound >= 1.0:
         return ()
     if bound <= -1.0:
@@ -272,8 +269,7 @@ def optimal_k(params: CssParams, R: float) -> float:
     (-pi, pi], which maximizes the Gaussian envelope e^{-k^2}; the sign
     tie at phi = pi resolves to +k.
     """
-    if not 0.0 <= R <= 1.0:
-        raise ValueError(f"reflectivity must lie in [0, 1], got {R!r}")
+    R = _checked(R, "reflectivity", _UNIT)
     if params.alpha <= 0.0 or R == 0.0:
         raise PhysicsError(
             "no outcome can imprint a phase when alpha=0 or R=0"
@@ -331,8 +327,7 @@ def window_acceptance(
     """
     params = state.params
     _require_normalizable(params)
-    if not 0.0 < T <= 1.0:
-        raise ValueError(f"transmittance must lie in (0, 1], got {T!r}")
+    T = _checked(T, "transmittance", _POSITIVE_UNIT)
     if not half_width >= 0.0:
         raise ValueError("window half-width must be >= 0")
     lo = max(center - half_width, -_K_REPRESENTABLE)
@@ -344,7 +339,7 @@ def window_acceptance(
     lo, hi = max(lo, -reach), min(hi, reach)
 
     c = theta_of_k(1.0, params.alpha, 1.0 - T)
-    a2 = params.alpha**2
+    a2 = params.alpha * params.alpha
     kept_y = 2.0 * T * a2
     # cos(c k) enters with weight e^{-kept_y}; past e^{-40} it is below
     # rounding and unit panels suffice
@@ -386,16 +381,17 @@ def amplify(state: MixedCss) -> MixedCss:
             "the closed form covers phi in {0, pi} only; simulate other "
             "phases with catpurify.dyads.amplifier_sim"
         )
-    g4 = math.exp(-4.0 * params.alpha**2)
+    a2 = params.alpha * params.alpha
+    g4 = math.exp(-4.0 * a2)
     p = state.p
     if params.phi == 0.0:
-        gate = 1.0 + math.exp(-2.0 * params.alpha**2)
+        gate = 1.0 + math.exp(-2.0 * a2)
         coeff = (1.0 + g4) / (gate * gate)
         den = coeff * p * p + 2.0 * p * (1.0 - p) / gate + (1.0 - p) ** 2
         p_out = coeff * p * p / den
     else:
         _require_normalizable(params)
-        x = (1.0 - p) * -math.expm1(-2.0 * params.alpha**2) / p if p > 0.0 else math.inf
+        x = (1.0 - p) * -math.expm1(-2.0 * a2) / p if p > 0.0 else math.inf
         p_out = (1.0 + g4) / (1.0 + g4 + x * (2.0 + x))
     return MixedCss(CssParams(math.sqrt(2.0) * params.alpha, 0.0), p_out)
 
@@ -415,8 +411,7 @@ def amplification_threshold(alpha: float) -> float:
 def concat_stages(p_in: float, alpha: float) -> tuple[float, float]:
     """Fractions after each stage of the purify-then-amplify concatenation:
     (after conditioning two copies at T=1/2, k=0; after amplifying back)."""
-    if not 0.0 <= p_in <= 1.0:
-        raise ValueError(f"fraction must lie in [0, 1], got {p_in!r}")
+    p_in = _checked(p_in, "fraction", _UNIT)
     if alpha <= 0.0:
         raise ValueError("concatenation needs alpha > 0")
     p_mid = _posterior(p_in, detection_ratio(CssParams(alpha, 0.0), 0.5, 0.0))
@@ -434,7 +429,7 @@ def purity_mixed_css(state: MixedCss) -> float:
     """
     _require_normalizable(state.params)
     p = state.p
-    g = math.exp(-2.0 * state.params.alpha**2)
+    g = math.exp(-2.0 * (state.params.alpha * state.params.alpha))
     cos_phi = math.cos(state.params.phi)
     cross = (1.0 + 2.0 * g * cos_phi + g * g) / normalization(state.params)
     return p * p + 2.0 * p * (1.0 - p) * cross + (1.0 - p) ** 2 * (1.0 + g * g) / 2.0

@@ -62,42 +62,58 @@ def _to_str(value: Any) -> str:
     return value
 
 
-_CONVERTERS: dict[str, Callable[[Any], Any]] = {
-    "alpha": _to_float,
-    "phi": _to_angle,
-    "p_in": _to_float,
-    "T": _to_float,
-    "eta": _to_float,
-    "eta_H": _to_float,
-    "k": _to_outcome,
-    "figure_id": _to_str,
-    "output": _to_str,
-    "draws": _to_int,
-    "amp_draws": _to_int,
-    "seed": _to_int,
-}
-
-_SCHEMAS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
-    # command -> (required keys, optional keys)
+# Each command's help line and parameters, each parameter as (key,
+# converter, required, help). The flag is --key with "_" written "-", and a
+# config file may set the same keys (and "format"). Domains are checked by
+# the records and by `sweeps.run_sweep`, not here.
+_ALPHA = ("alpha", _to_float, True, "input amplitude")
+_P_IN = ("p_in", _to_float, True, "input cat fraction")
+_COMMANDS: dict[str, tuple[str, tuple[tuple[str, Callable[[Any], Any], bool, str], ...]]] = {
     "purify": (
-        frozenset({"alpha", "phi", "p_in", "T", "k"}),
-        frozenset({"eta", "eta_H"}),
+        "condition a mixture on a homodyne outcome behind a tap",
+        (
+            _ALPHA,
+            ("phi", _to_angle, True, "input phase (radians, or 0, pi, pi/2)"),
+            _P_IN,
+            ("T", _to_float, True, "tap transmittance"),
+            ("k", _to_outcome, True, "homodyne outcome, or 'optimal'"),
+            ("eta", _to_float, False, "optional line transmittance applied before the tap"),
+            ("eta_H", _to_float, False, "detector efficiency (default 1)"),
+        ),
     ),
-    "amplify": (frozenset({"alpha", "phi", "p_in"}), frozenset()),
-    "concat": (frozenset({"alpha", "p_in"}), frozenset()),
+    "amplify": (
+        "two-copy coincidence amplification (phi 0 or pi)",
+        (_ALPHA, ("phi", _to_angle, True, "input phase (0 or pi)"), _P_IN),
+    ),
+    "concat": ("purify two copies then amplify back to the input amplitude", (_ALPHA, _P_IN)),
     "sweep": (
-        frozenset({"figure_id"}),
-        frozenset({"alpha", "phi", "T", "p_in", "output"}),
+        "regenerate a figure dataset as CSV",
+        (
+            ("figure_id", _to_str, True, f"one of: {', '.join(sweeps.FIGURE_IDS)}"),
+            ("alpha", _to_float, False, "override the figure's fixed alpha"),
+            ("phi", _to_angle, False, "override the figure's fixed phi"),
+            ("T", _to_float, False, "override the figure's fixed T"),
+            ("p_in", _to_float, False, "override the figure's fixed p_in"),
+            ("output", _to_str, False, "output path (default <figure_id>.csv)"),
+        ),
     ),
-    "verify": (frozenset(), frozenset({"draws", "amp_draws", "seed"})),
+    "verify": (
+        "randomized analytic-vs-oracle cross-checks",
+        (
+            ("draws", _to_int, False, "draws per check (default 200)"),
+            ("amp_draws", _to_int, False, "amplifier draws (default 50)"),
+            ("seed", _to_int, False, f"RNG seed (default {DEFAULT_SEED})"),
+        ),
+    ),
 }
 
 
 def resolve_params(command: str, config_file: str | None, flags: dict[str, Any]) -> dict[str, Any]:
     """Merge file and flag parameters for a command, flags winning, and
     convert every value. All offending keys are reported in one message."""
-    required, optional = _SCHEMAS[command]
-    allowed = required | optional
+    spec = _COMMANDS[command][1]
+    converters = {key: convert for key, convert, _, _ in spec}
+    required = {key for key, _, needed, _ in spec if needed}
     raw: dict[str, Any] = {}
     problems: list[str] = []
     if config_file is not None:
@@ -110,10 +126,10 @@ def resolve_params(command: str, config_file: str | None, flags: dict[str, Any])
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a single JSON object")
-        unknown = sorted(set(loaded) - allowed - {"format"})
+        unknown = sorted(set(loaded) - set(converters) - {"format"})
         if unknown:
             problems.append(f"unknown parameter(s): {', '.join(unknown)}")
-        raw.update({k: v for k, v in loaded.items() if k in allowed})
+        raw.update({k: v for k, v in loaded.items() if k in converters})
         if "format" in loaded:
             raw["format"] = loaded["format"]
     raw.update({k: v for k, v in flags.items() if v is not None})
@@ -127,7 +143,7 @@ def resolve_params(command: str, config_file: str | None, flags: dict[str, Any])
                 params[key] = value
             continue
         try:
-            params[key] = _CONVERTERS[key](value)
+            params[key] = converters[key](value)
         except (ValueError, TypeError):
             problems.append(f"invalid value for {key}: {value!r}")
     missing = sorted(required - set(params))
@@ -206,21 +222,15 @@ def _cmd_concat(params: dict[str, Any]) -> dict[str, Any]:
 
 
 def _cmd_sweep(params: dict[str, Any], reproducible: bool) -> dict[str, Any]:
-    spec = sweeps.default_spec(params["figure_id"])
-    fixed = dict(spec.fixed_params)
-    rejected = []
-    for key in ("alpha", "phi", "T", "p_in"):
-        if key in params:
-            if key in fixed:
-                fixed[key] = params[key]
-            else:
-                rejected.append(key)
+    """Every parameter but the figure and the output path overrides one of
+    the figure's fixed parameters."""
+    spec = sweeps.default_spec(params.pop("figure_id"))
+    path = params.pop("output", sweeps.csv_name(spec.figure_id))
+    rejected = sorted(set(params) - set(spec.fixed_params))
     if rejected:
-        raise ConfigError(
-            f"{spec.figure_id} does not take parameter(s): {', '.join(sorted(rejected))}"
-        )
+        raise ConfigError(f"{spec.figure_id} does not take parameter(s): {', '.join(rejected)}")
+    fixed = {**spec.fixed_params, **params}
     table = sweeps.run_sweep(sweeps.SweepSpec(spec.figure_id, fixed, spec.grid))
-    path = params.get("output", sweeps.csv_name(spec.figure_id))
     sweeps.emit_csv(table, path, reproducible=reproducible)
     return {"path": path, "rows": len(table.rows), "columns": len(table.columns)}
 
@@ -258,60 +268,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"catpurify {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for command, (summary, spec) in _COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
         p.add_argument("--config", metavar="PATH", help="JSON file with parameters; flags override it")
         p.add_argument("--format", choices=_FORMATS, default=None, help="output format (default plain)")
-
-    p = sub.add_parser("purify", help="condition a mixture on a homodyne outcome behind a tap")
-    add_common(p)
-    p.add_argument("--alpha", help="input amplitude")
-    p.add_argument("--phi", help="input phase (radians, or 0, pi, pi/2)")
-    p.add_argument("--p-in", dest="p_in", help="input cat fraction")
-    p.add_argument("--T", dest="T", help="tap transmittance")
-    p.add_argument("--k", help="homodyne outcome, or 'optimal'")
-    p.add_argument("--eta", help="optional line transmittance applied before the tap")
-    p.add_argument("--eta-H", dest="eta_H", help="detector efficiency (default 1)")
-
-    p = sub.add_parser("amplify", help="two-copy coincidence amplification (phi 0 or pi)")
-    add_common(p)
-    p.add_argument("--alpha", help="input amplitude")
-    p.add_argument("--phi", help="input phase (0 or pi)")
-    p.add_argument("--p-in", dest="p_in", help="input cat fraction")
-
-    p = sub.add_parser("concat", help="purify two copies then amplify back to the input amplitude")
-    add_common(p)
-    p.add_argument("--alpha", help="input amplitude")
-    p.add_argument("--p-in", dest="p_in", help="input cat fraction")
-
-    p = sub.add_parser("sweep", help="regenerate a figure dataset as CSV")
-    add_common(p)
-    p.add_argument("--figure-id", dest="figure_id", help=f"one of: {', '.join(sweeps.FIGURE_IDS)}")
-    p.add_argument("--alpha", help="override the figure's fixed alpha")
-    p.add_argument("--phi", help="override the figure's fixed phi")
-    p.add_argument("--T", dest="T", help="override the figure's fixed T")
-    p.add_argument("--p-in", dest="p_in", help="override the figure's fixed p_in")
-    p.add_argument("--output", help="output path (default <figure_id>.csv)")
-    p.add_argument(
-        "--reproducible",
-        action="store_true",
-        help="omit the timestamp comment so identical specs give identical bytes",
-    )
-
-    p = sub.add_parser("verify", help="randomized analytic-vs-oracle cross-checks")
-    add_common(p)
-    p.add_argument("--draws", help="draws per check (default 200)")
-    p.add_argument("--amp-draws", dest="amp_draws", help="amplifier draws (default 50)")
-    p.add_argument("--seed", help=f"RNG seed (default {DEFAULT_SEED})")
-
+        for key, _, _, text in spec:
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=text)
+        if command == "sweep":
+            p.add_argument(
+                "--reproducible",
+                action="store_true",
+                help="omit the timestamp comment so identical specs give identical bytes",
+            )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     command = args.command
-    flag_keys = (_SCHEMAS[command][0] | _SCHEMAS[command][1]) | {"format"}
-    flags = {key: getattr(args, key, None) for key in flag_keys}
+    flags = {key: getattr(args, key) for key, _, _, _ in _COMMANDS[command][1]}
+    flags["format"] = args.format
     try:
         params = resolve_params(command, args.config, flags)
         fmt = params.pop("format", "plain")

@@ -22,12 +22,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DegenerateStateError, StateFamilyError, ZeroDensityError
-from .states import TWO_PI, CssParams, MixedCss
+from .states import (
+    _FINITE, _POSITIVE_UNIT, _UNIT, TWO_PI, CssParams, MixedCss, _require_normalizable,
+)
 
 __all__ = [
     "DyadState",
@@ -116,18 +118,24 @@ def _first(values, where: np.ndarray):
     return np.broadcast_to(values, where.shape)[where][0].item()
 
 
+def _require_in(values: np.ndarray, name: str, domain: tuple[float, float, str]) -> None:
+    """The array form of `states._checked`: the error names the first
+    value outside the domain."""
+    lo, hi, must = domain
+    outside = ~((lo <= values) & (values <= hi))
+    if outside.any():
+        raise ValueError(f"{name} must {must}, got {_first(values, outside)!r}")
+
+
 def _per_member(
-    state: DyadState, value, name: str, ok: Callable[[np.ndarray], np.ndarray], requirement: str
+    state: DyadState, value, name: str, domain: tuple[float, float, str]
 ) -> np.ndarray:
     """A setting as a float array with a trailing term axis: a scalar, or
-    one value per batch member. `ok(values)` marks the admissible ones,
-    and the error names the first value that is not."""
+    one value per batch member, each in `domain`."""
     values = np.asarray(value, dtype=float)
     if values.ndim and values.shape != state.coeff.shape[:-1]:
         raise ValueError(f"{name} takes one value, or one per batch member")
-    admissible = ok(values)
-    if not admissible.all():
-        raise ValueError(f"{name} must {requirement}, got {_first(values, ~admissible)!r}")
+    _require_in(values, name, domain)
     return values[..., None]
 
 
@@ -259,10 +267,7 @@ def _normalizable_css(rows: list[CssParams], alpha: np.ndarray, phi: np.ndarray)
     """The unnormalized superposition dyads, once every pair is known to
     have a nonzero norm."""
     for params in rows:
-        if params.is_degenerate:
-            raise DegenerateStateError(
-                f"the superposition at alpha={params.alpha!r}, phi={params.phi!r} has zero norm"
-            )
+        _require_normalizable(params)
     return _css_dyads(alpha, np.exp(1j * phi))
 
 
@@ -332,9 +337,7 @@ def loss_on_dyad(state: DyadState, mode: int, eta: float) -> DyadState:
     diagonal, so the channel is trace preserving.
     """
     _check_mode(state, mode)
-    eta = _per_member(
-        state, eta, "loss transmittance", lambda e: (0.0 < e) & (e <= 1.0), "lie in (0, 1]"
-    )
+    eta = _per_member(state, eta, "loss transmittance", _POSITIVE_UNIT)
     if (eta == 1.0).all():
         return state
     a1 = state.ket[..., mode]
@@ -359,7 +362,7 @@ def bs_on_product(state: DyadState, modes: tuple[int, int], T: float) -> DyadSta
     _check_mode(state, mb)
     if ma == mb:
         raise ValueError("beam splitter needs two distinct modes")
-    T = _per_member(state, T, "transmittance", lambda t: (0.0 <= t) & (t <= 1.0), "lie in [0, 1]")
+    T = _per_member(state, T, "transmittance", _UNIT)
     ct = np.sqrt(T)
     cr = np.sqrt(1.0 - T)
     sides = np.array((state.ket, state.bra))
@@ -410,7 +413,7 @@ def project_quadrature(
     together with the outcome density (trace of the unnormalized result).
     """
     _check_mode(state, mode)
-    x = _per_member(state, x, "homodyne outcome", np.isfinite, "be finite")
+    x = _per_member(state, x, "homodyne outcome", _FINITE)
     sides = np.array((state.ket[..., mode], state.bra[..., mode]))
     amp_k, amp_b = homodyne_amplitude(sides, x, lam)
     reduced = _drop_mode(state, mode, state.coeff * amp_k * amp_b.conj())
@@ -550,9 +553,7 @@ def amplifier_sim(
     fraction = np.asarray(state_fraction, dtype=float)
     if fraction.shape != alpha.shape:
         raise ValueError("one state fraction per CssParams is required")
-    outside = ~((0.0 <= fraction) & (fraction <= 1.0))
-    if outside.any():
-        raise ValueError(f"state fraction must lie in [0, 1], got {_first(fraction, outside)!r}")
+    _require_in(fraction, "state fraction", _UNIT)
     if (alpha <= 0.0).any():
         raise ValueError("amplification needs alpha > 0")
     copy = _mixture(rows, fraction, alpha, phi)

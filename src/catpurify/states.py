@@ -13,7 +13,10 @@ two kinds of channel settings (a lossy line, and a tap-and-measure stage).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+from .errors import DegenerateStateError
 
 __all__ = ["CssParams", "MixedCss", "TapSetting", "ChannelSetting", "TWO_PI"]
 
@@ -21,6 +24,26 @@ TWO_PI = 2.0 * math.pi
 # seed of `catpurify verify`; kept here so the CLI can show it without
 # importing the numpy-backed oracle
 DEFAULT_SEED = 20260814
+
+
+# The domain of every parameter, declared once: (lowest value, highest value,
+# what a value must do). An open end is the nearest float inside it:
+# x >= 5e-324 holds iff x > 0, and |x| <= 1.8e308 iff x is finite. NaN
+# fails every comparison, so it lies in no domain.
+_UNIT = (0.0, 1.0, "lie in [0, 1]")  # fractions, reflectivities
+_POSITIVE_UNIT = (math.ulp(0.0), 1.0, "lie in (0, 1]")  # transmittances, efficiencies
+_FINITE = (-sys.float_info.max, sys.float_info.max, "be finite")  # phases, outcomes
+_NONNEGATIVE = (0.0, sys.float_info.max, "be a finite real >= 0")  # amplitudes
+
+
+def _checked(value, label: str, domain: tuple[float, float, str]) -> float:
+    """`value` as a float if it lies in `domain`; otherwise a ValueError that
+    names `label` and shows the value as given."""
+    x = float(value)
+    lo, hi, must = domain
+    if lo <= x <= hi:
+        return x
+    raise ValueError(f"{label} must {must}, got {value!r}")
 
 
 def _pair_norm(phi: float, y: float) -> float:
@@ -46,8 +69,7 @@ def _reduce_phase(phi: float) -> float:
 
 # Each record declares its fields for `dataclasses` (repr, ==, hash,
 # frozenness, `replace`, `fields`) but writes its own __init__, which
-# converts, validates and stores every field once; the messages show the
-# caller's input as given.
+# converts, validates and stores every field once through `_checked`.
 _set = object.__setattr__
 
 
@@ -68,18 +90,19 @@ class CssParams:
     phi: float = 0.0
 
     def __init__(self, alpha: float, phi: float = 0.0) -> None:
-        a = float(alpha)
-        f = float(phi)
-        if not 0.0 <= a < math.inf:
-            raise ValueError(f"alpha must be a finite real >= 0, got {alpha!r}")
-        if not math.isfinite(f):
-            raise ValueError(f"phi must be finite, got {phi!r}")
-        _set(self, "alpha", a)
-        _set(self, "phi", _reduce_phase(f))
+        _set(self, "alpha", _checked(alpha, "alpha", _NONNEGATIVE))
+        _set(self, "phi", _reduce_phase(_checked(phi, "phi", _FINITE)))
 
     @property
     def is_degenerate(self) -> bool:
-        return _pair_norm(self.phi, 2.0 * self.alpha**2) == 0.0
+        return _pair_norm(self.phi, 2.0 * (self.alpha * self.alpha)) == 0.0
+
+
+def _require_normalizable(params: CssParams) -> None:
+    if params.is_degenerate:
+        raise DegenerateStateError(
+            f"the superposition at alpha={params.alpha!r}, phi={params.phi!r} has zero norm"
+        )
 
 
 @dataclass(frozen=True, init=False)
@@ -91,11 +114,8 @@ class MixedCss:
     p: float = 1.0
 
     def __init__(self, params: CssParams, p: float = 1.0) -> None:
-        q = float(p)
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"fraction p must lie in [0, 1], got {p!r}")
         _set(self, "params", params)
-        _set(self, "p", q)
+        _set(self, "p", _checked(p, "fraction p", _UNIT))
 
 
 @dataclass(frozen=True, init=False)
@@ -114,18 +134,9 @@ class TapSetting:
     eta_H: float = 1.0
 
     def __init__(self, T: float, k: float = 0.0, eta_H: float = 1.0) -> None:
-        t = float(T)
-        x = float(k)
-        eta = float(eta_H)
-        if not 0.0 < t <= 1.0:
-            raise ValueError(f"transmittance T must lie in (0, 1], got {T!r}")
-        if not math.isfinite(x):
-            raise ValueError(f"homodyne outcome k must be finite, got {k!r}")
-        if not 0.0 < eta <= 1.0:
-            raise ValueError(f"detector efficiency eta_H must lie in (0, 1], got {eta_H!r}")
-        _set(self, "T", t)
-        _set(self, "k", x)
-        _set(self, "eta_H", eta)
+        _set(self, "T", _checked(T, "transmittance T", _POSITIVE_UNIT))
+        _set(self, "k", _checked(k, "homodyne outcome k", _FINITE))
+        _set(self, "eta_H", _checked(eta_H, "detector efficiency eta_H", _POSITIVE_UNIT))
 
     @property
     def R(self) -> float:
@@ -139,7 +150,4 @@ class ChannelSetting:
     eta: float
 
     def __init__(self, eta: float) -> None:
-        e = float(eta)
-        if not 0.0 < e <= 1.0:
-            raise ValueError(f"channel transmittance eta must lie in (0, 1], got {eta!r}")
-        _set(self, "eta", e)
+        _set(self, "eta", _checked(eta, "channel transmittance eta", _POSITIVE_UNIT))

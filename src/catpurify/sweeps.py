@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping
 from . import analytic
 from ._version import __version__
 from .errors import ConfigError
-from .states import CssParams
+from .states import _FINITE, _NONNEGATIVE, _POSITIVE_UNIT, CssParams, _checked
 
 __all__ = [
     "GridAxis",
@@ -111,6 +111,13 @@ class _Figure:
     axes: tuple[GridAxis, ...]
     columns: tuple[tuple[str, str], ...]
     build: Callable[[dict[str, float], tuple[GridAxis, ...]], Iterable[tuple[float, ...]]]
+
+
+# the domain of each parameter a figure may fix; a fixed p_in of 0 leaves
+# no superposition to purify, and the gain p_out / p_in is then 0 / 0
+_FIXED_DOMAINS = {
+    "alpha": _NONNEGATIVE, "phi": _FINITE, "T": _POSITIVE_UNIT, "p_in": _POSITIVE_UNIT
+}
 
 
 def _k_axis() -> GridAxis:
@@ -332,10 +339,14 @@ def _validate(spec: SweepSpec, fig: _Figure) -> None:
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate a sweep. Deterministic: rows follow the grid order and every
-    value comes from the closed-form layer."""
+    value comes from the closed-form layer. A fixed parameter outside its
+    domain is a ValueError, raised before any row is built."""
     fig = _figure(spec.figure_id)
     _validate(spec, fig)
-    fixed = {name: float(v) for name, v in spec.fixed_params.items()}
+    fixed = {
+        name: _checked(v, f"{spec.figure_id}: fixed {name}", _FIXED_DOMAINS[name])
+        for name, v in spec.fixed_params.items()
+    }
     rows = tuple(fig.build(fixed, spec.grid))
     metadata: dict[str, str] = {"figure": spec.figure_id}
     if fixed:

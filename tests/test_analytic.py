@@ -6,6 +6,7 @@ they pin the formulas against silent regressions.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -399,6 +400,12 @@ class TestEffectiveLossFraction:
             direct, abs=1e-16
         )
 
+    def test_line_transmittance_checked_on_its_own(self):
+        # eta * (T + eta_H (1 - T)) = 0.9 is in range, but eta itself is not
+        with pytest.raises(ValueError) as info:
+            effective_loss_fraction(1.2, CssParams(1.0, 0.0), 0.5, 0.5)
+        assert str(info.value) == "transmittance must lie in (0, 1], got 1.2"
+
 
 class TestSuccessRegion:
     def test_aligned_phase_arcs(self):
@@ -775,3 +782,117 @@ class TestPurity:
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateStateError):
             purity_mixed_css(MixedCss(CssParams(0.0, math.pi), 0.5))
+
+
+_CAT = CssParams(1.0, 0.0)
+_MIX = MixedCss(_CAT, 0.5)
+
+
+class TestRawFloatMessages:
+    """The entry points that take bare floats name the offending value
+    exactly as the records do."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: loss_fraction(1.5, _CAT), "transmittance must lie in (0, 1], got 1.5"),
+            (lambda: loss_fraction(math.nan, _CAT), "transmittance must lie in (0, 1], got nan"),
+            (
+                lambda: effective_loss_fraction(0.5, _CAT, 0.0, 1.0),
+                "transmittance must lie in (0, 1], got 0.0",
+            ),
+            (
+                lambda: effective_loss_fraction(0.5, _CAT, 0.5, 2),
+                "detector efficiency must lie in (0, 1], got 2",
+            ),
+            (
+                lambda: effective_loss_fraction(1.5, _CAT, 0.5, 1.0),
+                "transmittance must lie in (0, 1], got 1.5",
+            ),
+            (lambda: theta_of_k(0.1, 1.0, -0.5), "reflectivity must lie in [0, 1], got -0.5"),
+            (lambda: theta_of_k(0.1, 1.0, math.nan), "reflectivity must lie in [0, 1], got nan"),
+            (
+                lambda: homodyne_density_css(0.0, _CAT, 1.5),
+                "transmittance must lie in (0, 1], got 1.5",
+            ),
+            (lambda: detection_ratio(_CAT, 0, 0.0), "transmittance must lie in (0, 1], got 0"),
+            (lambda: success_region(_CAT, 1.5), "reflectivity must lie in [0, 1], got 1.5"),
+            (lambda: optimal_k(_CAT, -0.5), "reflectivity must lie in [0, 1], got -0.5"),
+            (
+                lambda: window_acceptance(_MIX, 1.5, 0.0, 1.0),
+                "transmittance must lie in (0, 1], got 1.5",
+            ),
+            (lambda: window_acceptance(_MIX, 0.5, 0.0, -1.0), "window half-width must be >= 0"),
+            (lambda: concat_stages(1.5, 1.0), "fraction must lie in [0, 1], got 1.5"),
+            (lambda: concat_stages(-0.5, 1.0), "fraction must lie in [0, 1], got -0.5"),
+            (lambda: concat_stages(0.5, 0.0), "concatenation needs alpha > 0"),
+        ],
+    )
+    def test_exact_message(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+
+
+# alpha^2 overflows past alpha = 1.34e154; every exponent e^{-c alpha^2}
+# is then 0 (or 1 at c = 0), as it already is at alpha = 1e154
+_HUGE = [1.4e154, 1e200, 1e300]
+_LARGE = 1e154
+
+
+def _in_unit(x):
+    return isinstance(x, float) and 0.0 <= x <= 1.0
+
+
+class TestHugeAmplitude:
+    @pytest.mark.parametrize("alpha", _HUGE)
+    @pytest.mark.parametrize("phi", [0.0, 1.0, math.pi])
+    def test_state_functions(self, alpha, phi):
+        big, ref = CssParams(alpha, phi), CssParams(_LARGE, phi)
+        assert big.is_degenerate is False
+        assert normalization(big) == normalization(ref) == 2.0
+        state, ref_state = MixedCss(big, 0.5), MixedCss(ref, 0.5)
+        assert purity_mixed_css(state) == purity_mixed_css(ref_state)
+        assert _in_unit(purity_mixed_css(state))
+        for R in (0.0, 0.5, 1.0):
+            assert success_region(big, R) == success_region(ref, R)
+        # the superposition's fringes have weight e^{-2 T alpha^2} = 0
+        accepted = window_acceptance(state, 0.5, 0.0, 1.0)
+        assert accepted == pytest.approx(math.erf(1.0), rel=1e-13)
+        assert _in_unit(window_acceptance(state, 1.0, 0.3, 2.0))
+
+    @pytest.mark.parametrize("alpha", _HUGE)
+    @pytest.mark.parametrize("eta", [1e-300, 0.5, 1.0])
+    def test_loss(self, alpha, eta):
+        big, ref = CssParams(alpha, 0.3), CssParams(_LARGE, 0.3)
+        assert loss_fraction(eta, big) == loss_fraction(eta, ref) == (1.0 if eta == 1.0 else 0.0)
+        out = apply_loss(MixedCss(big, 0.5), ChannelSetting(eta))
+        assert out.p == (0.5 if eta == 1.0 else 0.0)
+        assert effective_loss_fraction(eta, big, 0.5, 0.9) == loss_fraction(eta * 0.95, big)
+
+    @pytest.mark.parametrize("alpha", _HUGE)
+    @pytest.mark.parametrize("T", [1e-300, 0.5, 1.0])
+    def test_outcome_densities(self, alpha, T):
+        big, ref = CssParams(alpha, math.pi), CssParams(_LARGE, math.pi)
+        assert detection_ratio(big, T, 0.0) == detection_ratio(ref, T, 0.0)
+        assert math.isfinite(homodyne_density_css(0.0, big, T))
+        assert homodyne_density_css(0.0, big, T) == homodyne_density_css(0.0, ref, T)
+
+    @pytest.mark.parametrize("alpha", _HUGE)
+    @pytest.mark.parametrize("T", [0.5, 1.0])
+    @pytest.mark.parametrize("eta_H", [1.0, 0.9])
+    def test_purify(self, alpha, T, eta_H):
+        state = MixedCss(CssParams(alpha, math.pi), 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            out = purify_with_inefficiency(state, TapSetting(T, 0.0, eta_H))
+        assert _in_unit(out.p)
+        assert out.params.alpha == math.sqrt(T) * alpha
+
+    @pytest.mark.parametrize("alpha", _HUGE)
+    @pytest.mark.parametrize("phi", [0.0, math.pi])
+    def test_amplify_and_concat(self, alpha, phi):
+        out = amplify(MixedCss(CssParams(alpha, phi), 0.5))
+        assert out.p == amplify(MixedCss(CssParams(_LARGE, phi), 0.5)).p
+        assert _in_unit(out.p)
+        assert concat_stages(0.5, alpha) == concat_stages(0.5, _LARGE)

@@ -295,6 +295,34 @@ class TestSweepCommand:
         assert "alpha=0.8" in b.read_text().splitlines()[1]
 
 
+    @pytest.mark.parametrize(
+        "figure_id, value",
+        [
+            ("fig4_gain_vs_k_phi0", "1.5"),
+            ("fig7_gain_vs_alpha", "-0.5"),
+            ("fig8_gain_and_density_vs_T", "2"),
+            ("fig4_gain_vs_k_phi0", "0"),
+            ("fig5_gain_vs_k_phipi", "0"),
+            ("fig8_gain_and_density_vs_T", "0"),
+        ],
+    )
+    def test_out_of_domain_p_in_exits_two(self, capsys, tmp_path, figure_id, value):
+        target = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--figure-id", figure_id, "--p-in", value, "--output", str(target),
+        )
+        assert code == 2 and out == "" and not target.exists()
+        assert err == f"error: {figure_id}: fixed p_in must lie in (0, 1], got {float(value)!r}\n"
+
+    def test_out_of_domain_T_names_T(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "sweep", "--figure-id", "fig6_pout_vs_pin", "--T", "1.5",
+            "--output", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert err == "error: fig6_pout_vs_pin: fixed T must lie in (0, 1], got 1.5\n"
+
+
 class TestVerifyCommand:
     def test_plain_output(self, capsys):
         code, out, _ = run_cli(
@@ -324,6 +352,97 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", flag, value)
         assert code == 2 and out == ""
         assert err == f"error: {name} must be an integer >= {0 if name == 'seed' else 1}, got {value}\n"
+
+
+# the --help text of the top level and of every subcommand but verify
+# (pinned in TestParser on its own), at COLUMNS=80
+_HELP = {
+    '': (
+        'usage: catpurify [-h] [--version] {purify,amplify,concat,sweep,verify} ...\n'
+        '\n'
+        'Cat-state decoherence, conditional purification and amplification.\n'
+        '\n'
+        'positional arguments:\n'
+        '  {purify,amplify,concat,sweep,verify}\n'
+        '    purify              condition a mixture on a homodyne outcome behind a tap\n'
+        '    amplify             two-copy coincidence amplification (phi 0 or pi)\n'
+        '    concat              purify two copies then amplify back to the input\n'
+        '                        amplitude\n'
+        '    sweep               regenerate a figure dataset as CSV\n'
+        '    verify              randomized analytic-vs-oracle cross-checks\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        "  --version             show program's version number and exit\n"
+    ),
+    'purify': (
+        'usage: catpurify purify [-h] [--config PATH] [--format {plain,json,csv}]\n'
+        '                        [--alpha ALPHA] [--phi PHI] [--p-in P_IN] [--T T]\n'
+        '                        [--k K] [--eta ETA] [--eta-H ETA_H]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --config PATH         JSON file with parameters; flags override it\n'
+        '  --format {plain,json,csv}\n'
+        '                        output format (default plain)\n'
+        '  --alpha ALPHA         input amplitude\n'
+        '  --phi PHI             input phase (radians, or 0, pi, pi/2)\n'
+        '  --p-in P_IN           input cat fraction\n'
+        '  --T T                 tap transmittance\n'
+        "  --k K                 homodyne outcome, or 'optimal'\n"
+        '  --eta ETA             optional line transmittance applied before the tap\n'
+        '  --eta-H ETA_H         detector efficiency (default 1)\n'
+    ),
+    'amplify': (
+        'usage: catpurify amplify [-h] [--config PATH] [--format {plain,json,csv}]\n'
+        '                         [--alpha ALPHA] [--phi PHI] [--p-in P_IN]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --config PATH         JSON file with parameters; flags override it\n'
+        '  --format {plain,json,csv}\n'
+        '                        output format (default plain)\n'
+        '  --alpha ALPHA         input amplitude\n'
+        '  --phi PHI             input phase (0 or pi)\n'
+        '  --p-in P_IN           input cat fraction\n'
+    ),
+    'concat': (
+        'usage: catpurify concat [-h] [--config PATH] [--format {plain,json,csv}]\n'
+        '                        [--alpha ALPHA] [--p-in P_IN]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --config PATH         JSON file with parameters; flags override it\n'
+        '  --format {plain,json,csv}\n'
+        '                        output format (default plain)\n'
+        '  --alpha ALPHA         input amplitude\n'
+        '  --p-in P_IN           input cat fraction\n'
+    ),
+    'sweep': (
+        'usage: catpurify sweep [-h] [--config PATH] [--format {plain,json,csv}]\n'
+        '                       [--figure-id FIGURE_ID] [--alpha ALPHA] [--phi PHI]\n'
+        '                       [--T T] [--p-in P_IN] [--output OUTPUT]\n'
+        '                       [--reproducible]\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+        '  --config PATH         JSON file with parameters; flags override it\n'
+        '  --format {plain,json,csv}\n'
+        '                        output format (default plain)\n'
+        '  --figure-id FIGURE_ID\n'
+        '                        one of: fig2_densities, fig3_densities,\n'
+        '                        fig4_gain_vs_k_phi0, fig5_gain_vs_k_phipi,\n'
+        '                        fig6_pout_vs_pin, fig7_gain_vs_alpha,\n'
+        '                        fig8_gain_and_density_vs_T, concat_scan\n'
+        "  --alpha ALPHA         override the figure's fixed alpha\n"
+        "  --phi PHI             override the figure's fixed phi\n"
+        "  --T T                 override the figure's fixed T\n"
+        "  --p-in P_IN           override the figure's fixed p_in\n"
+        '  --output OUTPUT       output path (default <figure_id>.csv)\n'
+        '  --reproducible        omit the timestamp comment so identical specs give\n'
+        '                        identical bytes\n'
+    ),
+}
 
 
 class TestParser:
@@ -359,3 +478,11 @@ class TestParser:
             "                        amplifier draws (default 50)\n"
             "  --seed SEED           RNG seed (default 20260814)\n"
         )
+
+    @pytest.mark.parametrize("command", list(_HELP), ids=lambda c: c or "top-level")
+    def test_help_text_is_pinned(self, capsys, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"] if command else ["--help"])
+        assert excinfo.value.code == 0
+        assert capsys.readouterr().out == _HELP[command]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from catpurify import CssParams, detection_ratio, sweeps
+from catpurify import CssParams, analytic, detection_ratio, sweeps
 from catpurify.errors import ConfigError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -266,3 +266,58 @@ class TestEmission:
         sweeps.emit_csv(table, path, reproducible=True)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == FIGURE_DIGESTS[figure_id]
+
+
+def _override(figure_id, **fixed):
+    spec = sweeps.default_spec(figure_id)
+    return sweeps.SweepSpec(figure_id, {**spec.fixed_params, **fixed}, spec.grid)
+
+
+class TestFixedParameterDomains:
+    """A fixed parameter outside its domain is rejected, by name, before any
+    row is built."""
+
+    @pytest.mark.parametrize(
+        "figure_id, name, value, domain",
+        [
+            ("fig4_gain_vs_k_phi0", "p_in", 1.5, "(0, 1]"),
+            ("fig7_gain_vs_alpha", "p_in", -0.5, "(0, 1]"),
+            ("fig8_gain_and_density_vs_T", "p_in", 2.0, "(0, 1]"),
+            ("fig4_gain_vs_k_phi0", "p_in", 0.0, "(0, 1]"),
+            ("fig5_gain_vs_k_phipi", "p_in", 0.0, "(0, 1]"),
+            ("fig8_gain_and_density_vs_T", "p_in", 0.0, "(0, 1]"),
+            ("fig6_pout_vs_pin", "T", 1.5, "(0, 1]"),
+            ("fig2_densities", "T", 0.0, "(0, 1]"),
+            ("fig7_gain_vs_alpha", "T", math.nan, "(0, 1]"),
+        ],
+    )
+    def test_out_of_domain_value_named(self, figure_id, name, value, domain):
+        with pytest.raises(ValueError) as info:
+            sweeps.run_sweep(_override(figure_id, **{name: value}))
+        assert str(info.value) == f"{figure_id}: fixed {name} must lie in {domain}, got {value!r}"
+
+    @pytest.mark.parametrize(
+        "name, value, message",
+        [
+            ("alpha", -1.0, "must be a finite real >= 0, got -1.0"),
+            ("alpha", math.inf, "must be a finite real >= 0, got inf"),
+            ("phi", math.nan, "must be finite, got nan"),
+        ],
+    )
+    def test_amplitude_and_phase_domains(self, name, value, message):
+        with pytest.raises(ValueError) as info:
+            sweeps.run_sweep(_override("fig2_densities", **{name: value}))
+        assert str(info.value) == f"fig2_densities: fixed {name} {message}"
+
+    def test_checked_before_any_row(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(analytic, "detection_ratio", fail)
+        with pytest.raises(ValueError, match="fixed p_in"):
+            sweeps.run_sweep(_override("fig4_gain_vs_k_phi0", p_in=1.5))
+
+    @pytest.mark.parametrize("figure_id", ["fig4_gain_vs_k_phi0", "fig7_gain_vs_alpha"])
+    def test_unit_fraction_accepted(self, figure_id):
+        table = sweeps.run_sweep(_override(figure_id, p_in=1.0))
+        assert all(row[1] == 1.0 for row in table.rows)
