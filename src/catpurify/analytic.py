@@ -17,8 +17,8 @@ import warnings
 
 from .errors import DegenerateStateError, PhysicsError, ZeroDensityError
 from .states import (
-    _POSITIVE_UNIT, _UNIT, TWO_PI, ChannelSetting, CssParams, MixedCss, TapSetting,
-    _checked, _pair_norm, _require_normalizable,
+    _FINITE, _NONNEGATIVE, _POSITIVE_UNIT, _UNIT, TWO_PI, ChannelSetting, CssParams,
+    MixedCss, TapSetting, _checked, _pair_norm, _require_normalizable,
 )
 
 __all__ = [
@@ -123,24 +123,32 @@ def theta_of_k(k: float, alpha: float, R: float) -> float:
     """Phase shift theta = 2 sqrt(2 R) alpha k imprinted on the kept mode by
     a homodyne outcome k on the reflected arm. Reported unreduced; compare
     phases mod 2 pi."""
+    k = _checked(k, "homodyne outcome", _FINITE)
+    alpha = _checked(alpha, "amplitude", _NONNEGATIVE)
     R = _checked(R, "reflectivity", _UNIT)
     return 2.0 * math.sqrt(2.0 * R) * alpha * k
 
 
 def homodyne_density_css(k: float, params: CssParams, T: float) -> float:
     """Outcome density of the pi/2-quadrature on the tapped arm when the
-    input is the pure superposition and the tap transmits T."""
+    input is the pure superposition and the tap transmits T. An outcome
+    whose Gaussian factor e^{-k^2} is 0 has density 0, whatever phase it
+    would imprint."""
     _require_normalizable(params)
     T = _checked(T, "transmittance", _POSITIVE_UNIT)
+    density_mix = homodyne_density_mix(k)
+    if density_mix == 0.0:
+        return 0.0
     theta = theta_of_k(k, params.alpha, 1.0 - T)
     a2 = params.alpha * params.alpha
     kept = _pair_norm(params.phi + theta, 2.0 * T * a2)
-    return homodyne_density_mix(k) * kept / _pair_norm(params.phi, 2.0 * a2)
+    return density_mix * kept / _pair_norm(params.phi, 2.0 * a2)
 
 
 def homodyne_density_mix(k: float) -> float:
     """Outcome density for the dephased component: a unit Gaussian
     e^{-k^2}/sqrt(pi), independent of alpha, phi and T."""
+    k = _checked(k, "homodyne outcome", _FINITE)
     return math.exp(-k * k) / _SQRT_PI
 
 
@@ -152,6 +160,7 @@ def detection_ratio(params: CssParams, T: float, theta: float) -> float:
     minimized at theta = -phi (mod 2 pi).
     """
     T = _checked(T, "transmittance", _POSITIVE_UNIT)
+    theta = _checked(theta, "phase", _FINITE)
     a2 = params.alpha * params.alpha
     kept = _pair_norm(params.phi + theta, 2.0 * T * a2)
     if kept <= 0.0:
@@ -190,18 +199,25 @@ def purify(state: MixedCss, tap: TapSetting) -> tuple[MixedCss, float, float]:
     return out, density_css, density_mix
 
 
+def _never_occurs(k: float) -> ZeroDensityError:
+    return ZeroDensityError(f"event of zero density: the outcome k={k!r} never occurs")
+
+
 def _condition(state: MixedCss, T: float, R: float, k: float) -> tuple[float, ...]:
     """Ideal conditioning on outcome k behind a tap that keeps T of the
     light and sends R to the detector: (p_out, phase out, P_C, P_0)."""
     params = state.params
     _require_normalizable(params)
+    density_mix = homodyne_density_mix(k)
+    if density_mix == 0.0:
+        # no component produces k, and theta(k) may overflow there
+        raise _never_occurs(k)
     theta = theta_of_k(k, params.alpha, R)
     ratio = detection_ratio(params, T, theta)
-    density_mix = homodyne_density_mix(k)
     density_css = density_mix / ratio
     p = state.p
     if p * density_css + (1.0 - p) * density_mix == 0.0:
-        raise ZeroDensityError(f"event of zero density: the outcome k={k!r} never occurs")
+        raise _never_occurs(k)
     return _posterior(p, ratio), (params.phi + theta) % TWO_PI, density_css, density_mix
 
 
@@ -328,6 +344,7 @@ def window_acceptance(
     params = state.params
     _require_normalizable(params)
     T = _checked(T, "transmittance", _POSITIVE_UNIT)
+    center = _checked(center, "window center", _FINITE)
     if not half_width >= 0.0:
         raise ValueError("window half-width must be >= 0")
     lo = max(center - half_width, -_K_REPRESENTABLE)
@@ -402,6 +419,7 @@ def amplification_threshold(alpha: float) -> float:
 
     Returns math.inf where the threshold exceeds the float range
     (alpha >~ 13.3): no input fraction gains there."""
+    alpha = _checked(alpha, "amplitude", _NONNEGATIVE)
     try:
         return 0.5 * math.expm1(2.0 * alpha * alpha) ** 2
     except OverflowError:

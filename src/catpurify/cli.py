@@ -20,7 +20,8 @@ from typing import Any, Callable
 from . import analytic, sweeps
 from ._version import __version__
 from .errors import ConfigError, PhysicsError
-from .states import DEFAULT_SEED, ChannelSetting, CssParams, MixedCss, TapSetting
+from .states import DEFAULT_AMP_DRAWS, DEFAULT_DRAWS, DEFAULT_SEED
+from .states import ChannelSetting, CssParams, MixedCss, TapSetting
 
 _ANGLE_LITERALS = {"0": 0.0, "pi": math.pi, "pi/2": math.pi / 2.0}
 _FORMATS = ("plain", "json", "csv")
@@ -100,8 +101,8 @@ _COMMANDS: dict[str, tuple[str, tuple[tuple[str, Callable[[Any], Any], bool, str
     "verify": (
         "randomized analytic-vs-oracle cross-checks",
         (
-            ("draws", _to_int, False, "draws per check (default 200)"),
-            ("amp_draws", _to_int, False, "amplifier draws (default 50)"),
+            ("draws", _to_int, False, f"draws per check (default {DEFAULT_DRAWS})"),
+            ("amp_draws", _to_int, False, f"amplifier draws (default {DEFAULT_AMP_DRAWS})"),
             ("seed", _to_int, False, f"RNG seed (default {DEFAULT_SEED})"),
         ),
     ),
@@ -238,11 +239,7 @@ def _cmd_sweep(params: dict[str, Any], reproducible: bool) -> dict[str, Any]:
 def _run_verify(params: dict[str, Any], fmt: str) -> int:
     from .verify import run_suite  # the oracle needs numpy; only verify pays for it
 
-    results = run_suite(
-        params.get("draws", 200),
-        params.get("amp_draws", 50),
-        params.get("seed", DEFAULT_SEED),
-    )
+    results = run_suite(**params)  # a flag left out keeps run_suite's default
     if fmt == "json":
         payload = [
             {

@@ -21,9 +21,11 @@ from .errors import DegenerateStateError
 __all__ = ["CssParams", "MixedCss", "TapSetting", "ChannelSetting", "TWO_PI"]
 
 TWO_PI = 2.0 * math.pi
-# seed of `catpurify verify`; kept here so the CLI can show it without
-# importing the numpy-backed oracle
+# seed and draw counts of `catpurify verify`; kept here so the CLI can show
+# them without importing the numpy-backed oracle
 DEFAULT_SEED = 20260814
+DEFAULT_DRAWS = 200
+DEFAULT_AMP_DRAWS = 50
 
 
 # The domain of every parameter, declared once: (lowest value, highest value,
@@ -46,10 +48,18 @@ def _checked(value, label: str, domain: tuple[float, float, str]) -> float:
     raise ValueError(f"{label} must {must}, got {value!r}")
 
 
+# beyond y = 1 - ln(5e-324) the weight e^{-y} is below half the least
+# subnormal and rounds to 0
+_WEIGHTLESS = 1.0 - math.log(math.ulp(0.0))
+
+
 def _pair_norm(phi: float, y: float) -> float:
     """1 + cos(phi) e^{-y}, half the squared norm of |a> + e^{i phi}|-a> at
     y = 2 a^2. Written (1 + c) + c expm1(-y): >= 0 for every input, exactly
-    0 at (pi, 0), and free of cancellation for small odd cats."""
+    0 at (pi, 0), and free of cancellation for small odd cats. A cosine of
+    weight 0 is never evaluated, so phi may be an overflowed phase there."""
+    if y > _WEIGHTLESS:
+        return 1.0
     c = math.cos(phi)
     return (1.0 + c) + c * math.expm1(-y)
 

@@ -1,10 +1,12 @@
 """Deterministic parameter sweeps behind the figure datasets.
 
-Each figure identifier names a fixed recipe: which parameters are frozen,
-which axis (or axes) is scanned, and which closed-form quantities land in
-the columns. Tables are plain tuples of floats with ordered metadata, and
-``emit_csv`` writes them as commented CSV that is byte-identical across
-runs (the timestamp line is suppressed under ``reproducible=True``).
+Each figure identifier declares a recipe: its fixed values, its grid, its
+column names and one row expression over the closed-form layer.
+``run_sweep`` evaluates that expression at every point of the grid, in the
+order of the axes' product. Tables are plain tuples of floats with ordered
+metadata, and ``emit_csv`` writes them as commented CSV that is
+byte-identical across runs (the timestamp line is suppressed under
+``reproducible=True``).
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import chain
-from typing import Callable, Iterable, Mapping
+from itertools import chain, product, starmap
+from typing import Callable, Mapping
 
 from . import analytic
 from ._version import __version__
@@ -107,10 +109,15 @@ class SweepTable:
 
 @dataclass(frozen=True)
 class _Figure:
+    """A figure's recipe: its default fixed values and grid, its column
+    names, and its row expression. `row(**fixed)` builds the table's
+    constants once and returns the function of one grid point, which takes
+    the point's coordinates in grid order."""
+
     fixed: dict[str, float]
     axes: tuple[GridAxis, ...]
-    columns: tuple[tuple[str, str], ...]
-    build: Callable[[dict[str, float], tuple[GridAxis, ...]], Iterable[tuple[float, ...]]]
+    columns: str
+    row: Callable[..., Callable[..., tuple[float, ...]]]
 
 
 # the domain of each parameter a figure may fix; a fixed p_in of 0 leaves
@@ -120,30 +127,23 @@ _FIXED_DOMAINS = {
 }
 
 
-def _k_axis() -> GridAxis:
-    return GridAxis("k", -4.0, 4.0, 0.01)
+def _densities(T, alpha, phi):
+    params = CssParams(alpha, phi)
+    return lambda k: (
+        k, analytic.homodyne_density_css(k, params, T), analytic.homodyne_density_mix(k)
+    )
 
 
-def _density_rows(fixed, axes):
-    params = CssParams(fixed["alpha"], fixed["phi"])
-    T = fixed["T"]
-    for k in axes[0].values():
-        yield (
-            k,
-            analytic.homodyne_density_css(k, params, T),
-            analytic.homodyne_density_mix(k),
-        )
-
-
-def _gain_vs_k_rows(fixed, axes):
-    params = CssParams(fixed["alpha"], fixed["phi"])
-    T = fixed["T"]
-    p_in = fixed["p_in"]
+def _gain_vs_k(T, alpha, phi, p_in):
+    params = CssParams(alpha, phi)
     R = 1.0 - T
-    for k in axes[0].values():
-        theta = analytic.theta_of_k(k, params.alpha, R)
+
+    def row(k):
+        theta = analytic.theta_of_k(k, alpha, R)
         p_out = analytic._posterior(p_in, analytic.detection_ratio(params, T, theta))
-        yield (k, p_out, p_out / p_in)
+        return k, p_out, p_out / p_in
+
+    return row
 
 
 def _matched_ratios(alpha, T):
@@ -161,28 +161,31 @@ def _matched_ratios(alpha, T):
     )
 
 
-def _pout_rows(fixed, axes):
-    """fig6 scans p_in at a fixed alpha, fig7 scans alpha at a fixed p_in;
-    the ratios depend on alpha alone, so they are computed once per alpha."""
-    (axis,) = axes
-    by_alpha = axis.name == "alpha"
-    alphas = axis.values() if by_alpha else (fixed["alpha"],)
-    p_values = (fixed["p_in"],) if by_alpha else axis.values()
-    for alpha in alphas:
-        ratio0, ratio_pi, _ = _matched_ratios(alpha, fixed["T"])
-        for p_in in p_values:
-            out0 = analytic._posterior(p_in, ratio0)
-            out_pi = analytic._posterior(p_in, ratio_pi)
-            x = alpha if by_alpha else p_in
-            yield (x, out0, out0 - p_in, out_pi, out_pi - p_in)
+def _improvements(p_in, ratio0, ratio_pi):
+    """p_out and p_out - p_in behind each phase-matched tap."""
+    out0 = analytic._posterior(p_in, ratio0)
+    out_pi = analytic._posterior(p_in, ratio_pi)
+    return out0, out0 - p_in, out_pi, out_pi - p_in
 
 
-def _gain_density_vs_T_rows(fixed, axes):
-    alpha = fixed["alpha"]
-    p_in = fixed["p_in"]
+def _pout_vs_pin(T, alpha):
+    ratio0, ratio_pi, _ = _matched_ratios(alpha, T)
+    return lambda p_in: (p_in, *_improvements(p_in, ratio0, ratio_pi))
+
+
+def _pout_vs_alpha(T, p_in):
+    def row(alpha):
+        ratio0, ratio_pi, _ = _matched_ratios(alpha, T)
+        return (alpha, *_improvements(p_in, ratio0, ratio_pi))
+
+    return row
+
+
+def _gain_density_vs_T(alpha, p_in):
     aligned = CssParams(alpha, 0.0)
     opposed = CssParams(alpha, math.pi)
-    for T in axes[0].values():
+
+    def row(T):
         density0 = analytic.homodyne_density_css(0.0, aligned, T)
         if T == 1.0:
             # the favorable outcome recedes to k -> inf: the phase-pi tap
@@ -195,103 +198,53 @@ def _gain_density_vs_T_rows(fixed, axes):
             density_pi = analytic.homodyne_density_css(k_pi, opposed, T)
         out0 = analytic._posterior(p_in, ratio0)
         out_pi = analytic._posterior(p_in, ratio_pi)
-        yield (
-            T,
-            out0,
-            out0 / p_in,
-            density0,
-            out_pi,
-            out_pi / p_in,
-            density_pi,
-            float(T == 1.0),
+        return (
+            T, out0, out0 / p_in, density0,
+            out_pi, out_pi / p_in, density_pi, float(T == 1.0),
         )
 
+    return row
 
-def _concat_rows(fixed, axes):
-    del fixed
-    alpha_axis, p_axis = axes
-    p_values = p_axis.values()
-    for alpha in alpha_axis.values():
-        for p_in in p_values:
-            p_mid, p_final = analytic.concat_stages(p_in, alpha)
-            yield (alpha, p_in, p_mid, p_final, p_final - p_in)
 
+def _concat_row(alpha, p_in):
+    p_mid, p_final = analytic.concat_stages(p_in, alpha)
+    return alpha, p_in, p_mid, p_final, p_final - p_in
+
+
+_K = GridAxis("k", -4.0, 4.0, 0.01)
+_ALPHA = GridAxis("alpha", 0.05, 2.0, 0.01)
+_IMPROVEMENTS = "p_out_phi0 improvement_phi0 p_out_phipi improvement_phipi"
 
 _FIGURES: dict[str, _Figure] = {
     "fig2_densities": _Figure(
-        {"T": 0.5, "alpha": 1.0, "phi": 0.0},
-        (_k_axis(),),
-        (("k", "1"), ("P_C", "1"), ("P_0", "1")),
-        _density_rows,
+        {"T": 0.5, "alpha": 1.0, "phi": 0.0}, (_K,), "k P_C P_0", _densities
     ),
     "fig3_densities": _Figure(
-        {"T": 0.5, "alpha": 1.0, "phi": math.pi},
-        (_k_axis(),),
-        (("k", "1"), ("P_C", "1"), ("P_0", "1")),
-        _density_rows,
+        {"T": 0.5, "alpha": 1.0, "phi": math.pi}, (_K,), "k P_C P_0", _densities
     ),
     "fig4_gain_vs_k_phi0": _Figure(
-        {"T": 0.5, "alpha": 1.0, "phi": 0.0, "p_in": 0.5},
-        (_k_axis(),),
-        (("k", "1"), ("p_out", "1"), ("gain", "1")),
-        _gain_vs_k_rows,
+        {"T": 0.5, "alpha": 1.0, "phi": 0.0, "p_in": 0.5}, (_K,),
+        "k p_out gain", _gain_vs_k,
     ),
     "fig5_gain_vs_k_phipi": _Figure(
-        {"T": 0.5, "alpha": 1.0, "phi": math.pi, "p_in": 0.5},
-        (_k_axis(),),
-        (("k", "1"), ("p_out", "1"), ("gain", "1")),
-        _gain_vs_k_rows,
+        {"T": 0.5, "alpha": 1.0, "phi": math.pi, "p_in": 0.5}, (_K,),
+        "k p_out gain", _gain_vs_k,
     ),
     "fig6_pout_vs_pin": _Figure(
-        {"T": 0.5, "alpha": 1.0},
-        (GridAxis("p_in", 0.001, 0.999, 0.001),),
-        (
-            ("p_in", "1"),
-            ("p_out_phi0", "1"),
-            ("improvement_phi0", "1"),
-            ("p_out_phipi", "1"),
-            ("improvement_phipi", "1"),
-        ),
-        _pout_rows,
+        {"T": 0.5, "alpha": 1.0}, (GridAxis("p_in", 0.001, 0.999, 0.001),),
+        "p_in " + _IMPROVEMENTS, _pout_vs_pin,
     ),
     "fig7_gain_vs_alpha": _Figure(
-        {"T": 0.5, "p_in": 0.5},
-        (GridAxis("alpha", 0.05, 2.0, 0.01),),
-        (
-            ("alpha", "1"),
-            ("p_out_phi0", "1"),
-            ("improvement_phi0", "1"),
-            ("p_out_phipi", "1"),
-            ("improvement_phipi", "1"),
-        ),
-        _pout_rows,
+        {"T": 0.5, "p_in": 0.5}, (_ALPHA,), "alpha " + _IMPROVEMENTS, _pout_vs_alpha
     ),
     "fig8_gain_and_density_vs_T": _Figure(
-        {"alpha": 1.0, "p_in": 0.5},
-        (GridAxis("T", 0.05, 1.0, 0.005),),
-        (
-            ("T", "1"),
-            ("p_out_phi0", "1"),
-            ("gain_phi0", "1"),
-            ("density_phi0", "1"),
-            ("p_out_phipi", "1"),
-            ("gain_phipi", "1"),
-            ("density_phipi", "1"),
-            ("degenerate", "1"),
-        ),
-        _gain_density_vs_T_rows,
+        {"alpha": 1.0, "p_in": 0.5}, (GridAxis("T", 0.05, 1.0, 0.005),),
+        "T p_out_phi0 gain_phi0 density_phi0 p_out_phipi gain_phipi density_phipi degenerate",
+        _gain_density_vs_T,
     ),
     "concat_scan": _Figure(
-        {},
-        (GridAxis("alpha", 0.05, 2.0, 0.01), GridAxis("p_in", 0.01, 0.99, 0.01)),
-        (
-            ("alpha", "1"),
-            ("p_in", "1"),
-            ("p_mid", "1"),
-            ("p_final", "1"),
-            ("net_change", "1"),
-        ),
-        _concat_rows,
+        {}, (_ALPHA, GridAxis("p_in", 0.01, 0.99, 0.01)),
+        "alpha p_in p_mid p_final net_change", lambda: _concat_row,
     ),
 }
 
@@ -338,8 +291,9 @@ def _validate(spec: SweepSpec, fig: _Figure) -> None:
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
-    """Evaluate a sweep. Deterministic: rows follow the grid order and every
-    value comes from the closed-form layer. A fixed parameter outside its
+    """Evaluate a sweep. Deterministic: rows follow the product of the grid
+    axes, the last axis fastest, and every value comes from the closed-form
+    layer. A fixed parameter outside its
     domain is a ValueError, raised before any row is built."""
     fig = _figure(spec.figure_id)
     _validate(spec, fig)
@@ -347,7 +301,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         name: _checked(v, f"{spec.figure_id}: fixed {name}", _FIXED_DOMAINS[name])
         for name, v in spec.fixed_params.items()
     }
-    rows = tuple(fig.build(fixed, spec.grid))
+    grid = product(*(axis.values() for axis in spec.grid))
+    rows = tuple(starmap(fig.row(**fixed), grid))
     metadata: dict[str, str] = {"figure": spec.figure_id}
     if fixed:
         metadata["fixed"] = " ".join(
@@ -360,7 +315,8 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
             f"step={format(axis.step, '.12g')} points={axis.count}"
         )
     metadata["package"] = f"catpurify {__version__}"
-    return SweepTable(fig.columns, rows, metadata)
+    columns = tuple((name, "1") for name in fig.columns.split())
+    return SweepTable(columns, rows, metadata)
 
 
 def emit_csv(table: SweepTable, path: str, reproducible: bool = False) -> None:

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, dyads
-from .states import DEFAULT_SEED, ChannelSetting, CssParams, MixedCss, TapSetting
+from .states import DEFAULT_AMP_DRAWS, DEFAULT_DRAWS, DEFAULT_SEED
+from .states import ChannelSetting, CssParams, MixedCss, TapSetting
 
 __all__ = ["CheckResult", "run_suite", "DEFAULT_SEED"]
 
@@ -167,7 +168,7 @@ def _checked(value: object, name: str, least: int) -> int:
 
 
 def run_suite(
-    draws: int = 200, amp_draws: int = 50, seed: int = DEFAULT_SEED
+    draws: int = DEFAULT_DRAWS, amp_draws: int = DEFAULT_AMP_DRAWS, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
     """Run every analytic-vs-oracle check and return their results. Each
     check draws all its parameters at once and runs the oracle once, on

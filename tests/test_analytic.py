@@ -826,6 +826,29 @@ class TestRawFloatMessages:
             (lambda: concat_stages(1.5, 1.0), "fraction must lie in [0, 1], got 1.5"),
             (lambda: concat_stages(-0.5, 1.0), "fraction must lie in [0, 1], got -0.5"),
             (lambda: concat_stages(0.5, 0.0), "concatenation needs alpha > 0"),
+            (
+                lambda: homodyne_density_css(math.nan, _CAT, 0.5),
+                "homodyne outcome must be finite, got nan",
+            ),
+            (lambda: homodyne_density_mix(math.nan), "homodyne outcome must be finite, got nan"),
+            (lambda: theta_of_k(math.nan, 1.0, 0.5), "homodyne outcome must be finite, got nan"),
+            (
+                lambda: theta_of_k(1.0, math.nan, 0.5),
+                "amplitude must be a finite real >= 0, got nan",
+            ),
+            (lambda: detection_ratio(_CAT, 0.5, math.nan), "phase must be finite, got nan"),
+            (
+                lambda: amplification_threshold(math.nan),
+                "amplitude must be a finite real >= 0, got nan",
+            ),
+            (
+                lambda: amplification_threshold(-1.0),
+                "amplitude must be a finite real >= 0, got -1.0",
+            ),
+            (
+                lambda: window_acceptance(_MIX, 0.5, math.nan, 1.0),
+                "window center must be finite, got nan",
+            ),
         ],
     )
     def test_exact_message(self, call, message):
@@ -896,3 +919,28 @@ class TestHugeAmplitude:
         assert out.p == amplify(MixedCss(CssParams(_LARGE, phi), 0.5)).p
         assert _in_unit(out.p)
         assert concat_stages(0.5, alpha) == concat_stages(0.5, _LARGE)
+
+
+class TestOverflowedPhase:
+    """An imprinted phase 2 sqrt(2 R) alpha k beyond the float range: an
+    outcome whose Gaussian factor e^{-k^2} is 0 has density 0, and a fringe
+    whose weight e^{-2 T alpha^2} is 0 is never evaluated."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 1e200, 1.7e308])
+    @pytest.mark.parametrize("k", [1e200, -1.7e308])
+    @pytest.mark.parametrize("phi", [0.0, math.pi])
+    def test_unrepresentable_outcome_has_zero_density(self, alpha, k, phi):
+        params = CssParams(alpha, phi)
+        assert homodyne_density_css(k, params, 0.5) == 0.0
+        with pytest.raises(ZeroDensityError) as info:
+            purify(MixedCss(params, 0.5), TapSetting(0.5, k))
+        assert str(info.value) == f"event of zero density: the outcome k={k!r} never occurs"
+
+    @pytest.mark.parametrize("alpha", [1e307, 1e308, 1.7e308])
+    @pytest.mark.parametrize("phi", [0.0, 1.0, math.pi])
+    @pytest.mark.parametrize("k", [0.0, 1.0])
+    def test_weightless_fringe(self, alpha, phi, k):
+        params = CssParams(alpha, phi)
+        assert homodyne_density_css(k, params, 0.5) == homodyne_density_mix(k)
+        accepted = window_acceptance(MixedCss(params, 0.5), 0.5, k, 1.0)
+        assert accepted == pytest.approx(0.5 * (math.erf(k + 1.0) - math.erf(k - 1.0)), rel=1e-13)

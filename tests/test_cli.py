@@ -148,6 +148,22 @@ class TestPurifyCommand:
         assert out == ""
         assert err.startswith("physics error:")
 
+    @pytest.mark.parametrize("alpha", ["1", "1e200"])
+    @pytest.mark.parametrize("k", ["1e200", "1.7e308"])
+    def test_outcome_of_overflowed_phase_is_a_physics_error(self, capsys, alpha, k):
+        # the phase 2 sqrt(2 R) alpha k this outcome would imprint overflows
+        code, out, err = run_cli(
+            capsys,
+            "purify",
+            "--alpha", alpha, "--phi", "0", "--p-in", "0.5",
+            "--T", "0.5", "--k", k,
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"physics error: event of zero density: the outcome k={float(k)!r} never occurs\n"
+        )
+
 
 class TestConfigFile:
     def test_flags_override_file(self, capsys, tmp_path):

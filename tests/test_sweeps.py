@@ -209,6 +209,23 @@ class TestFigureContent:
                 record["p_final"] - record["p_in"], abs=1e-15
             )
 
+    @pytest.mark.parametrize("figure_id", sweeps.FIGURE_IDS)
+    def test_custom_grid_gives_the_first_rows(self, figure_id):
+        # the first points of the leading default axis, same start and step;
+        # only concat_scan has a second axis, its full p_in axis of 99 points
+        spec = sweeps.default_spec(figure_id)
+        first, *rest = spec.grid
+        points = 2 if rest else 3
+        head = sweeps.GridAxis(
+            first.name, first.start, first.start + (points - 1) * first.step, first.step
+        )
+        table = sweeps.run_sweep(sweeps.SweepSpec(figure_id, spec.fixed_params, (head, *rest)))
+        expected = 198 if rest else 3
+        default = sweeps.run_sweep(spec)
+        assert len(table.rows) == expected
+        assert table.rows == default.rows[:expected]
+        assert table.columns == default.columns
+
 
 class TestEmission:
     def test_run_sweep_deterministic(self):
