@@ -108,10 +108,10 @@ def effective_loss_fraction(
     an imperfect detector, obtained by replacing eta with
     eta * (T + eta_H * (1 - T)) in the pure-loss formula.
 
-    This is a rough comparator only; the package's actual imperfect-detector
-    model is `purify_with_inefficiency`, which treats the detector loss
-    physically (attenuation on the tapped mode before an ideal projection).
-    The two do not agree in general.
+    This is a rough comparator only; the package's detector model is
+    `purify`, which treats the detector loss physically (attenuation on the
+    tapped mode before an ideal projection). The two do not agree in
+    general.
     """
     T = _checked(T, "transmittance", _POSITIVE_UNIT)
     eta_H = _checked(eta_H, "detector efficiency", _POSITIVE_UNIT)
@@ -123,9 +123,14 @@ def theta_of_k(k: float, alpha: float, R: float) -> float:
     """Phase shift theta = 2 sqrt(2 R) alpha k imprinted on the kept mode by
     a homodyne outcome k on the reflected arm. Reported unreduced; compare
     phases mod 2 pi."""
-    k = _checked(k, "homodyne outcome", _FINITE)
-    alpha = _checked(alpha, "amplitude", _NONNEGATIVE)
-    R = _checked(R, "reflectivity", _UNIT)
+    return _theta(
+        _checked(k, "homodyne outcome", _FINITE),
+        _checked(alpha, "amplitude", _NONNEGATIVE),
+        _checked(R, "reflectivity", _UNIT),
+    )
+
+
+def _theta(k: float, alpha: float, R: float) -> float:
     return 2.0 * math.sqrt(2.0 * R) * alpha * k
 
 
@@ -136,10 +141,11 @@ def homodyne_density_css(k: float, params: CssParams, T: float) -> float:
     would imprint."""
     _require_normalizable(params)
     T = _checked(T, "transmittance", _POSITIVE_UNIT)
-    density_mix = homodyne_density_mix(k)
+    k = _checked(k, "homodyne outcome", _FINITE)
+    density_mix = _gaussian(k)
     if density_mix == 0.0:
         return 0.0
-    theta = theta_of_k(k, params.alpha, 1.0 - T)
+    theta = _theta(k, params.alpha, 1.0 - T)
     a2 = params.alpha * params.alpha
     kept = _pair_norm(params.phi + theta, 2.0 * T * a2)
     return density_mix * kept / _pair_norm(params.phi, 2.0 * a2)
@@ -148,7 +154,10 @@ def homodyne_density_css(k: float, params: CssParams, T: float) -> float:
 def homodyne_density_mix(k: float) -> float:
     """Outcome density for the dephased component: a unit Gaussian
     e^{-k^2}/sqrt(pi), independent of alpha, phi and T."""
-    k = _checked(k, "homodyne outcome", _FINITE)
+    return _gaussian(_checked(k, "homodyne outcome", _FINITE))
+
+
+def _gaussian(k: float) -> float:
     return math.exp(-k * k) / _SQRT_PI
 
 
@@ -159,8 +168,14 @@ def detection_ratio(params: CssParams, T: float, theta: float) -> float:
     Purification succeeds iff the ratio is below 1; over theta it is
     minimized at theta = -phi (mod 2 pi).
     """
-    T = _checked(T, "transmittance", _POSITIVE_UNIT)
-    theta = _checked(theta, "phase", _FINITE)
+    return _ratio(
+        params,
+        _checked(T, "transmittance", _POSITIVE_UNIT),
+        _checked(theta, "phase", _FINITE),
+    )
+
+
+def _ratio(params: CssParams, T: float, theta: float) -> float:
     a2 = params.alpha * params.alpha
     kept = _pair_norm(params.phi + theta, 2.0 * T * a2)
     if kept <= 0.0:
@@ -181,21 +196,42 @@ def _warn_if_blind_tap(T: float) -> None:
 
 def purify(state: MixedCss, tap: TapSetting) -> tuple[MixedCss, float, float]:
     """Condition the mixture on homodyne outcome k behind a tap of
-    transmittance T (ideal detector).
+    transmittance T, read out by a detector of efficiency eta_H.
 
     Returns the output mixture together with the two point densities
-    (superposition component, dephased component) at the outcome, so
-    callers can report joint acceptance likelihoods. The output amplitude
-    is sqrt(T) alpha and the phase picks up theta(k).
+    (superposition component P_C, dephased component P_0) at the outcome,
+    so callers can report joint acceptance likelihoods. P_0 is the unit
+    Gaussian for every eta_H.
+
+    The detector is one more linear loss, on the tapped arm, and the light
+    it misses might as well have stayed in the line: the stage is the ideal
+    conditioning behind a tap of reflectivity eta_H R, whose outcome
+    density is P_C, followed by a lossy line of transmittance
+    T / (1 - eta_H R) on the kept mode. The output has amplitude
+    sqrt(T) alpha, phase shift 2 sqrt(2 eta_H R) alpha k and a fraction in
+    [0, 1] by construction (nothing is clamped); an outcome of zero density
+    raises ZeroDensityError. At eta_H = 1 the line loss is none.
     """
-    if tap.eta_H != 1.0:
-        raise ValueError(
-            "purify is the ideal-detector path; use purify_with_inefficiency "
-            f"for eta_H={tap.eta_H!r}"
-        )
     _warn_if_blind_tap(tap.T)
-    p_out, phi, density_css, density_mix = _condition(state, tap.T, tap.R, tap.k)
-    out = MixedCss(CssParams(math.sqrt(tap.T) * state.params.alpha, phi), p_out)
+    params = state.params
+    _require_normalizable(params)
+    k = tap.k
+    density_mix = _gaussian(k)
+    if density_mix == 0.0:
+        # no component produces k, and theta(k) may overflow there
+        raise _never_occurs(k)
+    missed = (1.0 - tap.eta_H) * tap.R
+    theta = _checked(_theta(k, params.alpha, tap.eta_H * tap.R), "phase", _FINITE)
+    ratio = _ratio(params, tap.T + missed, theta)
+    density_css = density_mix / ratio
+    p = state.p
+    if p * density_css + (1.0 - p) * density_mix == 0.0:
+        raise _never_occurs(k)
+    phi = (params.phi + theta) % TWO_PI
+    a2 = params.alpha * params.alpha
+    lost = 2.0 * missed * a2 if missed else 0.0
+    survived = _surviving_fraction(phi, 2.0 * tap.T * a2, lost)
+    out = MixedCss(CssParams(math.sqrt(tap.T) * params.alpha, phi), _posterior(p, ratio) * survived)
     return out, density_css, density_mix
 
 
@@ -203,46 +239,9 @@ def _never_occurs(k: float) -> ZeroDensityError:
     return ZeroDensityError(f"event of zero density: the outcome k={k!r} never occurs")
 
 
-def _condition(state: MixedCss, T: float, R: float, k: float) -> tuple[float, ...]:
-    """Ideal conditioning on outcome k behind a tap that keeps T of the
-    light and sends R to the detector: (p_out, phase out, P_C, P_0)."""
-    params = state.params
-    _require_normalizable(params)
-    density_mix = homodyne_density_mix(k)
-    if density_mix == 0.0:
-        # no component produces k, and theta(k) may overflow there
-        raise _never_occurs(k)
-    theta = theta_of_k(k, params.alpha, R)
-    ratio = detection_ratio(params, T, theta)
-    density_css = density_mix / ratio
-    p = state.p
-    if p * density_css + (1.0 - p) * density_mix == 0.0:
-        raise _never_occurs(k)
-    return _posterior(p, ratio), (params.phi + theta) % TWO_PI, density_css, density_mix
-
-
 def purify_with_inefficiency(state: MixedCss, tap: TapSetting) -> MixedCss:
-    """Condition on outcome k with a detector of efficiency eta_H on the
-    tapped arm.
-
-    The detector is one more linear loss, on the tapped arm, and the light
-    it misses might as well have stayed in the line: the stage is the ideal
-    conditioning behind a tap of reflectivity eta_H R, followed by a lossy
-    line of transmittance T / (1 - eta_H R) on the kept mode. The output
-    has amplitude sqrt(T) alpha, phase shift 2 sqrt(2 eta_H R) alpha k and
-    a fraction in [0, 1] by construction (nothing is clamped); a zero
-    density outcome raises ZeroDensityError, as in `purify`.
-    """
-    if tap.eta_H == 1.0:
-        return purify(state, tap)[0]
-    _warn_if_blind_tap(tap.T)
-    missed = (1.0 - tap.eta_H) * tap.R
-    p_tapped, phi, _, _ = _condition(state, tap.T + missed, tap.eta_H * tap.R, tap.k)
-    a2 = state.params.alpha * state.params.alpha
-    lost = 2.0 * missed * a2 if missed else 0.0
-    survived = _surviving_fraction(phi, 2.0 * tap.T * a2, lost)
-    out_params = CssParams(math.sqrt(tap.T) * state.params.alpha, phi)
-    return MixedCss(out_params, p_tapped * survived)
+    """The output mixture of `purify`, without the outcome densities."""
+    return purify(state, tap)[0]
 
 
 def success_region(params: CssParams, R: float) -> tuple[tuple[float, float], ...]:
@@ -355,7 +354,7 @@ def window_acceptance(
     reach = math.sqrt(nearest * nearest + 40.0)
     lo, hi = max(lo, -reach), min(hi, reach)
 
-    c = theta_of_k(1.0, params.alpha, 1.0 - T)
+    c = _theta(1.0, params.alpha, 1.0 - T)
     a2 = params.alpha * params.alpha
     kept_y = 2.0 * T * a2
     # cos(c k) enters with weight e^{-kept_y}; past e^{-40} it is below

@@ -180,26 +180,21 @@ def _cmd_purify(params: dict[str, Any]) -> dict[str, Any]:
     state = MixedCss(CssParams(params["alpha"], params["phi"]), params["p_in"])
     if "eta" in params:
         state = analytic.apply_loss(state, ChannelSetting(params["eta"]))
-    T = params["T"]
     k = params["k"]
+    tap = TapSetting(params["T"], 0.0 if k == "optimal" else k, params.get("eta_H", 1.0))
     if k == "optimal":
-        k = analytic.optimal_k(state.params, 1.0 - T)
-    tap = TapSetting(T, k, params.get("eta_H", 1.0))
-    result: dict[str, Any] = {"k": k}
-    if tap.eta_H == 1.0:
-        out, density_css, density_mix = analytic.purify(state, tap)
-        result.update(
-            p_out=out.p,
-            out_alpha=out.params.alpha,
-            out_phi=out.params.phi,
-            density_css=density_css,
-            density_mix=density_mix,
-            density_joint=state.p * density_css + (1.0 - state.p) * density_mix,
-        )
-    else:
-        out = analytic.purify_with_inefficiency(state, tap)
-        result.update(p_out=out.p, out_alpha=out.params.alpha, out_phi=out.params.phi)
-    return result
+        # the phase is imprinted by the eta_H R of the light the detector sees
+        tap = TapSetting(tap.T, analytic.optimal_k(state.params, tap.eta_H * tap.R), tap.eta_H)
+    out, density_css, density_mix = analytic.purify(state, tap)
+    return {
+        "k": tap.k,
+        "p_out": out.p,
+        "out_alpha": out.params.alpha,
+        "out_phi": out.params.phi,
+        "density_css": density_css,
+        "density_mix": density_mix,
+        "density_joint": state.p * density_css + (1.0 - state.p) * density_mix,
+    }
 
 
 def _cmd_amplify(params: dict[str, Any]) -> dict[str, Any]:

@@ -4,7 +4,10 @@ Each check draws random parameters, runs the same physical situation
 through :mod:`catpurify.analytic` and through the exact simulation in
 :mod:`catpurify.dyads`, and records the largest absolute difference.
 The closed forms run draw by draw; the oracle runs once per check, on all
-draws as one batch of dyad states.
+draws as one batch of dyad states. The purified-fraction and
+inefficient-detector checks run one conditioning comparison, of the output
+fraction and the joint outcome density; the first draws no detector
+efficiency and so tests the ideal detector.
 The two paths share nothing beyond the coherent-state overlap, so
 agreement at 1e-10 (1e-9 for the amplifier cascade) is strong evidence
 both are right. The command line exposes this as ``catpurify verify``.
@@ -103,26 +106,18 @@ def _densities(drawn: _Table) -> np.ndarray:
 
 
 def _purified_fraction(drawn: _Table) -> np.ndarray:
+    # the oracle's detector is a loss of eta_H on the tapped arm, none at eta_H = 1
     states = _mixtures(drawn)
-    closed = [analytic.purify(s, TapSetting(T, k)) for s, T, k in zip(states, drawn["T"], drawn["k"])]
-    tapped = _tapped_mixture(states, drawn["T"])
-    cond, dens = dyads.project_quadrature(tapped, 1, drawn["k"], _HALF_PI)
+    eta_H = drawn.get("eta_H", [1.0] * len(states))
+    taps = [TapSetting(*tap) for tap in zip(drawn["T"], drawn["k"], eta_H)]
+    closed = [analytic.purify(s, tap) for s, tap in zip(states, taps)]
+    attenuated = dyads.loss_on_dyad(_tapped_mixture(states, drawn["T"]), 1, eta_H)
+    cond, dens = dyads.project_quadrature(attenuated, 1, drawn["k"], _HALF_PI)
     oracle = dyads.extract_fraction(cond, [out.params for out, _, _ in closed])
     joint = [s.p * d_css + (1.0 - s.p) * d_mix for s, (_, d_css, d_mix) in zip(states, closed)]
     return np.maximum(
         np.abs(np.subtract([out.p for out, _, _ in closed], oracle)), np.abs(dens - joint)
     )
-
-
-def _inefficient_fraction(drawn: _Table) -> np.ndarray:
-    states = _mixtures(drawn)
-    taps = [TapSetting(*tap) for tap in zip(drawn["T"], drawn["k"], drawn["eta_H"])]
-    outs = [analytic.purify_with_inefficiency(s, tap) for s, tap in zip(states, taps)]
-    tapped = _tapped_mixture(states, drawn["T"])
-    attenuated = dyads.loss_on_dyad(tapped, 1, drawn["eta_H"])
-    cond, _ = dyads.project_quadrature(attenuated, 1, drawn["k"], _HALF_PI)
-    oracle = dyads.extract_fraction(cond, [out.params for out in outs])
-    return np.abs(np.subtract([out.p for out in outs], oracle))
 
 
 def _purity(drawn: _Table) -> np.ndarray:
@@ -154,7 +149,7 @@ _CHECKS = (
         "inefficient-detector fraction",
         1e-10,
         dict(alpha=_ALPHA, phi=_PHI, p=_UNIT, T=_TAP, k=_OUTCOME, eta_H=_TRANSMISSION),
-        _inefficient_fraction,
+        _purified_fraction,
     ),
     ("purity", 1e-10, dict(alpha=_ALPHA, phi=_PHI, p=_UNIT), _purity),
     (_AMPLIFIER, 1e-9, dict(branch=_UNIT, alpha=(0.05, 1.5), p=_UNIT), _amplifier),

@@ -236,10 +236,6 @@ class TestPurify:
         assert all(a > b for a, b in zip(outs, outs[1:]))
         assert p / (p + 1.0 * (1.0 - p)) == pytest.approx(p, abs=1e-16)
 
-    def test_requires_ideal_detector(self):
-        with pytest.raises(ValueError):
-            purify(MixedCss(CssParams(1.0, 0.0), 0.5), TapSetting(0.5, 0.0, 0.9))
-
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateStateError):
             purify(MixedCss(CssParams(0.0, math.pi), 0.5), TapSetting(0.5, 0.0))
@@ -289,9 +285,13 @@ class TestPurifyWithInefficiency:
         joint = dy.attach_vacuum(dy.make_mixed(state))
         joint = dy.bs_on_product(joint, (0, 1), tap.T)
         joint = dy.loss_on_dyad(joint, 1, tap.eta_H)
-        cond, _ = dy.project_quadrature(joint, 1, tap.k, math.pi / 2.0)
+        cond, density = dy.project_quadrature(joint, 1, tap.k, math.pi / 2.0)
         assert out.p == pytest.approx(
             dy.extract_fraction(cond, out.params), abs=1e-10
+        )
+        _, density_css, density_mix = purify(state, tap)
+        assert state.p * density_css + (1.0 - state.p) * density_mix == pytest.approx(
+            density, abs=1e-12
         )
 
     def test_phase_shift_shrinks_with_efficiency(self):

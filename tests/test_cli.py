@@ -6,6 +6,7 @@ stream contents are asserted directly.
 
 import json
 import math
+import shlex
 from pathlib import Path
 
 import pytest
@@ -18,11 +19,11 @@ from catpurify import (
     apply_loss,
     optimal_k,
     purify,
-    purify_with_inefficiency,
 )
 from catpurify.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -63,7 +64,7 @@ class TestPurifyCommand:
         assert payload["density_mix"] == density_mix
         assert payload["density_joint"] == 0.5 * density_css + 0.5 * density_mix
 
-    def test_detector_efficiency_branch(self, capsys):
+    def test_detector_efficiency_reports_the_densities(self, capsys):
         code, out, _ = run_cli(
             capsys,
             "purify", "--format", "json",
@@ -72,12 +73,47 @@ class TestPurifyCommand:
         )
         assert code == 0
         payload = json.loads(out)
-        expected = purify_with_inefficiency(
-            MixedCss(CssParams(1.0, math.pi), 0.5),
-            TapSetting(0.5, math.pi / 2.0, 0.98),
-        )
+        state = MixedCss(CssParams(1.0, math.pi), 0.5)
+        expected, density_css, density_mix = purify(state, TapSetting(0.5, math.pi / 2.0, 0.98))
         assert payload["p_out"] == expected.p
-        assert "density_css" not in payload
+        assert payload["out_phi"] == expected.params.phi
+        assert payload["density_css"] == density_css
+        assert payload["density_mix"] == density_mix
+        assert payload["density_joint"] == 0.5 * density_css + 0.5 * density_mix
+
+    def test_optimal_outcome_cancels_the_phase_behind_an_inefficient_detector(self, capsys):
+        # the detector sees eta_H R of the light, so k solves theta = -phi at R = 0.45
+        code, out, _ = run_cli(
+            capsys,
+            "purify", "--format", "json",
+            "--alpha", "1", "--phi", "pi", "--p-in", "0.5",
+            "--T", "0.5", "--k", "optimal", "--eta-H", "0.9",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["k"] == optimal_k(CssParams(1.0, math.pi), 0.9 * 0.5)
+        assert min(payload["out_phi"], 2.0 * math.pi - payload["out_phi"]) <= 1e-12
+        assert payload["p_out"] == pytest.approx(0.563226, abs=5e-7)
+
+    @pytest.mark.parametrize(
+        "flag,value,name",
+        [
+            ("--eta-H", "0", "detector efficiency eta_H"),
+            ("--eta-H", "nan", "detector efficiency eta_H"),
+            ("--T", "1.5", "transmittance T"),
+            ("--T", "nan", "transmittance T"),
+        ],
+    )
+    def test_bad_tap_with_optimal_outcome_names_the_parameter(self, capsys, flag, value, name):
+        # the tap is checked before the outcome is solved for
+        flags = {"--T": "0.5", "--eta-H": "0.9", flag: value}
+        code, out, err = run_cli(
+            capsys,
+            "purify", "--alpha", "1", "--phi", "pi", "--p-in", "0.5", "--k", "optimal",
+            *(item for pair in flags.items() for item in pair),
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {name} must lie in (0, 1], got {float(value)!r}\n"
 
     def test_line_loss_applied_before_tap(self, capsys):
         code, out, _ = run_cli(
@@ -163,6 +199,24 @@ class TestPurifyCommand:
         assert err == (
             f"physics error: event of zero density: the outcome k={float(k)!r} never occurs\n"
         )
+
+
+def _readme_cli_lines():
+    """The commands of the README's CLI quickstart block."""
+    section = README.read_text(encoding="utf-8").split("## Quickstart (CLI)", 1)[1]
+    block = section.split("```", 2)[1]
+    return [line for line in block.splitlines() if line.startswith("catpurify ")]
+
+
+class TestReadmeQuickstart:
+    def test_block_is_found(self):
+        assert len(_readme_cli_lines()) == 6
+
+    @pytest.mark.parametrize("line", _readme_cli_lines())
+    def test_command_succeeds(self, capsys, tmp_path, monkeypatch, line):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == 0, err
 
 
 class TestConfigFile:

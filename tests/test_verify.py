@@ -261,3 +261,18 @@ def test_nan_oracle_value_fails_its_check(monkeypatch):
     assert [res.passed for res in results] == [True] * 4 + [False, True]
     assert math.isnan(results[4].max_error)
     assert results[4].describe().startswith("FAIL purity: max |analytic - oracle| = nan")
+
+
+def test_perturbed_inefficient_density_fails_its_check(monkeypatch):
+    # only the densities behind an inefficient detector are off, by 1e-6 relative
+    original = analytic.purify
+
+    def perturbed(state, tap):
+        out, density_css, density_mix = original(state, tap)
+        if tap.eta_H < 1.0:
+            return out, density_css * (1.0 + 1e-6), density_mix * (1.0 + 1e-6)
+        return out, density_css, density_mix
+
+    monkeypatch.setattr(analytic, "purify", perturbed)
+    results = verify.run_suite()
+    assert [res.name for res in results if not res.passed] == ["inefficient-detector fraction"]
