@@ -14,34 +14,10 @@ Importing the package loads only the standard library: ``dyads``,
 
 import importlib
 
-from . import analytic, sweeps
+from . import analytic, errors, sweeps
 from ._version import __version__
-from .analytic import (
-    amplification_threshold,
-    amplify,
-    apply_loss,
-    concat_stages,
-    detection_ratio,
-    effective_loss_fraction,
-    homodyne_density_css,
-    homodyne_density_mix,
-    loss_fraction,
-    normalization,
-    optimal_k,
-    purify,
-    purify_with_inefficiency,
-    purity_mixed_css,
-    success_region,
-    theta_of_k,
-    window_acceptance,
-)
-from .errors import (
-    ConfigError,
-    DegenerateStateError,
-    PhysicsError,
-    StateFamilyError,
-    ZeroDensityError,
-)
+from .analytic import *  # the closed forms, as analytic.__all__ lists them
+from .errors import *  # the exception types, as errors.__all__ lists them
 from .states import ChannelSetting, CssParams, MixedCss, TapSetting
 
 __all__ = [
@@ -54,28 +30,8 @@ __all__ = [
     "MixedCss",
     "TapSetting",
     "ChannelSetting",
-    "PhysicsError",
-    "DegenerateStateError",
-    "ZeroDensityError",
-    "StateFamilyError",
-    "ConfigError",
-    "normalization",
-    "apply_loss",
-    "loss_fraction",
-    "effective_loss_fraction",
-    "homodyne_density_css",
-    "homodyne_density_mix",
-    "theta_of_k",
-    "detection_ratio",
-    "purify",
-    "purify_with_inefficiency",
-    "success_region",
-    "optimal_k",
-    "window_acceptance",
-    "amplify",
-    "amplification_threshold",
-    "concat_stages",
-    "purity_mixed_css",
+    *errors.__all__,
+    *analytic.__all__,
     "run_suite",
 ]
 

@@ -13,6 +13,7 @@ exact dyad simulation in :mod:`catpurify.dyads` by the test suite and by
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 from .errors import DegenerateStateError, PhysicsError, ZeroDensityError
@@ -187,10 +188,14 @@ def _ratio(params: CssParams, T: float, theta: float) -> float:
 
 def _warn_if_blind_tap(T: float) -> None:
     if T == 1.0:
+        # name the first caller outside this module, whichever entry point it called
+        level, frame = 2, sys._getframe(1)
+        while frame.f_globals["__name__"] == __name__:
+            level, frame = level + 1, frame.f_back
         warnings.warn(
             "a tap with T=1 reflects nothing; the outcome carries no "
             "information and the fraction is returned unchanged",
-            stacklevel=3,
+            stacklevel=level,
         )
 
 
@@ -292,7 +297,7 @@ def optimal_k(params: CssParams, R: float) -> float:
     target = (-params.phi) % TWO_PI
     if target > math.pi:
         target -= TWO_PI
-    return target / (2.0 * math.sqrt(2.0 * R) * params.alpha)
+    return target / _theta(1.0, params.alpha, R)
 
 
 def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
@@ -431,7 +436,7 @@ def concat_stages(p_in: float, alpha: float) -> tuple[float, float]:
     p_in = _checked(p_in, "fraction", _UNIT)
     if alpha <= 0.0:
         raise ValueError("concatenation needs alpha > 0")
-    p_mid = _posterior(p_in, detection_ratio(CssParams(alpha, 0.0), 0.5, 0.0))
+    p_mid = _posterior(p_in, _ratio(CssParams(alpha, 0.0), 0.5, 0.0))
     boosted = amplify(MixedCss(CssParams(alpha / math.sqrt(2.0), 0.0), p_mid))
     return p_mid, boosted.p
 

@@ -12,6 +12,7 @@ superposition phase. Exit codes: 0 success, 1 failed verification,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -60,6 +61,12 @@ def _to_int(value: Any) -> int:
 def _to_str(value: Any) -> str:
     if not isinstance(value, str):
         raise ValueError("expected a string")
+    return value
+
+
+def _to_format(value: Any) -> str:
+    if value not in _FORMATS:
+        raise ValueError(f"expected one of {_FORMATS}")
     return value
 
 
@@ -113,7 +120,7 @@ def resolve_params(command: str, config_file: str | None, flags: dict[str, Any])
     """Merge file and flag parameters for a command, flags winning, and
     convert every value. All offending keys are reported in one message."""
     spec = _COMMANDS[command][1]
-    converters = {key: convert for key, convert, _, _ in spec}
+    converters = {key: convert for key, convert, _, _ in spec} | {"format": _to_format}
     required = {key for key, _, needed, _ in spec if needed}
     raw: dict[str, Any] = {}
     problems: list[str] = []
@@ -127,22 +134,14 @@ def resolve_params(command: str, config_file: str | None, flags: dict[str, Any])
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a single JSON object")
-        unknown = sorted(set(loaded) - set(converters) - {"format"})
+        unknown = sorted(set(loaded) - set(converters))
         if unknown:
             problems.append(f"unknown parameter(s): {', '.join(unknown)}")
         raw.update({k: v for k, v in loaded.items() if k in converters})
-        if "format" in loaded:
-            raw["format"] = loaded["format"]
     raw.update({k: v for k, v in flags.items() if v is not None})
 
     params: dict[str, Any] = {}
     for key, value in raw.items():
-        if key == "format":
-            if value not in _FORMATS:
-                problems.append(f"invalid value for format: {value!r}")
-            else:
-                params[key] = value
-            continue
         try:
             params[key] = converters[key](value)
         except (ValueError, TypeError):
@@ -236,16 +235,7 @@ def _run_verify(params: dict[str, Any], fmt: str) -> int:
 
     results = run_suite(**params)  # a flag left out keeps run_suite's default
     if fmt == "json":
-        payload = [
-            {
-                "name": r.name,
-                "draws": r.draws,
-                "max_error": r.max_error,
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-            }
-            for r in results
-        ]
+        payload = [{**dataclasses.asdict(r), "passed": r.passed} for r in results]
         print(json.dumps(payload, indent=2))
     else:
         for r in results:

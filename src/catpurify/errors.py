@@ -6,6 +6,8 @@ meaningless raise ``PhysicsError`` subclasses.  The command line maps the
 former to exit code 2 and the latter to exit code 3.
 """
 
+__all__ = ["PhysicsError", "DegenerateStateError", "ZeroDensityError", "StateFamilyError", "ConfigError"]
+
 
 class PhysicsError(Exception):
     """A physically ill-posed request on otherwise valid inputs."""

@@ -6,6 +6,7 @@ they pin the formulas against silent regressions.
 """
 
 import math
+import sys
 import warnings
 
 import mpmath
@@ -257,6 +258,14 @@ class TestPurify:
                 MixedCss(CssParams(1.0, 0.0), 0.5), TapSetting(1.0, 0.3)
             )
         assert out.p == pytest.approx(0.5, abs=1e-16)
+
+    @pytest.mark.parametrize("condition", [purify, purify_with_inefficiency])
+    def test_blind_tap_warning_names_the_caller(self, condition):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            line = sys._getframe().f_lineno + 1
+            condition(MixedCss(CssParams(1.0, 0.0), 0.5), TapSetting(1.0, 0.3))
+        assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
 
 
 class TestPurifyWithInefficiency:

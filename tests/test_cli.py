@@ -4,8 +4,10 @@ Everything goes through ``main(argv)`` in-process so exit codes and
 stream contents are asserted directly.
 """
 
+import dataclasses
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -20,7 +22,8 @@ from catpurify import (
     optimal_k,
     purify,
 )
-from catpurify.cli import main
+from catpurify.cli import _COMMANDS, main
+from catpurify.verify import CheckResult
 
 GOLDEN = Path(__file__).parent / "golden"
 README = Path(__file__).parent.parent / "README.md"
@@ -219,6 +222,29 @@ class TestReadmeQuickstart:
         assert code == 0, err
 
 
+def _readme_flag_table():
+    """{flag: the set of commands its row names}, one entry per flag of the
+    README's flag table."""
+    section = README.read_text(encoding="utf-8").split("| flag | domain | commands |", 1)[1]
+    table = {}
+    for line in section.splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        flags, _, commands = line.strip("|").split(" | ")
+        for flag in re.findall(r"`([^`]+)`", flags):
+            assert flag not in table, f"{flag} has two rows"
+            table[flag] = set(re.findall(r"`([^`]+)`", commands))
+    return table
+
+
+def test_readme_flag_table_names_each_flag_and_its_commands():
+    expected = {}
+    for command, (_, spec) in _COMMANDS.items():
+        for key, _, _, _ in spec:
+            expected.setdefault("--" + key.replace("_", "-"), set()).add(command)
+    assert _readme_flag_table() == expected
+
+
 class TestConfigFile:
     def test_flags_override_file(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -244,6 +270,20 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out)["p_out"] == pytest.approx(
             0.5922488638743828, abs=0
+        )
+
+    def test_problems_follow_the_file_order(self, capsys, tmp_path):
+        # every key, format included, is converted in the order the file
+        # lists it; flags the file does not set follow
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(
+            {"format": "x", "alpha": "bad", "phi": "pi", "p_in": 0.5}
+        ))
+        code, out, err = run_cli(capsys, "amplify", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == (
+            "error: amplify: invalid value for format: 'x'; invalid value for alpha: 'bad'; "
+            "missing required parameter(s): alpha\n"
         )
 
     def test_unknown_file_key_rejected(self, capsys, tmp_path):
@@ -413,6 +453,8 @@ class TestVerifyCommand:
         assert len(payload) == 6
         assert all(entry["passed"] for entry in payload)
         assert all(entry["max_error"] <= entry["tolerance"] for entry in payload)
+        fields = [f.name for f in dataclasses.fields(CheckResult)]
+        assert all(list(entry) == [*fields, "passed"] for entry in payload)
 
     @pytest.mark.parametrize(
         "flag,value,name",

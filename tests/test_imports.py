@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import catpurify
+from catpurify import analytic, errors
 from catpurify.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -55,3 +57,29 @@ def test_cold_cli_prints_what_main_prints(capsys):
     argv = ["amplify", "--alpha", "0.5", "--phi", "pi", "--p-in", "0.5"]
     assert main(argv) == 0
     assert run_python("-m", "catpurify.cli", *argv) == capsys.readouterr().out
+
+
+# the package's exports in order; the exception types and the closed forms
+# come from the __all__ of their own modules
+PUBLIC = [
+    "__version__", "analytic", "dyads", "sweeps", "verify",
+    "CssParams", "MixedCss", "TapSetting", "ChannelSetting",
+    "PhysicsError", "DegenerateStateError", "ZeroDensityError", "StateFamilyError", "ConfigError",
+    "normalization", "apply_loss", "loss_fraction", "effective_loss_fraction",
+    "homodyne_density_css", "homodyne_density_mix", "theta_of_k", "detection_ratio",
+    "purify", "purify_with_inefficiency", "success_region", "optimal_k", "window_acceptance",
+    "amplify", "amplification_threshold", "concat_stages", "purity_mixed_css",
+    "run_suite",
+]
+
+
+def test_package_exports_are_pinned():
+    assert catpurify.__all__ == PUBLIC
+
+
+@pytest.mark.parametrize(
+    "module, name", [(module, name) for module in (errors, analytic) for name in module.__all__]
+)
+def test_module_lists_are_exported_as_themselves(module, name):
+    assert name in catpurify.__all__
+    assert getattr(catpurify, name) is getattr(module, name)
