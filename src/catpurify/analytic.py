@@ -123,8 +123,8 @@ def effective_loss_fraction(
 def theta_of_k(k: float, alpha: float, R: float) -> float:
     """Phase shift theta = 2 sqrt(2 R) alpha k imprinted on the kept mode by
     a homodyne outcome k on the reflected arm. Reported unreduced; compare
-    phases mod 2 pi."""
-    return _theta(
+    phases mod 2 pi. A theta beyond the float range is a ValueError."""
+    return _imprinted(
         _checked(k, "homodyne outcome", _FINITE),
         _checked(alpha, "amplitude", _NONNEGATIVE),
         _checked(R, "reflectivity", _UNIT),
@@ -133,6 +133,17 @@ def theta_of_k(k: float, alpha: float, R: float) -> float:
 
 def _theta(k: float, alpha: float, R: float) -> float:
     return 2.0 * math.sqrt(2.0 * R) * alpha * k
+
+
+def _imprinted(k: float, alpha: float, R: float) -> float:
+    """theta(k) as a float: 0 at k = 0 for every alpha, else a ValueError
+    where it is beyond the float range."""
+    theta = _theta(k, alpha, R)
+    if not math.isfinite(theta):  # past alpha ~ 9e307 2 sqrt(2 R) alpha alone overflows
+        theta = 2.0 * math.sqrt(2.0 * R) * k * alpha
+        if math.isinf(theta):
+            raise ValueError(f"the imprinted phase 2 sqrt(2R) alpha k overflows at k={k!r}, alpha={alpha!r}")
+    return theta
 
 
 def homodyne_density_css(k: float, params: CssParams, T: float) -> float:
@@ -147,9 +158,21 @@ def homodyne_density_css(k: float, params: CssParams, T: float) -> float:
     if density_mix == 0.0:
         return 0.0
     theta = _theta(k, params.alpha, 1.0 - T)
-    a2 = params.alpha * params.alpha
-    kept = _pair_norm(params.phi + theta, 2.0 * T * a2)
-    return density_mix * kept / _pair_norm(params.phi, 2.0 * a2)
+    return _density_css(density_mix, *_norms(params.alpha, params.phi, T, theta))
+
+
+def _norms(alpha: float, phi: float, T: float, theta: float) -> tuple[float, float]:
+    """N(phi + theta, 2 T alpha^2) and N(phi, 2 alpha^2): P_C is P_0 times
+    the first over the second, and the detection ratio is their inverse."""
+    a2 = alpha * alpha
+    return _pair_norm(phi + theta, 2.0 * T * a2), _pair_norm(phi, 2.0 * a2)
+
+
+def _density_css(density_mix: float, kept: float, norm: float) -> float:
+    """P_0 kept / norm; the quotient comes first where the product is
+    subnormal and has lost bits."""
+    product = density_mix * kept
+    return product / norm if product >= sys.float_info.min else density_mix * (kept / norm)
 
 
 def homodyne_density_mix(k: float) -> float:
@@ -169,21 +192,20 @@ def detection_ratio(params: CssParams, T: float, theta: float) -> float:
     Purification succeeds iff the ratio is below 1; over theta it is
     minimized at theta = -phi (mod 2 pi).
     """
-    return _ratio(
-        params,
-        _checked(T, "transmittance", _POSITIVE_UNIT),
-        _checked(theta, "phase", _FINITE),
-    )
+    T = _checked(T, "transmittance", _POSITIVE_UNIT)
+    return _ratio(params.alpha, params.phi, T, _checked(theta, "phase", _FINITE))
 
 
-def _ratio(params: CssParams, T: float, theta: float) -> float:
-    a2 = params.alpha * params.alpha
-    kept = _pair_norm(params.phi + theta, 2.0 * T * a2)
+def _ratio(alpha: float, phi: float, T: float, theta: float) -> float:
+    return _ratio_of(*_norms(alpha, phi, T, theta))
+
+
+def _ratio_of(kept: float, norm: float) -> float:
     if kept <= 0.0:
         raise ZeroDensityError(
             "event of zero density: the superposition never produces this outcome"
         )
-    return _pair_norm(params.phi, 2.0 * a2) / kept
+    return norm / kept
 
 
 def _warn_if_blind_tap(T: float) -> None:
@@ -226,9 +248,9 @@ def purify(state: MixedCss, tap: TapSetting) -> tuple[MixedCss, float, float]:
         # no component produces k, and theta(k) may overflow there
         raise _never_occurs(k)
     missed = (1.0 - tap.eta_H) * tap.R
-    theta = _checked(_theta(k, params.alpha, tap.eta_H * tap.R), "phase", _FINITE)
-    ratio = _ratio(params, tap.T + missed, theta)
-    density_css = density_mix / ratio
+    theta = _imprinted(k, params.alpha, tap.eta_H * tap.R)
+    kept, norm = _norms(params.alpha, params.phi, tap.T + missed, theta)
+    ratio, density_css = _ratio_of(kept, norm), _density_css(density_mix, kept, norm)
     p = state.p
     if p * density_css + (1.0 - p) * density_mix == 0.0:
         raise _never_occurs(k)
@@ -349,6 +371,7 @@ def window_acceptance(
     _require_normalizable(params)
     T = _checked(T, "transmittance", _POSITIVE_UNIT)
     center = _checked(center, "window center", _FINITE)
+    half_width = float(half_width)  # inf spans the whole line
     if not half_width >= 0.0:
         raise ValueError("window half-width must be >= 0")
     lo = max(center - half_width, -_K_REPRESENTABLE)
@@ -402,6 +425,9 @@ def amplify(state: MixedCss) -> MixedCss:
             "the closed form covers phi in {0, pi} only; simulate other "
             "phases with catpurify.dyads.amplifier_sim"
         )
+    out_alpha = math.sqrt(2.0) * params.alpha
+    if out_alpha == math.inf:
+        raise ValueError(f"amplified amplitude sqrt(2) alpha overflows at alpha={params.alpha!r}")
     a2 = params.alpha * params.alpha
     g4 = math.exp(-4.0 * a2)
     p = state.p
@@ -414,7 +440,7 @@ def amplify(state: MixedCss) -> MixedCss:
         _require_normalizable(params)
         x = (1.0 - p) * -math.expm1(-2.0 * a2) / p if p > 0.0 else math.inf
         p_out = (1.0 + g4) / (1.0 + g4 + x * (2.0 + x))
-    return MixedCss(CssParams(math.sqrt(2.0) * params.alpha, 0.0), p_out)
+    return MixedCss(CssParams(out_alpha, 0.0), p_out)
 
 
 def amplification_threshold(alpha: float) -> float:
@@ -434,9 +460,10 @@ def concat_stages(p_in: float, alpha: float) -> tuple[float, float]:
     """Fractions after each stage of the purify-then-amplify concatenation:
     (after conditioning two copies at T=1/2, k=0; after amplifying back)."""
     p_in = _checked(p_in, "fraction", _UNIT)
+    alpha = float(alpha)  # NaN and inf are rejected once, by the record of a copy
     if alpha <= 0.0:
         raise ValueError("concatenation needs alpha > 0")
-    p_mid = _posterior(p_in, _ratio(CssParams(alpha, 0.0), 0.5, 0.0))
+    p_mid = _posterior(p_in, _ratio(alpha, 0.0, 0.5, 0.0))
     boosted = amplify(MixedCss(CssParams(alpha / math.sqrt(2.0), 0.0), p_mid))
     return p_mid, boosted.p
 

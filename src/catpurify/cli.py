@@ -162,16 +162,14 @@ def _fmt_plain(value: Any) -> str:
     return str(value)
 
 
-def _render(result: dict[str, Any], fmt: str) -> str:
+def _render(result: dict[str, Any] | list[dict[str, Any]], fmt: str) -> str:
+    """One result, or a list of them as JSON or as CSV rows under one header."""
     if fmt == "json":
         return json.dumps(result, indent=2)
     if fmt == "csv":
-        header = ",".join(result)
-        cells = ",".join(
-            format(v, ".12g") if isinstance(v, float) else str(v)
-            for v in result.values()
-        )
-        return header + "\n" + cells
+        rows = result if isinstance(result, list) else [result]
+        cells = ([format(v, ".12g") if isinstance(v, float) else str(v) for v in row.values()] for row in rows)
+        return "\n".join(",".join(line) for line in (rows[0], *cells))
     return "\n".join(f"{key} = {_fmt_plain(v)}" for key, v in result.items())
 
 
@@ -218,12 +216,9 @@ def _cmd_concat(params: dict[str, Any]) -> dict[str, Any]:
 
 def _cmd_sweep(params: dict[str, Any], reproducible: bool) -> dict[str, Any]:
     """Every parameter but the figure and the output path overrides one of
-    the figure's fixed parameters."""
+    the figure's fixed parameters; `run_sweep` rejects one it does not fix."""
     spec = sweeps.default_spec(params.pop("figure_id"))
     path = params.pop("output", sweeps.csv_name(spec.figure_id))
-    rejected = sorted(set(params) - set(spec.fixed_params))
-    if rejected:
-        raise ConfigError(f"{spec.figure_id} does not take parameter(s): {', '.join(rejected)}")
     fixed = {**spec.fixed_params, **params}
     table = sweeps.run_sweep(sweeps.SweepSpec(spec.figure_id, fixed, spec.grid))
     sweeps.emit_csv(table, path, reproducible=reproducible)
@@ -234,12 +229,11 @@ def _run_verify(params: dict[str, Any], fmt: str) -> int:
     from .verify import run_suite  # the oracle needs numpy; only verify pays for it
 
     results = run_suite(**params)  # a flag left out keeps run_suite's default
-    if fmt == "json":
-        payload = [{**dataclasses.asdict(r), "passed": r.passed} for r in results]
-        print(json.dumps(payload, indent=2))
-    else:
+    if fmt == "plain":
         for r in results:
             print(r.describe())
+    else:
+        print(_render([{**dataclasses.asdict(r), "passed": r.passed} for r in results], fmt))
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 from . import analytic
 from ._version import __version__
 from .errors import ConfigError
-from .states import _FINITE, _NONNEGATIVE, _POSITIVE_UNIT, CssParams, _checked
+from .states import _FINITE, _NONNEGATIVE, _POSITIVE_UNIT, CssParams, _checked, _reduce_phase
 
 __all__ = [
     "GridAxis",
@@ -120,10 +120,10 @@ class _Figure:
     row: Callable[..., Callable[..., tuple[float, ...]]]
 
 
-# the domain of each parameter a figure may fix; a fixed p_in of 0 leaves
-# no superposition to purify, and the gain p_out / p_in is then 0 / 0
-_FIXED_DOMAINS = {
-    "alpha": _NONNEGATIVE, "phi": _FINITE, "T": _POSITIVE_UNIT, "p_in": _POSITIVE_UNIT
+# the domain of each parameter a figure fixes or scans, one per name; a p_in
+# of 0 leaves no superposition to purify, and the gain p_out / p_in is 0 / 0
+_DOMAINS = {
+    "alpha": _NONNEGATIVE, "phi": _FINITE, "T": _POSITIVE_UNIT, "p_in": _POSITIVE_UNIT, "k": _FINITE
 }
 
 
@@ -135,12 +135,12 @@ def _densities(T, alpha, phi):
 
 
 def _gain_vs_k(T, alpha, phi, p_in):
-    params = CssParams(alpha, phi)
+    phi = _reduce_phase(phi)
     R = 1.0 - T
 
     def row(k):
-        theta = analytic.theta_of_k(k, alpha, R)
-        p_out = analytic._posterior(p_in, analytic.detection_ratio(params, T, theta))
+        theta = analytic._theta(k, alpha, R)
+        p_out = analytic._posterior(p_in, analytic._ratio(alpha, phi, T, theta))
         return k, p_out, p_out / p_in
 
     return row
@@ -151,12 +151,10 @@ def _matched_ratios(alpha, T):
     phi=0 read at k=0, and phi=pi read at k_pi, the outcome whose phase
     cancels pi. Returns (ratio_0, ratio_pi, k_pi)."""
     R = 1.0 - T
-    opposed = CssParams(alpha, math.pi)
-    k_pi = analytic.optimal_k(opposed, R)
-    theta_pi = analytic.theta_of_k(k_pi, alpha, R)
+    k_pi = analytic.optimal_k(CssParams(alpha, math.pi), R)
     return (
-        analytic.detection_ratio(CssParams(alpha, 0.0), T, 0.0),
-        analytic.detection_ratio(opposed, T, theta_pi),
+        analytic._ratio(alpha, 0.0, T, 0.0),
+        analytic._ratio(alpha, math.pi, T, analytic._theta(k_pi, alpha, R)),
         k_pi,
     )
 
@@ -191,7 +189,7 @@ def _gain_density_vs_T(alpha, p_in):
             # the favorable outcome recedes to k -> inf: the phase-pi tap
             # still shows the limiting gain but the event has density 0;
             # the blind phi=0 tap leaves the fraction as it is
-            ratio0, ratio_pi = 1.0, analytic.detection_ratio(opposed, T, math.pi)
+            ratio0, ratio_pi = 1.0, analytic._ratio(alpha, math.pi, T, math.pi)
             density_pi = 0.0
         else:
             ratio0, ratio_pi, k_pi = _matched_ratios(alpha, T)
@@ -293,14 +291,18 @@ def _validate(spec: SweepSpec, fig: _Figure) -> None:
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate a sweep. Deterministic: rows follow the product of the grid
     axes, the last axis fastest, and every value comes from the closed-form
-    layer. A fixed parameter outside its
-    domain is a ValueError, raised before any row is built."""
+    layer. A fixed value or a grid axis end outside its parameter's domain
+    is a ValueError, raised before any row is built; the rows then compute
+    on the checked floats."""
     fig = _figure(spec.figure_id)
     _validate(spec, fig)
     fixed = {
-        name: _checked(v, f"{spec.figure_id}: fixed {name}", _FIXED_DOMAINS[name])
+        name: _checked(v, f"{spec.figure_id}: fixed {name}", _DOMAINS[name])
         for name, v in spec.fixed_params.items()
     }
+    for axis in spec.grid:
+        for end in (axis.start, axis.stop):
+            _checked(end, f"{spec.figure_id}: grid {axis.name}", _DOMAINS[axis.name])
     grid = product(*(axis.values() for axis in spec.grid))
     rows = tuple(starmap(fig.row(**fixed), grid))
     metadata: dict[str, str] = {"figure": spec.figure_id}

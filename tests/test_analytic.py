@@ -229,6 +229,22 @@ class TestPurify:
             assert purify(MixedCss(params, 0.0), tap)[0].p == 0.0
             assert purify(MixedCss(params, 1.0), tap)[0].p == 1.0
 
+    def test_superposition_density_is_the_homodyne_density(self):
+        # one formula for P_C: bit for bit, in the verify box and beyond it
+        rng = np.random.default_rng(25)
+        for i in range(20000):
+            if i % 2:
+                alpha, k = rng.uniform(0.02, 2.0), rng.uniform(-3.0, 3.0)
+            else:
+                alpha, k = 10.0 ** rng.uniform(-8.0, 1.5), rng.uniform(-27.0, 27.0)
+            params = CssParams(alpha, rng.uniform(0.0, TWO_PI))
+            T = rng.uniform(0.02, 0.98)
+            try:
+                _, density_css, _ = purify(MixedCss(params, rng.uniform()), TapSetting(T, k))
+            except ZeroDensityError:
+                continue
+            assert density_css == homodyne_density_css(k, params, T), (alpha, params.phi, T, k)
+
     def test_monotone_in_ratio(self):
         # p_out falls as the ratio grows, and equals p_in at ratio one
         p = 0.37
@@ -858,12 +874,26 @@ class TestRawFloatMessages:
                 lambda: window_acceptance(_MIX, 0.5, math.nan, 1.0),
                 "window center must be finite, got nan",
             ),
+            (lambda: concat_stages(0.5, "0"), "concatenation needs alpha > 0"),
+            (lambda: concat_stages(0.5, np.float64(-1.0)), "concatenation needs alpha > 0"),
+            (lambda: concat_stages(0.5, "nan"), "alpha must be a finite real >= 0, got nan"),
+            (lambda: concat_stages(0.5, "inf"), "alpha must be a finite real >= 0, got inf"),
+            (lambda: window_acceptance(_MIX, 0.5, 0.0, "-1"), "window half-width must be >= 0"),
+            (lambda: window_acceptance(_MIX, 0.5, 0.0, "nan"), "window half-width must be >= 0"),
         ],
     )
     def test_exact_message(self, call, message):
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
+
+    def test_numeric_strings_and_numpy_scalars_convert(self):
+        assert concat_stages(0.5, "1") == concat_stages(0.5, np.float64(1.0)) == concat_stages(0.5, 1.0)
+        accepted = window_acceptance(_MIX, 0.5, 0.0, 1.0)
+        assert window_acceptance(_MIX, 0.5, 0.0, "1") == accepted
+        assert window_acceptance(_MIX, 0.5, 0.0, np.float64(1.0)) == accepted
+        # an infinite half-width spans the whole line
+        assert window_acceptance(_MIX, 0.5, 0.0, "inf") == pytest.approx(1.0, rel=1e-12)
 
 
 # alpha^2 overflows past alpha = 1.34e154; every exponent e^{-c alpha^2}
@@ -929,6 +959,17 @@ class TestHugeAmplitude:
         assert _in_unit(out.p)
         assert concat_stages(0.5, alpha) == concat_stages(0.5, _LARGE)
 
+    @pytest.mark.parametrize("phi", [0.0, math.pi])
+    def test_overflowed_amplified_amplitude(self, phi):
+        # the largest alpha whose sqrt(2) alpha is still a float
+        largest = 1.271161006153646e308
+        out = amplify(MixedCss(CssParams(largest, phi), 0.5))
+        assert out.params.alpha == math.sqrt(2.0) * largest
+        for alpha in (math.nextafter(largest, math.inf), 1.7e308):
+            with pytest.raises(ValueError) as info:
+                amplify(MixedCss(CssParams(alpha, phi), 0.5))
+            assert str(info.value) == f"amplified amplitude sqrt(2) alpha overflows at alpha={alpha!r}"
+
 
 class TestOverflowedPhase:
     """An imprinted phase 2 sqrt(2 R) alpha k beyond the float range: an
@@ -944,6 +985,30 @@ class TestOverflowedPhase:
         with pytest.raises(ZeroDensityError) as info:
             purify(MixedCss(params, 0.5), TapSetting(0.5, k))
         assert str(info.value) == f"event of zero density: the outcome k={k!r} never occurs"
+
+    @pytest.mark.parametrize("alpha", [1e308, 1.7e308])
+    @pytest.mark.parametrize("T", [0.5, 0.1])
+    def test_zero_outcome_imprints_no_phase(self, alpha, T):
+        assert theta_of_k(0.0, alpha, 1.0 - T) == 0.0
+        out, density_css, density_mix = purify(MixedCss(CssParams(alpha, 1.0), 0.5), TapSetting(T, 0.0))
+        assert out == MixedCss(CssParams(math.sqrt(T) * alpha, 1.0), 0.5)
+        assert density_css == density_mix == homodyne_density_mix(0.0)
+
+    def test_representable_phase_kept(self):
+        # 2 sqrt(2 R) alpha overflows, the product with k does not
+        assert theta_of_k(0.3, 1.7e308, 0.5) == pytest.approx(1.02e308, rel=1e-15)
+        out, _, _ = purify(MixedCss(CssParams(1.7e308, 0.0), 0.5), TapSetting(0.5, 0.3))
+        assert out.p == 0.5 and 0.0 <= out.params.phi < TWO_PI
+
+    @pytest.mark.parametrize("k, alpha", [(1.0, 1e308), (-1.0, 1.7e308), (20.0, 1e307)])
+    def test_unrepresentable_phase_raises(self, k, alpha):
+        message = f"the imprinted phase 2 sqrt(2R) alpha k overflows at k={k!r}, alpha={alpha!r}"
+        with pytest.raises(ValueError) as info:
+            theta_of_k(k, alpha, 0.5)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            purify(MixedCss(CssParams(alpha, 0.0), 0.5), TapSetting(0.5, k))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("alpha", [1e307, 1e308, 1.7e308])
     @pytest.mark.parametrize("phi", [0.0, 1.0, math.pi])

@@ -4,7 +4,9 @@ Everything goes through ``main(argv)`` in-process so exit codes and
 stream contents are asserted directly.
 """
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import re
@@ -336,6 +338,13 @@ class TestAmplifyAndConcat:
         assert code == 0 and err == ""
         assert json.loads(out)["p_out"] == 1.0
 
+    def test_overflowed_amplified_amplitude_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "amplify", "--alpha", "1.7e308", "--phi", "0", "--p-in", "0.5"
+        )
+        assert code == 2 and out == ""
+        assert err == "error: amplified amplitude sqrt(2) alpha overflows at alpha=1.7e+308\n"
+
     def test_degenerate_odd_pair_is_a_physics_error(self, capsys):
         code, out, err = run_cli(
             capsys, "amplify", "--alpha", "1e-170", "--phi", "pi", "--p-in", "0.5"
@@ -389,7 +398,7 @@ class TestSweepCommand:
             "--phi", "pi", "--output", str(tmp_path / "x.csv"),
         )
         assert code == 2
-        assert "does not take parameter(s): phi" in err
+        assert err == "error: fig6_pout_vs_pin: unknown fixed parameter(s): phi\n"
 
     def test_fixed_override_changes_output(self, capsys, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -455,6 +464,20 @@ class TestVerifyCommand:
         assert all(entry["max_error"] <= entry["tolerance"] for entry in payload)
         fields = [f.name for f in dataclasses.fields(CheckResult)]
         assert all(list(entry) == [*fields, "passed"] for entry in payload)
+
+    def test_csv_output(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "verify", "--format", "csv", "--draws", "20", "--amp-draws", "5",
+        )
+        assert code == 0
+        reader = csv.DictReader(io.StringIO(out))
+        fields = [f.name for f in dataclasses.fields(CheckResult)]
+        assert reader.fieldnames == [*fields, "passed"]
+        rows = list(reader)
+        assert len(rows) == 6
+        assert all(row["passed"] == "True" for row in rows)
+        assert all(float(row["max_error"]) <= float(row["tolerance"]) for row in rows)
 
     @pytest.mark.parametrize(
         "flag,value,name",

@@ -446,14 +446,35 @@ class TestAmplifierSim:
         )
 
     def test_term_count_stays_bounded(self):
-        state = dy.make_mixed(MixedCss(CssParams(1.1, math.pi), 0.37))
-        joint = dy.tensor(state, state)
-        joint = dy.bs_on_product(joint, (0, 1), 0.5)
-        joint = dy.tensor(joint, dy.make_coherent(math.sqrt(2.0) * 1.1))
-        joint = dy.bs_on_product(joint, (0, 2), 0.5)
-        joint, _ = dy.project_click(joint, 2)
-        joint, _ = dy.project_click(joint, 0)
-        assert len(joint.coeff) <= 64
+        """Terms after each stage of the chain: the copy, the two copies,
+        their beam splitter, the ancilla, its beam splitter, the two clicks
+        and the normalization. A pure or fully dephased copy has half the
+        terms of a mixture."""
+        mixed, dephased = (4, 16, 16, 16, 16, 9, 4, 4), (2, 4, 4, 4, 4, 3, 2, 2)
+        cases = [
+            ((1.1, math.pi, 0.37), mixed),
+            ((0.4, 0.0, 0.8), mixed),
+            ((1.1, math.pi, 1.0), mixed),
+            ((1.1, math.pi, 0.0), dephased),
+            ((0.4, 0.0, 0.0), dephased),
+        ]
+        for (alpha, phi, p), expected in cases:
+            state = dy.make_mixed(MixedCss(CssParams(alpha, phi), p))
+            counts = [len(state.coeff)]
+            joint = dy.tensor(state, state)
+            counts.append(len(joint.coeff))
+            joint = dy.bs_on_product(joint, (0, 1), 0.5)
+            counts.append(len(joint.coeff))
+            joint = dy.tensor(joint, dy.make_coherent(math.sqrt(2.0) * alpha))
+            counts.append(len(joint.coeff))
+            joint = dy.bs_on_product(joint, (0, 2), 0.5)
+            counts.append(len(joint.coeff))
+            joint, _ = dy.project_click(joint, 2)
+            counts.append(len(joint.coeff))
+            joint, _ = dy.project_click(joint, 0)
+            counts.append(len(joint.coeff))
+            counts.append(len(dy.normalize(joint).coeff))
+            assert tuple(counts) == expected, (alpha, phi, p)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):

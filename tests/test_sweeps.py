@@ -290,6 +290,77 @@ def _override(figure_id, **fixed):
     return sweeps.SweepSpec(figure_id, {**spec.fixed_params, **fixed}, spec.grid)
 
 
+def _regrid(figure_id, *axes):
+    spec = sweeps.default_spec(figure_id)
+    return sweeps.SweepSpec(figure_id, spec.fixed_params, axes)
+
+
+class TestGridDomains:
+    """Both ends of every grid axis are checked against the domain of the
+    parameter it scans, the same domain a fixed value of that name has,
+    before any row is built."""
+
+    @pytest.mark.parametrize(
+        "figure_id, axis, bad, domain",
+        [
+            ("fig6_pout_vs_pin", sweeps.GridAxis("p_in", 1.5, 2.0, 0.1), 1.5, "(0, 1]"),
+            ("fig6_pout_vs_pin", sweeps.GridAxis("p_in", -0.5, 0.5, 0.1), -0.5, "(0, 1]"),
+            ("fig6_pout_vs_pin", sweeps.GridAxis("p_in", 0.0, 0.5, 0.1), 0.0, "(0, 1]"),
+            ("fig6_pout_vs_pin", sweeps.GridAxis("p_in", 0.5, 1.5, 0.1), 1.5, "(0, 1]"),
+            ("fig8_gain_and_density_vs_T", sweeps.GridAxis("T", 0.5, 1.2, 0.1), 1.2, "(0, 1]"),
+            ("fig8_gain_and_density_vs_T", sweeps.GridAxis("T", 0.0, 0.5, 0.1), 0.0, "(0, 1]"),
+        ],
+    )
+    def test_out_of_domain_end_named(self, figure_id, axis, bad, domain):
+        with pytest.raises(ValueError) as info:
+            sweeps.run_sweep(_regrid(figure_id, axis))
+        assert str(info.value) == f"{figure_id}: grid {axis.name} must lie in {domain}, got {bad!r}"
+
+    def test_amplitude_axis(self):
+        axis = sweeps.GridAxis("alpha", -1.0, 1.0, 0.5)
+        with pytest.raises(ValueError) as info:
+            sweeps.run_sweep(_regrid("fig7_gain_vs_alpha", axis))
+        assert str(info.value) == "fig7_gain_vs_alpha: grid alpha must be a finite real >= 0, got -1.0"
+
+    def test_second_axis_checked(self):
+        spec = sweeps.default_spec("concat_scan")
+        axes = (spec.grid[0], sweeps.GridAxis("p_in", 0.0, 0.5, 0.1))
+        with pytest.raises(ValueError, match="concat_scan: grid p_in must lie in"):
+            sweeps.run_sweep(_regrid("concat_scan", *axes))
+
+    def test_checked_before_any_row(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(analytic, "_ratio", fail)
+        with pytest.raises(ValueError, match="grid p_in"):
+            sweeps.run_sweep(_regrid("fig6_pout_vs_pin", sweeps.GridAxis("p_in", 0.5, 1.5, 0.1)))
+
+    def test_ends_inside_accepted(self):
+        table = sweeps.run_sweep(_regrid("fig6_pout_vs_pin", sweeps.GridAxis("p_in", 0.5, 1.0, 0.25)))
+        assert [row[0] for row in table.rows] == [0.5, 0.75, 1.0]
+
+
+class TestRowsComputeOnCheckedFloats:
+    @pytest.mark.parametrize(
+        "figure_id",
+        [
+            "fig4_gain_vs_k_phi0",
+            "fig5_gain_vs_k_phipi",
+            "fig6_pout_vs_pin",
+            "fig7_gain_vs_alpha",
+            "fig8_gain_and_density_vs_T",
+        ],
+    )
+    def test_no_row_calls_a_checking_closed_form(self, figure_id, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a row re-checked its inputs")
+
+        monkeypatch.setattr(analytic, "theta_of_k", fail)
+        monkeypatch.setattr(analytic, "detection_ratio", fail)
+        assert sweeps.run_sweep(sweeps.default_spec(figure_id)).rows
+
+
 class TestFixedParameterDomains:
     """A fixed parameter outside its domain is rejected, by name, before any
     row is built."""
@@ -330,7 +401,7 @@ class TestFixedParameterDomains:
         def fail(*args):
             raise AssertionError("a row was built")
 
-        monkeypatch.setattr(analytic, "detection_ratio", fail)
+        monkeypatch.setattr(analytic, "_ratio", fail)
         with pytest.raises(ValueError, match="fixed p_in"):
             sweeps.run_sweep(_override("fig4_gain_vs_k_phi0", p_in=1.5))
 
