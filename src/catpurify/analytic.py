@@ -12,6 +12,7 @@ exact dyad simulation in :mod:`catpurify.dyads` by the test suite and by
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 import warnings
@@ -319,7 +320,10 @@ def optimal_k(params: CssParams, R: float) -> float:
     target = (-params.phi) % TWO_PI
     if target > math.pi:
         target -= TWO_PI
-    return target / _theta(1.0, params.alpha, R)
+    per_outcome = _theta(1.0, params.alpha, R)
+    if math.isinf(per_outcome):  # past alpha ~ 6e307 the phase per unit outcome overflows
+        return target / (2.0 * math.sqrt(2.0 * R)) / params.alpha
+    return target / per_outcome
 
 
 def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
@@ -416,6 +420,10 @@ def amplify(state: MixedCss) -> MixedCss:
     p_out = (1 + g4) / (1 + g4 + x (2 + x)) with x = (1-p)(1 - g2)/p,
     which stays finite where (1 - g2)^2 underflows. A degenerate odd pair
     raises DegenerateStateError.
+
+    The output record, g4 and the gate depend on (alpha, phi) alone and are
+    computed once per amplitude through a small bounded memo, so a scan that
+    holds alpha while p varies pays for them once.
     """
     params = state.params
     if params.alpha <= 0.0:
@@ -425,22 +433,36 @@ def amplify(state: MixedCss) -> MixedCss:
             "the closed form covers phi in {0, pi} only; simulate other "
             "phases with catpurify.dyads.amplifier_sim"
         )
-    out_alpha = math.sqrt(2.0) * params.alpha
-    if out_alpha == math.inf:
-        raise ValueError(f"amplified amplitude sqrt(2) alpha overflows at alpha={params.alpha!r}")
-    a2 = params.alpha * params.alpha
-    g4 = math.exp(-4.0 * a2)
+    out_params, g4, gate = _amplifier(params.alpha, params.phi)
     p = state.p
     if params.phi == 0.0:
-        gate = 1.0 + math.exp(-2.0 * a2)
         coeff = (1.0 + g4) / (gate * gate)
         den = coeff * p * p + 2.0 * p * (1.0 - p) / gate + (1.0 - p) ** 2
         p_out = coeff * p * p / den
     else:
         _require_normalizable(params)
-        x = (1.0 - p) * -math.expm1(-2.0 * a2) / p if p > 0.0 else math.inf
+        x = (1.0 - p) * gate / p if p > 0.0 else math.inf
         p_out = (1.0 + g4) / (1.0 + g4 + x * (2.0 + x))
-    return MixedCss(CssParams(out_alpha, 0.0), p_out)
+    return MixedCss(out_params, p_out)
+
+
+# Each memo below holds a handful of amplitudes: a scan holds alpha while the
+# fraction varies, so one sweep computes each amplitude's constants once, and
+# a second sweep of the same grid starts cold. Exceptions are not cached.
+_AMPLITUDES_KEPT = 4
+
+
+@functools.lru_cache(maxsize=_AMPLITUDES_KEPT)
+def _amplifier(alpha: float, phi: float) -> tuple[CssParams, float, float]:
+    """(CssParams(sqrt(2) alpha, 0), g4, gate) of `amplify` at alpha > 0,
+    phi in {0, pi}: the gate is 1 + g2 at phi=0 and 1 - g2, as
+    -expm1(-2 alpha^2), at phi=pi."""
+    out_alpha = math.sqrt(2.0) * alpha
+    if out_alpha == math.inf:
+        raise ValueError(f"amplified amplitude sqrt(2) alpha overflows at alpha={alpha!r}")
+    a2 = alpha * alpha
+    gate = 1.0 + math.exp(-2.0 * a2) if phi == 0.0 else -math.expm1(-2.0 * a2)
+    return CssParams(out_alpha, 0.0), math.exp(-4.0 * a2), gate
 
 
 def amplification_threshold(alpha: float) -> float:
@@ -458,14 +480,27 @@ def amplification_threshold(alpha: float) -> float:
 
 def concat_stages(p_in: float, alpha: float) -> tuple[float, float]:
     """Fractions after each stage of the purify-then-amplify concatenation:
-    (after conditioning two copies at T=1/2, k=0; after amplifying back)."""
+    (after conditioning two copies at T=1/2, k=0; after amplifying back).
+
+    The detection ratio and the record of a copy depend on alpha alone and
+    are computed once per amplitude through a small bounded memo (as are
+    `amplify`'s), so a scan that holds alpha while p_in varies pays for them
+    once."""
     p_in = _checked(p_in, "fraction", _UNIT)
     alpha = float(alpha)  # NaN and inf are rejected once, by the record of a copy
     if alpha <= 0.0:
         raise ValueError("concatenation needs alpha > 0")
-    p_mid = _posterior(p_in, _ratio(alpha, 0.0, 0.5, 0.0))
-    boosted = amplify(MixedCss(CssParams(alpha / math.sqrt(2.0), 0.0), p_mid))
+    ratio, copy = _concat_constants(alpha)
+    p_mid = _posterior(p_in, ratio)
+    boosted = amplify(MixedCss(copy, p_mid))
     return p_mid, boosted.p
+
+
+@functools.lru_cache(maxsize=_AMPLITUDES_KEPT)
+def _concat_constants(alpha: float) -> tuple[float, CssParams]:
+    """The T=1/2, theta=0 detection ratio of `concat_stages` at alpha, and
+    the record CssParams(alpha / sqrt(2), 0) of one copy."""
+    return _ratio(alpha, 0.0, 0.5, 0.0), CssParams(alpha / math.sqrt(2.0), 0.0)
 
 
 def purity_mixed_css(state: MixedCss) -> float:

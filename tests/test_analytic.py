@@ -531,6 +531,17 @@ class TestOptimalK:
             assert min(total, TWO_PI - total) <= 1e-12
             assert abs(k) <= math.pi / (2.0 * math.sqrt(2.0 * R) * params.alpha) + 1e-12
 
+    @pytest.mark.parametrize("alpha", [6e307, 1e308, 1.7e308])
+    @pytest.mark.parametrize("R", [0.5, 1e-3, 1.0])
+    def test_phase_cancelled_where_the_phase_per_outcome_overflows(self, alpha, R):
+        # past alpha ~ 6e307 the phase per unit outcome 2 sqrt(2 R) alpha is
+        # inf, while the outcome that cancels phi is a (subnormal) float
+        params = CssParams(alpha, math.pi)
+        k = optimal_k(params, R)
+        assert k > 0.0
+        total = (params.phi + theta_of_k(k, alpha, R)) % TWO_PI
+        assert min(total, TWO_PI - total) <= 1e-12
+
     def test_unreachable_rejected(self):
         with pytest.raises(PhysicsError):
             optimal_k(CssParams(0.0, 0.0), 0.5)
@@ -782,6 +793,105 @@ class TestThresholdAndConcat:
         p_mid, p_final = concat_stages(0.5, 1.0)
         oracle = dy.amplifier_sim(p_mid, CssParams(1.0 / math.sqrt(2.0), 0.0))
         assert p_final == pytest.approx(oracle, abs=1e-9)
+
+
+def _amplify_formula(alpha, phi, p):
+    """The unmemoised reference for `amplify`: the same arithmetic, with
+    every per-amplitude constant computed afresh on each call."""
+    params = CssParams(alpha, phi)
+    out_alpha = math.sqrt(2.0) * params.alpha
+    a2 = params.alpha * params.alpha
+    g4 = math.exp(-4.0 * a2)
+    if params.phi == 0.0:
+        gate = 1.0 + math.exp(-2.0 * a2)
+        coeff = (1.0 + g4) / (gate * gate)
+        den = coeff * p * p + 2.0 * p * (1.0 - p) / gate + (1.0 - p) ** 2
+        p_out = coeff * p * p / den
+    else:
+        x = (1.0 - p) * -math.expm1(-2.0 * a2) / p if p > 0.0 else math.inf
+        p_out = (1.0 + g4) / (1.0 + g4 + x * (2.0 + x))
+    return out_alpha, 0.0, p_out
+
+
+def _concat_formula(p_in, alpha):
+    """The unmemoised reference for `concat_stages`."""
+    p_mid = analytic._posterior(p_in, analytic._ratio(alpha, 0.0, 0.5, 0.0))
+    return p_mid, _amplify_formula(alpha / math.sqrt(2.0), 0.0, p_mid)[2]
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+class TestPerAmplitudeMemo:
+    """`concat_stages` and `amplify` compute their per-amplitude constants once
+    per alpha through a bounded memo; the memo changes no value and no
+    rejection, whatever order the amplitudes come in."""
+
+    @staticmethod
+    def _draws(seed, alpha_major):
+        rng = np.random.default_rng(seed)
+        alphas = 10.0 ** rng.uniform(-8.0, 1.5, 40)
+        ps = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 28)])
+        if alpha_major:
+            return [(float(a), float(p)) for a in alphas for p in ps]
+        return [(float(a), float(p)) for a, p in zip(rng.choice(alphas, 1200), rng.choice(ps, 1200))]
+
+    @pytest.mark.parametrize("alpha_major", [True, False])
+    def test_concat_stages_bitwise(self, alpha_major):
+        for alpha, p in self._draws(14, alpha_major):
+            assert _hex(concat_stages(p, alpha)) == _hex(_concat_formula(p, alpha)), (alpha, p)
+
+    @pytest.mark.parametrize("alpha_major", [True, False])
+    def test_amplify_bitwise(self, alpha_major):
+        # the phases alternate at each amplitude, so a memo blind to phi fails
+        for alpha, p in self._draws(15, alpha_major):
+            for phi in (0.0, math.pi, -0.0):
+                out = amplify(MixedCss(CssParams(alpha, phi), p))
+                got = (out.params.alpha, out.params.phi, out.p)
+                assert _hex(got) == _hex(_amplify_formula(alpha, phi, p)), (alpha, phi, p)
+
+    @pytest.mark.parametrize(
+        "call, kind, message",
+        [
+            (lambda: concat_stages(0.5, math.nan), ValueError, "alpha must be a finite real >= 0, got nan"),
+            (lambda: concat_stages(0.5, math.inf), ValueError, "alpha must be a finite real >= 0, got inf"),
+            (lambda: concat_stages(0.5, 0.0), ValueError, "concatenation needs alpha > 0"),
+            (lambda: concat_stages(0.5, -1.0), ValueError, "concatenation needs alpha > 0"),
+            (lambda: amplify(MixedCss(CssParams(0.0, 0.0), 0.5)), ValueError, "amplification needs alpha > 0"),
+            (
+                lambda: amplify(MixedCss(CssParams(1.0, 1.0), 0.5)),
+                ValueError,
+                "the closed form covers phi in {0, pi} only; simulate other "
+                "phases with catpurify.dyads.amplifier_sim",
+            ),
+            (
+                lambda: amplify(MixedCss(CssParams(1.2711610061536462e308, 0.0), 0.5)),
+                ValueError,
+                "amplified amplitude sqrt(2) alpha overflows at alpha=1.2711610061536462e+308",
+            ),
+            (
+                lambda: amplify(MixedCss(CssParams(1.2711610061536462e308, math.pi), 0.5)),
+                ValueError,
+                "amplified amplitude sqrt(2) alpha overflows at alpha=1.2711610061536462e+308",
+            ),
+            (
+                lambda: amplify(MixedCss(CssParams(1e-170, math.pi), 0.5)),
+                DegenerateStateError,
+                "the superposition at alpha=1e-170, phi=3.141592653589793 has zero norm",
+            ),
+        ],
+    )
+    def test_rejections_repeat(self, call, kind, message):
+        assert _outcome(call) == (kind, message)
+        assert _outcome(call) == (kind, message)
 
 
 class TestPurity:

@@ -100,6 +100,20 @@ class TestPurifyCommand:
         assert min(payload["out_phi"], 2.0 * math.pi - payload["out_phi"]) <= 1e-12
         assert payload["p_out"] == pytest.approx(0.563226, abs=5e-7)
 
+    @pytest.mark.parametrize("alpha", ["6e307", "1e308", "1.7e308"])
+    @pytest.mark.parametrize("T", ["0.5", "0.999"])
+    def test_optimal_outcome_cancels_the_phase_at_huge_amplitude(self, capsys, alpha, T):
+        # the phase per unit outcome overflows there, the outcome does not
+        code, out, _ = run_cli(
+            capsys,
+            "purify", "--format", "json",
+            "--alpha", alpha, "--phi", "pi", "--p-in", "0.5", "--T", T, "--k", "optimal",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["k"] > 0.0
+        assert min(payload["out_phi"], 2.0 * math.pi - payload["out_phi"]) <= 1e-12
+
     @pytest.mark.parametrize(
         "flag,value,name",
         [

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from catpurify import CssParams, analytic, detection_ratio, sweeps
+from catpurify import CssParams, analytic, detection_ratio, states, sweeps
 from catpurify.errors import ConfigError
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -359,6 +359,43 @@ class TestRowsComputeOnCheckedFloats:
         monkeypatch.setattr(analytic, "theta_of_k", fail)
         monkeypatch.setattr(analytic, "detection_ratio", fail)
         assert sweeps.run_sweep(sweeps.default_spec(figure_id)).rows
+
+
+class TestConcatScanWork:
+    """`concat_scan` pays its per-amplitude work once per alpha: the rows
+    still call `concat_stages` and `amplify`, whose memos keep a handful of
+    amplitudes, so each sweep computes every alpha's constants once."""
+
+    _KERNELS = (analytic._concat_constants, analytic._amplifier)
+
+    def test_checks_per_row(self, monkeypatch):
+        calls = 0
+        original = states._checked
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        for module in (states, analytic, sweeps):
+            monkeypatch.setattr(module, "_checked", counting)
+        spec = sweeps.default_spec("concat_scan")
+        table = sweeps.run_sweep(spec)
+        alphas = spec.grid[0].count
+        # per row: p_in and the two MixedCss; per alpha: the two CssParams
+        # records; per sweep: both ends of both grid axes
+        assert calls <= 3 * len(table.rows) + 4 * alphas + 4
+
+    def test_each_amplitude_computed_once_per_sweep(self):
+        for kernel in self._KERNELS:
+            kernel.cache_clear()
+        spec = sweeps.default_spec("concat_scan")
+        alphas = spec.grid[0].count
+        for _ in range(2):
+            before = [kernel.cache_info().misses for kernel in self._KERNELS]
+            sweeps.run_sweep(spec)
+            after = [kernel.cache_info().misses for kernel in self._KERNELS]
+            assert [b - a for a, b in zip(before, after)] == [alphas, alphas]
 
 
 class TestFixedParameterDomains:
