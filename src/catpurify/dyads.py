@@ -170,6 +170,15 @@ def _weighted_sum(*parts: tuple[object, DyadState]) -> DyadState:
     )
 
 
+def _members(*parts: tuple[DyadState, slice]) -> DyadState:
+    """The chosen members of each batch, joined in order into one batch;
+    the batches must share one term layout."""
+    return DyadState(*(
+        np.concatenate([getattr(state, side)[chosen] for state, chosen in parts])
+        for side in ("coeff", "ket", "bra")
+    ))
+
+
 def merge_terms(state: DyadState, tol: float = PRUNE_TOL) -> DyadState:
     """Combine terms with identical dyads and drop those below `tol`.
 
@@ -505,8 +514,9 @@ def extract_fraction(
     p = (F - F0)/(1 - F0). Both come from coherent overlaps, with the
     norm of psi taken from the trace of its unnormalized density. A
     residual check in the dyad Gram norm confirms the input actually lies
-    in the two-component family; failure signals a physics bug upstream
-    rather than a recoverable condition.
+    in the two-component family, and p must lie in [0, 1] up to 1e-9 (it
+    is clipped there); failure signals a physics bug upstream rather than
+    a recoverable condition.
     """
     if state.mode_count != 1:
         raise ValueError("fraction extraction expects a single-mode state")
@@ -533,7 +543,15 @@ def extract_fraction(
         raise StateFamilyError(
             f"state outside model family: residual {residual:.3e} exceeds 1e-9"
         )
-    return _scalar_or_batch(np.clip(p, 0.0, 1.0))
+    # rounding may carry p just past 0 or 1; a larger excursion is a signed
+    # combination of the two components, not a mixture
+    clipped = np.clip(p, 0.0, 1.0)
+    outside = np.abs(p - clipped) > 1e-9
+    if outside.any():
+        raise StateFamilyError(
+            f"state outside model family: fraction {_first(p, outside)!r} lies beyond [0, 1] by more than 1e-9"
+        )
+    return _scalar_or_batch(clipped)
 
 
 def amplifier_sim(

@@ -3,11 +3,13 @@
 Each check draws random parameters, runs the same physical situation
 through :mod:`catpurify.analytic` and through the exact simulation in
 :mod:`catpurify.dyads`, and records the largest absolute difference.
-The closed forms run draw by draw; the oracle runs once per check, on all
-draws as one batch of dyad states. The purified-fraction and
-inefficient-detector checks run one conditioning comparison, of the output
-fraction and the joint outcome density; the first draws no detector
-efficiency and so tests the ideal detector.
+The closed forms run draw by draw; the oracle runs on batches of dyad
+states. The loss, density and both detector checks share one batch, which
+crosses the paper's setup once: a lossy line, a tap and a homodyne
+detector. The purity and amplifier checks run one batch each. The
+purified-fraction and inefficient-detector checks run one conditioning
+comparison, of the output fraction and the joint outcome density; the
+first draws no detector efficiency and so tests the ideal detector.
 The two paths share nothing beyond the coherent-state overlap, so
 agreement at 1e-10 (1e-9 for the amplifier cascade) is strong evidence
 both are right. The command line exposes this as ``catpurify verify``.
@@ -76,48 +78,68 @@ def _mixtures(drawn: _Table) -> list[MixedCss]:
     return [MixedCss(CssParams(a, f), p) for a, f, p in zip(drawn["alpha"], drawn["phi"], drawn["p"])]
 
 
-def _tapped_mixture(states: list[MixedCss], T: list[float]) -> dyads.DyadState:
-    joint = dyads.attach_vacuum(dyads.make_mixed(states))
-    return dyads.bs_on_product(joint, (0, 1), T)
-
-
-# Each check maps its table of draws to the error of every draw.
-
-
-def _loss_fraction(drawn: _Table) -> np.ndarray:
-    states = _mixtures(drawn)
-    outs = [analytic.apply_loss(s, ChannelSetting(eta)) for s, eta in zip(states, drawn["eta"])]
-    lossy = dyads.loss_on_dyad(dyads.make_mixed(states), 0, drawn["eta"])
-    oracle = dyads.extract_fraction(lossy, [out.params for out in outs])
-    return np.abs(np.subtract([out.p for out in outs], oracle))
-
-
-def _densities(drawn: _Table) -> np.ndarray:
-    params = [CssParams(a, f) for a, f in zip(drawn["alpha"], drawn["phi"])]
-    T, k = drawn["T"], drawn["k"]
-    closed_css = [analytic.homodyne_density_css(x, pa, t) for x, pa, t in zip(k, params, T)]
-    closed_mix = [analytic.homodyne_density_mix(x) for x in k]
-    errors = []
-    for p, closed in ((1.0, closed_css), (0.0, closed_mix)):
-        tapped = _tapped_mixture([MixedCss(pa, p) for pa in params], T)
-        _, dens = dyads.project_quadrature(tapped, 1, k, _HALF_PI)
-        errors.append(np.abs(dens - closed))
-    return np.maximum(*errors)
-
-
-def _purified_fraction(drawn: _Table) -> np.ndarray:
-    # the oracle's detector is a loss of eta_H on the tapped arm, none at eta_H = 1
+def _detected(drawn: _Table) -> tuple[list[MixedCss], list[float], list[tuple[MixedCss, float, float]]]:
+    """The mixtures of a detector check, their detector efficiencies (1, an
+    ideal detector, where the check draws none) and purify's result for each."""
     states = _mixtures(drawn)
     eta_H = drawn.get("eta_H", [1.0] * len(states))
     taps = [TapSetting(*tap) for tap in zip(drawn["T"], drawn["k"], eta_H)]
-    closed = [analytic.purify(s, tap) for s, tap in zip(states, taps)]
-    attenuated = dyads.loss_on_dyad(_tapped_mixture(states, drawn["T"]), 1, eta_H)
-    cond, dens = dyads.project_quadrature(attenuated, 1, drawn["k"], _HALF_PI)
-    oracle = dyads.extract_fraction(cond, [out.params for out, _, _ in closed])
+    return states, eta_H, [analytic.purify(s, tap) for s, tap in zip(states, taps)]
+
+
+def _detector_errors(states, closed, fraction: np.ndarray, density: np.ndarray) -> np.ndarray:
     joint = [s.p * d_css + (1.0 - s.p) * d_mix for s, (_, d_css, d_mix) in zip(states, closed)]
     return np.maximum(
-        np.abs(np.subtract([out.p for out, _, _ in closed], oracle)), np.abs(dens - joint)
+        np.abs(np.subtract([out.p for out, _, _ in closed], fraction)), np.abs(density - joint)
     )
+
+
+def _line_and_detector(
+    lossy: _Table, densities: _Table, purified: _Table, inefficient: _Table
+) -> list[np.ndarray]:
+    """The errors of the four checks on the paper's setup, a lossy line, a
+    tap and a homodyne detector, whose oracle is one batch of n members for
+    each of: the superposition and the dephased pair (densities), the
+    purified and inefficient-detector mixtures, and the lossy mixtures.
+
+    Every member crosses the line, lossless but for the last n. Those are
+    taken from the line as they are; a tap of T = 1 would move their
+    rounding. The others go on through the tap and the detector, itself a
+    loss of eta_H on the tapped arm (none for the first 3n), to a
+    quadrature outcome, which yields every density. One extraction serves
+    the detector checks' conditioned states and the line's lossy ones; the
+    density members stay out of it, as their fractions are not checked."""
+    n = len(lossy["eta"])
+    losses = _mixtures(lossy)
+    outs = [analytic.apply_loss(s, ChannelSetting(eta)) for s, eta in zip(losses, lossy["eta"])]
+    params = [CssParams(a, f) for a, f in zip(densities["alpha"], densities["phi"])]
+    T, k = densities["T"], densities["k"]
+    closed_css = [analytic.homodyne_density_css(x, pa, t) for x, pa, t in zip(k, params, T)]
+    closed_mix = [analytic.homodyne_density_mix(x) for x in k]
+    ideal, _, ideal_out = _detected(purified)
+    noisy, eta_H, noisy_out = _detected(inefficient)
+
+    members = [MixedCss(pa, p) for p in (1.0, 0.0) for pa in params] + ideal + noisy
+    line = dyads.loss_on_dyad(dyads.make_mixed(members + losses), 0, [1.0] * 4 * n + lossy["eta"])
+    tapped = dyads.bs_on_product(
+        dyads.attach_vacuum(dyads._members((line, slice(0, 4 * n)))),
+        (0, 1),
+        T + T + purified["T"] + inefficient["T"],
+    )
+    detected = dyads.loss_on_dyad(tapped, 1, [1.0] * 3 * n + eta_H)
+    cond, density = dyads.project_quadrature(
+        detected, 1, k + k + purified["k"] + inefficient["k"], _HALF_PI
+    )
+    fraction = dyads.extract_fraction(
+        dyads._members((cond, slice(2 * n, None)), (line, slice(4 * n, None))),
+        [out.params for out, _, _ in ideal_out + noisy_out] + [out.params for out in outs],
+    )
+    return [
+        np.abs(np.subtract([out.p for out in outs], fraction[2 * n :])),
+        np.maximum(np.abs(density[:n] - closed_css), np.abs(density[n : 2 * n] - closed_mix)),
+        _detector_errors(ideal, ideal_out, fraction[:n], density[2 * n : 3 * n]),
+        _detector_errors(noisy, noisy_out, fraction[n : 2 * n], density[3 * n :]),
+    ]
 
 
 def _purity(drawn: _Table) -> np.ndarray:
@@ -135,24 +157,19 @@ def _amplifier(drawn: _Table) -> np.ndarray:
     return np.abs(np.subtract(closed, oracle))
 
 
-# name, tolerance, parameter bounds in drawing order, errors of a table
+# name, tolerance, parameter bounds in drawing order; the first four checks
+# share one oracle pass (_line_and_detector), the last two run their own
 _CHECKS = (
-    ("loss fraction", 1e-10, dict(alpha=_ALPHA, phi=_PHI, p=_UNIT, eta=_TRANSMISSION), _loss_fraction),
-    ("homodyne densities", 1e-10, dict(alpha=_ALPHA, phi=_PHI, T=_TAP, k=_OUTCOME), _densities),
-    (
-        "purified fraction",
-        1e-10,
-        dict(alpha=_ALPHA, phi=_PHI, p=_UNIT, T=_TAP, k=_OUTCOME),
-        _purified_fraction,
-    ),
+    ("loss fraction", 1e-10, dict(alpha=_ALPHA, phi=_PHI, p=_UNIT, eta=_TRANSMISSION)),
+    ("homodyne densities", 1e-10, dict(alpha=_ALPHA, phi=_PHI, T=_TAP, k=_OUTCOME)),
+    ("purified fraction", 1e-10, dict(alpha=_ALPHA, phi=_PHI, p=_UNIT, T=_TAP, k=_OUTCOME)),
     (
         "inefficient-detector fraction",
         1e-10,
         dict(alpha=_ALPHA, phi=_PHI, p=_UNIT, T=_TAP, k=_OUTCOME, eta_H=_TRANSMISSION),
-        _purified_fraction,
     ),
-    ("purity", 1e-10, dict(alpha=_ALPHA, phi=_PHI, p=_UNIT), _purity),
-    (_AMPLIFIER, 1e-9, dict(branch=_UNIT, alpha=(0.05, 1.5), p=_UNIT), _amplifier),
+    ("purity", 1e-10, dict(alpha=_ALPHA, phi=_PHI, p=_UNIT)),
+    (_AMPLIFIER, 1e-9, dict(branch=_UNIT, alpha=(0.05, 1.5), p=_UNIT)),
 )
 
 
@@ -165,15 +182,15 @@ def _checked(value: object, name: str, least: int) -> int:
 def run_suite(
     draws: int = DEFAULT_DRAWS, amp_draws: int = DEFAULT_AMP_DRAWS, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
-    """Run every analytic-vs-oracle check and return their results. Each
-    check draws all its parameters at once and runs the oracle once, on
-    the whole batch of draws."""
+    """Run every analytic-vs-oracle check and return their results. The
+    parameters of every check are drawn at once, in check order; the
+    oracle then runs one batched pass for the four checks on the lossy
+    line and the detector, and one for each of the other two."""
     draws = _checked(draws, "draws", 1)
     amp_draws = _checked(amp_draws, "amp_draws", 1)
     rng = np.random.default_rng(_checked(seed, "seed", 0))
-    results = []
-    for name, tolerance, bounds, errors_of in _CHECKS:
-        errors = errors_of(_draw(rng, amp_draws if name == _AMPLIFIER else draws, bounds))
-        # max() keeps a NaN error, so a check that produced one fails
-        results.append(CheckResult(name, errors.size, float(errors.max()), tolerance))
+    tables = [_draw(rng, amp_draws if name == _AMPLIFIER else draws, bounds) for name, _, bounds in _CHECKS]
+    errors = [*_line_and_detector(*tables[:4]), _purity(tables[4]), _amplifier(tables[5])]
+    # max() keeps a NaN error, so a check that produced one fails
+    results = [CheckResult(name, e.size, float(e.max()), tol) for (name, tol, _), e in zip(_CHECKS, errors)]
     return results[:]  # an exact-size copy: long runs keep every suite's results

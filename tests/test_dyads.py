@@ -373,6 +373,26 @@ class TestExtractFraction:
         with pytest.raises(StateFamilyError):
             dy.extract_fraction(dy.make_coherent(1.0), CssParams(1.0, 0.0))
 
+    @staticmethod
+    def signed_mixture(params, p):
+        # p * rho_css + (1 - p) * rho_0 passes the residual check for any real p
+        return dy._weighted_sum((p, dy.make_css(params)), (1.0 - p, dy.make_incoherent(params.alpha)))
+
+    @pytest.mark.parametrize("p", [1.2, -0.3])
+    def test_signed_combination_rejected_not_clamped(self, p):
+        params = CssParams(0.9, 2.4)
+        combo = self.signed_mixture(params, p)
+        with pytest.raises(StateFamilyError, match=r"fraction \S+ lies beyond \[0, 1\] by more than 1e-9"):
+            dy.extract_fraction(combo, params)
+        batch = dy.DyadState([combo.coeff] * 2, [combo.ket] * 2, [combo.bra] * 2)
+        with pytest.raises(StateFamilyError, match="fraction"):
+            dy.extract_fraction(batch, [params] * 2)
+
+    @pytest.mark.parametrize("p,clipped", [(1.0 + 5e-10, 1.0), (-5e-10, 0.0)])
+    def test_rounding_excursion_clipped(self, p, clipped):
+        params = CssParams(0.9, 2.4)
+        assert dy.extract_fraction(self.signed_mixture(params, p), params) == clipped
+
     def test_wrong_amplitude_rejected(self):
         state = dy.make_css(CssParams(1.0, 0.0))
         with pytest.raises(StateFamilyError):

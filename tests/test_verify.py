@@ -166,6 +166,32 @@ def test_draws_equal_sequential_per_draw_calls(monkeypatch):
         assert [dict(zip(table, values)) for values in zip(*table.values())] == rows
 
 
+# (draws, amp_draws, seed) -> each check's max_error as float.hex, recorded
+# when every oracle check ran its own chain; the (5, 1) seeds are those that
+# random.Random(11).getrandbits(32) gives twelve times in a row
+PINNED_MAX_ERRORS = [
+    ((200, 50, 20260814), ('0x1.39e0000000000p-42', '0x1.8000000000000p-52', '0x1.b600000000000p-43', '0x1.4480000000000p-45', '0x1.9800000000000p-47', '0x1.8e20000000000p-47')),
+    ((5, 1, 1942955373), ('0x1.db00000000000p-44', '0x1.0000000000000p-56', '0x1.0400000000000p-46', '0x1.0000000000000p-52', '0x1.0000000000000p-52', '0x1.8000000000000p-53')),
+    ((5, 1, 3718334796), ('0x1.0800000000000p-49', '0x1.0000000000000p-52', '0x1.8000000000000p-51', '0x1.0000000000000p-51', '0x1.0000000000000p-52', '0x1.7e00000000000p-46')),
+    ((5, 1, 2404204071), ('0x1.0c00000000000p-48', '0x1.0000000000000p-54', '0x1.3b90000000000p-43', '0x1.1000000000000p-50', '0x1.0000000000000p-50', '0x1.0000000000000p-53')),
+    ((5, 1, 3680198571), ('0x1.8000000000000p-53', '0x1.0000000000000p-53', '0x1.6400000000000p-49', '0x1.0600000000000p-52', '0x1.0000000000000p-52', '0x1.0000000000000p-52')),
+    ((5, 1, 3969454221), ('0x1.6400000000000p-48', '0x1.0000000000000p-54', '0x1.8000000000000p-44', '0x1.2000000000000p-51', '0x1.8000000000000p-52', '0x1.1b00000000000p-48')),
+    ((5, 1, 3355305989), ('0x1.c000000000000p-51', '0x1.0000000000000p-54', '0x1.2000000000000p-49', '0x1.6000000000000p-51', '0x1.c000000000000p-51', '0x0.0p+0')),
+    ((5, 1, 1999951809), ('0x1.4000000000000p-51', '0x1.0000000000000p-53', '0x1.2000000000000p-51', '0x1.a800000000000p-49', '0x1.0000000000000p-53', '0x1.0000000000000p-52')),
+    ((5, 1, 1940605046), ('0x1.5200000000000p-47', '0x1.0000000000000p-52', '0x1.7c00000000000p-47', '0x1.0000000000000p-51', '0x1.8000000000000p-52', '0x1.0000000000000p-53')),
+    ((5, 1, 2181161661), ('0x1.4800000000000p-51', '0x1.0000000000000p-54', '0x1.0000000000000p-52', '0x1.5e80000000000p-44', '0x1.0000000000000p-53', '0x1.0000000000000p-53')),
+    ((5, 1, 3672393040), ('0x1.7000000000000p-49', '0x1.8000000000000p-52', '0x1.8100000000000p-45', '0x1.9f00000000000p-48', '0x1.8000000000000p-52', '0x0.0p+0')),
+    ((5, 1, 2522798642), ('0x1.6400000000000p-52', '0x1.0000000000000p-53', '0x1.4400000000000p-48', '0x1.4000000000000p-47', '0x1.0000000000000p-53', '0x1.65a0000000000p-47')),
+    ((5, 1, 815623033), ('0x1.1000000000000p-49', '0x1.0000000000000p-53', '0x1.0000000000000p-51', '0x1.4000000000000p-52', '0x1.0000000000000p-52', '0x1.e000000000000p-54')),
+    ((37, 3, 1), ('0x1.4480000000000p-46', '0x1.2400000000000p-49', '0x1.6400000000000p-47', '0x1.c680000000000p-46', '0x1.0000000000000p-52', '0x1.6400000000000p-52')),
+]
+
+
+@pytest.mark.parametrize("args,expected", PINNED_MAX_ERRORS)
+def test_max_errors_are_bit_identical_to_the_per_check_chains(args, expected):
+    assert tuple(r.max_error.hex() for r in verify.run_suite(*args)) == expected
+
+
 def test_max_error_is_the_largest_single_draw_error():
     # the amplifier error of each draw, recomputed one draw at a time
     seed, amp_draws = 99, 12
@@ -188,8 +214,12 @@ def test_batched_oracle_matches_single_draw_calls(monkeypatch):
     )
     verify.run_suite(draws, amp_draws, seed)
     monkeypatch.undo()
-    fractions = log["extract_fraction"][:3]  # the amplifier extracts last, inside its simulation
-    densities = [dens for _, dens in log["project_quadrature"]]
+    # the four tapped and lossy checks share one batch, `draws` members per
+    # part: densities of the superposition, the dephased pair, the purified
+    # and the inefficient-detector draws, fractions of the last two and of
+    # the loss draws; the amplifier extracts last, inside its simulation
+    densities = np.split(log["project_quadrature"][0][1], 4)
+    purified, inefficient, lossy = np.split(log["extract_fraction"][0], 3)
     expected = sequential_draws(seed, draws, amp_draws)
 
     def close(batched, singles):
@@ -197,7 +227,7 @@ def test_batched_oracle_matches_single_draw_calls(monkeypatch):
         assert np.abs(np.asarray(batched) - singles).max() <= 1e-11
 
     rows = expected["loss fraction"]
-    close(fractions[0], [
+    close(lossy, [
         dy.extract_fraction(
             dy.loss_on_dyad(dy.make_mixed(mixture(d)), 0, d["eta"]),
             analytic.apply_loss(mixture(d), ChannelSetting(d["eta"])).params,
@@ -217,7 +247,7 @@ def test_batched_oracle_matches_single_draw_calls(monkeypatch):
         dy.project_quadrature(tapped(mixture(d), d["T"]), 1, d["k"], HALF_PI) for d in rows
     ]
     close(densities[2], [dens for _, dens in singles])
-    close(fractions[1], [
+    close(purified, [
         dy.extract_fraction(cond, analytic.purify(mixture(d), TapSetting(d["T"], d["k"]))[0].params)
         for (cond, _), d in zip(singles, rows)
     ])
@@ -227,7 +257,7 @@ def test_batched_oracle_matches_single_draw_calls(monkeypatch):
         for d in rows
     ]
     close(densities[3], [dens for _, dens in singles])
-    close(fractions[2], [
+    close(inefficient, [
         dy.extract_fraction(
             cond,
             analytic.purify_with_inefficiency(mixture(d), TapSetting(d["T"], d["k"], d["eta_H"])).params,
@@ -241,11 +271,22 @@ def test_batched_oracle_matches_single_draw_calls(monkeypatch):
 
 
 def test_each_check_is_one_array_pass(monkeypatch):
-    # a per-draw loop would call these hundreds of times
+    # one projection and one extraction serve the loss, density and both
+    # detector checks; amplifier_sim makes its own extraction
     log = record_calls(monkeypatch, dy, ("project_quadrature", "extract_fraction"))
+    inside = []
+    original = dy.amplifier_sim
+
+    def amplifier_sim(*args):
+        before = {name: len(calls) for name, calls in log.items()}
+        out = original(*args)
+        inside.append({name: len(calls) - before[name] for name, calls in log.items()})
+        return out
+
+    monkeypatch.setattr(dy, "amplifier_sim", amplifier_sim)
     verify.run_suite(200, 50)
-    assert 0 < len(log["project_quadrature"]) <= 2 * len(NAMES)
-    assert 0 < len(log["extract_fraction"]) <= 2 * len(NAMES)
+    assert inside == [{"project_quadrature": 0, "extract_fraction": 1}]
+    assert {name: len(calls) for name, calls in log.items()} == {"project_quadrature": 1, "extract_fraction": 2}
 
 
 def test_nan_oracle_value_fails_its_check(monkeypatch):
