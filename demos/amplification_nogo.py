@@ -48,6 +48,13 @@ def main():
         f"\ndyad cascade check at alpha=0.7, p=0.6: "
         f"{p_sim:.15f} vs {p_closed:.15f}"
     )
+    # any other phase phi comes out at 2 phi, through the same formula
+    out = amplify(MixedCss(CssParams(0.7, 1.0), 0.6))
+    p_sim = dy.amplifier_sim(0.6, CssParams(0.7, 1.0))
+    print(
+        f"and at phi=1 (out phi={out.params.phi:g}): "
+        f"{p_sim:.15f} vs {out.p:.15f}"
+    )
 
     print("\npurify at half amplitude, then amplify back (alpha=1):")
     for p_in in (0.3, 0.5, 0.7, 0.9):

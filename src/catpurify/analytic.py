@@ -5,9 +5,9 @@ All functions here are pure algebra on the parameters of the mixture
 p * rho_css(alpha, phi) + (1 - p) * rho_0(alpha): linear loss keeps the
 mixture in that family, a tap-and-homodyne stage conditions the fraction
 on the outcome, and the two-copy amplifier maps the family onto itself at
-amplitude sqrt(2) alpha. Every formula is cross-validated against the
-exact dyad simulation in :mod:`catpurify.dyads` by the test suite and by
-``catpurify verify``.
+amplitude sqrt(2) alpha and phase 2 phi. Every formula is cross-validated
+against the exact dyad simulation in :mod:`catpurify.dyads` by the test
+suite and by ``catpurify verify``.
 """
 
 from __future__ import annotations
@@ -310,7 +310,8 @@ def optimal_k(params: CssParams, R: float) -> float:
 
     Solves theta(k) = -phi (mod 2 pi) with the representative in
     (-pi, pi], which maximizes the Gaussian envelope e^{-k^2}; the sign
-    tie at phi = pi resolves to +k.
+    tie at phi = pi resolves to +k. An outcome beyond the float range has
+    e^{-k^2} = 0 and never occurs: ZeroDensityError.
     """
     R = _checked(R, "reflectivity", _UNIT)
     if params.alpha <= 0.0 or R == 0.0:
@@ -323,7 +324,13 @@ def optimal_k(params: CssParams, R: float) -> float:
     per_outcome = _theta(1.0, params.alpha, R)
     if math.isinf(per_outcome):  # past alpha ~ 6e307 the phase per unit outcome overflows
         return target / (2.0 * math.sqrt(2.0 * R)) / params.alpha
-    return target / per_outcome
+    k = target / per_outcome
+    if math.isinf(k):
+        raise ZeroDensityError(
+            f"event of zero density: the outcome that cancels the phase at "
+            f"alpha={params.alpha!r}, R={R!r} is beyond the float range and never occurs"
+        )
+    return k
 
 
 def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
@@ -408,42 +415,34 @@ def window_acceptance(
 
 def amplify(state: MixedCss) -> MixedCss:
     """Two-copy linear amplification conditioned on both comparison
-    detectors clicking; closed form for phi in {0, pi}.
+    detectors clicking, for any phase.
 
-    The output is in the (sqrt(2) alpha, phi=0) family with fraction
+    Only terms with equal copies survive both clicks, so the output lies in
+    the (sqrt(2) alpha, 2 phi) family with fraction
 
-        p_out = A p^2 / [A p^2 + 2 p (1-p)/(1 +- g2) + (1-p)^2],
-        A = (1 + g4) / (1 +- g2)^2,   g2 = e^{-2 alpha^2}, g4 = e^{-4 alpha^2},
+        p_out = M / (M + x (2 + x)),   x = (1-p) N / p,
 
-    upper signs for phi=0, lower for phi=pi. For phi=pi the odd gate
-    1 - g2 vanishes with alpha, so it is cleared from the denominator:
-    p_out = (1 + g4) / (1 + g4 + x (2 + x)) with x = (1-p)(1 - g2)/p,
-    which stays finite where (1 - g2)^2 underflows. A degenerate odd pair
-    raises DegenerateStateError.
+    where N = 1 + cos(phi) e^{-2 alpha^2} and M = 1 + cos(2 phi) e^{-4 alpha^2}
+    are the pair norms of the input and the output cat. N only multiplies,
+    so a small odd cat, whose N vanishes with alpha, stays finite where N^2
+    underflows. A degenerate input or output pair raises
+    DegenerateStateError.
 
-    The output record, g4 and the gate depend on (alpha, phi) alone and are
-    computed once per amplitude through a small bounded memo, so a scan that
-    holds alpha while p varies pays for them once.
+    The output record and the two pair norms depend on (alpha, phi) alone
+    and are computed once per amplitude through a small bounded memo, so a
+    scan that holds alpha while p varies pays for them once.
     """
     params = state.params
     if params.alpha <= 0.0:
         raise ValueError("amplification needs alpha > 0")
-    if params.phi != 0.0 and params.phi != math.pi:
-        raise ValueError(
-            "the closed form covers phi in {0, pi} only; simulate other "
-            "phases with catpurify.dyads.amplifier_sim"
-        )
-    out_params, g4, gate = _amplifier(params.alpha, params.phi)
-    p = state.p
-    if params.phi == 0.0:
-        coeff = (1.0 + g4) / (gate * gate)
-        den = coeff * p * p + 2.0 * p * (1.0 - p) / gate + (1.0 - p) ** 2
-        p_out = coeff * p * p / den
-    else:
+    out_params, norm_in, norm_out = _amplifier(params.alpha, params.phi)
+    if norm_in == 0.0:
         _require_normalizable(params)
-        x = (1.0 - p) * gate / p if p > 0.0 else math.inf
-        p_out = (1.0 + g4) / (1.0 + g4 + x * (2.0 + x))
-    return MixedCss(out_params, p_out)
+    if norm_out == 0.0:
+        _require_normalizable(out_params)
+    p = state.p
+    x = (1.0 - p) * norm_in / p if p > 0.0 else math.inf
+    return MixedCss(out_params, norm_out / (norm_out + x * (2.0 + x)))
 
 
 # Each memo below holds a handful of amplitudes: a scan holds alpha while the
@@ -454,15 +453,14 @@ _AMPLITUDES_KEPT = 4
 
 @functools.lru_cache(maxsize=_AMPLITUDES_KEPT)
 def _amplifier(alpha: float, phi: float) -> tuple[CssParams, float, float]:
-    """(CssParams(sqrt(2) alpha, 0), g4, gate) of `amplify` at alpha > 0,
-    phi in {0, pi}: the gate is 1 + g2 at phi=0 and 1 - g2, as
-    -expm1(-2 alpha^2), at phi=pi."""
+    """(CssParams(sqrt(2) alpha, 2 phi), N, M) of `amplify` at alpha > 0.
+    The output phase is reduced as (2 phi) % 2 pi, so phi = -0.0 and
+    phi = 0.0, which share a memo entry, give the same record."""
     out_alpha = math.sqrt(2.0) * alpha
     if out_alpha == math.inf:
         raise ValueError(f"amplified amplitude sqrt(2) alpha overflows at alpha={alpha!r}")
-    a2 = alpha * alpha
-    gate = 1.0 + math.exp(-2.0 * a2) if phi == 0.0 else -math.expm1(-2.0 * a2)
-    return CssParams(out_alpha, 0.0), math.exp(-4.0 * a2), gate
+    out = CssParams(out_alpha, (2.0 * phi) % TWO_PI)
+    return out, _pair_norm(phi, 2.0 * (alpha * alpha)), _pair_norm(out.phi, 2.0 * (out_alpha * out_alpha))
 
 
 def amplification_threshold(alpha: float) -> float:
@@ -479,13 +477,14 @@ def amplification_threshold(alpha: float) -> float:
 
 
 def concat_stages(p_in: float, alpha: float) -> tuple[float, float]:
-    """Fractions after each stage of the purify-then-amplify concatenation:
-    (after conditioning two copies at T=1/2, k=0; after amplifying back).
+    """Fractions after each stage of the purify-then-amplify concatenation
+    of an even cat: (after conditioning two copies at T=1/2, k=0; after
+    `amplify` takes the copies, at alpha / sqrt(2) and phase 0, back to alpha).
 
     The detection ratio and the record of a copy depend on alpha alone and
     are computed once per amplitude through a small bounded memo (as are
-    `amplify`'s), so a scan that holds alpha while p_in varies pays for them
-    once."""
+    `amplify`'s output record and pair norms), so a scan that holds alpha
+    while p_in varies pays for them once."""
     p_in = _checked(p_in, "fraction", _UNIT)
     alpha = float(alpha)  # NaN and inf are rejected once, by the record of a copy
     if alpha <= 0.0:

@@ -75,13 +75,14 @@ def _to_format(value: Any) -> str:
 # config file may set the same keys (and "format"). Domains are checked by
 # the records and by `sweeps.run_sweep`, not here.
 _ALPHA = ("alpha", _to_float, True, "input amplitude")
+_PHI = ("phi", _to_angle, True, "input phase (radians, or 0, pi, pi/2)")
 _P_IN = ("p_in", _to_float, True, "input cat fraction")
 _COMMANDS: dict[str, tuple[str, tuple[tuple[str, Callable[[Any], Any], bool, str], ...]]] = {
     "purify": (
         "condition a mixture on a homodyne outcome behind a tap",
         (
             _ALPHA,
-            ("phi", _to_angle, True, "input phase (radians, or 0, pi, pi/2)"),
+            _PHI,
             _P_IN,
             ("T", _to_float, True, "tap transmittance"),
             ("k", _to_outcome, True, "homodyne outcome, or 'optimal'"),
@@ -89,10 +90,7 @@ _COMMANDS: dict[str, tuple[str, tuple[tuple[str, Callable[[Any], Any], bool, str
             ("eta_H", _to_float, False, "detector efficiency (default 1)"),
         ),
     ),
-    "amplify": (
-        "two-copy coincidence amplification (phi 0 or pi)",
-        (_ALPHA, ("phi", _to_angle, True, "input phase (0 or pi)"), _P_IN),
-    ),
+    "amplify": ("two-copy coincidence amplification", (_ALPHA, _PHI, _P_IN)),
     "concat": ("purify two copies then amplify back to the input amplitude", (_ALPHA, _P_IN)),
     "sweep": (
         "regenerate a figure dataset as CSV",

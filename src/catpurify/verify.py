@@ -149,9 +149,7 @@ def _purity(drawn: _Table) -> np.ndarray:
 
 
 def _amplifier(drawn: _Table) -> np.ndarray:
-    # the closed form covers phi in {0, pi}: the first number of a draw picks one
-    phis = [0.0 if u < 0.5 else math.pi for u in drawn["branch"]]
-    states = [MixedCss(CssParams(a, f), p) for f, a, p in zip(phis, drawn["alpha"], drawn["p"])]
+    states = _mixtures(drawn)
     closed = [analytic.amplify(s).p for s in states]
     oracle = dyads.amplifier_sim(drawn["p"], [s.params for s in states])
     return np.abs(np.subtract(closed, oracle))
@@ -169,7 +167,7 @@ _CHECKS = (
         dict(alpha=_ALPHA, phi=_PHI, p=_UNIT, T=_TAP, k=_OUTCOME, eta_H=_TRANSMISSION),
     ),
     ("purity", 1e-10, dict(alpha=_ALPHA, phi=_PHI, p=_UNIT)),
-    (_AMPLIFIER, 1e-9, dict(branch=_UNIT, alpha=(0.05, 1.5), p=_UNIT)),
+    (_AMPLIFIER, 1e-9, dict(alpha=(0.05, 1.5), phi=_PHI, p=_UNIT)),
 )
 
 

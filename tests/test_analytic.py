@@ -338,15 +338,25 @@ def _loss_fraction_mp(eta, alpha, phi):
         return kept / original * mpmath.exp(-2 * (1 - mpmath.mpf(eta)) * a2)
 
 
-def _odd_amplify_mp(alpha, p):
-    """The phi=pi amplifier fraction at 50 digits, from the float inputs, in
-    the uncleared form A p^2 / [A p^2 + 2 p (1-p)/gate + (1-p)^2]."""
+def _amplify_mp(alpha, phi, p):
+    """The amplifier fraction at 50 digits, from the float inputs, in the
+    uncleared form A p^2 / [A p^2 + 2 p (1-p)/N + (1-p)^2], A = M / N^2,
+    with N = 1 + cos(phi) e^{-2 alpha^2} and M = 1 + cos(2 phi) e^{-4 alpha^2}.
+    The cosines are those of the float phases, rounded once, so phi = math.pi
+    is the odd cat: cos(math.pi) is -1 to 1e-32, which would swamp
+    1 - e^{-2 alpha^2} below alpha ~ 1e-16. Each norm is written
+    (1 + c) + c expm1(-y), which 50 digits resolve down to alpha = 1e-160."""
+
+    def norm(phase, y):
+        c = mpmath.mpf(math.cos(phase))
+        return (1 + c) + c * mpmath.expm1(-y)
+
     with mpmath.workdps(50):
         a2 = mpmath.mpf(alpha) ** 2
         p = mpmath.mpf(p)
-        gate = -mpmath.expm1(-2 * a2)
-        coeff = (1 + mpmath.exp(-4 * a2)) / gate**2
-        return coeff * p**2 / (coeff * p**2 + 2 * p * (1 - p) / gate + (1 - p) ** 2)
+        norm_in, norm_out = norm(phi, 2 * a2), norm(2.0 * phi % TWO_PI, 4 * a2)
+        coeff = norm_out / norm_in**2
+        return coeff * p**2 / (coeff * p**2 + 2 * p * (1 - p) / norm_in + (1 - p) ** 2)
 
 
 class TestLossFractionPrecision:
@@ -384,6 +394,11 @@ class TestFractionBounds:
         state = MixedCss(CssParams(alpha, phi), p)
         out = purify_with_inefficiency(state, TapSetting(T, k, eta_H))
         assert 0.0 <= out.p <= 1.0
+
+    @_properties
+    @given(_alphas, _phases, _fractions)
+    def test_amplify_fraction_in_unit_interval(self, alpha, phi, p):
+        assert 0.0 <= amplify(MixedCss(CssParams(alpha, phi), p)).p <= 1.0
 
     @_properties
     @given(_alphas, _phases, _taps, _outcomes)
@@ -541,6 +556,18 @@ class TestOptimalK:
         assert k > 0.0
         total = (params.phi + theta_of_k(k, alpha, R)) % TWO_PI
         assert min(total, TWO_PI - total) <= 1e-12
+
+    @pytest.mark.parametrize("alpha, R", [(1e-310, 0.5), (1e-300, 1e-20)])
+    def test_outcome_beyond_the_float_range_never_occurs(self, alpha, R):
+        # -phi / (2 sqrt(2 R) alpha) overflows, and such an outcome's e^{-k^2} is 0
+        with pytest.raises(ZeroDensityError) as info:
+            optimal_k(CssParams(alpha, 1.0), R)
+        assert str(info.value) == (
+            f"event of zero density: the outcome that cancels the phase at alpha={alpha!r}, "
+            f"R={R!r} is beyond the float range and never occurs"
+        )
+        # an aligned phase needs no outcome at all
+        assert optimal_k(CssParams(alpha, 0.0), R) == 0.0
 
     def test_unreachable_rejected(self):
         with pytest.raises(PhysicsError):
@@ -711,15 +738,33 @@ class TestAmplify:
         )
 
     def test_agrees_with_dyad_cascade(self):
-        for p, alpha, phi in [(0.5, 0.5, math.pi), (0.8, 0.9, math.pi), (0.4, 0.7, 0.0)]:
-            closed = amplify(MixedCss(CssParams(alpha, phi), p)).p
-            assert closed == pytest.approx(
-                dy.amplifier_sim(p, CssParams(alpha, phi)), abs=1e-9
-            )
+        rng = np.random.default_rng(16)
+        draws = [(0.5, 0.5, math.pi), (0.8, 0.9, math.pi), (0.4, 0.7, 0.0)] + [
+            (rng.uniform(0.0, 1.0), rng.uniform(0.05, 1.5), rng.uniform(0.0, TWO_PI)) for _ in range(300)
+        ]
+        fractions = [p for p, _, _ in draws]
+        params = [CssParams(alpha, phi) for _, alpha, phi in draws]
+        outs = [amplify(MixedCss(pa, p)) for pa, p in zip(params, fractions)]
+        # the oracle extracts the fraction in the (sqrt(2) alpha, 2 phi) family
+        for out, pa in zip(outs, params):
+            assert out.params == CssParams(math.sqrt(2.0) * pa.alpha, (2.0 * pa.phi) % TWO_PI)
+        oracle = dy.amplifier_sim(fractions, params)
+        assert np.abs(np.subtract([out.p for out in outs], oracle)).max() <= 1e-12
 
-    def test_unsupported_phase_points_to_simulator(self):
-        with pytest.raises(ValueError, match="amplifier_sim"):
-            amplify(MixedCss(CssParams(0.5, math.pi / 2.0), 0.5))
+    @pytest.mark.parametrize("alpha", [1e-3, 0.5, 2.0])
+    def test_phase_next_to_pi_matches_pi(self, alpha):
+        beside = amplify(MixedCss(CssParams(alpha, math.nextafter(math.pi, 4.0)), 0.5)).p
+        assert abs(beside - amplify(MixedCss(CssParams(alpha, math.pi), 0.5)).p) <= 1e-15
+
+    def test_every_phase_matches_mpmath(self):
+        rng = np.random.default_rng(17)
+        phases = [0.0, math.pi / 2.0, math.pi, 1.5 * math.pi] + rng.uniform(0.0, TWO_PI, 200).tolist()
+        alphas = (10.0 ** rng.uniform(-3.0, math.log10(5.0), len(phases))).tolist()
+        fractions = [0.0, 1.0] + rng.uniform(0.0, 1.0, len(phases) - 2).tolist()
+        for alpha, phi, p in zip(alphas, phases, fractions):
+            got = amplify(MixedCss(CssParams(alpha, phi), p)).p
+            want = _amplify_mp(alpha, phi, p)
+            assert abs(got - want) <= 1e-13 * abs(want), (alpha, phi, p)
 
     def test_zero_amplitude_rejected(self):
         with pytest.raises(ValueError):
@@ -731,7 +776,7 @@ class TestAmplify:
         # the odd gate 1 - e^{-2 alpha^2} is 0 in floating point below
         # alpha ~ 1e-8 and its square underflows below alpha ~ 1e-80
         got = amplify(MixedCss(CssParams(alpha, math.pi), p)).p
-        want = _odd_amplify_mp(alpha, p)
+        want = _amplify_mp(alpha, math.pi, p)
         assert 0.0 <= got <= 1.0
         assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -797,20 +842,12 @@ class TestThresholdAndConcat:
 
 def _amplify_formula(alpha, phi, p):
     """The unmemoised reference for `amplify`: the same arithmetic, with
-    every per-amplitude constant computed afresh on each call."""
+    the output record and both pair norms computed afresh on each call."""
     params = CssParams(alpha, phi)
-    out_alpha = math.sqrt(2.0) * params.alpha
-    a2 = params.alpha * params.alpha
-    g4 = math.exp(-4.0 * a2)
-    if params.phi == 0.0:
-        gate = 1.0 + math.exp(-2.0 * a2)
-        coeff = (1.0 + g4) / (gate * gate)
-        den = coeff * p * p + 2.0 * p * (1.0 - p) / gate + (1.0 - p) ** 2
-        p_out = coeff * p * p / den
-    else:
-        x = (1.0 - p) * -math.expm1(-2.0 * a2) / p if p > 0.0 else math.inf
-        p_out = (1.0 + g4) / (1.0 + g4 + x * (2.0 + x))
-    return out_alpha, 0.0, p_out
+    out = CssParams(math.sqrt(2.0) * params.alpha, (2.0 * params.phi) % TWO_PI)
+    norm_in, norm_out = normalization(params) / 2.0, normalization(out) / 2.0
+    x = (1.0 - p) * norm_in / p if p > 0.0 else math.inf
+    return out.alpha, out.phi, norm_out / (norm_out + x * (2.0 + x))
 
 
 def _concat_formula(p_in, alpha):
@@ -853,7 +890,7 @@ class TestPerAmplitudeMemo:
     def test_amplify_bitwise(self, alpha_major):
         # the phases alternate at each amplitude, so a memo blind to phi fails
         for alpha, p in self._draws(15, alpha_major):
-            for phi in (0.0, math.pi, -0.0):
+            for phi in (0.0, math.pi, -0.0, 1.0, 4.0):
                 out = amplify(MixedCss(CssParams(alpha, phi), p))
                 got = (out.params.alpha, out.params.phi, out.p)
                 assert _hex(got) == _hex(_amplify_formula(alpha, phi, p)), (alpha, phi, p)
@@ -866,12 +903,6 @@ class TestPerAmplitudeMemo:
             (lambda: concat_stages(0.5, 0.0), ValueError, "concatenation needs alpha > 0"),
             (lambda: concat_stages(0.5, -1.0), ValueError, "concatenation needs alpha > 0"),
             (lambda: amplify(MixedCss(CssParams(0.0, 0.0), 0.5)), ValueError, "amplification needs alpha > 0"),
-            (
-                lambda: amplify(MixedCss(CssParams(1.0, 1.0), 0.5)),
-                ValueError,
-                "the closed form covers phi in {0, pi} only; simulate other "
-                "phases with catpurify.dyads.amplifier_sim",
-            ),
             (
                 lambda: amplify(MixedCss(CssParams(1.2711610061536462e308, 0.0), 0.5)),
                 ValueError,
@@ -886,6 +917,11 @@ class TestPerAmplitudeMemo:
                 lambda: amplify(MixedCss(CssParams(1e-170, math.pi), 0.5)),
                 DegenerateStateError,
                 "the superposition at alpha=1e-170, phi=3.141592653589793 has zero norm",
+            ),
+            (
+                lambda: amplify(MixedCss(CssParams(1e-170, math.pi / 2.0), 0.5)),
+                DegenerateStateError,
+                "the superposition at alpha=1.4142135623730951e-170, phi=3.141592653589793 has zero norm",
             ),
         ],
     )
@@ -1062,14 +1098,14 @@ class TestHugeAmplitude:
         assert out.params.alpha == math.sqrt(T) * alpha
 
     @pytest.mark.parametrize("alpha", _HUGE)
-    @pytest.mark.parametrize("phi", [0.0, math.pi])
+    @pytest.mark.parametrize("phi", [0.0, 1.0, math.pi])
     def test_amplify_and_concat(self, alpha, phi):
         out = amplify(MixedCss(CssParams(alpha, phi), 0.5))
         assert out.p == amplify(MixedCss(CssParams(_LARGE, phi), 0.5)).p
         assert _in_unit(out.p)
         assert concat_stages(0.5, alpha) == concat_stages(0.5, _LARGE)
 
-    @pytest.mark.parametrize("phi", [0.0, math.pi])
+    @pytest.mark.parametrize("phi", [0.0, 1.0, math.pi])
     def test_overflowed_amplified_amplitude(self, phi):
         # the largest alpha whose sqrt(2) alpha is still a float
         largest = 1.271161006153646e308

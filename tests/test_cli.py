@@ -21,6 +21,7 @@ from catpurify import (
     MixedCss,
     TapSetting,
     apply_loss,
+    dyads,
     optimal_k,
     purify,
 )
@@ -113,6 +114,18 @@ class TestPurifyCommand:
         payload = json.loads(out)
         assert payload["k"] > 0.0
         assert min(payload["out_phi"], 2.0 * math.pi - payload["out_phi"]) <= 1e-12
+
+    def test_optimal_outcome_beyond_the_float_range_is_a_physics_error(self, capsys):
+        # -phi / (2 sqrt(2 R) alpha) overflows at alpha = 1e-310: the outcome never occurs
+        code, out, err = run_cli(
+            capsys,
+            "purify", "--alpha", "1e-310", "--phi", "1", "--p-in", "0.5", "--T", "0.5", "--k", "optimal",
+        )
+        assert code == 3 and out == ""
+        assert err == (
+            "physics error: event of zero density: the outcome that cancels the phase at "
+            "alpha=1e-310, R=0.5 is beyond the float range and never occurs\n"
+        )
 
     @pytest.mark.parametrize(
         "flag,value,name",
@@ -322,8 +335,8 @@ class TestConfigFile:
 
 class TestAmplifyAndConcat:
     def test_pi_literal_is_exact(self, capsys):
-        # amplify only accepts phases exactly 0 or pi, so success here
-        # proves the literal parsed to math.pi bit for bit
+        # the output phase 2 phi mod 2 pi is 0 only if phi is math.pi bit for
+        # bit, so out_phi == 0.0 proves the literal parsed exactly
         code, out, _ = run_cli(
             capsys,
             "amplify", "--format", "json",
@@ -335,13 +348,17 @@ class TestAmplifyAndConcat:
         assert payload["out_alpha"] == 0.5 * math.sqrt(2.0)
         assert payload["out_phi"] == 0.0
 
-    def test_unsupported_phase_gets_guidance(self, capsys):
-        code, _, err = run_cli(
+    def test_any_phase_is_amplified(self, capsys):
+        code, out, err = run_cli(
             capsys,
-            "amplify", "--alpha", "0.5", "--phi", "pi/2", "--p-in", "0.5",
+            "amplify", "--format", "json",
+            "--alpha", "0.5", "--phi", "pi/2", "--p-in", "0.5",
         )
-        assert code == 2
-        assert "amplifier_sim" in err
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        assert payload["out_phi"] == math.pi
+        oracle = dyads.amplifier_sim(0.5, CssParams(0.5, math.pi / 2.0))
+        assert abs(payload["p_out"] - oracle) <= 1e-12
 
     def test_small_odd_cat_succeeds(self, capsys):
         code, out, err = run_cli(
@@ -514,7 +531,7 @@ _HELP = {
         'positional arguments:\n'
         '  {purify,amplify,concat,sweep,verify}\n'
         '    purify              condition a mixture on a homodyne outcome behind a tap\n'
-        '    amplify             two-copy coincidence amplification (phi 0 or pi)\n'
+        '    amplify             two-copy coincidence amplification\n'
         '    concat              purify two copies then amplify back to the input\n'
         '                        amplitude\n'
         '    sweep               regenerate a figure dataset as CSV\n'
@@ -552,7 +569,7 @@ _HELP = {
         '  --format {plain,json,csv}\n'
         '                        output format (default plain)\n'
         '  --alpha ALPHA         input amplitude\n'
-        '  --phi PHI             input phase (0 or pi)\n'
+        '  --phi PHI             input phase (radians, or 0, pi, pi/2)\n'
         '  --p-in P_IN           input cat fraction\n'
     ),
     'concat': (

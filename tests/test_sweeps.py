@@ -21,7 +21,7 @@ FIGURE_DIGESTS = {
     "fig6_pout_vs_pin": "badf966d08714e6b6fa2174d41ef640b4b9ea78129eb84314401dc95b1373cf9",
     "fig7_gain_vs_alpha": "d5f141068ba9eb338bc351add46abf7f66012906ce9f2036eb2b1845406940e7",
     "fig8_gain_and_density_vs_T": "37cd7c8ae4657456d9b5c071e560961a85a0513a707460482687db5088756c1f",
-    "concat_scan": "9777c0638bd342afd4f7cbffeca56c776ff9252c050740ca8af5e9e8e425d8ad",
+    "concat_scan": "c12d7c8027d5b0c765a8e152914d65b58ca6b39679b26ecf6462c216ab2ded5e",
 }
 
 
