@@ -155,11 +155,17 @@ def homodyne_density_css(k: float, params: CssParams, T: float) -> float:
     _require_normalizable(params)
     T = _checked(T, "transmittance", _POSITIVE_UNIT)
     k = _checked(k, "homodyne outcome", _FINITE)
+    return _homodyne_density(k, params.alpha, params.phi, T)
+
+
+def _homodyne_density(k: float, alpha: float, phi: float, T: float) -> float:
+    """P_C of `homodyne_density_css` on checked floats and a pair of nonzero
+    norm."""
     density_mix = _gaussian(k)
     if density_mix == 0.0:
         return 0.0
-    theta = _theta(k, params.alpha, 1.0 - T)
-    return _density_css(density_mix, *_norms(params.alpha, params.phi, T, theta))
+    theta = _theta(k, alpha, 1.0 - T)
+    return _density_css(density_mix, *_norms(alpha, phi, T, theta))
 
 
 def _norms(alpha: float, phi: float, T: float, theta: float) -> tuple[float, float]:

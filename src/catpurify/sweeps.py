@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 from . import analytic
 from ._version import __version__
 from .errors import ConfigError
-from .states import _FINITE, _NONNEGATIVE, _POSITIVE_UNIT, CssParams, _checked, _reduce_phase
+from .states import _FINITE, _NONNEGATIVE, _POSITIVE_UNIT, CssParams, _checked, _reduce_phase, _require_normalizable
 
 __all__ = [
     "GridAxis",
@@ -52,6 +52,8 @@ class GridAxis:
             raise ValueError(
                 f"grid axis {self.name!r} needs step > 0 and start < stop"
             )
+        if math.isinf((self.stop - self.start) / self.step):
+            raise ValueError(f"grid axis {self.name!r} has more steps than a float can count")
 
     @property
     def count(self) -> int:
@@ -84,7 +86,10 @@ class SweepTable:
     metadata: Mapping[str, str]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(map(float, row)) for row in self.rows)
+        # one type scan keeps run_sweep's tuples of floats as built
+        rows = tuple(self.rows)
+        if not (set(map(type, rows)) <= {tuple} and set(map(type, chain.from_iterable(rows))) <= {float}):
+            rows = tuple(tuple(map(float, row)) for row in rows)
         width = len(self.columns)
         # one pass over the whole table; the rows are walked only to name
         # the first bad one
@@ -129,9 +134,9 @@ _DOMAINS = {
 
 def _densities(T, alpha, phi):
     params = CssParams(alpha, phi)
-    return lambda k: (
-        k, analytic.homodyne_density_css(k, params, T), analytic.homodyne_density_mix(k)
-    )
+    _require_normalizable(params)
+    phi = params.phi
+    return lambda k: (k, analytic._homodyne_density(k, alpha, phi, T), analytic._gaussian(k))
 
 
 def _gain_vs_k(T, alpha, phi, p_in):
@@ -180,11 +185,11 @@ def _pout_vs_alpha(T, p_in):
 
 
 def _gain_density_vs_T(alpha, p_in):
-    aligned = CssParams(alpha, 0.0)
     opposed = CssParams(alpha, math.pi)
+    degenerate = opposed.is_degenerate
 
     def row(T):
-        density0 = analytic.homodyne_density_css(0.0, aligned, T)
+        density0 = analytic._homodyne_density(0.0, alpha, 0.0, T)
         if T == 1.0:
             # the favorable outcome recedes to k -> inf: the phase-pi tap
             # still shows the limiting gain but the event has density 0;
@@ -193,7 +198,9 @@ def _gain_density_vs_T(alpha, p_in):
             density_pi = 0.0
         else:
             ratio0, ratio_pi, k_pi = _matched_ratios(alpha, T)
-            density_pi = analytic.homodyne_density_css(k_pi, opposed, T)
+            if degenerate:  # optimal_k fails first at alpha = 0 and at the smallest alphas
+                _require_normalizable(opposed)
+            density_pi = analytic._homodyne_density(k_pi, alpha, math.pi, T)
         out0 = analytic._posterior(p_in, ratio0)
         out_pi = analytic._posterior(p_in, ratio_pi)
         return (
@@ -332,7 +339,7 @@ def emit_csv(table: SweepTable, path: str, reproducible: bool = False) -> None:
         lines.append(f"# generated: {stamp}")
     lines.append(",".join(f"{name}[{unit}]" for name, unit in table.columns))
     # "%.12g" % v formats exactly as format(v, ".12g")
-    template = ",".join(["%.12g"] * len(table.columns))
-    lines += [template % row for row in table.rows]
+    template = ",".join(["%.12g"] * len(table.columns)) + "\n"
+    body = (template * len(table.rows)) % tuple(chain.from_iterable(table.rows))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write("\n".join(lines) + "\n" + body)

@@ -464,6 +464,14 @@ class TestSweepCommand:
         assert code == 2 and out == "" and not target.exists()
         assert err == f"error: {figure_id}: fixed p_in must lie in (0, 1], got {float(value)!r}\n"
 
+    def test_degenerate_pair_exits_three(self, capsys, tmp_path):
+        target = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--figure-id", "fig3_densities", "--alpha", "0", "--output", str(target),
+        )
+        assert code == 3 and out == "" and not target.exists()
+        assert err == "physics error: the superposition at alpha=0.0, phi=3.141592653589793 has zero norm\n"
+
     def test_out_of_domain_T_names_T(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sweep", "--figure-id", "fig6_pout_vs_pin", "--T", "1.5",

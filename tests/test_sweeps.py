@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from catpurify import CssParams, analytic, detection_ratio, states, sweeps
-from catpurify.errors import ConfigError
+from catpurify.errors import ConfigError, DegenerateStateError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -42,6 +42,12 @@ class TestGridAxis:
             sweeps.GridAxis("x", 0.0, 1.0, -0.1)
         with pytest.raises(ValueError):
             sweeps.GridAxis("x", 1.0, 0.0, 0.1)
+
+    @pytest.mark.parametrize("start, stop, step", [(-1e308, 1e308, 1.0), (0.0, 1.0, 5e-324)])
+    def test_rejects_axis_too_fine_to_count(self, start, stop, step):
+        # (stop - start) / step is inf: no point count, so no OverflowError later
+        with pytest.raises(ValueError, match="^grid axis 'k' has more steps than a float can count$"):
+            sweeps.GridAxis("k", start, stop, step)
 
 
 class TestRegistry:
@@ -270,6 +276,30 @@ class TestEmission:
         assert body == [",".join(format(v, ".12g") for v in row) for row in rows]
         assert body[0] == "-0,4.94065645841e-324,1e-05,0.3,1e+16,123456789012,7"
 
+    @pytest.mark.parametrize("figure_id", sweeps.FIGURE_IDS)
+    def test_rows_are_kept_as_built(self, figure_id):
+        table = sweeps.run_sweep(sweeps.default_spec(figure_id))
+        assert type(table.rows) is tuple
+        assert all(type(row) is tuple for row in table.rows)
+        assert all(type(v) is float for row in table.rows for v in row)
+        # a table of float tuples keeps the very rows it is given
+        assert sweeps.SweepTable(table.columns, table.rows, table.metadata).rows is table.rows
+
+    def test_lists_and_ints_emit_the_same_bytes(self, tmp_path):
+        table = sweeps.run_sweep(sweeps.default_spec("fig8_gain_and_density_vs_T"))
+        loose = [[int(v) if v.is_integer() else v for v in row] for row in table.rows]
+        assert any(type(v) is int for row in loose for v in row)
+        paths = tmp_path / "built.csv", tmp_path / "loose.csv"
+        sweeps.emit_csv(table, paths[0], reproducible=True)
+        sweeps.emit_csv(sweeps.SweepTable(table.columns, loose, table.metadata), paths[1], reproducible=True)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_table_without_rows_emits_the_header_only(self, tmp_path):
+        table = sweeps.SweepTable((("x", "1"), ("y", "s")), (), {"figure": "none"})
+        path = tmp_path / "empty.csv"
+        sweeps.emit_csv(table, path, reproducible=True)
+        assert path.read_bytes() == b"# figure: none\nx[1],y[s]\n"
+
     def test_matches_golden_bytes(self, tmp_path):
         table = sweeps.run_sweep(sweeps.default_spec("fig2_densities"))
         path = tmp_path / "fig2.csv"
@@ -342,9 +372,14 @@ class TestGridDomains:
 
 
 class TestRowsComputeOnCheckedFloats:
+    """Every figure but concat_scan computes its rows through the closed
+    forms' private kernels; concat_scan calls concat_stages on every row."""
+
     @pytest.mark.parametrize(
         "figure_id",
         [
+            "fig2_densities",
+            "fig3_densities",
             "fig4_gain_vs_k_phi0",
             "fig5_gain_vs_k_phipi",
             "fig6_pout_vs_pin",
@@ -358,7 +393,65 @@ class TestRowsComputeOnCheckedFloats:
 
         monkeypatch.setattr(analytic, "theta_of_k", fail)
         monkeypatch.setattr(analytic, "detection_ratio", fail)
+        monkeypatch.setattr(analytic, "homodyne_density_css", fail)
+        monkeypatch.setattr(analytic, "homodyne_density_mix", fail)
         assert sweeps.run_sweep(sweeps.default_spec(figure_id)).rows
+
+    @pytest.mark.parametrize(
+        "figure_id, fixed",
+        [
+            ("fig2_densities", {}),
+            ("fig2_densities", {"phi": 7.0, "alpha": 0.3, "T": 0.9}),
+            ("fig3_densities", {}),
+            ("fig3_densities", {"phi": -1.0, "alpha": 30.0, "T": 5e-324}),
+            ("fig3_densities", {"alpha": 1e-100}),
+        ],
+    )
+    def test_densities_match_the_public_closed_forms(self, figure_id, fixed):
+        # the rows use the record's reduced phase, as the public form does
+        table = sweeps.run_sweep(_override(figure_id, **fixed))
+        spec = _override(figure_id, **fixed).fixed_params
+        params = CssParams(spec["alpha"], spec["phi"])
+        assert table.rows == tuple(
+            (k, analytic.homodyne_density_css(k, params, spec["T"]), analytic.homodyne_density_mix(k))
+            for k, _, _ in table.rows
+        )
+
+    def test_fig8_densities_match_the_public_closed_form(self):
+        table = sweeps.run_sweep(sweeps.default_spec("fig8_gain_and_density_vs_T"))
+        aligned, opposed = CssParams(1.0, 0.0), CssParams(1.0, math.pi)
+        for T, *_, density0, _, _, density_pi, degenerate in table.rows:
+            assert density0 == analytic.homodyne_density_css(0.0, aligned, T)
+            if not degenerate:
+                k = analytic.optimal_k(opposed, 1.0 - T)
+                assert density_pi == analytic.homodyne_density_css(k, opposed, T)
+
+    @pytest.mark.parametrize("figure_id", ["fig2_densities", "fig3_densities"])
+    def test_degenerate_pair_rejected_before_any_row(self, figure_id, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a row was built")
+
+        monkeypatch.setattr(analytic, "_homodyne_density", fail)
+        monkeypatch.setattr(analytic, "_gaussian", fail)
+        with pytest.raises(DegenerateStateError) as info:
+            sweeps.run_sweep(_override(figure_id, alpha=0.0, phi=math.pi))
+        assert str(info.value) == "the superposition at alpha=0.0, phi=3.141592653589793 has zero norm"
+
+    @pytest.mark.parametrize(
+        "alpha, error, message",
+        [
+            (0.0, "PhysicsError", "no outcome can imprint a phase when alpha=0 or R=0"),
+            (1e-310, "ZeroDensityError", "event of zero density: the outcome that cancels the phase "
+             "at alpha=1e-310, R=0.95 is beyond the float range and never occurs"),
+            (1e-170, "DegenerateStateError",
+             "the superposition at alpha=1e-170, phi=3.141592653589793 has zero norm"),
+        ],
+    )
+    def test_fig8_small_amplitudes_fail_as_the_first_row_does(self, alpha, error, message):
+        # optimal_k's errors come before the odd pair's zero norm
+        with pytest.raises(Exception) as info:
+            sweeps.run_sweep(_override("fig8_gain_and_density_vs_T", alpha=alpha))
+        assert (type(info.value).__name__, str(info.value)) == (error, message)
 
 
 class TestConcatScanWork:
