@@ -20,7 +20,7 @@ import warnings
 from .errors import DegenerateStateError, PhysicsError, ZeroDensityError
 from .states import (
     _FINITE, _NONNEGATIVE, _POSITIVE_UNIT, _UNIT, TWO_PI, ChannelSetting, CssParams,
-    MixedCss, TapSetting, _checked, _pair_norm, _require_normalizable,
+    MixedCss, TapSetting, _checked, _nonzero_norm, _pair_norm,
 )
 
 __all__ = [
@@ -85,7 +85,7 @@ def loss_fraction(eta: float, params: CssParams) -> float:
     / [1 + cos(phi) e^{-2 alpha^2}]; the surviving amplitude is
     sqrt(eta) alpha with the phase unchanged.
     """
-    _require_normalizable(params)
+    _nonzero_norm(params.alpha, params.phi)
     eta = _checked(eta, "transmittance", _POSITIVE_UNIT)
     a2 = params.alpha * params.alpha
     lost = 2.0 * (1.0 - eta) * a2 if eta < 1.0 else 0.0
@@ -152,27 +152,24 @@ def homodyne_density_css(k: float, params: CssParams, T: float) -> float:
     input is the pure superposition and the tap transmits T. An outcome
     whose Gaussian factor e^{-k^2} is 0 has density 0, whatever phase it
     would imprint."""
-    _require_normalizable(params)
     T = _checked(T, "transmittance", _POSITIVE_UNIT)
     k = _checked(k, "homodyne outcome", _FINITE)
     return _homodyne_density(k, params.alpha, params.phi, T)
 
 
 def _homodyne_density(k: float, alpha: float, phi: float, T: float) -> float:
-    """P_C of `homodyne_density_css` on checked floats and a pair of nonzero
-    norm."""
+    """P_C of `homodyne_density_css` on checked floats."""
+    norm = _nonzero_norm(alpha, phi)
     density_mix = _gaussian(k)
     if density_mix == 0.0:
         return 0.0
-    theta = _theta(k, alpha, 1.0 - T)
-    return _density_css(density_mix, *_norms(alpha, phi, T, theta))
+    return _density_css(density_mix, _kept_norm(alpha, phi, T, _theta(k, alpha, 1.0 - T)), norm)
 
 
-def _norms(alpha: float, phi: float, T: float, theta: float) -> tuple[float, float]:
-    """N(phi + theta, 2 T alpha^2) and N(phi, 2 alpha^2): P_C is P_0 times
-    the first over the second, and the detection ratio is their inverse."""
-    a2 = alpha * alpha
-    return _pair_norm(phi + theta, 2.0 * T * a2), _pair_norm(phi, 2.0 * a2)
+def _kept_norm(alpha: float, phi: float, T: float, theta: float) -> float:
+    """N(phi + theta, 2 T alpha^2): P_C is P_0 times it over N(phi, 2 alpha^2),
+    and the detection ratio is the inverse of that quotient."""
+    return _pair_norm(phi + theta, 2.0 * T * (alpha * alpha))
 
 
 def _density_css(density_mix: float, kept: float, norm: float) -> float:
@@ -204,7 +201,8 @@ def detection_ratio(params: CssParams, T: float, theta: float) -> float:
 
 
 def _ratio(alpha: float, phi: float, T: float, theta: float) -> float:
-    return _ratio_of(*_norms(alpha, phi, T, theta))
+    norm = _nonzero_norm(alpha, phi)
+    return _ratio_of(_kept_norm(alpha, phi, T, theta), norm)
 
 
 def _ratio_of(kept: float, norm: float) -> float:
@@ -248,7 +246,7 @@ def purify(state: MixedCss, tap: TapSetting) -> tuple[MixedCss, float, float]:
     """
     _warn_if_blind_tap(tap.T)
     params = state.params
-    _require_normalizable(params)
+    norm = _nonzero_norm(params.alpha, params.phi)
     k = tap.k
     density_mix = _gaussian(k)
     if density_mix == 0.0:
@@ -256,7 +254,7 @@ def purify(state: MixedCss, tap: TapSetting) -> tuple[MixedCss, float, float]:
         raise _never_occurs(k)
     missed = (1.0 - tap.eta_H) * tap.R
     theta = _imprinted(k, params.alpha, tap.eta_H * tap.R)
-    kept, norm = _norms(params.alpha, params.phi, tap.T + missed, theta)
+    kept = _kept_norm(params.alpha, params.phi, tap.T + missed, theta)
     ratio, density_css = _ratio_of(kept, norm), _density_css(density_mix, kept, norm)
     p = state.p
     if p * density_css + (1.0 - p) * density_mix == 0.0:
@@ -292,6 +290,7 @@ def success_region(params: CssParams, R: float) -> tuple[tuple[float, float], ..
         raise DegenerateStateError(
             "alpha=0 leaves nothing to purify; the region degenerates"
         )
+    _nonzero_norm(params.alpha, params.phi)
     y = 2.0 * R * (params.alpha * params.alpha) if R else 0.0
     bound = math.cos(params.phi) * math.exp(-y)
     if bound >= 1.0:
@@ -385,7 +384,7 @@ def window_acceptance(
     the whole peak can pass by a rounding error.
     """
     params = state.params
-    _require_normalizable(params)
+    norm = _nonzero_norm(params.alpha, params.phi)
     T = _checked(T, "transmittance", _POSITIVE_UNIT)
     center = _checked(center, "window center", _FINITE)
     half_width = float(half_width)  # inf spans the whole line
@@ -407,7 +406,6 @@ def window_acceptance(
     resolved = 0.5 * c if kept_y < 40.0 else 0.0
     panels = math.ceil((hi - lo) * max(1.0, resolved))
     half = 0.5 * (hi - lo) / panels
-    norm = _pair_norm(params.phi, 2.0 * a2)
     p = state.p
     total = 0.0
     for i in range(panels):
@@ -442,10 +440,6 @@ def amplify(state: MixedCss) -> MixedCss:
     if params.alpha <= 0.0:
         raise ValueError("amplification needs alpha > 0")
     out_params, norm_in, norm_out = _amplifier(params.alpha, params.phi)
-    if norm_in == 0.0:
-        _require_normalizable(params)
-    if norm_out == 0.0:
-        _require_normalizable(out_params)
     p = state.p
     x = (1.0 - p) * norm_in / p if p > 0.0 else math.inf
     return MixedCss(out_params, norm_out / (norm_out + x * (2.0 + x)))
@@ -466,7 +460,7 @@ def _amplifier(alpha: float, phi: float) -> tuple[CssParams, float, float]:
     if out_alpha == math.inf:
         raise ValueError(f"amplified amplitude sqrt(2) alpha overflows at alpha={alpha!r}")
     out = CssParams(out_alpha, (2.0 * phi) % TWO_PI)
-    return out, _pair_norm(phi, 2.0 * (alpha * alpha)), _pair_norm(out.phi, 2.0 * (out_alpha * out_alpha))
+    return out, _nonzero_norm(alpha, phi), _nonzero_norm(out_alpha, out.phi)
 
 
 def amplification_threshold(alpha: float) -> float:
@@ -516,9 +510,8 @@ def purity_mixed_css(state: MixedCss) -> float:
     (1 + 2 g cos(phi) + g^2) / (2 (1 + g cos(phi))), and
     tr[rho_0^2] = (1 + g^2)/2.
     """
-    _require_normalizable(state.params)
-    p = state.p
-    g = math.exp(-2.0 * (state.params.alpha * state.params.alpha))
-    cos_phi = math.cos(state.params.phi)
-    cross = (1.0 + 2.0 * g * cos_phi + g * g) / normalization(state.params)
+    params, p = state.params, state.p
+    norm = _nonzero_norm(params.alpha, params.phi)
+    g = math.exp(-2.0 * (params.alpha * params.alpha))
+    cross = (1.0 + 2.0 * g * math.cos(params.phi) + g * g) / (2.0 * norm)
     return p * p + 2.0 * p * (1.0 - p) * cross + (1.0 - p) ** 2 * (1.0 + g * g) / 2.0

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateStateError, StateFamilyError, ZeroDensityError
 from .states import (
-    _FINITE, _POSITIVE_UNIT, _UNIT, TWO_PI, CssParams, MixedCss, _require_normalizable,
+    _FINITE, _POSITIVE_UNIT, _UNIT, TWO_PI, CssParams, MixedCss, _nonzero_norm,
 )
 
 __all__ = [
@@ -276,7 +276,7 @@ def _normalizable_css(rows: list[CssParams], alpha: np.ndarray, phi: np.ndarray)
     """The unnormalized superposition dyads, once every pair is known to
     have a nonzero norm."""
     for params in rows:
-        _require_normalizable(params)
+        _nonzero_norm(params.alpha, params.phi)
     return _css_dyads(alpha, np.exp(1j * phi))
 
 

@@ -64,6 +64,15 @@ def _pair_norm(phi: float, y: float) -> float:
     return (1.0 + c) + c * math.expm1(-y)
 
 
+def _nonzero_norm(alpha: float, phi: float) -> float:
+    """N(phi, 2 alpha^2), the norm every closed form divides by, or a
+    DegenerateStateError where it is 0."""
+    norm = _pair_norm(phi, 2.0 * (alpha * alpha))
+    if norm == 0.0:
+        raise DegenerateStateError(f"the superposition at alpha={alpha!r}, phi={phi!r} has zero norm")
+    return norm
+
+
 def _reduce_phase(phi: float) -> float:
     """Map an angle into [0, 2*pi). The reduction is exact for inputs
     already in range, so round-tripping never perturbs a stored phase."""
@@ -93,7 +102,7 @@ class CssParams:
     A pair whose superposition norm is 0 in floating point, such as
     (alpha=0, phi=pi) or an odd cat whose alpha^2 underflows, is
     constructible but degenerate. Operations that need a normalized state
-    check `is_degenerate` and reject it.
+    reject it where they compute the norm.
     """
 
     alpha: float
@@ -106,13 +115,6 @@ class CssParams:
     @property
     def is_degenerate(self) -> bool:
         return _pair_norm(self.phi, 2.0 * (self.alpha * self.alpha)) == 0.0
-
-
-def _require_normalizable(params: CssParams) -> None:
-    if params.is_degenerate:
-        raise DegenerateStateError(
-            f"the superposition at alpha={params.alpha!r}, phi={params.phi!r} has zero norm"
-        )
 
 
 @dataclass(frozen=True, init=False)

@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 from . import analytic
 from ._version import __version__
 from .errors import ConfigError
-from .states import _FINITE, _NONNEGATIVE, _POSITIVE_UNIT, CssParams, _checked, _reduce_phase, _require_normalizable
+from .states import _FINITE, _NONNEGATIVE, _POSITIVE_UNIT, CssParams, _checked, _reduce_phase
 
 __all__ = [
     "GridAxis",
@@ -32,6 +32,10 @@ __all__ = [
     "emit_csv",
     "csv_name",
 ]
+
+
+# the most points an axis or a whole grid may hold, about 50 concat_scans
+_MAX_GRID_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -54,6 +58,8 @@ class GridAxis:
             )
         if math.isinf((self.stop - self.start) / self.step):
             raise ValueError(f"grid axis {self.name!r} has more steps than a float can count")
+        if self.count > _MAX_GRID_POINTS:
+            raise ValueError(f"grid axis {self.name!r} has more than {_MAX_GRID_POINTS} points")
 
     @property
     def count(self) -> int:
@@ -133,9 +139,7 @@ _DOMAINS = {
 
 
 def _densities(T, alpha, phi):
-    params = CssParams(alpha, phi)
-    _require_normalizable(params)
-    phi = params.phi
+    phi = _reduce_phase(phi)
     return lambda k: (k, analytic._homodyne_density(k, alpha, phi, T), analytic._gaussian(k))
 
 
@@ -185,9 +189,6 @@ def _pout_vs_alpha(T, p_in):
 
 
 def _gain_density_vs_T(alpha, p_in):
-    opposed = CssParams(alpha, math.pi)
-    degenerate = opposed.is_degenerate
-
     def row(T):
         density0 = analytic._homodyne_density(0.0, alpha, 0.0, T)
         if T == 1.0:
@@ -198,8 +199,6 @@ def _gain_density_vs_T(alpha, p_in):
             density_pi = 0.0
         else:
             ratio0, ratio_pi, k_pi = _matched_ratios(alpha, T)
-            if degenerate:  # optimal_k fails first at alpha = 0 and at the smallest alphas
-                _require_normalizable(opposed)
             density_pi = analytic._homodyne_density(k_pi, alpha, math.pi, T)
         out0 = analytic._posterior(p_in, ratio0)
         out_pi = analytic._posterior(p_in, ratio_pi)
@@ -298,9 +297,9 @@ def _validate(spec: SweepSpec, fig: _Figure) -> None:
 def run_sweep(spec: SweepSpec) -> SweepTable:
     """Evaluate a sweep. Deterministic: rows follow the product of the grid
     axes, the last axis fastest, and every value comes from the closed-form
-    layer. A fixed value or a grid axis end outside its parameter's domain
-    is a ValueError, raised before any row is built; the rows then compute
-    on the checked floats."""
+    layer. A fixed value or a grid axis end outside its parameter's domain,
+    and a grid of more than a million points, are ValueErrors raised before
+    any row is built; the rows then compute on the checked floats."""
     fig = _figure(spec.figure_id)
     _validate(spec, fig)
     fixed = {
@@ -310,6 +309,9 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     for axis in spec.grid:
         for end in (axis.start, axis.stop):
             _checked(end, f"{spec.figure_id}: grid {axis.name}", _DOMAINS[axis.name])
+    points = math.prod(axis.count for axis in spec.grid)
+    if points > _MAX_GRID_POINTS:
+        raise ValueError(f"{spec.figure_id}: the grid has {points} points, more than {_MAX_GRID_POINTS}")
     grid = product(*(axis.values() for axis in spec.grid))
     rows = tuple(starmap(fig.row(**fixed), grid))
     metadata: dict[str, str] = {"figure": spec.figure_id}

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from catpurify import (
     ChannelSetting,
@@ -158,11 +157,11 @@ class TestDensities:
     )
     def test_css_density_normalized(self, alpha, phi, T):
         params = CssParams(alpha, phi)
-        total, _ = quad(lambda k: homodyne_density_css(k, params, T), -12.0, 12.0)
+        total = float(mpmath.quad(lambda k: homodyne_density_css(k, params, T), [-12.0, 12.0]))
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_mix_density_normalized(self):
-        total, _ = quad(homodyne_density_mix, -12.0, 12.0)
+        total = float(mpmath.quad(homodyne_density_mix, [-12.0, 12.0]))
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_degenerate_rejected(self):
@@ -267,6 +266,17 @@ class TestPurify:
         state = MixedCss(CssParams(1.0, math.pi), 0.5)
         with pytest.raises(ZeroDensityError):
             condition(state, TapSetting(0.5, 1e200, eta_H))
+
+    @pytest.mark.parametrize("p", [1.0, 1.0 - 1e-6])
+    def test_zero_joint_density_rejected(self, p):
+        # at k = 27.2 both densities are representable, but the outcome that
+        # nearly cancels the odd cat leaves p P_C + (1 - p) P_0 underflowed
+        alpha, k = 1e-3, 27.2
+        state = MixedCss(CssParams(alpha, math.pi - theta_of_k(k, alpha, 0.5)), p)
+        assert homodyne_density_mix(k) > 0.0
+        with pytest.raises(ZeroDensityError) as info:
+            purify(state, TapSetting(0.5, k))
+        assert str(info.value) == "event of zero density: the outcome k=27.2 never occurs"
 
     def test_blind_tap_warns_and_changes_nothing(self):
         with pytest.warns(UserWarning):
@@ -699,6 +709,8 @@ class TestUnderflowedNorm:
             lambda s: purify_with_inefficiency(s, TapSetting(0.5, 0.0, 0.98)),
             lambda s: window_acceptance(s, 0.5, 0.0, 1.0),
             purity_mixed_css,
+            lambda s: detection_ratio(s.params, 0.5, math.pi),
+            lambda s: success_region(s.params, 0.5),
         ],
         ids=[
             "loss_fraction",
@@ -707,11 +719,14 @@ class TestUnderflowedNorm:
             "purify_with_inefficiency",
             "window_acceptance",
             "purity_mixed_css",
+            "detection_ratio",
+            "success_region",
         ],
     )
     def test_rejected(self, call):
-        with pytest.raises(DegenerateStateError):
+        with pytest.raises(DegenerateStateError) as info:
             call(self.STATE)
+        assert str(info.value) == "the superposition at alpha=1e-170, phi=3.141592653589793 has zero norm"
 
 
 class TestAmplify:

@@ -472,6 +472,15 @@ class TestSweepCommand:
         assert code == 3 and out == "" and not target.exists()
         assert err == "physics error: the superposition at alpha=0.0, phi=3.141592653589793 has zero norm\n"
 
+    def test_underflowed_odd_pair_exits_three(self, capsys, tmp_path):
+        # fig6's phase-pi tap divides by the odd pair's norm, 0 at alpha = 1e-170
+        target = tmp_path / "x.csv"
+        code, out, err = run_cli(
+            capsys, "sweep", "--figure-id", "fig6_pout_vs_pin", "--alpha", "1e-170", "--output", str(target),
+        )
+        assert code == 3 and out == "" and not target.exists()
+        assert err == "physics error: the superposition at alpha=1e-170, phi=3.141592653589793 has zero norm\n"
+
     def test_out_of_domain_T_names_T(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "sweep", "--figure-id", "fig6_pout_vs_pin", "--T", "1.5",

@@ -49,6 +49,23 @@ class TestGridAxis:
         with pytest.raises(ValueError, match="^grid axis 'k' has more steps than a float can count$"):
             sweeps.GridAxis("k", start, stop, step)
 
+    @pytest.mark.parametrize("start, stop, step", [(-4.0, 4.0, 1e-12), (0.0, 1.0, 1e-300)])
+    def test_rejects_axis_beyond_the_point_bound(self, start, stop, step):
+        with pytest.raises(ValueError) as info:
+            sweeps.GridAxis("k", start, stop, step)
+        assert str(info.value) == "grid axis 'k' has more than 1000000 points"
+
+    def test_axis_at_the_point_bound_accepted(self):
+        # only the count is asked for: no list of a million values is built
+        assert sweeps.GridAxis("k", 1.0, 1e6, 1.0).count == 10**6
+
+    @pytest.mark.parametrize("end", ["start", "stop", "step"])
+    def test_rejects_nan(self, end):
+        ends = {"start": 0.0, "stop": 1.0, "step": 0.1, end: math.nan}
+        with pytest.raises(ValueError) as info:
+            sweeps.GridAxis("k", **ends)
+        assert str(info.value) == "grid axis 'k' must be finite"
+
 
 class TestRegistry:
     def test_known_ids(self):
@@ -366,6 +383,16 @@ class TestGridDomains:
         with pytest.raises(ValueError, match="grid p_in"):
             sweeps.run_sweep(_regrid("fig6_pout_vs_pin", sweeps.GridAxis("p_in", 0.5, 1.5, 0.1)))
 
+    def test_grid_beyond_the_point_bound_rejected(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a grid list was built")
+
+        axes = (sweeps.GridAxis("alpha", 0.05, 2.0, 0.001), sweeps.GridAxis("p_in", 0.01, 0.99, 0.0001))
+        monkeypatch.setattr(sweeps.GridAxis, "values", fail)
+        with pytest.raises(ValueError) as info:
+            sweeps.run_sweep(_regrid("concat_scan", *axes))
+        assert str(info.value) == "concat_scan: the grid has 19121751 points, more than 1000000"
+
     def test_ends_inside_accepted(self):
         table = sweeps.run_sweep(_regrid("fig6_pout_vs_pin", sweeps.GridAxis("p_in", 0.5, 1.0, 0.25)))
         assert [row[0] for row in table.rows] == [0.5, 0.75, 1.0]
@@ -431,7 +458,7 @@ class TestRowsComputeOnCheckedFloats:
         def fail(*args):
             raise AssertionError("a row was built")
 
-        monkeypatch.setattr(analytic, "_homodyne_density", fail)
+        # the density kernel takes the pair's norm before its Gaussian factor
         monkeypatch.setattr(analytic, "_gaussian", fail)
         with pytest.raises(DegenerateStateError) as info:
             sweeps.run_sweep(_override(figure_id, alpha=0.0, phi=math.pi))
@@ -452,6 +479,21 @@ class TestRowsComputeOnCheckedFloats:
         with pytest.raises(Exception) as info:
             sweeps.run_sweep(_override("fig8_gain_and_density_vs_T", alpha=alpha))
         assert (type(info.value).__name__, str(info.value)) == (error, message)
+
+    @pytest.mark.parametrize(
+        "spec, alpha",
+        [
+            (_override("fig5_gain_vs_k_phipi", alpha=0.0), 0.0),
+            (_override("fig6_pout_vs_pin", alpha=1e-170), 1e-170),
+            (_regrid("fig7_gain_vs_alpha", sweeps.GridAxis("alpha", 1e-170, 2.0, 0.01)), 1e-170),
+        ],
+        ids=["fig5", "fig6", "fig7"],
+    )
+    def test_zero_norm_odd_pair_rejected(self, spec, alpha):
+        # the phase-pi ratio divides by the odd pair's norm, which is 0 here
+        with pytest.raises(DegenerateStateError) as info:
+            sweeps.run_sweep(spec)
+        assert str(info.value) == f"the superposition at alpha={alpha!r}, phi=3.141592653589793 has zero norm"
 
 
 class TestConcatScanWork:
