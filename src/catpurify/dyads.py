@@ -580,8 +580,8 @@ def amplifier_sim(
     joint = tensor(joint, make_coherent(math.sqrt(2.0) * alpha))
     joint = bs_on_product(joint, (0, 2), 0.5)
     joint, _ = project_click(joint, 2)
-    joint, _ = project_click(joint, 0)
-    if (_traces(joint).real < _MIN_DENSITY).any():
+    joint, coincidence = project_click(joint, 0)
+    if np.any(coincidence < _MIN_DENSITY):
         raise ZeroDensityError("both-click coincidence has vanishing probability")
     conditioned = normalize(joint)
     out = [CssParams(math.sqrt(2.0) * r.alpha, (2.0 * r.phi) % TWO_PI) for r in rows]

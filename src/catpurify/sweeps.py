@@ -148,6 +148,9 @@ def _gain_vs_k(T, alpha, phi, p_in):
     R = 1.0 - T
 
     def row(k):
+        if analytic._gaussian(k) == 0.0:
+            # no component produces k, and theta(k) may overflow there
+            raise analytic._never_occurs(k)
         theta = analytic._theta(k, alpha, R)
         p_out = analytic._posterior(p_in, analytic._ratio(alpha, phi, T, theta))
         return k, p_out, p_out / p_in

@@ -3,6 +3,8 @@
 Each check draws random parameters, runs the same physical situation
 through :mod:`catpurify.analytic` and through the exact simulation in
 :mod:`catpurify.dyads`, and records the largest absolute difference.
+The parameters come from the standard library's ``random.Random`` seeded
+per suite; numpy carries only the oracle's arrays.
 The closed forms run draw by draw; the oracle runs on batches of dyad
 states. The loss, density and both detector checks share one batch, which
 crosses the paper's setup once: a lossy line, a tap and a homodyne
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,14 +67,12 @@ class CheckResult:
 _Table = dict[str, list[float]]
 
 
-def _draw(rng: np.random.Generator, draws: int, bounds: dict[str, tuple[float, float]]) -> _Table:
-    """`draws` values of each named parameter, uniform within its bounds,
-    from one generator call. The table fills row by row, so it holds the
-    numbers that one rng.uniform(low, high) call per draw and parameter,
-    in the order of `bounds`, would return."""
-    lows, highs = zip(*bounds.values())
-    table = rng.uniform(lows, highs, size=(draws, len(bounds)))
-    return dict(zip(bounds, table.T.tolist()))
+def _draw(rng: random.Random, draws: int, bounds: dict[str, tuple[float, float]]) -> _Table:
+    """`draws` values of each named parameter, uniform within its bounds.
+    The table fills row by row, one rng.uniform(low, high) call per draw
+    and parameter, in the order of `bounds`."""
+    rows = [[rng.uniform(low, high) for low, high in bounds.values()] for _ in range(draws)]
+    return dict(zip(bounds, map(list, zip(*rows))))
 
 
 def _mixtures(drawn: _Table) -> list[MixedCss]:
@@ -181,12 +182,13 @@ def run_suite(
     draws: int = DEFAULT_DRAWS, amp_draws: int = DEFAULT_AMP_DRAWS, seed: int = DEFAULT_SEED
 ) -> list[CheckResult]:
     """Run every analytic-vs-oracle check and return their results. The
-    parameters of every check are drawn at once, in check order; the
-    oracle then runs one batched pass for the four checks on the lossy
-    line and the detector, and one for each of the other two."""
+    parameters of every check are drawn first, in check order, from the
+    suite's own `random.Random(seed)`; the oracle then runs one batched
+    pass for the four checks on the lossy line and the detector, and one
+    for each of the other two."""
     draws = _checked(draws, "draws", 1)
     amp_draws = _checked(amp_draws, "amp_draws", 1)
-    rng = np.random.default_rng(_checked(seed, "seed", 0))
+    rng = random.Random(_checked(seed, "seed", 0))
     tables = [_draw(rng, amp_draws if name == _AMPLIFIER else draws, bounds) for name, _, bounds in _CHECKS]
     errors = [*_line_and_detector(*tables[:4]), _purity(tables[4]), _amplifier(tables[5])]
     # max() keeps a NaN error, so a check that produced one fails

@@ -502,6 +502,20 @@ class TestAmplifierSim:
         with pytest.raises(ValueError):
             dy.amplifier_sim(0.5, CssParams(0.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "fractions, params",
+        [
+            (0.5, CssParams(1e-80, 0.0)),
+            ([0.5, 0.5], [CssParams(0.5, 0.0), CssParams(1e-80, 0.0)]),
+        ],
+        ids=["single", "batch"],
+    )
+    def test_vanishing_coincidence_rejected(self, fractions, params):
+        # a click needs light: at alpha = 1e-80 both ports stay dark
+        with pytest.raises(ZeroDensityError) as info:
+            dy.amplifier_sim(fractions, params)
+        assert str(info.value) == "both-click coincidence has vanishing probability"
+
 
 def random_dyads(rng, terms=7, modes=3):
     """A non-Hermitian dyad sum whose last two dyads repeat its first two."""

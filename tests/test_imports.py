@@ -2,7 +2,8 @@
 
 The closed forms and the command line need only the standard library;
 numpy loads with the dyad oracle (``catpurify.dyads``, ``catpurify.verify``,
-``catpurify.run_suite``) on first use, and scipy never loads.
+``catpurify.run_suite``) on first use, ``numpy.random`` not even then, and
+scipy never loads.
 """
 
 import os
@@ -51,6 +52,23 @@ def test_oracle_names_resolve_on_first_use():
         f"print({HEAVY})\n",
     )
     assert out == "[]\n['numpy']\n"
+
+
+RANDOM = "[m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']]"
+
+
+def test_verify_loads_no_numpy_random():
+    out = run_python(
+        "-c",
+        "import contextlib, io, sys\n"
+        "from catpurify import cli, run_suite\n"
+        "run_suite(1, 1)\n"
+        f"print({RANDOM})\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify', '--draws', '1', '--amp-draws', '1'])\n"
+        f"print(code, {RANDOM}, 'numpy' in sys.modules)\n",
+    )
+    assert out == "[]\n0 [] True\n"
 
 
 def test_cold_cli_prints_what_main_prints(capsys):

@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from catpurify import CssParams, analytic, detection_ratio, states, sweeps
-from catpurify.errors import ConfigError, DegenerateStateError
+from catpurify import CssParams, MixedCss, TapSetting, analytic, detection_ratio, states, sweeps
+from catpurify.errors import ConfigError, DegenerateStateError, ZeroDensityError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -494,6 +494,31 @@ class TestRowsComputeOnCheckedFloats:
         with pytest.raises(DegenerateStateError) as info:
             sweeps.run_sweep(spec)
         assert str(info.value) == f"the superposition at alpha={alpha!r}, phi=3.141592653589793 has zero norm"
+
+    @pytest.mark.parametrize("figure_id", ["fig4_gain_vs_k_phi0", "fig5_gain_vs_k_phipi"])
+    @pytest.mark.parametrize(
+        "axis",
+        # past |k| = 27.28 e^{-k^2} underflows; near the float limit theta
+        # overflows too
+        [sweeps.GridAxis("k", 30.0, 40.0, 5.0), sweeps.GridAxis("k", 1e307, 1.7e308, 5e307)],
+        ids=["underflow", "overflow"],
+    )
+    def test_outcome_that_never_occurs_rejected(self, figure_id, axis):
+        # the same error purify raises for the first outcome of the grid
+        spec = _regrid(figure_id, axis)
+        fixed = spec.fixed_params
+        state = MixedCss(CssParams(fixed["alpha"], fixed["phi"]), fixed["p_in"])
+        with pytest.raises(ZeroDensityError) as expected:
+            analytic.purify(state, TapSetting(fixed["T"], axis.start))
+        with pytest.raises(ZeroDensityError) as info:
+            sweeps.run_sweep(spec)
+        message = f"event of zero density: the outcome k={axis.start!r} never occurs"
+        assert str(info.value) == str(expected.value) == message
+
+    @pytest.mark.parametrize("figure_id", ["fig4_gain_vs_k_phi0", "fig5_gain_vs_k_phipi"])
+    def test_last_outcomes_that_occur_keep_their_rows(self, figure_id):
+        table = sweeps.run_sweep(_regrid(figure_id, sweeps.GridAxis("k", -27.0, 27.0, 27.0)))
+        assert [k for k, _, _ in table.rows] == [-27.0, 0.0, 27.0]
 
 
 class TestConcatScanWork:
