@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateStateError, StateFamilyError, ZeroDensityError
 from .states import (
-    _FINITE, _POSITIVE_UNIT, _UNIT, TWO_PI, CssParams, MixedCss, _nonzero_norm,
+    _FINITE, _POSITIVE_UNIT, _UNIT, TWO_PI, CssParams, MixedCss, _checked, _nonzero_norm,
 )
 
 __all__ = [
@@ -74,8 +74,9 @@ class DyadState:
     Parameters that take one value per member (transmittances, outcomes)
     also take a single value for all of them.
 
-    No operation here changes these arrays in place, and derived states
-    may share them, so treat them as read-only.
+    The constructor converts and checks what it is given; a state that this
+    module builds has only its coefficients checked, for finiteness. Such
+    states may share arrays, never changed in place, so treat them as read-only.
     """
 
     coeff: np.ndarray
@@ -92,20 +93,25 @@ class DyadState:
             )
         if coeff.shape != ket.shape[:-1]:
             raise ValueError("one coefficient per dyad and batch member is required")
-        if not np.isfinite(coeff).all():
-            raise ValueError("dyad coefficients must be finite")
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "ket", ket)
-        object.__setattr__(self, "bra", bra)
+        _derived(coeff, ket, bra, self)
 
     @property
     def mode_count(self) -> int:
         return self.ket.shape[-1]
 
 
+def _derived(coeff: np.ndarray, ket: np.ndarray, bra: np.ndarray, state=None) -> DyadState:
+    """A state (`state` if given) of complex arrays that match: only the coefficients are checked."""
+    if not all(np.isfinite(coeff).ravel().tolist()):  # for a few terms, faster than .all()
+        raise ValueError("dyad coefficients must be finite")
+    state = object.__new__(DyadState) if state is None else state
+    vars(state).update(coeff=coeff, ket=ket, bra=bra)
+    return state
+
+
 def _stack_last(*parts: np.ndarray) -> np.ndarray:
-    """Equal-shape arrays of at most one (batch) axis, stacked along a new last axis."""
-    return np.array(parts).T
+    """Equal-shape arrays of at most one (batch) axis, stacked as complex along a new last axis."""
+    return np.array(parts, dtype=complex).T
 
 
 def _scalar_or_batch(values: np.ndarray) -> complex | float | np.ndarray:
@@ -129,9 +135,11 @@ def _require_in(values: np.ndarray, name: str, domain: tuple[float, float, str])
 
 def _per_member(
     state: DyadState, value, name: str, domain: tuple[float, float, str]
-) -> np.ndarray:
-    """A setting as a float array with a trailing term axis: a scalar, or
-    one value per batch member, each in `domain`."""
+) -> float | np.ndarray:
+    """A setting in `domain`: a Python float as it is, or else a float array
+    with a trailing term axis, a scalar or one value per batch member."""
+    if type(value) is float:
+        return _checked(value, name, domain)
     values = np.asarray(value, dtype=float)
     if values.ndim and values.shape != state.coeff.shape[:-1]:
         raise ValueError(f"{name} takes one value, or one per batch member")
@@ -163,7 +171,7 @@ def overlap(beta: complex, gamma: complex) -> complex:
 def _weighted_sum(*parts: tuple[object, DyadState]) -> DyadState:
     """sum_k w_k * state_k with all terms kept as they are; a weight is a
     scalar or one value per batch member."""
-    return DyadState(
+    return _derived(
         np.concatenate([np.asarray(w)[..., None] * s.coeff for w, s in parts], axis=-1),
         np.concatenate([s.ket for _, s in parts], axis=-2),
         np.concatenate([s.bra for _, s in parts], axis=-2),
@@ -173,7 +181,7 @@ def _weighted_sum(*parts: tuple[object, DyadState]) -> DyadState:
 def _members(*parts: tuple[DyadState, slice]) -> DyadState:
     """The chosen members of each batch, joined in order into one batch;
     the batches must share one term layout."""
-    return DyadState(*(
+    return _derived(*(
         np.concatenate([getattr(state, side)[chosen] for state, chosen in parts])
         for side in ("coeff", "ket", "bra")
     ))
@@ -182,18 +190,23 @@ def _members(*parts: tuple[DyadState, slice]) -> DyadState:
 def merge_terms(state: DyadState, tol: float = PRUNE_TOL) -> DyadState:
     """Combine terms with identical dyads and drop those below `tol`.
 
-    Dyads match on exact amplitude equality (so -0.0 and +0.0 match), and
-    terms keep the order of each dyad's first occurrence. In a batch, two
-    terms merge only if their amplitudes match in every member, and a
-    term is dropped only if it is below `tol` in every member.
+    Dyads match on exact amplitude equality (-0.0 matches +0.0, NaN
+    nothing), and terms keep the order of each dyad's first occurrence.
+    In a batch, two terms merge only if their amplitudes match in every
+    member, and a term is dropped only if it is below `tol` in every member.
     """
     terms = state.coeff.shape[-1]
-    if terms == 0:
-        return state
+    if not state.coeff.size:  # no terms, or no member to keep one in
+        return _derived(state.coeff[..., :0], state.ket[..., :0, :], state.bra[..., :0, :])
     amps = np.concatenate([state.ket, state.bra], axis=-1)
-    rows = amps.swapaxes(0, -2).reshape(terms, -1).tolist()  # one row per term
-    first: dict[tuple[complex, ...], int] = {}
-    owner = [first.setdefault(tuple(row), i) for i, row in enumerate(rows)]
+    # one row per term; adding 0.0 turns -0.0 into +0.0, so equal rows hold equal bytes
+    rows = np.add(amps.swapaxes(0, -2), 0.0, order="C").reshape(terms, -1)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+    first: dict[bytes | int, int] = {}
+    owner = [first.setdefault(key, i) for i, key in enumerate(keys)]
+    if len(first) < terms and np.isnan(rows).any():  # a row holding NaN matches none
+        first, nan = {}, np.isnan(rows).any(axis=1).tolist()
+        owner = [first.setdefault(i if nan[i] else key, i) for i, key in enumerate(keys)]
     summed = state.coeff
     if len(first) < terms:
         summed = np.zeros_like(summed)
@@ -202,7 +215,7 @@ def merge_terms(state: DyadState, tol: float = PRUNE_TOL) -> DyadState:
     kept = [i for i in first.values() if large[i]]
     if len(kept) == terms:
         return state
-    return DyadState(summed[..., kept], state.ket[..., kept, :], state.bra[..., kept, :])
+    return _derived(summed[..., kept], state.ket[..., kept, :], state.bra[..., kept, :])
 
 
 def _traces(state: DyadState) -> np.ndarray:
@@ -228,7 +241,7 @@ def _unit_trace_coeff(state: DyadState) -> np.ndarray:
 
 def normalize(state: DyadState) -> DyadState:
     """Rescale to unit trace; rejects states of vanishing trace."""
-    return merge_terms(DyadState(_unit_trace_coeff(state), state.ket, state.bra))
+    return merge_terms(_derived(_unit_trace_coeff(state), state.ket, state.bra))
 
 
 def make_coherent(*amplitudes: complex) -> DyadState:
@@ -243,16 +256,16 @@ def make_coherent(*amplitudes: complex) -> DyadState:
 def _unpack(records, *attributes: str) -> tuple[list, list[np.ndarray]]:
     """One record, or a sequence of them with one per batch member, as a
     list; and each named attribute as a float array, 0-d for one record."""
-    single = isinstance(records, (CssParams, MixedCss))
-    rows = [records] if single else list(records)
-    shape = () if single else (len(rows),)
-    return rows, [np.array([attrgetter(a)(r) for r in rows]).reshape(shape) for a in attributes]
+    if isinstance(records, (CssParams, MixedCss)):
+        return [records], [np.array(attrgetter(a)(records)) for a in attributes]
+    rows = list(records)
+    return rows, [np.array([attrgetter(a)(r) for r in rows]) for a in attributes]
 
 
 def _dephased_dyads(alpha: np.ndarray) -> DyadState:
     """(|alpha><alpha| + |-alpha><-alpha|)/2, its two terms unmerged."""
     amps = _stack_last(alpha, -alpha)[..., None]
-    return DyadState(np.full(amps.shape[:-1], 0.5), amps, amps)
+    return _derived(np.full(amps.shape[:-1], 0.5 + 0j), amps, amps)
 
 
 def make_incoherent(alpha: float) -> DyadState:
@@ -265,7 +278,7 @@ def _css_dyads(alpha: np.ndarray, phase: np.ndarray) -> DyadState:
     """The unnormalized density of |alpha> + phase |-alpha>; its trace
     is the squared norm of that superposition."""
     one = np.ones_like(phase)
-    return DyadState(
+    return _derived(
         _stack_last(one, phase.conj(), phase, one),
         _stack_last(alpha, alpha, -alpha, -alpha)[..., None],
         _stack_last(alpha, -alpha, alpha, -alpha)[..., None],
@@ -297,7 +310,7 @@ def _mixture(rows: list[CssParams], p: np.ndarray, alpha: np.ndarray, phi: np.nd
         return make_incoherent(alpha)
     css = _normalizable_css(rows, alpha, phi)
     coeff = p[..., None] * _unit_trace_coeff(css) + (1.0 - p)[..., None] * _DEPHASED_WEIGHTS
-    return merge_terms(DyadState(coeff, css.ket, css.bra))
+    return merge_terms(_derived(coeff, css.ket, css.bra))
 
 
 def make_mixed(state: MixedCss | Sequence[MixedCss]) -> DyadState:
@@ -324,12 +337,19 @@ def tensor(left: DyadState, right: DyadState) -> DyadState:
         out[..., a.shape[-1] :] = b[..., j, :]
         return out
 
-    return DyadState(coeff, joined(left.ket, right.ket), joined(left.bra, right.bra))
+    return _derived(coeff, joined(left.ket, right.ket), joined(left.bra, right.bra))
+
+
+def _with_mode(state: DyadState, amplitude) -> DyadState:
+    """`state` with one more mode in the coherent state `amplitude`, one or one per member."""
+    sides = np.empty((2, *state.coeff.shape, state.mode_count + 1), complex)
+    sides[..., :-1], sides[..., -1] = (state.ket, state.bra), np.asarray(amplitude)[..., None]
+    return _derived(state.coeff, *sides)
 
 
 def attach_vacuum(state: DyadState) -> DyadState:
     """Append one vacuum mode."""
-    return tensor(state, make_coherent(0.0))
+    return _with_mode(state, 0.0)
 
 
 def _check_mode(state: DyadState, mode: int) -> None:
@@ -347,7 +367,7 @@ def loss_on_dyad(state: DyadState, mode: int, eta: float) -> DyadState:
     """
     _check_mode(state, mode)
     eta = _per_member(state, eta, "loss transmittance", _POSITIVE_UNIT)
-    if (eta == 1.0).all():
+    if np.all(eta == 1.0):
         return state
     a1 = state.ket[..., mode]
     a2 = state.bra[..., mode]
@@ -356,7 +376,7 @@ def loss_on_dyad(state: DyadState, mode: int, eta: float) -> DyadState:
     )
     sides = np.array((state.ket, state.bra))
     sides[..., mode] *= np.sqrt(eta)
-    return DyadState(state.coeff * factor, *sides)
+    return _derived(state.coeff * factor, *sides)
 
 
 def bs_on_product(state: DyadState, modes: tuple[int, int], T: float) -> DyadState:
@@ -377,7 +397,7 @@ def bs_on_product(state: DyadState, modes: tuple[int, int], T: float) -> DyadSta
     sides = np.array((state.ket, state.bra))
     a, b = sides[..., ma], sides[..., mb]
     sides[..., ma], sides[..., mb] = ct * a - cr * b, cr * a + ct * b
-    return DyadState(state.coeff, *sides)
+    return _derived(state.coeff, *sides)
 
 
 def homodyne_amplitude(beta: complex, x: float, lam: float) -> complex:
@@ -407,8 +427,8 @@ def _drop_mode(state: DyadState, mode: int, coeff: np.ndarray) -> DyadState:
     """The terms with new coefficients and one mode's column removed."""
     if state.mode_count < 2:
         raise ValueError("projection would leave no modes; keep at least one")
-    kept = [j for j in range(state.mode_count) if j != mode]
-    return DyadState(coeff, state.ket[..., kept], state.bra[..., kept])
+    kept = np.arange(state.mode_count) != mode
+    return _derived(coeff, state.ket[..., kept], state.bra[..., kept])
 
 
 def project_quadrature(
@@ -429,8 +449,9 @@ def project_quadrature(
     density = _traces(reduced).real
     vanishing = density < _MIN_DENSITY
     if vanishing.any():
-        raise ZeroDensityError(f"homodyne density vanishes at x={_first(x[..., 0], vanishing)!r}")
-    return normalize(reduced), _scalar_or_batch(density)
+        raise ZeroDensityError(f"homodyne density vanishes at x={_first(x, vanishing[..., None])!r}")
+    unit = _derived(reduced.coeff / density[..., None], reduced.ket, reduced.bra)
+    return merge_terms(unit), _scalar_or_batch(density)  # normalize(reduced), its trace known
 
 
 def project_click(state: DyadState, mode: int) -> tuple[DyadState, float | np.ndarray]:
@@ -577,12 +598,12 @@ def amplifier_sim(
     copy = _mixture(rows, fraction, alpha, phi)
     joint = tensor(copy, copy)
     joint = bs_on_product(joint, (0, 1), 0.5)  # mode 0 difference, mode 1 sum
-    joint = tensor(joint, make_coherent(math.sqrt(2.0) * alpha))
+    joint = _with_mode(joint, math.sqrt(2.0) * alpha)  # the coherent ancilla
     joint = bs_on_product(joint, (0, 2), 0.5)
     joint, _ = project_click(joint, 2)
-    joint, coincidence = project_click(joint, 0)
+    joint, coincidence = project_click(joint, 0)  # the trace of joint, unless negative
     if np.any(coincidence < _MIN_DENSITY):
         raise ZeroDensityError("both-click coincidence has vanishing probability")
-    conditioned = normalize(joint)
+    conditioned = merge_terms(_derived(joint.coeff / np.asarray(coincidence)[..., None], joint.ket, joint.bra))
     out = [CssParams(math.sqrt(2.0) * r.alpha, (2.0 * r.phi) % TWO_PI) for r in rows]
     return extract_fraction(conditioned, out if alpha.ndim else out[0])

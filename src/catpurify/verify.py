@@ -6,12 +6,13 @@ through :mod:`catpurify.analytic` and through the exact simulation in
 The parameters come from the standard library's ``random.Random`` seeded
 per suite; numpy carries only the oracle's arrays.
 The closed forms run draw by draw; the oracle runs on batches of dyad
-states. The loss, density and both detector checks share one batch, which
-crosses the paper's setup once: a lossy line, a tap and a homodyne
-detector. The purity and amplifier checks run one batch each. The
-purified-fraction and inefficient-detector checks run one conditioning
-comparison, of the output fraction and the joint outcome density; the
-first draws no detector efficiency and so tests the ideal detector.
+states. The loss, density, both detector and purity checks share one
+batch of mixtures, which crosses the paper's setup once: a lossy line, a
+tap and a homodyne detector; purity reads its members before the line.
+The amplifier check runs a batch of its own. The purified-fraction and
+inefficient-detector checks run one conditioning comparison, of the
+output fraction and the joint outcome density; the first draws no
+detector efficiency and so tests the ideal detector.
 The two paths share nothing beyond the coherent-state overlap, so
 agreement at 1e-10 (1e-9 for the amplifier cascade) is strong evidence
 both are right. The command line exposes this as ``catpurify verify``.
@@ -96,12 +97,12 @@ def _detector_errors(states, closed, fraction: np.ndarray, density: np.ndarray) 
 
 
 def _line_and_detector(
-    lossy: _Table, densities: _Table, purified: _Table, inefficient: _Table
+    lossy: _Table, densities: _Table, purified: _Table, inefficient: _Table, pure: _Table
 ) -> list[np.ndarray]:
-    """The errors of the four checks on the paper's setup, a lossy line, a
-    tap and a homodyne detector, whose oracle is one batch of n members for
-    each of: the superposition and the dephased pair (densities), the
-    purified and inefficient-detector mixtures, and the lossy mixtures.
+    """The errors of the four checks on the paper's setup, a lossy line, a tap
+    and a homodyne detector, and of purity, whose oracle is one batch of n
+    members for each of: the superposition and the dephased pair, the purified,
+    inefficient-detector, purity (read before the line) and lossy mixtures.
 
     Every member crosses the line, lossless but for the last n. Those are
     taken from the line as they are; a tap of T = 1 would move their
@@ -119,9 +120,11 @@ def _line_and_detector(
     closed_mix = [analytic.homodyne_density_mix(x) for x in k]
     ideal, _, ideal_out = _detected(purified)
     noisy, eta_H, noisy_out = _detected(inefficient)
+    pures = _mixtures(pure)
 
-    members = [MixedCss(pa, p) for p in (1.0, 0.0) for pa in params] + ideal + noisy
-    line = dyads.loss_on_dyad(dyads.make_mixed(members + losses), 0, [1.0] * 4 * n + lossy["eta"])
+    members = [MixedCss(pa, p) for p in (1.0, 0.0) for pa in params] + ideal + noisy + pures
+    mixed = dyads.make_mixed(members + losses)
+    line = dyads.loss_on_dyad(mixed, 0, [1.0] * 5 * n + lossy["eta"])
     tapped = dyads.bs_on_product(
         dyads.attach_vacuum(dyads._members((line, slice(0, 4 * n)))),
         (0, 1),
@@ -132,21 +135,17 @@ def _line_and_detector(
         detected, 1, k + k + purified["k"] + inefficient["k"], _HALF_PI
     )
     fraction = dyads.extract_fraction(
-        dyads._members((cond, slice(2 * n, None)), (line, slice(4 * n, None))),
+        dyads._members((cond, slice(2 * n, None)), (line, slice(5 * n, None))),
         [out.params for out, _, _ in ideal_out + noisy_out] + [out.params for out in outs],
     )
+    purity = dyads.purity(dyads._members((mixed, slice(4 * n, 5 * n))))
     return [
         np.abs(np.subtract([out.p for out in outs], fraction[2 * n :])),
         np.maximum(np.abs(density[:n] - closed_css), np.abs(density[n : 2 * n] - closed_mix)),
         _detector_errors(ideal, ideal_out, fraction[:n], density[2 * n : 3 * n]),
         _detector_errors(noisy, noisy_out, fraction[n : 2 * n], density[3 * n :]),
+        np.abs(np.subtract([analytic.purity_mixed_css(s) for s in pures], purity)),
     ]
-
-
-def _purity(drawn: _Table) -> np.ndarray:
-    states = _mixtures(drawn)
-    closed = [analytic.purity_mixed_css(s) for s in states]
-    return np.abs(np.subtract(closed, dyads.purity(dyads.make_mixed(states))))
 
 
 def _amplifier(drawn: _Table) -> np.ndarray:
@@ -156,8 +155,8 @@ def _amplifier(drawn: _Table) -> np.ndarray:
     return np.abs(np.subtract(closed, oracle))
 
 
-# name, tolerance, parameter bounds in drawing order; the first four checks
-# share one oracle pass (_line_and_detector), the last two run their own
+# name, tolerance, parameter bounds in drawing order; the first five checks
+# share one oracle pass (_line_and_detector), the amplifier runs its own
 _CHECKS = (
     ("loss fraction", 1e-10, dict(alpha=_ALPHA, phi=_PHI, p=_UNIT, eta=_TRANSMISSION)),
     ("homodyne densities", 1e-10, dict(alpha=_ALPHA, phi=_PHI, T=_TAP, k=_OUTCOME)),
@@ -184,13 +183,13 @@ def run_suite(
     """Run every analytic-vs-oracle check and return their results. The
     parameters of every check are drawn first, in check order, from the
     suite's own `random.Random(seed)`; the oracle then runs one batched
-    pass for the four checks on the lossy line and the detector, and one
-    for each of the other two."""
+    pass for the five checks on the lossy line, the detector and purity,
+    and one for the amplifier."""
     draws = _checked(draws, "draws", 1)
     amp_draws = _checked(amp_draws, "amp_draws", 1)
     rng = random.Random(_checked(seed, "seed", 0))
     tables = [_draw(rng, amp_draws if name == _AMPLIFIER else draws, bounds) for name, _, bounds in _CHECKS]
-    errors = [*_line_and_detector(*tables[:4]), _purity(tables[4]), _amplifier(tables[5])]
+    errors = [*_line_and_detector(*tables[:5]), _amplifier(tables[5])]
     # max() keeps a NaN error, so a check that produced one fails
     results = [CheckResult(name, e.size, float(e.max()), tol) for (name, tol, _), e in zip(_CHECKS, errors)]
     return results[:]  # an exact-size copy: long runs keep every suite's results

@@ -109,6 +109,48 @@ class TestMergeTerms:
         assert kept.ket[:, 0].tolist() == [0.3 + 0.0j, 0.1 + 0.0j, 0.2 + 0.0j]
         assert kept.coeff.tolist() == [0.0j, 7.0 + 0.0j, 3.0 + 0.0j]
 
+    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
+    def test_zero_imaginary_parts_of_either_sign_match(self, batched):
+        def ket(a):
+            return [[complex(a, 0.0)], [complex(a, -0.0)], [complex(-a, -0.0)], [complex(-a, 0.0)]]
+
+        bra = [[complex(1.0, -0.0)]] * 4
+        coeff = [1.0, 2.0, 4.0, 8.0]
+        if batched:  # a second member with other amplitudes, signs as in the first
+            state = dy.DyadState([coeff, coeff], [ket(0.5), ket(0.25)], [bra, bra])
+        else:
+            state = dy.DyadState(coeff, ket(0.5), bra)
+        merged = dy.merge_terms(state)
+        assert merged.coeff.tolist() == ([[3.0 + 0.0j, 12.0 + 0.0j]] * 2 if batched else [3.0 + 0.0j, 12.0 + 0.0j])
+        assert np.signbit(merged.ket.imag).tolist() == ([[[False], [True]]] * 2 if batched else [[False], [True]])
+
+    def test_amplitudes_one_bit_apart_stay_apart(self):
+        # every single-bit change of a nonzero amplitude, in its real or imaginary part
+        base = np.array([0.7 + 0.3j])
+        flips = np.repeat(base.view(np.uint64)[None], 128, axis=0)
+        flips[np.arange(128), np.arange(128) // 64] ^= np.uint64(1) << (np.arange(128) % 64).astype(np.uint64)
+        amps = np.concatenate([base, flips.view(complex)[:, 0]])
+        assert np.isfinite(amps).all()
+        state = dy.DyadState(np.ones(129), amps[:, None], np.ones((129, 1)))
+        assert dy.merge_terms(state, tol=0.0) is state
+        # in a batch, one member one bit apart keeps two terms apart
+        ket = np.array([[[base[0]], [base[0]]], [[base[0]], [amps[1]]]])
+        batch = dy.DyadState(np.ones((2, 2)), ket, np.ones((2, 2, 1)))
+        assert dy.merge_terms(batch) is batch
+
+    def test_amplitudes_holding_nan_match_nothing(self):
+        # NaN equals no number, itself included, so its dyads are never merged,
+        # while the other repeated dyads still are
+        nan = complex(math.nan, 0.0)
+        ket = [[nan], [1.0], [nan], [1.0]]
+        merged = dy.merge_terms(dy.DyadState([1.0, 2.0, 4.0, 8.0], ket, [[1.0]] * 4))
+        assert merged.coeff.tolist() == [1.0 + 0.0j, 10.0 + 0.0j, 4.0 + 0.0j]
+        assert np.isnan(merged.ket[[0, 2], 0]).all()
+        # in a batch, a NaN in one member keeps a term apart from its equal in the other
+        batch_ket = [[[nan], [nan], [0.5], [0.5]], [[0.3], [0.3], [0.2], [0.2]]]
+        batch = dy.DyadState([[1.0, 2.0, 4.0, 8.0]] * 2, batch_ket, [[[1.0]] * 4] * 2)
+        assert dy.merge_terms(batch).coeff.tolist() == [[1.0 + 0.0j, 2.0 + 0.0j, 12.0 + 0.0j]] * 2
+
     def test_distinct_dyads_are_kept_as_they_are(self):
         state = dy.make_css(CssParams(0.7, 1.0))
         merged = dy.merge_terms(state)
@@ -496,6 +538,25 @@ class TestAmplifierSim:
             counts.append(len(dy.normalize(joint).coeff))
             assert tuple(counts) == expected, (alpha, phi, p)
 
+    # (p, alpha, phi) -> float.hex of the output fraction, frozen so that any
+    # change in the oracle's arithmetic shows at the bit level
+    PINNED = [
+        ((0.4, 0.8, 0.0), "0x1.00f39c2be83fbp-3"),
+        ((0.7, 1.2, math.pi), "0x1.03f368eb7d583p-1"),
+        ((0.3, 0.9, 2.1), "0x1.a2d16932ed3eap-4"),
+        ((0.6, 0.05, 0.0), "0x1.3d774fcca4720p-2"),
+        ((0.55, 1.5, math.pi), "0x1.38e83e7417c5cp-2"),
+        ((1.0, 0.35, 4.4), "0x1.0000000000000p+0"),
+    ]
+
+    def test_pinned_values_alone_and_in_one_batch(self):
+        expected = [value for _, value in self.PINNED]
+        alone = [dy.amplifier_sim(p, CssParams(a, f)) for (p, a, f), _ in self.PINNED]
+        assert [type(v) for v in alone] == [float] * len(alone)
+        assert [v.hex() for v in alone] == expected
+        batch = dy.amplifier_sim([p for (p, _, _), _ in self.PINNED], [CssParams(a, f) for (_, a, f), _ in self.PINNED])
+        assert [float(v).hex() for v in batch] == expected
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
             dy.amplifier_sim(1.2, CssParams(0.5, 0.0))
@@ -515,6 +576,33 @@ class TestAmplifierSim:
         with pytest.raises(ZeroDensityError) as info:
             dy.amplifier_sim(fractions, params)
         assert str(info.value) == "both-click coincidence has vanishing probability"
+
+
+def lossy_far_cat():
+    return dy.loss_on_dyad(dy.make_mixed(MixedCss(CssParams(1e155, 0.0), 0.5)), 0, 0.5)
+
+
+def detected_far_cat():
+    state = dy.attach_vacuum(dy.make_mixed(MixedCss(CssParams(1e155, 0.0), 0.5)))
+    return dy.project_quadrature(dy.bs_on_product(state, (0, 1), 0.5), 1, 0.3, HALF_PI)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "chain",
+    [
+        lambda: dy.amplifier_sim(0.5, CssParams(20.0, 0.0)),
+        lambda: dy.amplifier_sim(0.5, CssParams(1e155, 0.0)),
+        lossy_far_cat,
+        detected_far_cat,
+    ],
+    ids=["amplifier-20", "amplifier-1e155", "loss-1e155", "quadrature-1e155"],
+)
+def test_derived_states_reject_non_finite_coefficients(chain):
+    # overflowing overlaps give inf or NaN coefficients part-way through each
+    # chain; the state built from them raises rather than carrying them on
+    with pytest.raises(ValueError, match="dyad coefficients must be finite"):
+        chain()
 
 
 def random_dyads(rng, terms=7, modes=3):
@@ -811,6 +899,13 @@ class TestArrayFormMatchesTermLoops:
         assert merged.ket[..., 0].tolist() == [[0.1 + 0.0j, 0.2 + 0.0j], [0.4 + 0.0j, 0.5 + 0.0j]]
         assert dy.merge_terms(state, tol=0.0) is state
 
+    def test_batch_of_no_members_keeps_no_terms(self):
+        # every term is below tol in each of no members, as for make_mixed([])
+        state = dy.DyadState(np.zeros((0, 3)), np.zeros((0, 3, 2)), np.zeros((0, 3, 2)))
+        merged = dy.merge_terms(state)
+        assert (merged.coeff.shape, merged.ket.shape, merged.bra.shape) == ((0, 0), (0, 0, 2), (0, 0, 2))
+        assert dy.make_mixed([]).coeff.shape == (0, 0)
+
     def test_batched_merge_matches_members(self):
         rng = np.random.default_rng(46)
         state = random_batch(rng)
@@ -851,6 +946,23 @@ class TestBatchValidation:
             dy.loss_on_dyad(state, 0, [0.5, 1.5, 0.5])
         with pytest.raises(ValueError, match="one per batch member"):
             dy.loss_on_dyad(dy.make_coherent(0.1, 0.0), 0, [0.5, 0.5])
+
+    def test_scalar_settings_agree_whatever_their_type(self):
+        # a Python float skips the array conversion; results and messages stay the same
+        state = dy.attach_vacuum(dy.make_mixed(MixedCss(CssParams(0.8, 1.0), 0.6)))
+
+        def chain(convert):
+            split = dy.bs_on_product(dy.loss_on_dyad(state, 0, convert(0.7)), (0, 1), convert(0.3))
+            cond, density = dy.project_quadrature(split, 1, convert(0.4), HALF_PI)
+            return cond.coeff.tolist(), cond.ket.tolist(), cond.bra.tolist(), density
+
+        assert chain(float) == chain(np.float64) == chain(np.array)
+        for convert in (float, np.float64, np.array):
+            for bad in (1.5, math.nan):
+                with pytest.raises(ValueError, match=rf"^loss transmittance must lie in \(0, 1\], got {bad!r}$"):
+                    dy.loss_on_dyad(state, 0, convert(bad))
+            with pytest.raises(ValueError, match=r"^homodyne outcome must be finite, got inf$"):
+                dy.project_quadrature(state, 1, convert(math.inf), HALF_PI)
 
     def test_one_record_per_member(self):
         state = dy.make_css([CssParams(0.5, 0.0), CssParams(0.6, 0.0)])

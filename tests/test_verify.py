@@ -178,8 +178,8 @@ def test_draws_equal_sequential_per_draw_calls(monkeypatch):
 # (draws, amp_draws, seed) -> each check's max_error as float.hex, recorded
 # when the suite came to draw from random.Random(seed); the first five
 # equal those of a copy of the code in which every oracle check ran its own
-# chain; the (5, 1) seeds are those that random.Random(11).getrandbits(32)
-# gives twelve times in a row
+# chain; the (5, 1) seeds but the last are those that
+# random.Random(11).getrandbits(32) gives twelve times in a row
 PINNED_MAX_ERRORS = [
     ((200, 50, 20260814), ('0x1.a848000000000p-41', '0x1.4000000000000p-51', '0x1.e4c0000000000p-44', '0x1.e520000000000p-42', '0x1.6800000000000p-44', '0x1.2800000000000p-50')),
     ((5, 1, 1942955373), ('0x1.b000000000000p-50', '0x1.4000000000000p-52', '0x1.1300000000000p-49', '0x1.0000000000000p-52', '0x1.0000000000000p-52', '0x0.0p+0')),
@@ -195,6 +195,8 @@ PINNED_MAX_ERRORS = [
     ((5, 1, 2522798642), ('0x1.5000000000000p-47', '0x1.0000000000000p-54', '0x1.2400000000000p-48', '0x1.0000000000000p-52', '0x1.c400000000000p-42', '0x1.8000000000000p-53')),
     ((5, 1, 815623033), ('0x1.0800000000000p-48', '0x1.0000000000000p-52', '0x1.4000000000000p-51', '0x1.4000000000000p-51', '0x1.0000000000000p-52', '0x1.c740000000000p-52')),
     ((37, 3, 1), ('0x1.ed00000000000p-44', '0x1.0000000000000p-52', '0x1.0000000000000p-46', '0x1.68c0000000000p-43', '0x1.0e00000000000p-46', '0x1.0000000000000p-53')),
+    # the purity check's closest call: its batch sums this draw 6e-11 away from the draw alone
+    ((5, 1, 4365), ('0x1.3000000000000p-50', '0x1.0000000000000p-52', '0x1.a800000000000p-46', '0x1.8000000000000p-52', '0x1.6683000000000p-34', '0x0.0p+0')),
 ]
 
 
@@ -298,6 +300,15 @@ def test_each_check_is_one_array_pass(monkeypatch):
     verify.run_suite(200, 50)
     assert inside == [{"project_quadrature": 0, "extract_fraction": 1}]
     assert {name: len(calls) for name, calls in log.items()} == {"project_quadrature": 1, "extract_fraction": 2}
+
+
+def test_one_mixture_batch_serves_five_checks(monkeypatch):
+    # the purity draws join the line's make_mixed batch, six members per draw;
+    # amplifier_sim builds its copies without make_mixed
+    log = record_calls(monkeypatch, dy, ("make_mixed", "purity"))
+    verify.run_suite(20, 5, 3)
+    assert [state.coeff.shape[0] for state in log["make_mixed"]] == [6 * 20]
+    assert [len(values) for values in log["purity"]] == [20]
 
 
 def test_nan_oracle_value_fails_its_check(monkeypatch):
