@@ -16,7 +16,7 @@ from catpurify import (
     CssParams,
     MixedCss,
     TapSetting,
-    effective_loss_fraction,
+    loss_fraction,
     purify,
     purify_with_inefficiency,
 )
@@ -41,7 +41,7 @@ def main():
     print(" eta_H   exact p_out   kept vs ideal   loss-model survival   phase residue")
     for eta_H in (1.0, 0.98, 0.9, 0.8, 0.6, 0.4):
         out = purify_with_inefficiency(state, TapSetting(tap_T, k, eta_H))
-        survival = effective_loss_fraction(1.0, state.params, tap_T, eta_H)
+        survival = loss_fraction(tap_T + eta_H * (1.0 - tap_T), state.params)
         print(
             f"  {eta_H:4.2f}   {out.p:11.6f}   {out.p / ideal.p:13.6f}"
             f"   {survival:19.6f}   {signed(out.params.phi):+13.6f}"

@@ -27,7 +27,6 @@ __all__ = [
     "normalization",
     "apply_loss",
     "loss_fraction",
-    "effective_loss_fraction",
     "homodyne_density_css",
     "homodyne_density_mix",
     "theta_of_k",
@@ -101,24 +100,6 @@ def apply_loss(state: MixedCss, ch: ChannelSetting) -> MixedCss:
     factor = loss_fraction(ch.eta, state.params)
     out_params = CssParams(math.sqrt(ch.eta) * state.params.alpha, state.params.phi)
     return MixedCss(out_params, state.p * factor)
-
-
-def effective_loss_fraction(
-    eta: float, params: CssParams, T: float, eta_H: float
-) -> float:
-    """Heuristic surviving fraction for a lossy line followed by a tap with
-    an imperfect detector, obtained by replacing eta with
-    eta * (T + eta_H * (1 - T)) in the pure-loss formula.
-
-    This is a rough comparator only; the package's detector model is
-    `purify`, which treats the detector loss physically (attenuation on the
-    tapped mode before an ideal projection). The two do not agree in
-    general.
-    """
-    T = _checked(T, "transmittance", _POSITIVE_UNIT)
-    eta_H = _checked(eta_H, "detector efficiency", _POSITIVE_UNIT)
-    eta = _checked(eta, "transmittance", _POSITIVE_UNIT)
-    return loss_fraction(eta * (T + eta_H * (1.0 - T)), params)
 
 
 def theta_of_k(k: float, alpha: float, R: float) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateStateError, StateFamilyError, ZeroDensityError
 from .states import (
-    _FINITE, _POSITIVE_UNIT, _UNIT, TWO_PI, CssParams, MixedCss, _checked, _nonzero_norm,
+    _FINITE, _POSITIVE_UNIT, _UNIT, TWO_PI, CssParams, MixedCss, _checked, _nonzero_norm, _pair_norm,
 )
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "overlap",
     "make_coherent",
     "make_incoherent",
-    "make_css",
     "make_mixed",
     "tensor",
     "attach_vacuum",
@@ -51,7 +50,6 @@ __all__ = [
     "extract_fraction",
     "purity",
     "gram_norm",
-    "expect_coherent",
     "hermiticity_defect",
     "amplifier_sim",
 ]
@@ -158,11 +156,6 @@ def _gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return _overlap(left[..., :, None, :], right[..., None, :, :])
 
 
-def _bilinear(left: np.ndarray, matrix: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """sum_ij left_i matrix_ij right_j for each batch member."""
-    return (left[..., None, :] @ matrix @ right[..., :, None])[..., 0, 0]
-
-
 def overlap(beta: complex, gamma: complex) -> complex:
     """Coherent overlap <beta|gamma> = exp(-|beta|^2/2 - |gamma|^2/2 + conj(beta)*gamma)."""
     return complex(_overlap(np.array([beta], complex), np.array([gamma], complex)))
@@ -253,13 +246,18 @@ def make_coherent(*amplitudes: complex) -> DyadState:
     return DyadState(np.ones(amps.shape[:-1]), amps, amps)
 
 
-def _unpack(records, *attributes: str) -> tuple[list, list[np.ndarray]]:
-    """One record, or a sequence of them with one per batch member, as a
-    list; and each named attribute as a float array, 0-d for one record."""
+def _unpack(records, *attributes: str) -> list[np.ndarray]:
+    """Each named attribute of one record, or of a sequence of them with one
+    per batch member, as a float array (0-d for one record)."""
     if isinstance(records, (CssParams, MixedCss)):
-        return [records], [np.array(attrgetter(a)(records)) for a in attributes]
-    rows = list(records)
-    return rows, [np.array([attrgetter(a)(r) for r in rows]) for a in attributes]
+        return [np.array(attrgetter(a)(records)) for a in attributes]
+    records = list(records)
+    return [np.array(list(map(attrgetter(a), records))) for a in attributes]
+
+
+def _pairs(alpha: np.ndarray, phi: np.ndarray) -> zip:
+    """The (alpha, phi) floats of each member, or of one state."""
+    return zip(alpha.ravel().tolist(), phi.ravel().tolist())
 
 
 def _dephased_dyads(alpha: np.ndarray) -> DyadState:
@@ -285,30 +283,19 @@ def _css_dyads(alpha: np.ndarray, phase: np.ndarray) -> DyadState:
     )
 
 
-def _normalizable_css(rows: list[CssParams], alpha: np.ndarray, phi: np.ndarray) -> DyadState:
-    """The unnormalized superposition dyads, once every pair is known to
-    have a nonzero norm."""
-    for params in rows:
-        _nonzero_norm(params.alpha, params.phi)
-    return _css_dyads(alpha, np.exp(1j * phi))
-
-
-def make_css(params: CssParams | Sequence[CssParams]) -> DyadState:
-    """Normalized density of the superposition |alpha> + e^{i phi}|-alpha>;
-    a sequence of parameters gives one state per batch member."""
-    rows, (alpha, phi) = _unpack(params, "alpha", "phi")
-    return normalize(_normalizable_css(rows, alpha, phi))
-
-
 # the dephased pair as weights on the four superposition dyads
 _DEPHASED_WEIGHTS = np.array([0.5, 0.0, 0.0, 0.5])
 
 
-def _mixture(rows: list[CssParams], p: np.ndarray, alpha: np.ndarray, phi: np.ndarray) -> DyadState:
-    """p * rho_css + (1 - p) * rho_0 on the four dyads of rho_css."""
+def _mixture(p: np.ndarray, alpha: np.ndarray, phi: np.ndarray) -> DyadState:
+    """p * rho_css + (1 - p) * rho_0 on the four dyads of rho_css, from float
+    arrays with one entry per batch member (0-d for one state). Every
+    superposition must be normalizable unless p = 0 for all of them."""
     if not p.any():
         return make_incoherent(alpha)
-    css = _normalizable_css(rows, alpha, phi)
+    for a, f in _pairs(alpha, phi):
+        _nonzero_norm(a, f)
+    css = _css_dyads(alpha, np.exp(1j * phi))
     coeff = p[..., None] * _unit_trace_coeff(css) + (1.0 - p)[..., None] * _DEPHASED_WEIGHTS
     return merge_terms(_derived(coeff, css.ket, css.bra))
 
@@ -320,8 +307,7 @@ def make_mixed(state: MixedCss | Sequence[MixedCss]) -> DyadState:
     The dyads of rho_0 are two of those of rho_css, so the merged sum
     lists the terms of rho_css. A batch needs every member's
     superposition to be normalizable unless p = 0 for all of them."""
-    rows, (p, alpha, phi) = _unpack(state, "p", "params.alpha", "params.phi")
-    return _mixture([s.params for s in rows], p, alpha, phi)
+    return _mixture(*_unpack(state, "p", "params.alpha", "params.phi"))
 
 
 def tensor(left: DyadState, right: DyadState) -> DyadState:
@@ -454,6 +440,16 @@ def project_quadrature(
     return merge_terms(unit), _scalar_or_batch(density)  # normalize(reduced), its trace known
 
 
+def _clicked(state: DyadState, mode: int) -> DyadState:
+    """The unnormalized state after a click on `mode`, that mode traced out."""
+    _check_mode(state, mode)
+    k = state.ket[..., mode]
+    b = state.bra[..., mode]
+    # <b|k> - <b|0><0|k> = <b|0><0|k> (e^{conj(b) k} - 1)
+    weight = np.exp(-0.5 * (np.abs(b) ** 2 + np.abs(k) ** 2)) * np.expm1(b.conj() * k)
+    return merge_terms(_drop_mode(state, mode, state.coeff * weight))
+
+
 def project_click(state: DyadState, mode: int) -> tuple[DyadState, float | np.ndarray]:
     """Apply the on/off POVM element 1 - |0><0| on a mode and trace it out.
 
@@ -463,12 +459,7 @@ def project_click(state: DyadState, mode: int) -> tuple[DyadState, float | np.nd
     input) and the click probability. Probability 0 is a valid return;
     normalizing the conditional state then raises.
     """
-    _check_mode(state, mode)
-    k = state.ket[..., mode]
-    b = state.bra[..., mode]
-    # <b|k> - <b|0><0|k> = <b|0><0|k> (e^{conj(b) k} - 1)
-    weight = np.exp(-0.5 * (np.abs(b) ** 2 + np.abs(k) ** 2)) * np.expm1(b.conj() * k)
-    reduced = merge_terms(_drop_mode(state, mode, state.coeff * weight))
+    reduced = _clicked(state, mode)
     return reduced, _scalar_or_batch(np.maximum(_traces(reduced).real, 0.0))
 
 
@@ -477,17 +468,9 @@ def gram_norm(state: DyadState) -> float | np.ndarray:
     Gram overlaps, valid for arbitrary (non-Hermitian) dyad combinations:
     tr[X^dagger X] = sum_ij conj(c_i) c_j <k_i|k_j> <b_j|b_i>."""
     pairs = _gram(state.ket, state.ket) * np.swapaxes(_gram(state.bra, state.bra), -1, -2)
-    square = _bilinear(state.coeff.conj(), pairs, state.coeff).real
+    # an elementwise sum rounds each batch member as it would round alone
+    square = (state.coeff.conj()[..., :, None] * pairs * state.coeff[..., None, :]).sum(axis=(-2, -1)).real
     return _scalar_or_batch(np.sqrt(np.maximum(square, 0.0)))
-
-
-def expect_coherent(state: DyadState, gammas: Sequence[complex]) -> float | np.ndarray:
-    """Diagonal expectation <gamma_1 ... gamma_m| rho |gamma_1 ... gamma_m>."""
-    if len(gammas) != state.mode_count:
-        raise ValueError("one probe amplitude per mode is required")
-    probe = np.asarray(gammas, dtype=complex)
-    weights = state.coeff * _overlap(probe, state.ket) * _overlap(state.bra, probe)
-    return _scalar_or_batch(weights.sum(axis=-1).real)
 
 
 def hermiticity_defect(state: DyadState) -> float:
@@ -508,10 +491,10 @@ def purity(state: DyadState) -> float | np.ndarray:
     off = np.abs(tr - 1.0) > 1e-8
     if off.any():
         raise StateFamilyError(f"purity expects a unit-trace state, trace was {_first(tr, off)!r}")
-    # tr[rho^2] = sum_ij c_i c_j <b_i|k_j> <b_j|k_i>
+    # tr[rho^2] = sum_ij c_i c_j <b_i|k_j> <b_j|k_i>, summed elementwise as in gram_norm
     cross = _gram(state.bra, state.ket)
-    square = _bilinear(state.coeff, cross * np.swapaxes(cross, -1, -2), state.coeff)
-    return _scalar_or_batch(square.real)
+    square = state.coeff[..., :, None] * (cross * np.swapaxes(cross, -1, -2)) * state.coeff[..., None, :]
+    return _scalar_or_batch(square.sum(axis=(-2, -1)).real)
 
 
 def _css_fidelity(alpha: np.ndarray, phase: np.ndarray, norm, state: DyadState) -> np.ndarray:
@@ -541,13 +524,13 @@ def extract_fraction(
     """
     if state.mode_count != 1:
         raise ValueError("fraction extraction expects a single-mode state")
-    rows, (alpha, phi) = _unpack(params, "alpha", "phi")
+    alpha, phi = _unpack(params, "alpha", "phi")
     if alpha.shape != state.coeff.shape[:-1]:
         raise ValueError("fraction extraction needs one CssParams per batch member")
-    for target in rows:
-        if target.is_degenerate:
+    for a, f in _pairs(alpha, phi):
+        if _pair_norm(f, 2.0 * (a * a)) == 0.0:
             raise DegenerateStateError("cannot extract against the zero-norm superposition")
-        if target.alpha == 0.0:
+        if a == 0.0:
             raise StateFamilyError(
                 "the two-component family collapses at alpha=0; the fraction is undefined"
             )
@@ -588,22 +571,22 @@ def amplifier_sim(
     ports must register a click. The surviving mode is then a mixture in
     the (sqrt(2) alpha, 2 phi) family, whose fraction is extracted exactly.
     """
-    rows, (alpha, phi) = _unpack(params, "alpha", "phi")
+    alpha, phi = _unpack(params, "alpha", "phi")
     fraction = np.asarray(state_fraction, dtype=float)
     if fraction.shape != alpha.shape:
         raise ValueError("one state fraction per CssParams is required")
     _require_in(fraction, "state fraction", _UNIT)
     if (alpha <= 0.0).any():
         raise ValueError("amplification needs alpha > 0")
-    copy = _mixture(rows, fraction, alpha, phi)
+    copy = _mixture(fraction, alpha, phi)
     joint = tensor(copy, copy)
     joint = bs_on_product(joint, (0, 1), 0.5)  # mode 0 difference, mode 1 sum
     joint = _with_mode(joint, math.sqrt(2.0) * alpha)  # the coherent ancilla
     joint = bs_on_product(joint, (0, 2), 0.5)
-    joint, _ = project_click(joint, 2)
+    joint = _clicked(joint, 2)  # its click probability is not needed
     joint, coincidence = project_click(joint, 0)  # the trace of joint, unless negative
     if np.any(coincidence < _MIN_DENSITY):
         raise ZeroDensityError("both-click coincidence has vanishing probability")
     conditioned = merge_terms(_derived(joint.coeff / np.asarray(coincidence)[..., None], joint.ket, joint.bra))
-    out = [CssParams(math.sqrt(2.0) * r.alpha, (2.0 * r.phi) % TWO_PI) for r in rows]
+    out = [CssParams(math.sqrt(2.0) * a, (2.0 * f) % TWO_PI) for a, f in _pairs(alpha, phi)]
     return extract_fraction(conditioned, out if alpha.ndim else out[0])

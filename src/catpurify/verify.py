@@ -6,10 +6,11 @@ through :mod:`catpurify.analytic` and through the exact simulation in
 The parameters come from the standard library's ``random.Random`` seeded
 per suite; numpy carries only the oracle's arrays.
 The closed forms run draw by draw; the oracle runs on batches of dyad
-states. The loss, density, both detector and purity checks share one
-batch of mixtures, which crosses the paper's setup once: a lossy line, a
-tap and a homodyne detector; purity reads its members before the line.
-The amplifier check runs a batch of its own. The purified-fraction and
+states built from the drawn columns. The loss, density, both detector
+and purity checks share one batch of mixtures, laid out by the stage
+where members leave the paper's setup (a lossy line, a tap and a
+homodyne detector); purity reads its members before the line. The
+amplifier check runs a batch of its own. The purified-fraction and
 inefficient-detector checks run one conditioning comparison, of the
 output fraction and the joint outcome density; the first draws no
 detector efficiency and so tests the ideal detector.
@@ -80,17 +81,19 @@ def _mixtures(drawn: _Table) -> list[MixedCss]:
     return [MixedCss(CssParams(a, f), p) for a, f, p in zip(drawn["alpha"], drawn["phi"], drawn["p"])]
 
 
-def _detected(drawn: _Table) -> tuple[list[MixedCss], list[float], list[tuple[MixedCss, float, float]]]:
-    """The mixtures of a detector check, their detector efficiencies (1, an
-    ideal detector, where the check draws none) and purify's result for each."""
-    states = _mixtures(drawn)
-    eta_H = drawn.get("eta_H", [1.0] * len(states))
-    taps = [TapSetting(*tap) for tap in zip(drawn["T"], drawn["k"], eta_H)]
-    return states, eta_H, [analytic.purify(s, tap) for s, tap in zip(states, taps)]
+def _column(parts: list[_Table], name: str) -> list[float]:
+    """One parameter of several tables, joined in order."""
+    return [value for part in parts for value in part[name]]
 
 
-def _detector_errors(states, closed, fraction: np.ndarray, density: np.ndarray) -> np.ndarray:
-    joint = [s.p * d_css + (1.0 - s.p) * d_mix for s, (_, d_css, d_mix) in zip(states, closed)]
+def _detected(drawn: _Table) -> list[tuple[MixedCss, float, float]]:
+    """purify's result for each draw of a detector check."""
+    taps = map(TapSetting, drawn["T"], drawn["k"], drawn["eta_H"])
+    return [analytic.purify(s, tap) for s, tap in zip(_mixtures(drawn), taps)]
+
+
+def _detector_errors(drawn: _Table, closed, fraction: np.ndarray, density: np.ndarray) -> np.ndarray:
+    joint = [p * d_css + (1.0 - p) * d_mix for p, (_, d_css, d_mix) in zip(drawn["p"], closed)]
     return np.maximum(
         np.abs(np.subtract([out.p for out, _, _ in closed], fraction)), np.abs(density - joint)
     )
@@ -99,52 +102,47 @@ def _detector_errors(states, closed, fraction: np.ndarray, density: np.ndarray) 
 def _line_and_detector(
     lossy: _Table, densities: _Table, purified: _Table, inefficient: _Table, pure: _Table
 ) -> list[np.ndarray]:
-    """The errors of the four checks on the paper's setup, a lossy line, a tap
-    and a homodyne detector, and of purity, whose oracle is one batch of n
-    members for each of: the superposition and the dephased pair, the purified,
-    inefficient-detector, purity (read before the line) and lossy mixtures.
+    """The errors of the four checks on the paper's setup (a lossy line, a
+    tap and a homodyne detector) and of purity, from one batch of mixtures
+    built from the drawn columns. Its members come in the order they leave
+    the chain. The tapped ones, the density check's superpositions and
+    dephased pairs, then the purified and inefficient-detector draws, leave
+    at the detector, a loss of eta_H on the tapped arm, with every density.
+    The lossy ones leave the line as they are; a tap of T = 1 would move
+    their rounding. Purity's leave before the line. One extraction serves
+    all but the density members, whose fractions are not checked."""
+    ones = [1.0] * len(densities["k"])
+    purified = dict(purified, eta_H=ones)  # an ideal detector
+    unextracted = [dict(densities, p=p, eta_H=ones) for p in (ones, [0.0] * len(ones))]
+    tapped = unextracted + [purified, inefficient]
+    T, k, eta_H = (_column(tapped, name) for name in ("T", "k", "eta_H"))
+    unchecked, at_tap = len(_column(unextracted, "k")), len(k)
+    at_line = at_tap + len(lossy["eta"])
 
-    Every member crosses the line, lossless but for the last n. Those are
-    taken from the line as they are; a tap of T = 1 would move their
-    rounding. The others go on through the tap and the detector, itself a
-    loss of eta_H on the tapped arm (none for the first 3n), to a
-    quadrature outcome, which yields every density. One extraction serves
-    the detector checks' conditioned states and the line's lossy ones; the
-    density members stay out of it, as their fractions are not checked."""
-    n = len(lossy["eta"])
-    losses = _mixtures(lossy)
-    outs = [analytic.apply_loss(s, ChannelSetting(eta)) for s, eta in zip(losses, lossy["eta"])]
-    params = [CssParams(a, f) for a, f in zip(densities["alpha"], densities["phi"])]
-    T, k = densities["T"], densities["k"]
-    closed_css = [analytic.homodyne_density_css(x, pa, t) for x, pa, t in zip(k, params, T)]
-    closed_mix = [analytic.homodyne_density_mix(x) for x in k]
-    ideal, _, ideal_out = _detected(purified)
-    noisy, eta_H, noisy_out = _detected(inefficient)
-    pures = _mixtures(pure)
+    outs = [analytic.apply_loss(s, ChannelSetting(eta)) for s, eta in zip(_mixtures(lossy), lossy["eta"])]
+    closed_css = [
+        analytic.homodyne_density_css(x, CssParams(a, f), t) for a, f, t, x in zip(*densities.values())
+    ]
+    closed_mix = [analytic.homodyne_density_mix(x) for x in densities["k"]]
+    ideal, noisy = _detected(purified), _detected(inefficient)
 
-    members = [MixedCss(pa, p) for p in (1.0, 0.0) for pa in params] + ideal + noisy + pures
-    mixed = dyads.make_mixed(members + losses)
-    line = dyads.loss_on_dyad(mixed, 0, [1.0] * 5 * n + lossy["eta"])
-    tapped = dyads.bs_on_product(
-        dyads.attach_vacuum(dyads._members((line, slice(0, 4 * n)))),
-        (0, 1),
-        T + T + purified["T"] + inefficient["T"],
-    )
-    detected = dyads.loss_on_dyad(tapped, 1, [1.0] * 3 * n + eta_H)
-    cond, density = dyads.project_quadrature(
-        detected, 1, k + k + purified["k"] + inefficient["k"], _HALF_PI
-    )
+    mixed = dyads._mixture(*(np.array(_column(tapped + [lossy, pure], c)) for c in ("p", "alpha", "phi")))
+    line = dyads.loss_on_dyad(dyads._members((mixed, slice(at_line))), 0, [1.0] * at_tap + lossy["eta"])
+    split = dyads.bs_on_product(dyads.attach_vacuum(dyads._members((line, slice(at_tap)))), (0, 1), T)
+    cond, density = dyads.project_quadrature(dyads.loss_on_dyad(split, 1, eta_H), 1, k, _HALF_PI)
     fraction = dyads.extract_fraction(
-        dyads._members((cond, slice(2 * n, None)), (line, slice(5 * n, None))),
-        [out.params for out, _, _ in ideal_out + noisy_out] + [out.params for out in outs],
+        dyads._members((cond, slice(unchecked, None)), (line, slice(at_tap, None))),
+        [out.params for out, _, _ in ideal + noisy] + [out.params for out in outs],
     )
-    purity = dyads.purity(dyads._members((mixed, slice(4 * n, 5 * n))))
+    purity = dyads.purity(dyads._members((mixed, slice(at_line, None))))
+    css, mix, ideal_density, noisy_density = np.split(density, len(tapped))
+    ideal_fraction, noisy_fraction, lossy_fraction = np.split(fraction, 3)
     return [
-        np.abs(np.subtract([out.p for out in outs], fraction[2 * n :])),
-        np.maximum(np.abs(density[:n] - closed_css), np.abs(density[n : 2 * n] - closed_mix)),
-        _detector_errors(ideal, ideal_out, fraction[:n], density[2 * n : 3 * n]),
-        _detector_errors(noisy, noisy_out, fraction[n : 2 * n], density[3 * n :]),
-        np.abs(np.subtract([analytic.purity_mixed_css(s) for s in pures], purity)),
+        np.abs(np.subtract([out.p for out in outs], lossy_fraction)),
+        np.maximum(np.abs(css - closed_css), np.abs(mix - closed_mix)),
+        _detector_errors(purified, ideal, ideal_fraction, ideal_density),
+        _detector_errors(inefficient, noisy, noisy_fraction, noisy_density),
+        np.abs(np.subtract([analytic.purity_mixed_css(s) for s in _mixtures(pure)], purity)),
     ]
 
 

@@ -25,7 +25,6 @@ from catpurify import (
     apply_loss,
     concat_stages,
     detection_ratio,
-    effective_loss_fraction,
     homodyne_density_css,
     homodyne_density_mix,
     loss_fraction,
@@ -434,27 +433,6 @@ class TestFractionBounds:
         state = MixedCss(CssParams(alpha, phi), p)
         tap = TapSetting(T, k, 1.0)
         assert purify_with_inefficiency(state, tap) == purify(state, tap)[0]
-
-
-class TestEffectiveLossFraction:
-    def test_perfect_detector_reduces_to_plain_loss(self):
-        params = CssParams(1.0, math.pi)
-        assert effective_loss_fraction(0.8, params, 0.5, 1.0) == loss_fraction(
-            0.8, params
-        )
-
-    def test_effective_transmittance_substitution(self):
-        params = CssParams(1.0, 0.0)
-        direct = loss_fraction(0.9 * (0.5 + 0.98 * 0.5), params)
-        assert effective_loss_fraction(0.9, params, 0.5, 0.98) == pytest.approx(
-            direct, abs=1e-16
-        )
-
-    def test_line_transmittance_checked_on_its_own(self):
-        # eta * (T + eta_H (1 - T)) = 0.9 is in range, but eta itself is not
-        with pytest.raises(ValueError) as info:
-            effective_loss_fraction(1.2, CssParams(1.0, 0.0), 0.5, 0.5)
-        assert str(info.value) == "transmittance must lie in (0, 1], got 1.2"
 
 
 class TestSuccessRegion:
@@ -983,18 +961,6 @@ class TestRawFloatMessages:
         [
             (lambda: loss_fraction(1.5, _CAT), "transmittance must lie in (0, 1], got 1.5"),
             (lambda: loss_fraction(math.nan, _CAT), "transmittance must lie in (0, 1], got nan"),
-            (
-                lambda: effective_loss_fraction(0.5, _CAT, 0.0, 1.0),
-                "transmittance must lie in (0, 1], got 0.0",
-            ),
-            (
-                lambda: effective_loss_fraction(0.5, _CAT, 0.5, 2),
-                "detector efficiency must lie in (0, 1], got 2",
-            ),
-            (
-                lambda: effective_loss_fraction(1.5, _CAT, 0.5, 1.0),
-                "transmittance must lie in (0, 1], got 1.5",
-            ),
             (lambda: theta_of_k(0.1, 1.0, -0.5), "reflectivity must lie in [0, 1], got -0.5"),
             (lambda: theta_of_k(0.1, 1.0, math.nan), "reflectivity must lie in [0, 1], got nan"),
             (
@@ -1091,7 +1057,6 @@ class TestHugeAmplitude:
         assert loss_fraction(eta, big) == loss_fraction(eta, ref) == (1.0 if eta == 1.0 else 0.0)
         out = apply_loss(MixedCss(big, 0.5), ChannelSetting(eta))
         assert out.p == (0.5 if eta == 1.0 else 0.0)
-        assert effective_loss_fraction(eta, big, 0.5, 0.9) == loss_fraction(eta * 0.95, big)
 
     @pytest.mark.parametrize("alpha", _HUGE)
     @pytest.mark.parametrize("T", [1e-300, 0.5, 1.0])

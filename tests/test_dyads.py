@@ -50,6 +50,13 @@ def random_complex(rng, radius=2.0):
     return complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius))
 
 
+def cat(params):
+    """The pure superposition density, or a batch of them, as make_mixed builds it."""
+    if isinstance(params, CssParams):
+        return dy.make_mixed(MixedCss(params, 1.0))
+    return dy.make_mixed([MixedCss(p, 1.0) for p in params])
+
+
 def random_mixture(rng, alpha_max=2.0):
     params = CssParams(rng.uniform(0.05, alpha_max), rng.uniform(0.0, 2.0 * math.pi))
     return dy.make_mixed(MixedCss(params, rng.uniform(0.0, 1.0)))
@@ -152,7 +159,7 @@ class TestMergeTerms:
         assert dy.merge_terms(batch).coeff.tolist() == [[1.0 + 0.0j, 2.0 + 0.0j, 12.0 + 0.0j]] * 2
 
     def test_distinct_dyads_are_kept_as_they_are(self):
-        state = dy.make_css(CssParams(0.7, 1.0))
+        state = cat(CssParams(0.7, 1.0))
         merged = dy.merge_terms(state)
         assert merged.coeff.tolist() == state.coeff.tolist()
         assert merged.ket.tolist() == state.ket.tolist()
@@ -185,22 +192,22 @@ class TestMakeStates:
         [(1.0, 0.0), (1.0, math.pi), (0.3, 1.7), (2.0, math.pi / 3.0), (0.0, 0.0)],
     )
     def test_css_trace_one(self, alpha, phi):
-        state = dy.make_css(CssParams(alpha, phi))
+        state = cat(CssParams(alpha, phi))
         assert abs(dy.trace(state) - 1.0) <= 1e-14
 
     def test_css_purity_one(self):
-        state = dy.make_css(CssParams(1.0, math.pi / 3.0))
+        state = cat(CssParams(1.0, math.pi / 3.0))
         assert dy.purity(state) == pytest.approx(1.0, abs=1e-12)
 
     def test_alpha_zero_merges_to_single_vacuum_dyad(self):
-        state = dy.make_css(CssParams(0.0, math.pi / 3.0))
+        state = cat(CssParams(0.0, math.pi / 3.0))
         assert len(state.coeff) == 1
         assert state.ket.tolist() == [[0.0 + 0.0j]] and state.bra.tolist() == [[0.0 + 0.0j]]
         assert state.coeff[0] == pytest.approx(1.0, abs=1e-15)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateStateError):
-            dy.make_css(CssParams(0.0, math.pi))
+            cat(CssParams(0.0, math.pi))
 
     def test_mixture_trace_and_hermiticity(self):
         rng = np.random.default_rng(13)
@@ -212,7 +219,7 @@ class TestMakeStates:
 
 class TestLoss:
     def test_eta_one_is_identity(self):
-        state = dy.make_css(CssParams(1.2, 0.4))
+        state = cat(CssParams(1.2, 0.4))
         assert dy.loss_on_dyad(state, 0, 1.0) is state
 
     def test_single_offdiagonal_dyad(self):
@@ -280,7 +287,7 @@ class TestBeamSplitter:
             assert after == pytest.approx(before, abs=1e-14)
 
     def test_coefficients_unchanged(self):
-        state = dy.make_css(CssParams(0.8, 1.1))
+        state = cat(CssParams(0.8, 1.1))
         joint = dy.attach_vacuum(state)
         out = dy.bs_on_product(joint, (0, 1), 0.25)
         assert out.coeff.tolist() == joint.coeff.tolist()
@@ -344,7 +351,7 @@ class TestProjectQuadrature:
         assert out.coeff[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_css_pipeline_density_and_conditional_state(self):
-        state = dy.attach_vacuum(dy.make_css(CssParams(1.0, 0.0)))
+        state = dy.attach_vacuum(cat(CssParams(1.0, 0.0)))
         state = dy.bs_on_product(state, (0, 1), 0.5)
         cond, density = dy.project_quadrature(state, 1, 0.0, HALF_PI)
         assert density == pytest.approx(0.6797492720018076, abs=1e-13)
@@ -397,7 +404,7 @@ class TestProjectClick:
 class TestExtractFraction:
     def test_pure_css_gives_one(self):
         params = CssParams(0.9, 2.4)
-        assert dy.extract_fraction(dy.make_css(params), params) == pytest.approx(
+        assert dy.extract_fraction(cat(params), params) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -407,7 +414,7 @@ class TestExtractFraction:
         ) == pytest.approx(0.0, abs=1e-12)
 
     def test_loss_on_cat_reference_value(self):
-        lossy = dy.loss_on_dyad(dy.make_css(CssParams(1.0, 0.0)), 0, 0.5)
+        lossy = dy.loss_on_dyad(cat(CssParams(1.0, 0.0)), 0, 0.5)
         frac = dy.extract_fraction(lossy, CssParams(math.sqrt(0.5), 0.0))
         assert frac == pytest.approx(0.4432300588540602, abs=1e-12)
 
@@ -418,7 +425,7 @@ class TestExtractFraction:
     @staticmethod
     def signed_mixture(params, p):
         # p * rho_css + (1 - p) * rho_0 passes the residual check for any real p
-        return dy._weighted_sum((p, dy.make_css(params)), (1.0 - p, dy.make_incoherent(params.alpha)))
+        return dy._weighted_sum((p, cat(params)), (1.0 - p, dy.make_incoherent(params.alpha)))
 
     @pytest.mark.parametrize("p", [1.2, -0.3])
     def test_signed_combination_rejected_not_clamped(self, p):
@@ -436,7 +443,7 @@ class TestExtractFraction:
         assert dy.extract_fraction(self.signed_mixture(params, p), params) == clipped
 
     def test_wrong_amplitude_rejected(self):
-        state = dy.make_css(CssParams(1.0, 0.0))
+        state = cat(CssParams(1.0, 0.0))
         with pytest.raises(StateFamilyError):
             dy.extract_fraction(state, CssParams(0.8, 0.0))
 
@@ -447,8 +454,6 @@ class TestExtractFraction:
     def test_underflowed_odd_cat_rejected(self):
         # alpha^2 underflows, so 1 + cos(pi) e^{-2 alpha^2} is exactly 0
         params = CssParams(1e-170, math.pi)
-        with pytest.raises(DegenerateStateError):
-            dy.make_css(params)
         with pytest.raises(DegenerateStateError):
             dy.make_mixed(MixedCss(params, 0.5))
         with pytest.raises(DegenerateStateError):
@@ -480,8 +485,9 @@ class TestPurityAndProbes:
         for _ in range(10):
             state = random_mixture(rng)
             assert dy.purity(state) <= 1.0 + 1e-12
-            for g in probes:
-                assert dy.expect_coherent(state, (g,)) >= -1e-12
+            for g in probes:  # <g|rho|g> = sum_i c_i <g|k_i> <b_i|g>
+                seen = sum(c * dy.overlap(g, k[0]) * dy.overlap(b[0], g) for c, k, b in rows(state))
+                assert seen.real >= -1e-12
 
     def test_hermiticity_defect_flags_asymmetry(self):
         lopsided = dy.DyadState([1.0], [[1.0]], [[-1.0]])
@@ -684,8 +690,8 @@ class TestArrayFormMatchesTermLoops:
     Amplitude updates are the same float operations, so they must agree
     exactly (merging depends on it); sums over terms may round in another
     order, so those agree to 1e-12 relative to the terms' total weight.
-    Batched traces, Gram norms, purities and fractions agree with the
-    unbatched ones to 1e-12 relative.
+    Batched traces and fractions agree with the unbatched ones to 1e-12
+    relative, Gram norms and purities bit for bit.
     """
 
     def test_tensor(self):
@@ -732,7 +738,7 @@ class TestArrayFormMatchesTermLoops:
         assert len(expected) == 5
         assert rows(dy.merge_terms(state)) == expected
 
-    def test_trace_gram_norm_purity_and_probe(self):
+    def test_trace_gram_norm_and_purity(self):
         rng = np.random.default_rng(34)
         state = random_dyads(rng)
         terms = rows(state)
@@ -753,13 +759,6 @@ class TestArrayFormMatchesTermLoops:
         )
         unit_scale = sum(abs(c) for c in unit.coeff)
         assert dy.purity(unit) == pytest.approx(square.real, abs=1e-12 * unit_scale**2)
-        probe = [random_complex(rng) for _ in range(3)]
-        seen = sum(
-            c * multi_overlap(probe, k) * multi_overlap(b, probe) for c, k, b in terms
-        )
-        assert dy.expect_coherent(state, probe) == pytest.approx(
-            seen.real, abs=1e-12 * scale
-        )
 
     def test_projections(self):
         rng = np.random.default_rng(35)
@@ -811,16 +810,10 @@ class TestArrayFormMatchesTermLoops:
         shared_T = dy.bs_on_product(state, (0, 1), 0.3)
         assert_same_terms(shared_T, [dy.bs_on_product(member(state, i), (0, 1), 0.3) for i in range(4)])
 
-    def test_batched_trace_normalize_gram_norm_and_probe(self):
+    def test_batched_trace_and_normalize(self):
         rng = np.random.default_rng(42)
         state = random_batch(rng)
-        singles = [member(state, i) for i in range(4)]
-        assert_close(dy.trace(state), [dy.trace(s) for s in singles], 1e-12)
-        assert_close(dy.gram_norm(state), [dy.gram_norm(s) for s in singles], 1e-12)
-        probe = [complex(0.3, 0.1), complex(-0.5, 0.2), complex(0.0, 0.7)]
-        assert_close(
-            dy.expect_coherent(state, probe), [dy.expect_coherent(s, probe) for s in singles], 1e-12
-        )
+        assert_close(dy.trace(state), [dy.trace(member(state, i)) for i in range(4)], 1e-12)
         _, mixed = mixture_batch(rng)
         assert_same_terms(
             dy.normalize(dy.loss_on_dyad(mixed, 0, 0.5)),
@@ -832,12 +825,22 @@ class TestArrayFormMatchesTermLoops:
         rng = np.random.default_rng(43)
         states, mixed = mixture_batch(rng)
         assert_same_terms(mixed, [dy.make_mixed(s) for s in states], 1e-15)
-        params = [s.params for s in states]
-        assert_same_terms(dy.make_css(params), [dy.make_css(p) for p in params], 1e-15)
-        alphas = [p.alpha for p in params]
+        alphas = [s.params.alpha for s in states]
         assert_same_terms(dy.make_incoherent(alphas), [dy.make_incoherent(a) for a in alphas])
         assert_same_terms(dy.make_coherent(alphas, 0.0), [dy.make_coherent(a, 0.0) for a in alphas])
-        assert_close(dy.purity(mixed), [dy.purity(dy.make_mixed(s)) for s in states], 1e-12)
+        assert [v.hex() for v in dy.purity(mixed).tolist()] == [dy.purity(dy.make_mixed(s)).hex() for s in states]
+
+    @pytest.mark.parametrize("members", range(2, 10))
+    def test_batched_purity_and_gram_norm_equal_single_calls_bit_for_bit(self, members):
+        # summed elementwise, each member rounds as it would alone
+        rng = np.random.default_rng(47 + members)
+        for _ in range(5):
+            _, mixed = mixture_batch(rng, members)
+            lossy = dy.loss_on_dyad(mixed, 0, rng.uniform(0.05, 1.0, members))
+            cases = (dy.purity, mixed), (dy.purity, lossy), (dy.gram_norm, lossy)
+            for fn, batch in (*cases, (dy.gram_norm, random_batch(rng, members))):
+                singles = [fn(member(batch, i)).hex() for i in range(members)]
+                assert [value.hex() for value in fn(batch).tolist()] == singles
 
     def test_batched_projections_and_fraction(self):
         rng = np.random.default_rng(44)
@@ -875,7 +878,7 @@ class TestArrayFormMatchesTermLoops:
     def test_scalar_results_stay_python_numbers(self):
         state = dy.make_mixed(MixedCss(CssParams(0.8, 1.0), 0.6))
         assert type(dy.trace(state)) is complex
-        for value in (dy.gram_norm(state), dy.purity(state), dy.expect_coherent(state, [0.1])):
+        for value in (dy.gram_norm(state), dy.purity(state)):
             assert type(value) is float
         _, density = dy.project_quadrature(dy.attach_vacuum(state), 1, 0.3, HALF_PI)
         _, prob = dy.project_click(dy.attach_vacuum(state), 1)
@@ -965,7 +968,7 @@ class TestBatchValidation:
                 dy.project_quadrature(state, 1, convert(math.inf), HALF_PI)
 
     def test_one_record_per_member(self):
-        state = dy.make_css([CssParams(0.5, 0.0), CssParams(0.6, 0.0)])
+        state = cat([CssParams(0.5, 0.0), CssParams(0.6, 0.0)])
         with pytest.raises(ValueError):
             dy.extract_fraction(state, CssParams(0.5, 0.0))
         with pytest.raises(ValueError):
@@ -978,14 +981,14 @@ class TestBatchValidation:
         with pytest.raises(ZeroDensityError, match="x=40.0"):
             dy.project_quadrature(tapped, 1, [0.0, 40.0], HALF_PI)
         with pytest.raises(DegenerateStateError):
-            dy.make_css([CssParams(0.5, 0.0), CssParams(0.0, math.pi)])
+            cat([CssParams(0.5, 0.0), CssParams(0.0, math.pi)])
         with pytest.raises(StateFamilyError):
             dy.extract_fraction(
-                dy.make_css([CssParams(1.0, 0.0)] * 2), [CssParams(1.0, 0.0), CssParams(0.8, 0.0)]
+                cat([CssParams(1.0, 0.0)] * 2), [CssParams(1.0, 0.0), CssParams(0.8, 0.0)]
             )
         with pytest.raises(ValueError, match=r"got 1\.2"):
             dy.amplifier_sim([0.5, 1.2], [CssParams(0.5, 0.0)] * 2)
 
     def test_hermiticity_defect_takes_one_state(self):
         with pytest.raises(ValueError):
-            dy.hermiticity_defect(dy.make_css([CssParams(0.5, 0.0)] * 2))
+            dy.hermiticity_defect(cat([CssParams(0.5, 0.0)] * 2))

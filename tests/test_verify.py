@@ -176,27 +176,28 @@ def test_draws_equal_sequential_per_draw_calls(monkeypatch):
 
 
 # (draws, amp_draws, seed) -> each check's max_error as float.hex, recorded
-# when the suite came to draw from random.Random(seed); the first five
-# equal those of a copy of the code in which every oracle check ran its own
-# chain; the (5, 1) seeds but the last are those that
-# random.Random(11).getrandbits(32) gives twelve times in a row
+# when the suite came to draw from random.Random(seed); the loss, density and
+# detector columns equal those of a copy of the code in which every oracle
+# check ran its own chain, and purity's was recorded when it came to sum each
+# batch member as it would sum it alone; the (5, 1) seeds but the last are
+# those that random.Random(11).getrandbits(32) gives twelve times in a row
 PINNED_MAX_ERRORS = [
-    ((200, 50, 20260814), ('0x1.a848000000000p-41', '0x1.4000000000000p-51', '0x1.e4c0000000000p-44', '0x1.e520000000000p-42', '0x1.6800000000000p-44', '0x1.2800000000000p-50')),
-    ((5, 1, 1942955373), ('0x1.b000000000000p-50', '0x1.4000000000000p-52', '0x1.1300000000000p-49', '0x1.0000000000000p-52', '0x1.0000000000000p-52', '0x0.0p+0')),
-    ((5, 1, 3718334796), ('0x1.2e00000000000p-46', '0x1.0000000000000p-54', '0x1.a800000000000p-48', '0x1.c000000000000p-51', '0x1.0000000000000p-52', '0x1.0000000000000p-52')),
-    ((5, 1, 2404204071), ('0x1.0000000000000p-50', '0x1.0000000000000p-52', '0x1.2000000000000p-50', '0x1.4000000000000p-51', '0x1.4000000000000p-51', '0x1.c000000000000p-54')),
+    ((200, 50, 20260814), ('0x1.a848000000000p-41', '0x1.4000000000000p-51', '0x1.e4c0000000000p-44', '0x1.e520000000000p-42', '0x1.e480000000000p-43', '0x1.2800000000000p-50')),
+    ((5, 1, 1942955373), ('0x1.b000000000000p-50', '0x1.4000000000000p-52', '0x1.1300000000000p-49', '0x1.0000000000000p-52', '0x1.0000000000000p-53', '0x0.0p+0')),
+    ((5, 1, 3718334796), ('0x1.2e00000000000p-46', '0x1.0000000000000p-54', '0x1.a800000000000p-48', '0x1.c000000000000p-51', '0x1.0000000000000p-51', '0x1.0000000000000p-52')),
+    ((5, 1, 2404204071), ('0x1.0000000000000p-50', '0x1.0000000000000p-52', '0x1.2000000000000p-50', '0x1.4000000000000p-51', '0x1.8000000000000p-52', '0x1.c000000000000p-54')),
     ((5, 1, 3680198571), ('0x1.a000000000000p-52', '0x1.0000000000000p-54', '0x1.8000000000000p-52', '0x1.c000000000000p-53', '0x1.8000000000000p-52', '0x1.8000000000000p-52')),
     ((5, 1, 3969454221), ('0x1.1880000000000p-46', '0x1.0000000000000p-52', '0x1.5800000000000p-49', '0x1.cf80000000000p-45', '0x1.0000000000000p-53', '0x1.7000000000000p-52')),
     ((5, 1, 3355305989), ('0x1.c000000000000p-51', '0x1.0000000000000p-53', '0x1.3000000000000p-48', '0x1.8200000000000p-48', '0x1.0000000000000p-52', '0x0.0p+0')),
-    ((5, 1, 1999951809), ('0x1.6000000000000p-52', '0x1.0000000000000p-52', '0x1.e000000000000p-50', '0x1.0000000000000p-51', '0x1.0000000000000p-52', '0x1.0000000000000p-53')),
-    ((5, 1, 1940605046), ('0x1.0000000000000p-51', '0x1.0000000000000p-55', '0x1.9950000000000p-43', '0x1.a000000000000p-50', '0x1.4000000000000p-51', '0x1.e800000000000p-55')),
+    ((5, 1, 1999951809), ('0x1.6000000000000p-52', '0x1.0000000000000p-52', '0x1.e000000000000p-50', '0x1.0000000000000p-51', '0x1.8000000000000p-52', '0x1.0000000000000p-53')),
+    ((5, 1, 1940605046), ('0x1.0000000000000p-51', '0x1.0000000000000p-55', '0x1.9950000000000p-43', '0x1.a000000000000p-50', '0x1.8000000000000p-51', '0x1.e800000000000p-55')),
     ((5, 1, 2181161661), ('0x1.1000000000000p-49', '0x1.8000000000000p-53', '0x1.a800000000000p-48', '0x1.c400000000000p-48', '0x1.0000000000000p-53', '0x1.c000000000000p-51')),
-    ((5, 1, 3672393040), ('0x1.9000000000000p-49', '0x1.0000000000000p-54', '0x1.bc00000000000p-46', '0x1.4000000000000p-51', '0x1.0000000000000p-52', '0x1.0000000000000p-51')),
-    ((5, 1, 2522798642), ('0x1.5000000000000p-47', '0x1.0000000000000p-54', '0x1.2400000000000p-48', '0x1.0000000000000p-52', '0x1.c400000000000p-42', '0x1.8000000000000p-53')),
+    ((5, 1, 3672393040), ('0x1.9000000000000p-49', '0x1.0000000000000p-54', '0x1.bc00000000000p-46', '0x1.4000000000000p-51', '0x1.8000000000000p-52', '0x1.0000000000000p-51')),
+    ((5, 1, 2522798642), ('0x1.5000000000000p-47', '0x1.0000000000000p-54', '0x1.2400000000000p-48', '0x1.0000000000000p-52', '0x1.45c0000000000p-42', '0x1.8000000000000p-53')),
     ((5, 1, 815623033), ('0x1.0800000000000p-48', '0x1.0000000000000p-52', '0x1.4000000000000p-51', '0x1.4000000000000p-51', '0x1.0000000000000p-52', '0x1.c740000000000p-52')),
-    ((37, 3, 1), ('0x1.ed00000000000p-44', '0x1.0000000000000p-52', '0x1.0000000000000p-46', '0x1.68c0000000000p-43', '0x1.0e00000000000p-46', '0x1.0000000000000p-53')),
-    # the purity check's closest call: its batch sums this draw 6e-11 away from the draw alone
-    ((5, 1, 4365), ('0x1.3000000000000p-50', '0x1.0000000000000p-52', '0x1.a800000000000p-46', '0x1.8000000000000p-52', '0x1.6683000000000p-34', '0x0.0p+0')),
+    ((37, 3, 1), ('0x1.ed00000000000p-44', '0x1.0000000000000p-52', '0x1.0000000000000p-46', '0x1.68c0000000000p-43', '0x1.1a00000000000p-45', '0x1.0000000000000p-53')),
+    # the purity check's closest call (8.15e-11) while its batch summed this draw 6e-11 away from the draw alone
+    ((5, 1, 4365), ('0x1.3000000000000p-50', '0x1.0000000000000p-52', '0x1.a800000000000p-46', '0x1.8000000000000p-52', '0x1.a390000000000p-41', '0x0.0p+0')),
 ]
 
 
@@ -227,17 +228,18 @@ def test_batched_oracle_matches_single_draw_calls(monkeypatch):
     )
     verify.run_suite(draws, amp_draws, seed)
     monkeypatch.undo()
-    # the four tapped and lossy checks share one batch, `draws` members per
-    # part: densities of the superposition, the dephased pair, the purified
-    # and the inefficient-detector draws, fractions of the last two and of
-    # the loss draws; the amplifier extracts last, inside its simulation
+    # the five checks of the shared pass equal their single calls exactly,
+    # `draws` members per part: densities of the superposition, the dephased
+    # pair, the purified and the inefficient-detector draws, fractions of the
+    # last two and of the loss draws, then purity; the amplifier extracts
+    # last, inside its simulation, and agrees to 1e-11
     densities = np.split(log["project_quadrature"][0][1], 4)
     purified, inefficient, lossy = np.split(log["extract_fraction"][0], 3)
     expected = sequential_draws(seed, draws, amp_draws)
 
-    def close(batched, singles):
+    def close(batched, singles, tol=0.0):
         assert len(batched) == len(singles)
-        assert np.abs(np.asarray(batched) - singles).max() <= 1e-11
+        assert np.abs(np.asarray(batched) - singles).max() <= tol
 
     rows = expected["loss fraction"]
     close(lossy, [
@@ -280,7 +282,7 @@ def test_batched_oracle_matches_single_draw_calls(monkeypatch):
     close(log["purity"][0], [dy.purity(dy.make_mixed(mixture(d))) for d in expected["purity"]])
     close(log["amplifier_sim"][0], [
         dy.amplifier_sim(d["p"], mixture(d).params) for d in expected["amplifier coincidence fraction"]
-    ])
+    ], 1e-11)
 
 
 def test_each_check_is_one_array_pass(monkeypatch):
@@ -303,11 +305,14 @@ def test_each_check_is_one_array_pass(monkeypatch):
 
 
 def test_one_mixture_batch_serves_five_checks(monkeypatch):
-    # the purity draws join the line's make_mixed batch, six members per draw;
-    # amplifier_sim builds its copies without make_mixed
-    log = record_calls(monkeypatch, dy, ("make_mixed", "purity"))
+    # one build of six members per draw from the drawn columns, then one of
+    # the amplifier's copies; purity reads its members before the line, which
+    # takes the other five, and the detector the four tapped parts
+    log = record_calls(monkeypatch, dy, ("_mixture", "make_mixed", "loss_on_dyad", "purity"))
     verify.run_suite(20, 5, 3)
-    assert [state.coeff.shape[0] for state in log["make_mixed"]] == [6 * 20]
+    assert [state.coeff.shape[0] for state in log["_mixture"]] == [6 * 20, 5]
+    assert log["make_mixed"] == []
+    assert [state.coeff.shape[0] for state in log["loss_on_dyad"]] == [5 * 20, 4 * 20]
     assert [len(values) for values in log["purity"]] == [20]
 
 
