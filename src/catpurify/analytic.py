@@ -24,7 +24,6 @@ from .states import (
 )
 
 __all__ = [
-    "normalization",
     "apply_loss",
     "loss_fraction",
     "homodyne_density_css",
@@ -65,15 +64,6 @@ def _surviving_fraction(phi: float, kept: float, lost: float) -> float:
     so the fraction never exceeds 1."""
     survived = _pair_norm(phi, kept) * math.exp(-lost)
     return survived / (survived - math.expm1(-lost))
-
-
-def normalization(params: CssParams) -> float:
-    """Squared norm of |alpha> + e^{i phi}|-alpha>: 2(1 + cos(phi) e^{-2 alpha^2}).
-
-    Returns 0 exactly for a degenerate pair (see `CssParams.is_degenerate`);
-    callers that need a normalized state must check for that themselves.
-    """
-    return 2.0 * _pair_norm(params.phi, 2.0 * (params.alpha * params.alpha))
 
 
 def loss_fraction(eta: float, params: CssParams) -> float:

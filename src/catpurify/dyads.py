@@ -7,13 +7,13 @@ Every state that the protocols here can produce is a finite sum
 of multimode coherent dyads. Linear loss, beam splitters, quadrature
 projections and on/off photodetection each map such sums to such sums,
 so the whole pipeline can be evaluated in closed form with no Fock-space
-truncation. A state is held as three arrays (coefficients, ket and bra
-amplitudes) and every operation acts on all terms at once. A leading
-batch axis holds many states of one term layout, one per batch member,
-and every operation then acts on all members at once. This module is
-the brute-force oracle used to cross-check the formulas in
-:mod:`catpurify.analytic`; it shares no derivation with them beyond the
-coherent-state overlap.
+truncation; no term is dropped unless its coefficient is exactly 0. A
+state is three arrays (coefficients, ket and bra amplitudes), and every
+operation acts on all terms at once. A leading batch axis holds many
+states of one term layout, and every operation acts on all members at
+once, each as it would alone. This module is the brute-force oracle used
+to cross-check the formulas in :mod:`catpurify.analytic`; it shares no
+derivation with them beyond the coherent-state overlap.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ __all__ = [
     "amplifier_sim",
 ]
 
-PRUNE_TOL = 1e-15
 _QUARTIC_ROOT_PI = math.pi ** (-0.25)
 _MIN_DENSITY = 1e-300
 
@@ -66,8 +65,8 @@ class DyadState:
 
     A batch of B such states with one term layout adds a leading axis:
     `coeff` [B, n], `ket` and `bra` [B, n, m]. Member b (coeff[b], ket[b],
-    bra[b]) goes through every operation as it would alone, except that
-    `merge_terms` merges or drops a term only where it may in every member.
+    bra[b]) goes through every operation bit for bit as it would alone, except
+    that `merge_terms` merges or drops a term only where it may in every member.
     Functions that return a number return one per member, as an array.
     Parameters that take one value per member (transmittances, outcomes)
     also take a single value for all of them.
@@ -82,9 +81,7 @@ class DyadState:
     bra: np.ndarray
 
     def __post_init__(self) -> None:
-        coeff = np.asarray(self.coeff, dtype=complex)
-        ket = np.asarray(self.ket, dtype=complex)
-        bra = np.asarray(self.bra, dtype=complex)
+        coeff, ket, bra = (np.asarray(part, dtype=complex) for part in (self.coeff, self.ket, self.bra))
         if ket.ndim not in (2, 3) or ket.shape != bra.shape or ket.shape[-1] < 1:
             raise ValueError(
                 "ket and bra must share one shape, [n, m] or [batch, n, m], with m >= 1 modes"
@@ -99,11 +96,13 @@ class DyadState:
 
 
 def _derived(coeff: np.ndarray, ket: np.ndarray, bra: np.ndarray, state=None) -> DyadState:
-    """A state (`state` if given) of complex arrays that match: only the coefficients are checked."""
+    """A state (`state` if given) of complex arrays that match: only the coefficients are checked.
+    They are stored C-contiguous, so a batch member's sums round as the member's alone would."""
     if not all(np.isfinite(coeff).ravel().tolist()):  # for a few terms, faster than .all()
         raise ValueError("dyad coefficients must be finite")
     state = object.__new__(DyadState) if state is None else state
-    vars(state).update(coeff=coeff, ket=ket, bra=bra)
+    contiguous = np.ascontiguousarray
+    vars(state).update(coeff=contiguous(coeff), ket=contiguous(ket), bra=contiguous(bra))
     return state
 
 
@@ -180,13 +179,13 @@ def _members(*parts: tuple[DyadState, slice]) -> DyadState:
     ))
 
 
-def merge_terms(state: DyadState, tol: float = PRUNE_TOL) -> DyadState:
-    """Combine terms with identical dyads and drop those below `tol`.
+def merge_terms(state: DyadState) -> DyadState:
+    """Combine terms with identical dyads and drop those that sum to exactly 0.
 
     Dyads match on exact amplitude equality (-0.0 matches +0.0, NaN
     nothing), and terms keep the order of each dyad's first occurrence.
     In a batch, two terms merge only if their amplitudes match in every
-    member, and a term is dropped only if it is below `tol` in every member.
+    member, and a term is dropped only if it is 0 in every member.
     """
     terms = state.coeff.shape[-1]
     if not state.coeff.size:  # no terms, or no member to keep one in
@@ -204,8 +203,8 @@ def merge_terms(state: DyadState, tol: float = PRUNE_TOL) -> DyadState:
     if len(first) < terms:
         summed = np.zeros_like(summed)
         np.add.at(summed.T, owner, state.coeff.T)  # each sum lands on its first occurrence
-    large = (np.abs(summed) >= tol).reshape(-1, terms).any(axis=0).tolist()
-    kept = [i for i in first.values() if large[i]]
+    nonzero = (summed != 0.0).reshape(-1, terms).any(axis=0).tolist()
+    kept = [i for i in first.values() if nonzero[i]]
     if len(kept) == terms:
         return state
     return _derived(summed[..., kept], state.ket[..., kept, :], state.bra[..., kept, :])
@@ -478,7 +477,7 @@ def hermiticity_defect(state: DyadState) -> float:
     an unbatched state."""
     if state.coeff.ndim != 1:
         raise ValueError("hermiticity_defect takes one state, not a batch")
-    merged = merge_terms(state, tol=0.0)
+    merged = merge_terms(state)
     ket, bra = merged.ket, merged.bra
     mirrors = (ket[:, None] == bra[None]).all(-1) & (bra[:, None] == ket[None]).all(-1)
     mirror = mirrors @ merged.coeff  # merged dyads are distinct: one match at most
@@ -542,7 +541,7 @@ def extract_fraction(
     p = (_css_fidelity(alpha, phase, norm, state) - f0) / (1.0 - f0)
 
     rest = _weighted_sum((1.0, state), (-p / norm, css), (p - 1.0, dephased))
-    residual = np.max(gram_norm(merge_terms(rest, tol=0.0)))
+    residual = np.max(gram_norm(merge_terms(rest)))
     if residual > 1e-9:
         raise StateFamilyError(
             f"state outside model family: residual {residual:.3e} exceeds 1e-9"
@@ -584,9 +583,9 @@ def amplifier_sim(
     joint = _with_mode(joint, math.sqrt(2.0) * alpha)  # the coherent ancilla
     joint = bs_on_product(joint, (0, 2), 0.5)
     joint = _clicked(joint, 2)  # its click probability is not needed
-    joint, coincidence = project_click(joint, 0)  # the trace of joint, unless negative
+    joint, coincidence = project_click(joint, 0)  # merged; coincidence is its trace unless negative
     if np.any(coincidence < _MIN_DENSITY):
         raise ZeroDensityError("both-click coincidence has vanishing probability")
-    conditioned = merge_terms(_derived(joint.coeff / np.asarray(coincidence)[..., None], joint.ket, joint.bra))
+    conditioned = _derived(joint.coeff / np.asarray(coincidence)[..., None], joint.ket, joint.bra)  # still merged
     out = [CssParams(math.sqrt(2.0) * a, (2.0 * f) % TWO_PI) for a, f in _pairs(alpha, phi)]
     return extract_fraction(conditioned, out if alpha.ndim else out[0])

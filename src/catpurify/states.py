@@ -101,8 +101,8 @@ class CssParams:
 
     A pair whose superposition norm is 0 in floating point, such as
     (alpha=0, phi=pi) or an odd cat whose alpha^2 underflows, is
-    constructible but degenerate. Operations that need a normalized state
-    reject it where they compute the norm.
+    constructible. Operations that need a normalized state reject it
+    where they compute the norm.
     """
 
     alpha: float
@@ -111,10 +111,6 @@ class CssParams:
     def __init__(self, alpha: float, phi: float = 0.0) -> None:
         _set(self, "alpha", _checked(alpha, "alpha", _NONNEGATIVE))
         _set(self, "phi", _reduce_phase(_checked(phi, "phi", _FINITE)))
-
-    @property
-    def is_degenerate(self) -> bool:
-        return _pair_norm(self.phi, 2.0 * (self.alpha * self.alpha)) == 0.0
 
 
 @dataclass(frozen=True, init=False)

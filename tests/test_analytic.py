@@ -28,7 +28,6 @@ from catpurify import (
     homodyne_density_css,
     homodyne_density_mix,
     loss_fraction,
-    normalization,
     optimal_k,
     purify,
     purify_with_inefficiency,
@@ -44,6 +43,7 @@ from catpurify.errors import (
     PhysicsError,
     ZeroDensityError,
 )
+from catpurify.states import _pair_norm
 
 TWO_PI = 2.0 * math.pi
 
@@ -53,11 +53,6 @@ class TestStates:
         assert CssParams(1.0, -math.pi).phi == pytest.approx(math.pi, abs=1e-15)
         assert CssParams(1.0, TWO_PI).phi == 0.0
         assert CssParams(1.0, 1.0).phi == 1.0
-
-    def test_degenerate_flag(self):
-        assert CssParams(0.0, math.pi).is_degenerate
-        assert not CssParams(0.0, 0.0).is_degenerate
-        assert not CssParams(1.0, math.pi).is_degenerate
 
     def test_invalid_fields_rejected(self):
         with pytest.raises(ValueError):
@@ -75,17 +70,16 @@ class TestStates:
         assert TapSetting(0.7, 0.0).R == pytest.approx(0.3, abs=1e-16)
 
 
-class TestNormalization:
+class TestPairNorm:
+    # the squared norm of |alpha> + e^{i phi}|-alpha> is 2 _pair_norm(phi, 2 alpha^2)
     def test_vacuum_pair(self):
-        assert normalization(CssParams(0.0, 0.0)) == 4.0
+        assert _pair_norm(0.0, 0.0) == 2.0
 
     def test_degenerate_pair_is_zero_not_error(self):
-        assert normalization(CssParams(0.0, math.pi)) == 0.0
+        assert _pair_norm(math.pi, 0.0) == 0.0
 
     def test_reference_value(self):
-        assert normalization(CssParams(1.0, 0.0)) == pytest.approx(
-            2.2706705664732254, abs=1e-15
-        )
+        assert 2.0 * _pair_norm(0.0, 2.0) == pytest.approx(2.2706705664732254, abs=1e-15)
 
 
 class TestApplyLoss:
@@ -574,25 +568,10 @@ class TestWindowAcceptance:
         assert window_acceptance(state, 0.5, 0.0, 1e4) == pytest.approx(1.0, abs=1e-10)
 
     def test_far_window_matches_erfc(self):
-        # [3, 9997]: integrate p P_C + (1-p) P_0 over [3, inf) with the complex
-        # erfc, (1/sqrt(pi)) int_a^inf e^{-k^2 + i theta k} dk
-        #     = e^{-theta^2/4} erfc(a - i theta/2) / 2
-        alpha, phi, p, T = 1.0, math.pi, 0.5, 0.5
-        with mpmath.workdps(30):
-            a2 = mpmath.mpf(alpha) ** 2
-            theta = 2 * mpmath.sqrt(2 * (1 - mpmath.mpf(T))) * alpha
-            tail = mpmath.erfc(3) / 2
-            wave = mpmath.re(
-                mpmath.exp(1j * phi - theta**2 / 4) * mpmath.erfc(3 - 0.5j * theta) / 2
-            )
-            css = (tail + mpmath.exp(-2 * T * a2) * wave) / (
-                1 + mpmath.cos(phi) * mpmath.exp(-2 * a2)
-            )
-            expected = float(p * css + (1 - p) * tail)
-        state = MixedCss(CssParams(alpha, phi), p)
-        assert window_acceptance(state, T, 5000.0, 4997.0) == pytest.approx(
-            expected, rel=1e-9
-        )
+        # [3, 9997]: the erfc tail of p P_C + (1-p) P_0 from 3 on
+        expected = _window_reference(1.0, math.pi, 0.5, 0.5, 3.0, 9997.0)
+        state = MixedCss(CssParams(1.0, math.pi), 0.5)
+        assert window_acceptance(state, 0.5, 5000.0, 4997.0) == pytest.approx(expected, rel=1e-9)
 
     def test_window_past_representable_outcomes_accepts_nothing(self):
         state = MixedCss(CssParams(1.0, math.pi), 0.5)
@@ -647,8 +626,7 @@ class TestWindowAcceptance:
 
 
 def _window_reference(alpha, phi, p, T, lo, hi):
-    """int_lo^hi of p P_C + (1-p) P_0 in closed form at 60 digits, the
-    [lo, hi] form of the erfc value in test_far_window_matches_erfc. With
+    """int_lo^hi of p P_C + (1-p) P_0 in closed form at 60 digits. With
     c = 2 sqrt(2R) alpha, (1/sqrt(pi)) int_lo^hi e^{-k^2 + i c k} dk
     = e^{-c^2/4} [erfc(lo - ic/2) - erfc(hi - ic/2)] / 2; left of 0 the
     mirrored erfc(ic/2 - hi) - erfc(ic/2 - lo) keeps it from cancelling."""
@@ -674,9 +652,9 @@ class TestUnderflowedNorm:
     # is exactly 0: the pair is as degenerate as (alpha=0, phi=pi)
     STATE = MixedCss(CssParams(1e-170, math.pi), 0.5)
 
-    def test_flagged_degenerate(self):
-        assert self.STATE.params.is_degenerate
-        assert normalization(self.STATE.params) == 0.0
+    def test_norm_is_zero(self):
+        params = self.STATE.params
+        assert _pair_norm(params.phi, 2.0 * (params.alpha * params.alpha)) == 0.0
 
     @pytest.mark.parametrize(
         "call",
@@ -838,7 +816,7 @@ def _amplify_formula(alpha, phi, p):
     the output record and both pair norms computed afresh on each call."""
     params = CssParams(alpha, phi)
     out = CssParams(math.sqrt(2.0) * params.alpha, (2.0 * params.phi) % TWO_PI)
-    norm_in, norm_out = normalization(params) / 2.0, normalization(out) / 2.0
+    norm_in, norm_out = (_pair_norm(r.phi, 2.0 * (r.alpha * r.alpha)) for r in (params, out))
     x = (1.0 - p) * norm_in / p if p > 0.0 else math.inf
     return out.alpha, out.phi, norm_out / (norm_out + x * (2.0 + x))
 
@@ -1038,8 +1016,7 @@ class TestHugeAmplitude:
     @pytest.mark.parametrize("phi", [0.0, 1.0, math.pi])
     def test_state_functions(self, alpha, phi):
         big, ref = CssParams(alpha, phi), CssParams(_LARGE, phi)
-        assert big.is_degenerate is False
-        assert normalization(big) == normalization(ref) == 2.0
+        assert _pair_norm(phi, 2.0 * (alpha * alpha)) == _pair_norm(phi, 2.0 * (_LARGE * _LARGE)) == 1.0
         state, ref_state = MixedCss(big, 0.5), MixedCss(ref, 0.5)
         assert purity_mixed_css(state) == purity_mixed_css(ref_state)
         assert _in_unit(purity_mixed_css(state))

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from catpurify import CssParams, MixedCss, TapSetting, analytic
+from catpurify import ChannelSetting, CssParams, MixedCss, TapSetting, analytic
 from catpurify import dyads as dy
 from catpurify.errors import (
     DegenerateStateError,
@@ -104,17 +104,13 @@ class TestMergeTerms:
         assert math.copysign(1.0, merged.bra[1, 0].real) == 1.0
 
     def test_order_of_first_occurrence_and_pruning(self):
-        state = dy.DyadState(
-            [1.0, 2.0, -1.0, 3.0, 5.0],
-            [[0.3], [0.1], [0.3], [0.2], [0.1]],
-            [[0.3], [0.1], [0.3], [0.2], [0.1]],
-        )
+        # the sum at 0.3 is exactly 0 and goes; a sum of 1e-17 is not 0 and stays
+        amps = [[0.3], [0.1], [0.3], [0.2], [0.1], [0.4]]
+        state = dy.DyadState([1.0, 2.0, -1.0, 3.0, 5.0, 1e-17], amps, amps)
         merged = dy.merge_terms(state)
-        assert merged.ket[:, 0].tolist() == [0.1 + 0.0j, 0.2 + 0.0j]
-        assert merged.coeff.tolist() == [7.0 + 0.0j, 3.0 + 0.0j]
-        kept = dy.merge_terms(state, tol=0.0)
-        assert kept.ket[:, 0].tolist() == [0.3 + 0.0j, 0.1 + 0.0j, 0.2 + 0.0j]
-        assert kept.coeff.tolist() == [0.0j, 7.0 + 0.0j, 3.0 + 0.0j]
+        assert merged.ket[:, 0].tolist() == [0.1 + 0.0j, 0.2 + 0.0j, 0.4 + 0.0j]
+        assert merged.coeff.tolist() == [7.0 + 0.0j, 3.0 + 0.0j, 1e-17 + 0.0j]
+        assert dy.merge_terms(merged) is merged
 
     @pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
     def test_zero_imaginary_parts_of_either_sign_match(self, batched):
@@ -139,7 +135,7 @@ class TestMergeTerms:
         amps = np.concatenate([base, flips.view(complex)[:, 0]])
         assert np.isfinite(amps).all()
         state = dy.DyadState(np.ones(129), amps[:, None], np.ones((129, 1)))
-        assert dy.merge_terms(state, tol=0.0) is state
+        assert dy.merge_terms(state) is state
         # in a batch, one member one bit apart keeps two terms apart
         ket = np.array([[[base[0]], [base[0]]], [[base[0]], [amps[1]]]])
         batch = dy.DyadState(np.ones((2, 2)), ket, np.ones((2, 2, 1)))
@@ -653,6 +649,26 @@ def member(state, i):
     return dy.DyadState(state.coeff[i], state.ket[i], state.bra[i])
 
 
+def nth(value, i):
+    """Member i of a batched state, array or list, of each entry of a tuple,
+    or a value shared by every member."""
+    if isinstance(value, dy.DyadState):
+        return member(value, i)
+    if isinstance(value, tuple):
+        return tuple(nth(v, i) for v in value)
+    return value[i] if isinstance(value, (list, np.ndarray)) else value
+
+
+def bits(value):
+    """Every real and imaginary part of a number, array, state or tuple of them, as float.hex."""
+    if isinstance(value, tuple):
+        return [bits(v) for v in value]
+    if isinstance(value, dy.DyadState):
+        return bits((value.coeff, value.ket, value.bra))
+    value = np.asarray(value, dtype=complex).ravel()
+    return [v.hex() for v in np.concatenate([value.real, value.imag]).tolist()]
+
+
 def assert_same_terms(batched, singles, rel=0.0):
     """Member i of `batched` against the unbatched state singles[i]: the
     amplitudes exactly, the coefficients to `rel` of their total weight."""
@@ -734,7 +750,7 @@ class TestArrayFormMatchesTermLoops:
         acc = {}
         for c, k, b in rows(state):
             acc[(k, b)] = acc.get((k, b), 0.0 + 0.0j) + c
-        expected = [(c, k, b) for (k, b), c in acc.items() if abs(c) >= dy.PRUNE_TOL]
+        expected = [(c, k, b) for (k, b), c in acc.items() if c != 0.0]
         assert len(expected) == 5
         assert rows(dy.merge_terms(state)) == expected
 
@@ -842,6 +858,34 @@ class TestArrayFormMatchesTermLoops:
                 singles = [fn(member(batch, i)).hex() for i in range(members)]
                 assert [value.hex() for value in fn(batch).tolist()] == singles
 
+    def test_random_batches_equal_single_calls_bit_for_bit(self):
+        # seeded batches of 2-50 members: each member of every primitive's
+        # result, and of the amplifier's, has the bits of its single call
+        rng = np.random.default_rng(48)
+        for _ in range(20):
+            members = int(rng.integers(2, 51))
+            states, mixed = mixture_batch(rng, members)
+            etas, Ts, xs = rng.uniform(0.05, 1.0, members), rng.uniform(0.1, 0.9, members), rng.uniform(-2.0, 2.0, members)
+            lossy = dy.loss_on_dyad(mixed, 0, etas)
+            split = dy.bs_on_product(dy.attach_vacuum(lossy), (0, 1), Ts)
+            targets = [analytic.apply_loss(s, ChannelSetting(eta)).params for s, eta in zip(states, etas.tolist())]
+            noncanonical = random_batch(rng, members)
+            calls = [
+                (dy.loss_on_dyad, mixed, 0, etas),
+                (dy.bs_on_product, dy.attach_vacuum(lossy), (0, 1), Ts),
+                (dy.project_quadrature, split, 1, xs, HALF_PI),
+                (dy.project_click, split, 1),
+                (dy.extract_fraction, lossy, targets),
+                (dy.purity, lossy),
+                (dy.gram_norm, noncanonical),
+                (dy.trace, noncanonical),
+                (dy.amplifier_sim, rng.uniform(0.0, 1.0, members).tolist(), [s.params for s in states]),
+            ]
+            for fn, *args in calls:
+                batched = fn(*args)
+                for i in range(members):
+                    assert bits(nth(batched, i)) == bits(fn(*nth(tuple(args), i))), (fn.__name__, members, i)
+
     def test_batched_projections_and_fraction(self):
         rng = np.random.default_rng(44)
         states, mixed = mixture_batch(rng)
@@ -894,16 +938,17 @@ class TestArrayFormMatchesTermLoops:
         assert merged.coeff.tolist() == [[4.0 + 0.0j, 2.0 + 0.0j], [10.0 + 0.0j, 5.0 + 0.0j]]
         assert merged.ket[..., 0].tolist() == [[0.5 + 0.0j, 0.5 + 0.0j], [0.2 + 0.0j, 0.7 + 0.0j]]
 
-    def test_batched_prune_only_where_every_member_is_below_tol(self):
+    def test_batched_prune_only_where_every_member_is_zero(self):
+        # term 1 is 0 in member 0 only and stays; term 2 is 0 in both and goes
         ket = np.array([[[0.1], [0.2], [0.3]], [[0.4], [0.5], [0.6]]])
-        state = dy.DyadState([[1.0, 1e-17, 1e-17], [1.0, 2.0, 0.0]], ket, ket)
+        state = dy.DyadState([[1.0, 0.0, 0.0], [1e-17, 2.0, -0.0]], ket, ket)
         merged = dy.merge_terms(state)
-        assert merged.coeff.tolist() == [[1.0 + 0.0j, 1e-17 + 0.0j], [1.0 + 0.0j, 2.0 + 0.0j]]
+        assert merged.coeff.tolist() == [[1.0 + 0.0j, 0.0j], [1e-17 + 0.0j, 2.0 + 0.0j]]
         assert merged.ket[..., 0].tolist() == [[0.1 + 0.0j, 0.2 + 0.0j], [0.4 + 0.0j, 0.5 + 0.0j]]
-        assert dy.merge_terms(state, tol=0.0) is state
+        assert dy.merge_terms(merged) is merged
 
     def test_batch_of_no_members_keeps_no_terms(self):
-        # every term is below tol in each of no members, as for make_mixed([])
+        # every term is 0 in each of no members, as for make_mixed([])
         state = dy.DyadState(np.zeros((0, 3)), np.zeros((0, 3, 2)), np.zeros((0, 3, 2)))
         merged = dy.merge_terms(state)
         assert (merged.coeff.shape, merged.ket.shape, merged.bra.shape) == ((0, 0), (0, 0, 2), (0, 0, 2))

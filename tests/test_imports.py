@@ -83,7 +83,7 @@ PUBLIC = [
     "__version__", "analytic", "dyads", "sweeps", "verify",
     "CssParams", "MixedCss", "TapSetting", "ChannelSetting",
     "PhysicsError", "DegenerateStateError", "ZeroDensityError", "StateFamilyError", "ConfigError",
-    "normalization", "apply_loss", "loss_fraction",
+    "apply_loss", "loss_fraction",
     "homodyne_density_css", "homodyne_density_mix", "theta_of_k", "detection_ratio",
     "purify", "purify_with_inefficiency", "success_region", "optimal_k", "window_acceptance",
     "amplify", "amplification_threshold", "concat_stages", "purity_mixed_css",
