@@ -19,6 +19,7 @@ derivation with them beyond the coherent-state overlap.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from operator import attrgetter
@@ -125,9 +126,9 @@ def _require_in(values: np.ndarray, name: str, domain: tuple[float, float, str])
     """The array form of `states._checked`: the error names the first
     value outside the domain."""
     lo, hi, must = domain
-    outside = ~((lo <= values) & (values <= hi))
-    if outside.any():
-        raise ValueError(f"{name} must {must}, got {_first(values, outside)!r}")
+    inside = (lo <= values) & (values <= hi)
+    if not inside.all():
+        raise ValueError(f"{name} must {must}, got {_first(values, ~inside)!r}")
 
 
 def _per_member(
@@ -160,23 +161,14 @@ def overlap(beta: complex, gamma: complex) -> complex:
     return complex(_overlap(np.array([beta], complex), np.array([gamma], complex)))
 
 
-def _weighted_sum(*parts: tuple[object, DyadState]) -> DyadState:
-    """sum_k w_k * state_k with all terms kept as they are; a weight is a
-    scalar or one value per batch member."""
-    return _derived(
-        np.concatenate([np.asarray(w)[..., None] * s.coeff for w, s in parts], axis=-1),
-        np.concatenate([s.ket for _, s in parts], axis=-2),
-        np.concatenate([s.bra for _, s in parts], axis=-2),
-    )
-
-
 def _members(*parts: tuple[DyadState, slice]) -> DyadState:
     """The chosen members of each batch, joined in order into one batch;
-    the batches must share one term layout."""
-    return _derived(*(
-        np.concatenate([getattr(state, side)[chosen] for state, chosen in parts])
-        for side in ("coeff", "ket", "bra")
-    ))
+    the batches must share one term layout. One part is a view of its batch."""
+    def joined(side: str) -> np.ndarray:
+        chosen = [getattr(state, side)[where] for state, where in parts]
+        return chosen[0] if len(parts) == 1 else np.concatenate(chosen)
+
+    return _derived(joined("coeff"), joined("ket"), joined("bra"))
 
 
 def merge_terms(state: DyadState) -> DyadState:
@@ -204,7 +196,7 @@ def merge_terms(state: DyadState) -> DyadState:
         summed = np.zeros_like(summed)
         np.add.at(summed.T, owner, state.coeff.T)  # each sum lands on its first occurrence
     nonzero = (summed != 0.0).reshape(-1, terms).any(axis=0).tolist()
-    kept = [i for i in first.values() if nonzero[i]]
+    kept = np.array([i for i in first.values() if nonzero[i]], dtype=np.intp)
     if len(kept) == terms:
         return state
     return _derived(summed[..., kept], state.ket[..., kept, :], state.bra[..., kept, :])
@@ -259,16 +251,12 @@ def _pairs(alpha: np.ndarray, phi: np.ndarray) -> zip:
     return zip(alpha.ravel().tolist(), phi.ravel().tolist())
 
 
-def _dephased_dyads(alpha: np.ndarray) -> DyadState:
-    """(|alpha><alpha| + |-alpha><-alpha|)/2, its two terms unmerged."""
-    amps = _stack_last(alpha, -alpha)[..., None]
-    return _derived(np.full(amps.shape[:-1], 0.5 + 0j), amps, amps)
-
-
 def make_incoherent(alpha: float) -> DyadState:
     """The fully dephased pair: equal mixture of |alpha> and |-alpha>; an
     array of amplitudes gives one pair per batch member."""
-    return merge_terms(_dephased_dyads(np.asarray(alpha, dtype=float)))
+    alpha = np.asarray(alpha, dtype=float)
+    amps = _stack_last(alpha, -alpha)[..., None]
+    return merge_terms(_derived(np.full(amps.shape[:-1], 0.5 + 0j), amps, amps))
 
 
 def _css_dyads(alpha: np.ndarray, phase: np.ndarray) -> DyadState:
@@ -296,7 +284,11 @@ def _mixture(p: np.ndarray, alpha: np.ndarray, phi: np.ndarray) -> DyadState:
         _nonzero_norm(a, f)
     css = _css_dyads(alpha, np.exp(1j * phi))
     coeff = p[..., None] * _unit_trace_coeff(css) + (1.0 - p)[..., None] * _DEPHASED_WEIGHTS
-    return merge_terms(_derived(coeff, css.ket, css.bra))
+    mixed = _derived(coeff, css.ket, css.bra)
+    # the dyads differ where alpha != 0, so merge_terms could only drop a term 0 in every member
+    if alpha.any() and (coeff != 0.0).reshape(-1, 4).any(axis=0).all():
+        return mixed
+    return merge_terms(mixed)
 
 
 def make_mixed(state: MixedCss | Sequence[MixedCss]) -> DyadState:
@@ -309,11 +301,18 @@ def make_mixed(state: MixedCss | Sequence[MixedCss]) -> DyadState:
     return _mixture(*_unpack(state, "p", "params.alpha", "params.phi"))
 
 
+@functools.lru_cache(maxsize=64)
+def _product_indices(n_left: int, n_right: int) -> tuple[np.ndarray, np.ndarray]:
+    """The left and right term of each term of a left-major product, shared and read-only."""
+    i, j = np.divmod(np.arange(n_left * n_right), n_right)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def tensor(left: DyadState, right: DyadState) -> DyadState:
     """Product of every term of `left` with every term of `right`, left-major.
     An unbatched operand is shared by every member of a batched one."""
-    n_right = right.coeff.shape[-1]
-    i, j = np.divmod(np.arange(left.coeff.shape[-1] * n_right), n_right)
+    i, j = _product_indices(left.coeff.shape[-1], right.coeff.shape[-1])
     coeff = left.coeff[..., i] * right.coeff[..., j]
 
     def joined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -377,8 +376,8 @@ def bs_on_product(state: DyadState, modes: tuple[int, int], T: float) -> DyadSta
     if ma == mb:
         raise ValueError("beam splitter needs two distinct modes")
     T = _per_member(state, T, "transmittance", _UNIT)
-    ct = np.sqrt(T)
-    cr = np.sqrt(1.0 - T)
+    sqrt = math.sqrt if type(T) is float else np.sqrt
+    ct, cr = sqrt(T), sqrt(1.0 - T)
     sides = np.array((state.ket, state.bra))
     a, b = sides[..., ma], sides[..., mb]
     sides[..., ma], sides[..., mb] = ct * a - cr * b, cr * a + ct * b
@@ -412,8 +411,8 @@ def _drop_mode(state: DyadState, mode: int, coeff: np.ndarray) -> DyadState:
     """The terms with new coefficients and one mode's column removed."""
     if state.mode_count < 2:
         raise ValueError("projection would leave no modes; keep at least one")
-    kept = np.arange(state.mode_count) != mode
-    return _derived(coeff, state.ket[..., kept], state.bra[..., kept])
+    ket, bra = (np.concatenate((s[..., :mode], s[..., mode + 1 :]), axis=-1) for s in (state.ket, state.bra))
+    return _derived(coeff, ket, bra)
 
 
 def project_quadrature(
@@ -466,7 +465,9 @@ def gram_norm(state: DyadState) -> float | np.ndarray:
     """Hilbert-Schmidt norm sqrt(tr[X^dagger X]) evaluated through coherent
     Gram overlaps, valid for arbitrary (non-Hermitian) dyad combinations:
     tr[X^dagger X] = sum_ij conj(c_i) c_j <k_i|k_j> <b_j|b_i>."""
-    pairs = _gram(state.ket, state.ket) * np.swapaxes(_gram(state.bra, state.bra), -1, -2)
+    sides = np.array((state.ket, state.bra))
+    on_ket, on_bra = _gram(sides, sides)
+    pairs = on_ket * np.swapaxes(on_bra, -1, -2)
     # an elementwise sum rounds each batch member as it would round alone
     square = (state.coeff.conj()[..., :, None] * pairs * state.coeff[..., None, :]).sum(axis=(-2, -1)).real
     return _scalar_or_batch(np.sqrt(np.maximum(square, 0.0)))
@@ -496,30 +497,23 @@ def purity(state: DyadState) -> float | np.ndarray:
     return _scalar_or_batch(square.sum(axis=(-2, -1)).real)
 
 
-def _css_fidelity(alpha: np.ndarray, phase: np.ndarray, norm, state: DyadState) -> np.ndarray:
-    """<psi|rho|psi> for psi = (|alpha> + phase |-alpha>)/sqrt(norm) and
-    a single-mode rho, from the amplitudes <psi|beta> of its kets and bras."""
-    branches = np.array([alpha, -alpha])[..., None, None]
-    sides = np.array((state.ket, state.bra))[:, None]
-    amps = _overlap(branches, sides)  # [side, branch, ..., term]
-    on_ket, on_bra = amps[:, 0] + phase.conj()[..., None] * amps[:, 1]
-    return (state.coeff * (on_ket * on_bra.conj())).sum(axis=-1).real / norm
-
-
 def extract_fraction(
     state: DyadState, params: CssParams | Sequence[CssParams]
 ) -> float | np.ndarray:
     """Recover p from rho = p * rho_css(params) + (1 - p) * rho_0(alpha);
-    a batch takes one CssParams per member.
+    a batch takes one CssParams per member (no members give an empty array).
 
     Inverts the decomposition through the fidelity F = <psi|rho|psi>:
     with F0 the fidelity of rho_0 against the superposition,
-    p = (F - F0)/(1 - F0). Both come from coherent overlaps, with the
-    norm of psi taken from the trace of its unnormalized density. A
-    residual check in the dyad Gram norm confirms the input actually lies
-    in the two-component family, and p must lie in [0, 1] up to 1e-9 (it
-    is clipped there); failure signals a physics bug upstream rather than
-    a recoverable condition.
+    p = (F - F0)/(1 - F0). Both come from one table of the overlaps of
+    <+-alpha| with the kets and bras of the state's terms and of the
+    superposition's four dyads, on which rho_0 is the weights (1/2, 0, 0,
+    1/2); the norm of psi is the trace of its unnormalized density. A
+    residual check in the dyad Gram norm of the state less one combined
+    block on those dyads confirms the input actually lies in the
+    two-component family, and p must lie in [0, 1] up to 1e-9 (it is
+    clipped there); failure signals a physics bug upstream rather than a
+    recoverable condition.
     """
     if state.mode_count != 1:
         raise ValueError("fraction extraction expects a single-mode state")
@@ -535,20 +529,25 @@ def extract_fraction(
             )
     phase = np.exp(1j * phi)
     css = _css_dyads(alpha, phase)
-    dephased = _dephased_dyads(alpha)
     norm = _traces(css).real
-    f0 = _css_fidelity(alpha, phase, norm, dephased)
-    p = (_css_fidelity(alpha, phase, norm, state) - f0) / (1.0 - f0)
+    n = state.coeff.shape[-1]
+    sides = np.concatenate([np.array((state.ket, state.bra)), np.array((css.ket, css.bra))], axis=-2)
+    amps = _overlap(np.array([alpha, -alpha])[..., None, None], sides[:, None])  # [side, branch, ..., term]
+    on_ket, on_bra = amps[:, 0] + phase.conj()[..., None] * amps[:, 1]
+    seen = on_ket * on_bra.conj()  # norm * <psi|k><b|psi> for each dyad |k><b|
+    f0 = (_DEPHASED_WEIGHTS * seen[..., n:]).sum(axis=-1).real / norm
+    p = ((state.coeff * seen[..., :n]).sum(axis=-1).real / norm - f0) / (1.0 - f0)
 
-    rest = _weighted_sum((1.0, state), (-p / norm, css), (p - 1.0, dephased))
-    residual = np.max(gram_norm(merge_terms(rest)))
+    block = (-p / norm)[..., None] * css.coeff + (p - 1.0)[..., None] * _DEPHASED_WEIGHTS
+    rest = _derived(np.concatenate([state.coeff, block], axis=-1), *sides)
+    residual = np.max(gram_norm(merge_terms(rest)), initial=0.0)
     if residual > 1e-9:
         raise StateFamilyError(
             f"state outside model family: residual {residual:.3e} exceeds 1e-9"
         )
     # rounding may carry p just past 0 or 1; a larger excursion is a signed
     # combination of the two components, not a mixture
-    clipped = np.clip(p, 0.0, 1.0)
+    clipped = np.minimum(np.maximum(p, 0.0), 1.0)
     outside = np.abs(p - clipped) > 1e-9
     if outside.any():
         raise StateFamilyError(

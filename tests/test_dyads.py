@@ -9,6 +9,7 @@ performed while the suite was built.
 
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -397,6 +398,71 @@ class TestProjectClick:
             assert frac == pytest.approx(1.0, abs=1e-12)
 
 
+def two_pass_fraction(state, params):
+    """The fraction that extract_fraction must give, bit for bit, computed in
+    two separate passes: F over the state's terms and F0 over the dephased
+    pair's two dyads, each against |alpha> + e^{i phi}|-alpha> and divided by
+    that superposition's trace; p = (F - F0)/(1 - F0), clipped to [0, 1]."""
+    records = [params] if isinstance(params, CssParams) else params
+    alpha, phi = (
+        np.array([getattr(q, name) for q in records]).reshape(state.coeff.shape[:-1]) for name in ("alpha", "phi")
+    )
+    phase = np.exp(1j * phi)
+    one = np.ones_like(phase)
+
+    def dyads(coeff, ket, bra):
+        return dy.DyadState(*(np.array(side, dtype=complex).T for side in (coeff, ket, bra)))
+
+    css = dyads([one, phase.conj(), phase, one], [[alpha, alpha, -alpha, -alpha]], [[alpha, -alpha, alpha, -alpha]])
+    dephased = dyads([0.5 * one] * 2, [[alpha, -alpha]], [[alpha, -alpha]])
+    norm = np.real(dy.trace(css))
+
+    def fidelity(rho):
+        amps = dy._overlap(np.array([alpha, -alpha])[..., None, None], np.array((rho.ket, rho.bra))[:, None])
+        on_ket, on_bra = amps[:, 0] + phase.conj()[..., None] * amps[:, 1]
+        return (rho.coeff * (on_ket * on_bra.conj())).sum(axis=-1).real / norm
+
+    f0 = fidelity(dephased)
+    return np.clip((fidelity(state) - f0) / (1.0 - f0), 0.0, 1.0)
+
+
+def extraction_case(family, states, settings):
+    """A "cat", "lossy" or "homodyne" state and the CssParams to extract it
+    against, as verify builds them: one MixedCss and one setting give one
+    state, sequences of them a batch. A lossy setting is a transmittance, a
+    homodyne one a (tap T, outcome x) pair."""
+    single = isinstance(states, MixedCss)
+    draws = [(states, settings)] if single else list(zip(states, settings))
+    mixed = dy.make_mixed(states)
+    if family == "cat":
+        state, params = mixed, [s.params for s, _ in draws]
+    elif family == "lossy":
+        state = dy.loss_on_dyad(mixed, 0, settings)
+        params = [analytic.apply_loss(s, ChannelSetting(eta)).params for s, eta in draws]
+    else:
+        T, x = settings if single else map(list, zip(*settings))
+        state, _ = dy.project_quadrature(dy.bs_on_product(dy.attach_vacuum(mixed), (0, 1), T), 1, x, HALF_PI)
+        params = [analytic.purify(s, TapSetting(t, k, 1.0))[0].params for s, (t, k) in draws]
+    return state, params[0] if single else params
+
+
+def extraction_draws(rng, family, members):
+    """Seeded mixtures, a third of them pure and a third fully dephased,
+    with one setting each; alpha reaches 6 for cats and lossy states, 2
+    behind the detector and in the amplifier."""
+    alpha_max = 6.0 if family in ("cat", "lossy") else 2.0
+    states = [
+        MixedCss(
+            CssParams(rng.uniform(0.05, alpha_max), rng.uniform(0.0, 2.0 * math.pi)),
+            rng.choice([0.0, 1.0, rng.random()]),
+        )
+        for _ in range(members)
+    ]
+    if family == "lossy":
+        return states, [rng.uniform(0.05, 1.0) for _ in states]
+    return states, [(rng.uniform(0.02, 0.98), rng.uniform(-3.0, 3.0)) for _ in states]
+
+
 class TestExtractFraction:
     def test_pure_css_gives_one(self):
         params = CssParams(0.9, 2.4)
@@ -421,7 +487,12 @@ class TestExtractFraction:
     @staticmethod
     def signed_mixture(params, p):
         # p * rho_css + (1 - p) * rho_0 passes the residual check for any real p
-        return dy._weighted_sum((p, cat(params)), (1.0 - p, dy.make_incoherent(params.alpha)))
+        pure, dephased = cat(params), dy.make_incoherent(params.alpha)
+        return dy.DyadState(
+            np.concatenate([p * pure.coeff, (1.0 - p) * dephased.coeff]),
+            np.concatenate([pure.ket, dephased.ket]),
+            np.concatenate([pure.bra, dephased.bra]),
+        )
 
     @pytest.mark.parametrize("p", [1.2, -0.3])
     def test_signed_combination_rejected_not_clamped(self, p):
@@ -458,6 +529,35 @@ class TestExtractFraction:
     def test_alpha_zero_family_rejected(self):
         with pytest.raises(StateFamilyError):
             dy.extract_fraction(dy.make_coherent(0.0), CssParams(0.0, 0.0))
+
+    @pytest.mark.parametrize("family", ["cat", "lossy", "homodyne"])
+    def test_equals_the_two_pass_formula_bit_for_bit(self, family):
+        # 40 states alone, then one batch of each size from 2 to 20
+        rng = random.Random(f"extract-{family}")
+        for members in [1] * 40 + list(range(2, 21)):
+            states, settings = extraction_draws(rng, family, members)
+            if members == 1:
+                states, settings = states[0], settings[0]
+            state, params = extraction_case(family, states, settings)
+            assert bits(dy.extract_fraction(state, params)) == bits(two_pass_fraction(state, params))
+
+    def test_amplifier_outputs_equal_the_two_pass_formula_bit_for_bit(self, monkeypatch):
+        extract, seen = dy.extract_fraction, []
+
+        def recorded(state, params):
+            seen.append((state, params, extract(state, params)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(dy, "extract_fraction", recorded)
+        rng = random.Random("extract-amplifier")
+        calls = [1] * 40 + list(range(2, 21))
+        for members in calls:
+            states, _ = extraction_draws(rng, "amplifier", members)
+            fractions, params = [s.p for s in states], [s.params for s in states]
+            dy.amplifier_sim(*((fractions[0], params[0]) if members == 1 else (fractions, params)))
+        assert len(seen) == len(calls)
+        for state, params, fraction in seen:
+            assert bits(fraction) == bits(two_pass_fraction(state, params))
 
 
 class TestPurityAndProbes:
@@ -953,6 +1053,8 @@ class TestArrayFormMatchesTermLoops:
         merged = dy.merge_terms(state)
         assert (merged.coeff.shape, merged.ket.shape, merged.bra.shape) == ((0, 0), (0, 0, 2), (0, 0, 2))
         assert dy.make_mixed([]).coeff.shape == (0, 0)
+        for fraction in (dy.extract_fraction(dy.make_mixed([]), []), dy.amplifier_sim([], [])):
+            assert fraction.shape == (0,) and fraction.dtype == float
 
     def test_batched_merge_matches_members(self):
         rng = np.random.default_rng(46)
