@@ -34,9 +34,7 @@ from .states import (
 
 __all__ = [
     "DyadState",
-    "overlap",
     "make_coherent",
-    "make_incoherent",
     "make_mixed",
     "tensor",
     "attach_vacuum",
@@ -156,11 +154,6 @@ def _gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return _overlap(left[..., :, None, :], right[..., None, :, :])
 
 
-def overlap(beta: complex, gamma: complex) -> complex:
-    """Coherent overlap <beta|gamma> = exp(-|beta|^2/2 - |gamma|^2/2 + conj(beta)*gamma)."""
-    return complex(_overlap(np.array([beta], complex), np.array([gamma], complex)))
-
-
 def _members(*parts: tuple[DyadState, slice]) -> DyadState:
     """The chosen members of each batch, joined in order into one batch;
     the batches must share one term layout. One part is a view of its batch."""
@@ -237,26 +230,21 @@ def make_coherent(*amplitudes: complex) -> DyadState:
     return DyadState(np.ones(amps.shape[:-1]), amps, amps)
 
 
-def _unpack(records, *attributes: str) -> list[np.ndarray]:
-    """Each named attribute of one record, or of a sequence of them with one
-    per batch member, as a float array (0-d for one record)."""
-    if isinstance(records, (CssParams, MixedCss)):
+def _unpack(records, name: str, record: type, *attributes: str) -> list[np.ndarray]:
+    """Each named attribute of one `record`, or of a sequence of them with one
+    per batch member, as a float array (0-d for one record); anything else
+    is a ValueError naming the argument `name`."""
+    if type(records) is record:
         return [np.array(attrgetter(a)(records)) for a in attributes]
-    records = list(records)
-    return [np.array(list(map(attrgetter(a), records))) for a in attributes]
+    members = list(records) if np.iterable(records) else [records]
+    if not set(map(type, members)) <= {record}:
+        raise ValueError(f"{name} must be a {record.__name__} or a sequence of them, got {records!r}")
+    return [np.array(list(map(attrgetter(a), members))) for a in attributes]
 
 
 def _pairs(alpha: np.ndarray, phi: np.ndarray) -> zip:
     """The (alpha, phi) floats of each member, or of one state."""
     return zip(alpha.ravel().tolist(), phi.ravel().tolist())
-
-
-def make_incoherent(alpha: float) -> DyadState:
-    """The fully dephased pair: equal mixture of |alpha> and |-alpha>; an
-    array of amplitudes gives one pair per batch member."""
-    alpha = np.asarray(alpha, dtype=float)
-    amps = _stack_last(alpha, -alpha)[..., None]
-    return merge_terms(_derived(np.full(amps.shape[:-1], 0.5 + 0j), amps, amps))
 
 
 def _css_dyads(alpha: np.ndarray, phase: np.ndarray) -> DyadState:
@@ -271,19 +259,19 @@ def _css_dyads(alpha: np.ndarray, phase: np.ndarray) -> DyadState:
 
 
 # the dephased pair as weights on the four superposition dyads
-_DEPHASED_WEIGHTS = np.array([0.5, 0.0, 0.0, 0.5])
+_DEPHASED_WEIGHTS = np.array([0.5, 0.0, 0.0, 0.5], dtype=complex)
 
 
 def _mixture(p: np.ndarray, alpha: np.ndarray, phi: np.ndarray) -> DyadState:
     """p * rho_css + (1 - p) * rho_0 on the four dyads of rho_css, from float
     arrays with one entry per batch member (0-d for one state). Every
     superposition must be normalizable unless p = 0 for all of them."""
-    if not p.any():
-        return make_incoherent(alpha)
-    for a, f in _pairs(alpha, phi):
-        _nonzero_norm(a, f)
     css = _css_dyads(alpha, np.exp(1j * phi))
-    coeff = p[..., None] * _unit_trace_coeff(css) + (1.0 - p)[..., None] * _DEPHASED_WEIGHTS
+    coeff = (1.0 - p)[..., None] * _DEPHASED_WEIGHTS
+    if p.any():  # rho_0 alone needs no norm, so a degenerate pair still builds at p = 0
+        for a, f in _pairs(alpha, phi):
+            _nonzero_norm(a, f)
+        coeff = p[..., None] * _unit_trace_coeff(css) + coeff
     mixed = _derived(coeff, css.ket, css.bra)
     # the dyads differ where alpha != 0, so merge_terms could only drop a term 0 in every member
     if alpha.any() and (coeff != 0.0).reshape(-1, 4).any(axis=0).all():
@@ -298,7 +286,7 @@ def make_mixed(state: MixedCss | Sequence[MixedCss]) -> DyadState:
     The dyads of rho_0 are two of those of rho_css, so the merged sum
     lists the terms of rho_css. A batch needs every member's
     superposition to be normalizable unless p = 0 for all of them."""
-    return _mixture(*_unpack(state, "p", "params.alpha", "params.phi"))
+    return _mixture(*_unpack(state, "state", MixedCss, "p", "params.alpha", "params.phi"))
 
 
 @functools.lru_cache(maxsize=64)
@@ -351,8 +339,6 @@ def loss_on_dyad(state: DyadState, mode: int, eta: float) -> DyadState:
     """
     _check_mode(state, mode)
     eta = _per_member(state, eta, "loss transmittance", _POSITIVE_UNIT)
-    if np.all(eta == 1.0):
-        return state
     a1 = state.ket[..., mode]
     a2 = state.bra[..., mode]
     factor = np.exp(
@@ -517,7 +503,7 @@ def extract_fraction(
     """
     if state.mode_count != 1:
         raise ValueError("fraction extraction expects a single-mode state")
-    alpha, phi = _unpack(params, "alpha", "phi")
+    alpha, phi = _unpack(params, "params", CssParams, "alpha", "phi")
     if alpha.shape != state.coeff.shape[:-1]:
         raise ValueError("fraction extraction needs one CssParams per batch member")
     for a, f in _pairs(alpha, phi):
@@ -569,7 +555,7 @@ def amplifier_sim(
     ports must register a click. The surviving mode is then a mixture in
     the (sqrt(2) alpha, 2 phi) family, whose fraction is extracted exactly.
     """
-    alpha, phi = _unpack(params, "alpha", "phi")
+    alpha, phi = _unpack(params, "params", CssParams, "alpha", "phi")
     fraction = np.asarray(state_fraction, dtype=float)
     if fraction.shape != alpha.shape:
         raise ValueError("one state fraction per CssParams is required")

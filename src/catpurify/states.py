@@ -122,6 +122,8 @@ class MixedCss:
     p: float = 1.0
 
     def __init__(self, params: CssParams, p: float = 1.0) -> None:
+        if type(params) is not CssParams:
+            raise ValueError(f"params must be a CssParams, got {params!r}")
         _set(self, "params", params)
         _set(self, "p", _checked(p, "fraction p", _UNIT))
 

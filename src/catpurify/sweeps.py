@@ -87,7 +87,7 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepTable:
-    columns: tuple[tuple[str, str], ...]
+    columns: tuple[str, ...]  # names; every column is dimensionless
     rows: tuple[tuple[float, ...], ...]
     metadata: Mapping[str, str]
 
@@ -108,7 +108,7 @@ class SweepTable:
                     raise ValueError(
                         f"row {i} has {len(row)} values for {width} columns"
                     )
-                for (name, _), v in zip(self.columns, row):
+                for name, v in zip(self.columns, row):
                     if not math.isfinite(v):
                         raise ValueError(
                             f"non-finite value {v!r} in column {name!r}, row {i}"
@@ -329,20 +329,19 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
             f"step={format(axis.step, '.12g')} points={axis.count}"
         )
     metadata["package"] = f"catpurify {__version__}"
-    columns = tuple((name, "1") for name in fig.columns.split())
-    return SweepTable(columns, rows, metadata)
+    return SweepTable(tuple(fig.columns.split()), rows, metadata)
 
 
 def emit_csv(table: SweepTable, path: str, reproducible: bool = False) -> None:
     """Write a table as commented CSV: `# key: value` metadata lines, a
-    `name[unit]` header, then rows at 12 significant digits with LF
-    endings. With reproducible=True no timestamp line is written and the
-    bytes depend on the table alone."""
+    `name[1]` header (every column is dimensionless), then rows at 12
+    significant digits with LF endings. With reproducible=True no
+    timestamp line is written and the bytes depend on the table alone."""
     lines = [f"# {key}: {value}" for key, value in table.metadata.items()]
     if not reproducible:
         stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         lines.append(f"# generated: {stamp}")
-    lines.append(",".join(f"{name}[{unit}]" for name, unit in table.columns))
+    lines.append(",".join(f"{name}[1]" for name in table.columns))
     # "%.12g" % v formats exactly as format(v, ".12g")
     template = ",".join(["%.12g"] * len(table.columns)) + "\n"
     body = (template * len(table.rows)) % tuple(chain.from_iterable(table.rows))

@@ -14,9 +14,12 @@ amplifier check runs a batch of its own. The purified-fraction and
 inefficient-detector checks run one conditioning comparison, of the
 output fraction and the joint outcome density; the first draws no
 detector efficiency and so tests the ideal detector.
-The two paths share nothing beyond the coherent-state overlap, so
-agreement at 1e-10 (1e-9 for the amplifier cascade) is strong evidence
-both are right. The command line exposes this as ``catpurify verify``.
+The oracle takes no derivation from the closed forms beyond the
+coherent-state overlap, but it extracts the loss and detector fractions
+against their output records: a wrong one raises StateFamilyError for the
+whole suite instead of failing its check, and the amplifier's is never
+compared. Agreement at 1e-10 (1e-9 for the amplifier cascade) is strong
+evidence both are right. ``catpurify verify`` runs the suite.
 """
 
 from __future__ import annotations
@@ -135,8 +138,8 @@ def _line_and_detector(
         [out.params for out, _, _ in ideal + noisy] + [out.params for out in outs],
     )
     purity = dyads.purity(dyads._members((mixed, slice(at_line, None))))
-    css, mix, ideal_density, noisy_density = np.split(density, len(tapped))
-    ideal_fraction, noisy_fraction, lossy_fraction = np.split(fraction, 3)
+    css, mix, ideal_density, noisy_density = density.reshape(len(tapped), -1)
+    ideal_fraction, noisy_fraction, lossy_fraction = fraction.reshape(3, -1)
     return [
         np.abs(np.subtract([out.p for out in outs], lossy_fraction)),
         np.maximum(np.abs(css - closed_css), np.abs(mix - closed_mix)),

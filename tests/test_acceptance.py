@@ -105,7 +105,7 @@ def test_criterion_2_amplification_threshold():
 def test_criterion_3_no_net_gain_anywhere():
     start = time.perf_counter()
     table = sweeps.run_sweep(sweeps.default_spec("concat_scan"))
-    names = [name for name, _ in table.columns]
+    names = list(table.columns)
     i_pin = names.index("p_in")
     i_final = names.index("p_final")
     concat_violations = sum(
@@ -219,7 +219,7 @@ def test_criterion_5_structural_identities():
 
 def test_criterion_6_figure_shapes(tmp_path):
     fig6 = sweeps.run_sweep(sweeps.default_spec("fig6_pout_vs_pin"))
-    names = [name for name, _ in fig6.columns]
+    names = list(fig6.columns)
     p_in = [row[names.index("p_in")] for row in fig6.rows]
     argmaxes = {}
     for column in ("improvement_phi0", "improvement_phipi"):
@@ -228,7 +228,7 @@ def test_criterion_6_figure_shapes(tmp_path):
     fig6_ok = all(0.4 <= v <= 0.6 for v in argmaxes.values())
 
     fig8 = sweeps.run_sweep(sweeps.default_spec("fig8_gain_and_density_vs_T"))
-    names8 = [name for name, _ in fig8.columns]
+    names8 = list(fig8.columns)
     fig8_ok = True
     for column in ("gain_phi0", "gain_phipi"):
         gains = [row[names8.index(column)] for row in fig8.rows]
@@ -238,7 +238,7 @@ def test_criterion_6_figure_shapes(tmp_path):
 
     def central_band(figure_id, css_on_top):
         table = sweeps.run_sweep(sweeps.default_spec(figure_id))
-        cols = [name for name, _ in table.columns]
+        cols = list(table.columns)
         window = [row for row in table.rows if abs(row[cols.index("k")]) <= 2.0]
         sign = 1.0 if css_on_top else -1.0
         flags = [
@@ -288,7 +288,7 @@ def test_criterion_7_purity_not_a_figure_of_merit():
     decreasing = all(a > b for a, b in zip(purities, purities[1:]))
 
     closed = purity_mixed_css(MixedCss(CssParams(3.0, 0.0), 0.0))
-    oracle = dy.purity(dy.make_incoherent(3.0))
+    oracle = dy.purity(dy.make_mixed(MixedCss(CssParams(3.0, 0.0), 0.0)))
     dephased_ok = abs(closed - 0.5) <= 1e-10 and abs(oracle - 0.5) <= 1e-10
 
     ok = decreasing and dephased_ok

@@ -58,6 +58,16 @@ def cat(params):
     return dy.make_mixed([MixedCss(p, 1.0) for p in params])
 
 
+def dephased(alpha):
+    """rho_0, the equal mixture of |alpha> and |-alpha>, as make_mixed builds it at p = 0."""
+    return dy.make_mixed(MixedCss(CssParams(alpha), 0.0))
+
+
+def overlap(b, g):
+    """<b|g> for two coherent amplitudes, written out independently of dyads."""
+    return cmath.exp(-0.5 * abs(b) ** 2 - 0.5 * abs(g) ** 2 + b.conjugate() * g)
+
+
 def random_mixture(rng, alpha_max=2.0):
     params = CssParams(rng.uniform(0.05, alpha_max), rng.uniform(0.0, 2.0 * math.pi))
     return dy.make_mixed(MixedCss(params, rng.uniform(0.0, 1.0)))
@@ -164,23 +174,28 @@ class TestMergeTerms:
 
 
 class TestOverlap:
+    @staticmethod
+    def overlap(b, g):
+        """<b|g> as the trace of the one-dyad state |g><b|."""
+        return dy.trace(dy.DyadState([1.0], [[g]], [[b]]))
+
     def test_equal_amplitudes_give_one(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             b = random_complex(rng)
-            assert dy.overlap(b, b) == pytest.approx(1.0, abs=1e-15)
+            assert self.overlap(b, b) == pytest.approx(1.0, abs=1e-15)
 
     def test_vacuum_overlap(self):
-        assert dy.overlap(0.0, 1.5) == pytest.approx(math.exp(-1.125), abs=1e-15)
+        assert self.overlap(0.0, 1.5) == pytest.approx(math.exp(-1.125), abs=1e-15)
 
     def test_opposite_unit_amplitudes(self):
-        assert dy.overlap(1.0, -1.0) == pytest.approx(math.exp(-2.0), abs=1e-16)
+        assert self.overlap(1.0, -1.0) == pytest.approx(math.exp(-2.0), abs=1e-16)
 
     def test_modulus_bounded_by_one(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
             b, g = random_complex(rng), random_complex(rng)
-            assert abs(dy.overlap(b, g)) <= 1.0 + 1e-14
+            assert abs(self.overlap(b, g)) <= 1.0 + 1e-14
 
 
 class TestMakeStates:
@@ -206,6 +221,11 @@ class TestMakeStates:
         with pytest.raises(DegenerateStateError):
             cat(CssParams(0.0, math.pi))
 
+    @pytest.mark.parametrize("state", [(1.0, 0.0, 0.5), CssParams(1.0), [MixedCss(CssParams(1.0)), None]])
+    def test_wrong_record_rejected(self, state):
+        with pytest.raises(ValueError, match="^state must be a MixedCss or a sequence of them, got "):
+            dy.make_mixed(state)
+
     def test_mixture_trace_and_hermiticity(self):
         rng = np.random.default_rng(13)
         for _ in range(25):
@@ -217,7 +237,9 @@ class TestMakeStates:
 class TestLoss:
     def test_eta_one_is_identity(self):
         state = cat(CssParams(1.2, 0.4))
-        assert dy.loss_on_dyad(state, 0, 1.0) is state
+        out = dy.loss_on_dyad(state, 0, 1.0)
+        assert out.coeff.tolist() == state.coeff.tolist()
+        assert out.ket.tolist() == state.ket.tolist() and out.bra.tolist() == state.bra.tolist()
 
     def test_single_offdiagonal_dyad(self):
         # exponent -0.5 * 0.5 * (1 + 1 + 2) = -1 for |1><-1| at eta = 1/2
@@ -472,7 +494,7 @@ class TestExtractFraction:
 
     def test_dephased_gives_zero(self):
         assert dy.extract_fraction(
-            dy.make_incoherent(0.9), CssParams(0.9, 2.4)
+            dephased(0.9), CssParams(0.9, 2.4)
         ) == pytest.approx(0.0, abs=1e-12)
 
     def test_loss_on_cat_reference_value(self):
@@ -487,11 +509,11 @@ class TestExtractFraction:
     @staticmethod
     def signed_mixture(params, p):
         # p * rho_css + (1 - p) * rho_0 passes the residual check for any real p
-        pure, dephased = cat(params), dy.make_incoherent(params.alpha)
+        pure, mixed = cat(params), dephased(params.alpha)
         return dy.DyadState(
-            np.concatenate([p * pure.coeff, (1.0 - p) * dephased.coeff]),
-            np.concatenate([pure.ket, dephased.ket]),
-            np.concatenate([pure.bra, dephased.bra]),
+            np.concatenate([p * pure.coeff, (1.0 - p) * mixed.coeff]),
+            np.concatenate([pure.ket, mixed.ket]),
+            np.concatenate([pure.bra, mixed.bra]),
         )
 
     @pytest.mark.parametrize("p", [1.2, -0.3])
@@ -530,6 +552,11 @@ class TestExtractFraction:
         with pytest.raises(StateFamilyError):
             dy.extract_fraction(dy.make_coherent(0.0), CssParams(0.0, 0.0))
 
+    @pytest.mark.parametrize("params", [(1.0, 0.0), MixedCss(CssParams(1.0)), None])
+    def test_wrong_record_rejected(self, params):
+        with pytest.raises(ValueError, match="^params must be a CssParams or a sequence of them, got "):
+            dy.extract_fraction(cat(CssParams(1.0)), params)
+
     @pytest.mark.parametrize("family", ["cat", "lossy", "homodyne"])
     def test_equals_the_two_pass_formula_bit_for_bit(self, family):
         # 40 states alone, then one batch of each size from 2 to 20
@@ -562,7 +589,7 @@ class TestExtractFraction:
 
 class TestPurityAndProbes:
     def test_dephased_pair_large_alpha(self):
-        assert dy.purity(dy.make_incoherent(3.0)) == pytest.approx(0.5, abs=1e-10)
+        assert dy.purity(dephased(3.0)) == pytest.approx(0.5, abs=1e-10)
 
     def test_matches_closed_form(self):
         state = MixedCss(CssParams(1.0, 0.0), 0.5)
@@ -582,7 +609,7 @@ class TestPurityAndProbes:
             state = random_mixture(rng)
             assert dy.purity(state) <= 1.0 + 1e-12
             for g in probes:  # <g|rho|g> = sum_i c_i <g|k_i> <b_i|g>
-                seen = sum(c * dy.overlap(g, k[0]) * dy.overlap(b[0], g) for c, k, b in rows(state))
+                seen = sum(c * overlap(g, k[0]) * overlap(b[0], g) for c, k, b in rows(state))
                 assert seen.real >= -1e-12
 
     def test_hermiticity_defect_flags_asymmetry(self):
@@ -591,7 +618,7 @@ class TestPurityAndProbes:
 
     def test_trace_of_single_dyad(self):
         dyad = dy.DyadState([0.3 + 0.1j], [[1.2]], [[0.4]])
-        expected = (0.3 + 0.1j) * dy.overlap(0.4, 1.2)
+        expected = (0.3 + 0.1j) * overlap(0.4, 1.2)
         assert dy.trace(dyad) == pytest.approx(expected, abs=1e-16)
 
 
@@ -665,6 +692,12 @@ class TestAmplifierSim:
         with pytest.raises(ValueError):
             dy.amplifier_sim(0.5, CssParams(0.0, 0.0))
 
+    @pytest.mark.parametrize("params", [(0.5, 0.0), None, [CssParams(0.5), (0.5, 0.0)]])
+    def test_wrong_record_rejected(self, params):
+        fractions = [0.5, 0.5] if isinstance(params, list) else 0.5
+        with pytest.raises(ValueError, match="^params must be a CssParams or a sequence of them, got "):
+            dy.amplifier_sim(fractions, params)
+
     @pytest.mark.parametrize(
         "fractions, params",
         [
@@ -726,7 +759,7 @@ def rows(state):
 def multi_overlap(left, right):
     out = 1.0 + 0.0j
     for a, b in zip(left, right):
-        out *= dy.overlap(a, b)
+        out *= overlap(a, b)
     return out
 
 
@@ -882,7 +915,7 @@ class TestArrayFormMatchesTermLoops:
         scale = sum(abs(c) for c in state.coeff)
         clicked, _ = dy.project_click(state, 1)
         click = [
-            c * (dy.overlap(b[1], k[1]) - dy.overlap(b[1], 0.0) * dy.overlap(0.0, k[1]))
+            c * (overlap(b[1], k[1]) - overlap(b[1], 0.0) * overlap(0.0, k[1]))
             for c, k, b in rows(state)
         ]
         kept = [0, 2]
@@ -897,7 +930,7 @@ class TestArrayFormMatchesTermLoops:
             c * amp(k[1], x, lam) * amp(b[1], x, lam).conjugate() for c, k, b in rows(tapped)
         ]
         density = sum(
-            w * dy.overlap(b[0], k[0]) for w, (_, k, b) in zip(weights, rows(tapped))
+            w * overlap(b[0], k[0]) for w, (_, k, b) in zip(weights, rows(tapped))
         )
         cond, got = dy.project_quadrature(tapped, 1, x, lam)
         assert got == pytest.approx(density.real, rel=1e-12)
@@ -942,7 +975,8 @@ class TestArrayFormMatchesTermLoops:
         states, mixed = mixture_batch(rng)
         assert_same_terms(mixed, [dy.make_mixed(s) for s in states], 1e-15)
         alphas = [s.params.alpha for s in states]
-        assert_same_terms(dy.make_incoherent(alphas), [dy.make_incoherent(a) for a in alphas])
+        batch = dy.make_mixed([MixedCss(CssParams(a), 0.0) for a in alphas])
+        assert_same_terms(batch, [dephased(a) for a in alphas])
         assert_same_terms(dy.make_coherent(alphas, 0.0), [dy.make_coherent(a, 0.0) for a in alphas])
         assert [v.hex() for v in dy.purity(mixed).tolist()] == [dy.purity(dy.make_mixed(s)).hex() for s in states]
 

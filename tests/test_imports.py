@@ -6,6 +6,7 @@ numpy loads with the dyad oracle (``catpurify.dyads``, ``catpurify.verify``,
 scipy never loads.
 """
 
+import importlib
 import os
 import subprocess
 import sys
@@ -93,6 +94,26 @@ PUBLIC = [
 
 def test_package_exports_are_pinned():
     assert catpurify.__all__ == PUBLIC
+
+
+# each module's own public list, in order; a name leaves or joins only here
+MODULE_PUBLIC = {
+    "dyads": [
+        "DyadState", "make_coherent", "make_mixed", "tensor", "attach_vacuum", "trace", "normalize",
+        "merge_terms", "loss_on_dyad", "bs_on_product", "homodyne_amplitude", "project_quadrature",
+        "project_click", "extract_fraction", "purity", "gram_norm", "hermiticity_defect", "amplifier_sim",
+    ],
+    "sweeps": [
+        "GridAxis", "SweepSpec", "SweepTable", "FIGURE_IDS", "default_spec", "run_sweep", "emit_csv", "csv_name",
+    ],
+    "verify": ["CheckResult", "run_suite", "DEFAULT_SEED"],
+    "states": ["CssParams", "MixedCss", "TapSetting", "ChannelSetting", "TWO_PI"],
+}
+
+
+@pytest.mark.parametrize("module", MODULE_PUBLIC)
+def test_module_exports_are_pinned(module):
+    assert importlib.import_module(f"catpurify.{module}").__all__ == MODULE_PUBLIC[module]
 
 
 @pytest.mark.parametrize(

@@ -170,6 +170,7 @@ class TestMessages:
             (lambda: MixedCss(CssParams(1.0), 1.2), "fraction p must lie in [0, 1], got 1.2"),
             (lambda: MixedCss(CssParams(1.0), "nan"), "fraction p must lie in [0, 1], got 'nan'"),
             (lambda: MixedCss(CssParams(1.0), -1), "fraction p must lie in [0, 1], got -1"),
+            (lambda: MixedCss((1.0, 0.0), 0.5), "params must be a CssParams, got (1.0, 0.0)"),
             (lambda: TapSetting(0.0), "transmittance T must lie in (0, 1], got 0.0"),
             (lambda: TapSetting(2), "transmittance T must lie in (0, 1], got 2"),
             (lambda: TapSetting(0.5, math.inf), "homodyne outcome k must be finite, got inf"),

@@ -119,13 +119,13 @@ class TestValidation:
 
     def test_table_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            sweeps.SweepTable((("x", "1"),), ((float("nan"),),), {})
+            sweeps.SweepTable(("x",), ((float("nan"),),), {})
 
     def test_table_rejects_ragged_rows(self):
         with pytest.raises(ValueError):
-            sweeps.SweepTable((("x", "1"), ("y", "1")), ((1.0,),), {})
+            sweeps.SweepTable(("x", "y"), ((1.0,),), {})
 
-    COLUMNS = (("x", "1"), ("y", "1"), ("z", "1"))
+    COLUMNS = ("x", "y", "z")
     VALID = [(0.5 * i, -1.0, 1e-300) for i in range(1000)]
 
     def test_ragged_row_after_valid_rows_named(self):
@@ -166,7 +166,7 @@ class TestFigureContent:
     def test_fig2_center_row(self):
         table = sweeps.run_sweep(sweeps.default_spec("fig2_densities"))
         assert len(table.rows) == 801
-        assert [name for name, _ in table.columns] == ["k", "P_C", "P_0"]
+        assert list(table.columns) == ["k", "P_C", "P_0"]
         center = table.rows[400]
         assert center[0] == 0.0
         assert center[1] == pytest.approx(0.6797492720018076, abs=1e-15)
@@ -175,7 +175,7 @@ class TestFigureContent:
     def test_fig6_reaches_fixed_points(self):
         table = sweeps.run_sweep(sweeps.default_spec("fig6_pout_vs_pin"))
         assert len(table.rows) == 999
-        names = [name for name, _ in table.columns]
+        names = list(table.columns)
         assert names == [
             "p_in",
             "p_out_phi0",
@@ -190,7 +190,7 @@ class TestFigureContent:
     def test_fig8_degenerate_terminal_row(self):
         table = sweeps.run_sweep(sweeps.default_spec("fig8_gain_and_density_vs_T"))
         assert len(table.rows) == 191
-        names = [name for name, _ in table.columns]
+        names = list(table.columns)
         last = dict(zip(names, table.rows[-1]))
         assert last["T"] == 1.0
         assert last["degenerate"] == 1.0
@@ -207,7 +207,7 @@ class TestFigureContent:
 
     def test_fig8_gain_non_increasing_in_T(self):
         table = sweeps.run_sweep(sweeps.default_spec("fig8_gain_and_density_vs_T"))
-        names = [name for name, _ in table.columns]
+        names = list(table.columns)
         g0 = [dict(zip(names, row))["gain_phi0"] for row in table.rows]
         gpi = [dict(zip(names, row))["gain_phipi"] for row in table.rows]
         assert all(a >= b - 1e-12 for a, b in zip(g0, g0[1:]))
@@ -224,7 +224,7 @@ class TestFigureContent:
         )
         table = sweeps.run_sweep(spec)
         assert len(table.rows) == 90
-        names = [name for name, _ in table.columns]
+        names = list(table.columns)
         for row in table.rows:
             record = dict(zip(names, row))
             assert record["p_final"] < record["p_in"]
@@ -312,10 +312,10 @@ class TestEmission:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_table_without_rows_emits_the_header_only(self, tmp_path):
-        table = sweeps.SweepTable((("x", "1"), ("y", "s")), (), {"figure": "none"})
+        table = sweeps.SweepTable(("x", "y"), (), {"figure": "none"})
         path = tmp_path / "empty.csv"
         sweeps.emit_csv(table, path, reproducible=True)
-        assert path.read_bytes() == b"# figure: none\nx[1],y[s]\n"
+        assert path.read_bytes() == b"# figure: none\nx[1],y[1]\n"
 
     def test_matches_golden_bytes(self, tmp_path):
         table = sweeps.run_sweep(sweeps.default_spec("fig2_densities"))
