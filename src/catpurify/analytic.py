@@ -278,7 +278,7 @@ def success_region(params: CssParams, R: float) -> tuple[tuple[float, float], ..
         pieces = ((0.0, hi - TWO_PI), (lo, TWO_PI))
     else:
         return ((lo, hi),)
-    return tuple(sorted(p for p in pieces if p[0] < p[1]))
+    return tuple(p for p in pieces if p[0] < p[1])
 
 
 def optimal_k(params: CssParams, R: float) -> float:
@@ -424,13 +424,11 @@ _AMPLITUDES_KEPT = 4
 
 @functools.lru_cache(maxsize=_AMPLITUDES_KEPT)
 def _amplifier(alpha: float, phi: float) -> tuple[CssParams, float, float]:
-    """(CssParams(sqrt(2) alpha, 2 phi), N, M) of `amplify` at alpha > 0.
-    The output phase is reduced as (2 phi) % 2 pi, so phi = -0.0 and
-    phi = 0.0, which share a memo entry, give the same record."""
+    """(CssParams(sqrt(2) alpha, 2 phi), N, M) of `amplify` at alpha > 0."""
     out_alpha = math.sqrt(2.0) * alpha
     if out_alpha == math.inf:
         raise ValueError(f"amplified amplitude sqrt(2) alpha overflows at alpha={alpha!r}")
-    out = CssParams(out_alpha, (2.0 * phi) % TWO_PI)
+    out = CssParams(out_alpha, 2.0 * phi)
     return out, _nonzero_norm(alpha, phi), _nonzero_norm(out_alpha, out.phi)
 
 

@@ -153,8 +153,6 @@ def resolve_params(command: str, config_file: str | None, flags: dict[str, Any])
 
 
 def _fmt_plain(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".6g")
     return str(value)

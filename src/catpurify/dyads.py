@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateStateError, StateFamilyError, ZeroDensityError
 from .states import (
-    _FINITE, _POSITIVE_UNIT, _UNIT, TWO_PI, CssParams, MixedCss, _checked, _nonzero_norm, _pair_norm,
+    _FINITE, _POSITIVE_UNIT, _UNIT, CssParams, MixedCss, _checked, _nonzero_norm, _pair_norm,
 )
 
 __all__ = [
@@ -572,5 +572,5 @@ def amplifier_sim(
     if np.any(coincidence < _MIN_DENSITY):
         raise ZeroDensityError("both-click coincidence has vanishing probability")
     conditioned = _derived(joint.coeff / np.asarray(coincidence)[..., None], joint.ket, joint.bra)  # still merged
-    out = [CssParams(math.sqrt(2.0) * a, (2.0 * f) % TWO_PI) for a, f in _pairs(alpha, phi)]
+    out = [CssParams(math.sqrt(2.0) * a, 2.0 * f) for a, f in _pairs(alpha, phi)]
     return extract_fraction(conditioned, out if alpha.ndim else out[0])

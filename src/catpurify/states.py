@@ -40,8 +40,12 @@ _NONNEGATIVE = (0.0, sys.float_info.max, "be a finite real >= 0")  # amplitudes
 
 def _checked(value, label: str, domain: tuple[float, float, str]) -> float:
     """`value` as a float if it lies in `domain`; otherwise a ValueError that
-    names `label` and shows the value as given."""
-    x = float(value)
+    names `label` and shows the value as given. A value that float()
+    rejects lies in no domain."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
     lo, hi, must = domain
     if lo <= x <= hi:
         return x
@@ -74,16 +78,13 @@ def _nonzero_norm(alpha: float, phi: float) -> float:
 
 
 def _reduce_phase(phi: float) -> float:
-    """Map an angle into [0, 2*pi). The reduction is exact for inputs
-    already in range, so round-tripping never perturbs a stored phase."""
-    if 0.0 <= phi < TWO_PI:
+    """Map an angle into [0, 2*pi), a zero to +0.0. The reduction is exact
+    for inputs already in range, so round-tripping never perturbs a stored
+    phase."""
+    if 0.0 < phi < TWO_PI:
         return phi
-    phi = math.fmod(phi, TWO_PI)
-    if phi < 0.0:
-        phi += TWO_PI
-    if phi >= TWO_PI:  # fmod rounding can land exactly on 2*pi
-        phi = 0.0
-    return phi
+    phi %= TWO_PI
+    return phi if phi < TWO_PI else 0.0  # a tiny negative phi rounds up to 2*pi
 
 
 # Each record declares its fields for `dataclasses` (repr, ==, hash,
@@ -97,7 +98,8 @@ class CssParams:
     """Amplitude and relative phase of a coherent-state superposition.
 
     alpha : real field amplitude, >= 0
-    phi   : relative phase in radians, stored reduced to [0, 2*pi)
+    phi   : relative phase in radians, stored reduced to [0, 2*pi); a zero
+            phase, -0.0 or a multiple of 2*pi included, is stored as +0.0
 
     A pair whose superposition norm is 0 in floating point, such as
     (alpha=0, phi=pi) or an odd cat whose alpha^2 underflows, is

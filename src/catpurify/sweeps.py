@@ -161,14 +161,10 @@ def _gain_vs_k(T, alpha, phi, p_in):
 def _matched_ratios(alpha, T):
     """Detection ratios of the two phase-matched taps at amplitude alpha:
     phi=0 read at k=0, and phi=pi read at k_pi, the outcome whose phase
-    cancels pi. Returns (ratio_0, ratio_pi, k_pi)."""
-    R = 1.0 - T
-    k_pi = analytic.optimal_k(CssParams(alpha, math.pi), R)
-    return (
-        analytic._ratio(alpha, 0.0, T, 0.0),
-        analytic._ratio(alpha, math.pi, T, analytic._theta(k_pi, alpha, R)),
-        k_pi,
-    )
+    cancels pi. k_pi imprints theta = pi, so its tap is read at pi; optimal_k
+    raises where no such outcome exists. Returns (ratio_0, ratio_pi, k_pi)."""
+    k_pi = analytic.optimal_k(CssParams(alpha, math.pi), 1.0 - T)
+    return analytic._ratio(alpha, 0.0, T, 0.0), analytic._ratio(alpha, math.pi, T, math.pi), k_pi
 
 
 def _improvements(p_in, ratio0, ratio_pi):
@@ -203,8 +199,7 @@ def _gain_density_vs_T(alpha, p_in):
         else:
             ratio0, ratio_pi, k_pi = _matched_ratios(alpha, T)
             density_pi = analytic._homodyne_density(k_pi, alpha, math.pi, T)
-        out0 = analytic._posterior(p_in, ratio0)
-        out_pi = analytic._posterior(p_in, ratio_pi)
+        out0, _, out_pi, _ = _improvements(p_in, ratio0, ratio_pi)
         return (
             T, out0, out0 / p_in, density0,
             out_pi, out_pi / p_in, density_pi, float(T == 1.0),
@@ -272,7 +267,7 @@ def csv_name(figure_id: str) -> str:
 def _figure(figure_id: str) -> _Figure:
     try:
         return _FIGURES[figure_id]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable figure_id
         known = ", ".join(FIGURE_IDS)
         raise ConfigError(
             f"unknown figure_id {figure_id!r}; expected one of: {known}"

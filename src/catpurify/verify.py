@@ -109,11 +109,12 @@ def _line_and_detector(
     tap and a homodyne detector) and of purity, from one batch of mixtures
     built from the drawn columns. Its members come in the order they leave
     the chain. The tapped ones, the density check's superpositions and
-    dephased pairs, then the purified and inefficient-detector draws, leave
-    at the detector, a loss of eta_H on the tapped arm, with every density.
-    The lossy ones leave the line as they are; a tap of T = 1 would move
-    their rounding. Purity's leave before the line. One extraction serves
-    all but the density members, whose fractions are not checked."""
+    dephased pairs, then the purified and inefficient-detector draws, skip
+    the line and leave at the detector, a loss of eta_H on the tapped arm,
+    with every density. Only the loss draws cross the line, and they leave
+    after it; a tap of T = 1 would move their rounding. Purity's leave
+    before the line. One extraction serves all but the density members,
+    whose fractions are not checked."""
     ones = [1.0] * len(densities["k"])
     purified = dict(purified, eta_H=ones)  # an ideal detector
     unextracted = [dict(densities, p=p, eta_H=ones) for p in (ones, [0.0] * len(ones))]
@@ -130,11 +131,11 @@ def _line_and_detector(
     ideal, noisy = _detected(purified), _detected(inefficient)
 
     mixed = dyads._mixture(*(np.array(_column(tapped + [lossy, pure], c)) for c in ("p", "alpha", "phi")))
-    line = dyads.loss_on_dyad(dyads._members((mixed, slice(at_line))), 0, [1.0] * at_tap + lossy["eta"])
-    split = dyads.bs_on_product(dyads.attach_vacuum(dyads._members((line, slice(at_tap)))), (0, 1), T)
+    line = dyads.loss_on_dyad(dyads._members((mixed, slice(at_tap, at_line))), 0, lossy["eta"])
+    split = dyads.bs_on_product(dyads.attach_vacuum(dyads._members((mixed, slice(at_tap)))), (0, 1), T)
     cond, density = dyads.project_quadrature(dyads.loss_on_dyad(split, 1, eta_H), 1, k, _HALF_PI)
     fraction = dyads.extract_fraction(
-        dyads._members((cond, slice(unchecked, None)), (line, slice(at_tap, None))),
+        dyads._members((cond, slice(unchecked, None)), (line, slice(None))),
         [out.params for out, _, _ in ideal + noisy] + [out.params for out in outs],
     )
     purity = dyads.purity(dyads._members((mixed, slice(at_line, None))))

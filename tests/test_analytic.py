@@ -985,6 +985,13 @@ class TestRawFloatMessages:
             (lambda: concat_stages(0.5, "inf"), "alpha must be a finite real >= 0, got inf"),
             (lambda: window_acceptance(_MIX, 0.5, 0.0, "-1"), "window half-width must be >= 0"),
             (lambda: window_acceptance(_MIX, 0.5, 0.0, "nan"), "window half-width must be >= 0"),
+            # a value float() rejects lies in no domain
+            (lambda: theta_of_k(None, 1.0, 0.5), "homodyne outcome must be finite, got None"),
+            (lambda: detection_ratio(_CAT, None, 0.0), "transmittance must lie in (0, 1], got None"),
+            (lambda: loss_fraction(None, _CAT), "transmittance must lie in (0, 1], got None"),
+            (lambda: success_region(_CAT, None), "reflectivity must lie in [0, 1], got None"),
+            (lambda: amplification_threshold(None), "amplitude must be a finite real >= 0, got None"),
+            (lambda: concat_stages(None, 1.0), "fraction must lie in [0, 1], got None"),
         ],
     )
     def test_exact_message(self, call, message):

@@ -240,9 +240,25 @@ def _readme_cli_lines():
     return [line for line in block.splitlines() if line.startswith("catpurify ")]
 
 
+def _readme_library_block():
+    """The Python source of the README's library quickstart block."""
+    section = README.read_text(encoding="utf-8").split("## Quickstart (library)", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
 class TestReadmeQuickstart:
     def test_block_is_found(self):
         assert len(_readme_cli_lines()) == 6
+
+    def test_library_block_gives_its_commented_values(self, capsys):
+        # the block's comments state lossy.p and the two printed fractions
+        source = _readme_library_block()
+        commented = re.findall(r"#\s*(?:p = )?(\d\.\d+)\s*$", source, re.MULTILINE)
+        namespace = {}
+        exec(source, namespace)
+        printed = [float(line) for line in capsys.readouterr().out.split()]
+        values = [namespace["lossy"].p, *printed]
+        assert [format(v, ".3f") for v in values] == commented == ["0.269", "0.483", "0.592"]
 
     @pytest.mark.parametrize("line", _readme_cli_lines())
     def test_command_succeeds(self, capsys, tmp_path, monkeypatch, line):

@@ -9,6 +9,7 @@ import copy
 import inspect
 import math
 import pickle
+import random
 from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
@@ -194,10 +195,45 @@ class TestMessages:
         assert _message(lambda: TapSetting(0.0, math.inf, 0.0)).startswith("transmittance T ")
         assert _message(lambda: TapSetting(0.5, math.inf, 0.0)).startswith("homodyne outcome k ")
 
-    def test_unconvertible_input_raises_from_float(self):
-        with pytest.raises(ValueError, match="could not convert string to float"):
-            CssParams("one")
-        with pytest.raises(TypeError):
-            CssParams(None)
-        with pytest.raises(TypeError):
-            MixedCss(CssParams(1.0), None)
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: CssParams("one"), "alpha must be a finite real >= 0, got 'one'"),
+            (lambda: CssParams(None), "alpha must be a finite real >= 0, got None"),
+            (lambda: CssParams(1.0, [0.0]), "phi must be finite, got [0.0]"),
+            (lambda: CssParams(10**400), f"alpha must be a finite real >= 0, got {10**400!r}"),
+            (lambda: MixedCss(CssParams(1.0), None), "fraction p must lie in [0, 1], got None"),
+            (lambda: TapSetting(0.5, None), "homodyne outcome k must be finite, got None"),
+            (lambda: ChannelSetting(None), "channel transmittance eta must lie in (0, 1], got None"),
+        ],
+        ids=["string", "None", "list", "huge-int", "p-None", "k-None", "eta-None"],
+    )
+    def test_unconvertible_input_lies_in_no_domain(self, call, message):
+        # a value float() rejects gets its parameter's message, not float()'s
+        assert _message(call) == message
+
+
+def _parent_reduction(phi):
+    """The reference reduction into [0, 2 pi): fmod, then + 2 pi below 0,
+    then 0 where that rounds to 2 pi."""
+    if 0.0 <= phi < TWO_PI:
+        return phi
+    phi = math.fmod(phi, TWO_PI)
+    if phi < 0.0:
+        phi += TWO_PI
+    return 0.0 if phi >= TWO_PI else phi
+
+
+class TestPhaseReduction:
+    @pytest.mark.parametrize("phi", [-0.0, 0.0, -TWO_PI, TWO_PI, -4 * math.pi, 4 * math.pi, -1e-300])
+    def test_zero_phase_is_stored_positive(self, phi):
+        stored = CssParams(1.0, phi).phi
+        assert stored == 0.0
+        assert math.copysign(1.0, stored) == 1.0
+
+    def test_equals_the_fmod_rule(self):
+        rng = random.Random(20261020)
+        phases = [rng.uniform(-1e3, 1e3) for _ in range(20000)]
+        phases += [n * TWO_PI for n in range(-200, 201)] + [math.nextafter(0.0, -1.0), -1e-300]
+        for phi in phases:
+            assert CssParams(1.0, phi).phi == _parent_reduction(phi), phi

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,11 @@ class TestRegistry:
     def test_unknown_id_rejected(self):
         with pytest.raises(ConfigError, match="unknown figure_id"):
             sweeps.default_spec("fig9")
+
+    @pytest.mark.parametrize("lookup", [sweeps.default_spec, sweeps.csv_name])
+    def test_unhashable_id_rejected(self, lookup):
+        with pytest.raises(ConfigError, match=r"^unknown figure_id \[\]; expected one of: fig2_densities, "):
+            lookup([])
 
     def test_csv_name(self):
         assert sweeps.csv_name("fig2_densities") == "fig2_densities.csv"
@@ -286,7 +292,7 @@ class TestEmission:
         values = [-0.0, 5e-324, 1e-5, 0.1 + 0.2, 1e16, 123456789012.5, 7]
         rows = [tuple(values[i:] + values[:i]) for i in range(len(values))]
         rows += [(-1.5e-310, 2**53 + 1, -123456789012345.0, 1e300, -1e-300, 0.0, 1)]
-        table = sweeps.SweepTable(tuple((f"c{i}", "1") for i in range(len(values))), rows, {})
+        table = sweeps.SweepTable(tuple(f"c{i}" for i in range(len(values))), rows, {})
         path = tmp_path / "edges.csv"
         sweeps.emit_csv(table, path, reproducible=True)
         body = path.read_text().splitlines()[1:]
@@ -453,6 +459,18 @@ class TestRowsComputeOnCheckedFloats:
                 k = analytic.optimal_k(opposed, 1.0 - T)
                 assert density_pi == analytic.homodyne_density_css(k, opposed, T)
 
+    def test_matched_tap_is_read_at_pi(self):
+        # k_pi solves theta(k_pi) = pi, so cos(pi + theta(k_pi)) rounds to 1
+        # as cos(2 pi) does; the ratio at theta(k_pi) is the reference
+        rng = random.Random(20261020)
+        for _ in range(20000):
+            alpha = 10.0 ** rng.uniform(-8.0, math.log10(30.0))
+            T = rng.uniform(1e-9, 1.0 - 1e-9)
+            k_pi = analytic.optimal_k(CssParams(alpha, math.pi), 1.0 - T)
+            reference = analytic._ratio(alpha, math.pi, T, analytic._theta(k_pi, alpha, 1.0 - T))
+            ratio_pi = sweeps._matched_ratios(alpha, T)[1]
+            assert ratio_pi.hex() == reference.hex(), (alpha, T)
+
     @pytest.mark.parametrize("figure_id", ["fig2_densities", "fig3_densities"])
     def test_degenerate_pair_rejected_before_any_row(self, figure_id, monkeypatch):
         def fail(*args):
@@ -574,6 +592,7 @@ class TestFixedParameterDomains:
             ("fig6_pout_vs_pin", "T", 1.5, "(0, 1]"),
             ("fig2_densities", "T", 0.0, "(0, 1]"),
             ("fig7_gain_vs_alpha", "T", math.nan, "(0, 1]"),
+            ("fig6_pout_vs_pin", "T", None, "(0, 1]"),
         ],
     )
     def test_out_of_domain_value_named(self, figure_id, name, value, domain):

@@ -308,12 +308,12 @@ def test_each_check_is_one_array_pass(monkeypatch):
 def test_one_mixture_batch_serves_five_checks(monkeypatch):
     # one build of six members per draw from the drawn columns, then one of
     # the amplifier's copies; purity reads its members before the line, which
-    # takes the other five, and the detector the four tapped parts
+    # takes only the loss draws, and the detector the four tapped parts
     log = record_calls(monkeypatch, dy, ("_mixture", "make_mixed", "loss_on_dyad", "purity"))
     verify.run_suite(20, 5, 3)
     assert [state.coeff.shape[0] for state in log["_mixture"]] == [6 * 20, 5]
     assert log["make_mixed"] == []
-    assert [state.coeff.shape[0] for state in log["loss_on_dyad"]] == [5 * 20, 4 * 20]
+    assert [state.coeff.shape[0] for state in log["loss_on_dyad"]] == [20, 4 * 20]
     assert [len(values) for values in log["purity"]] == [20]
 
 
