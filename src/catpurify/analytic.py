@@ -20,7 +20,7 @@ import warnings
 from .errors import DegenerateStateError, PhysicsError, ZeroDensityError
 from .states import (
     _FINITE, _NONNEGATIVE, _POSITIVE_UNIT, _UNIT, TWO_PI, ChannelSetting, CssParams,
-    MixedCss, TapSetting, _checked, _nonzero_norm, _pair_norm,
+    MixedCss, TapSetting, _checked, _nonzero_norm, _pair_norm, _required,
 )
 
 __all__ = [
@@ -87,8 +87,9 @@ def apply_loss(state: MixedCss, ch: ChannelSetting) -> MixedCss:
     The dephased component rho_0 maps to rho_0(sqrt(eta) alpha), so the
     cat fraction composes multiplicatively with the pure-state fraction.
     """
-    factor = loss_fraction(ch.eta, state.params)
-    out_params = CssParams(math.sqrt(ch.eta) * state.params.alpha, state.params.phi)
+    params = _required(state, "state", MixedCss).params
+    factor = loss_fraction(_required(ch, "ch", ChannelSetting).eta, params)
+    out_params = CssParams(math.sqrt(ch.eta) * params.alpha, params.phi)
     return MixedCss(out_params, state.p * factor)
 
 
@@ -215,8 +216,8 @@ def purify(state: MixedCss, tap: TapSetting) -> tuple[MixedCss, float, float]:
     [0, 1] by construction (nothing is clamped); an outcome of zero density
     raises ZeroDensityError. At eta_H = 1 the line loss is none.
     """
-    _warn_if_blind_tap(tap.T)
-    params = state.params
+    params = _required(state, "state", MixedCss).params
+    _warn_if_blind_tap(_required(tap, "tap", TapSetting).T)
     norm = _nonzero_norm(params.alpha, params.phi)
     k = tap.k
     density_mix = _gaussian(k)
@@ -358,9 +359,7 @@ def window_acceptance(
     norm = _nonzero_norm(params.alpha, params.phi)
     T = _checked(T, "transmittance", _POSITIVE_UNIT)
     center = _checked(center, "window center", _FINITE)
-    half_width = float(half_width)  # inf spans the whole line
-    if not half_width >= 0.0:
-        raise ValueError("window half-width must be >= 0")
+    half_width = _checked(half_width, "window half-width", (0.0, math.inf, "be >= 0"))  # inf spans the whole line
     lo = max(center - half_width, -_K_REPRESENTABLE)
     hi = min(center + half_width, _K_REPRESENTABLE)
     if lo >= hi:
@@ -407,7 +406,7 @@ def amplify(state: MixedCss) -> MixedCss:
     and are computed once per amplitude through a small bounded memo, so a
     scan that holds alpha while p varies pays for them once.
     """
-    params = state.params
+    params = _required(state, "state", MixedCss).params
     if params.alpha <= 0.0:
         raise ValueError("amplification needs alpha > 0")
     out_params, norm_in, norm_out = _amplifier(params.alpha, params.phi)
@@ -455,7 +454,8 @@ def concat_stages(p_in: float, alpha: float) -> tuple[float, float]:
     `amplify`'s output record and pair norms), so a scan that holds alpha
     while p_in varies pays for them once."""
     p_in = _checked(p_in, "fraction", _UNIT)
-    alpha = float(alpha)  # NaN and inf are rejected once, by the record of a copy
+    if type(alpha) is not float:  # a float's NaN or inf is rejected once, by the record of a copy
+        alpha = _checked(alpha, "alpha", (-sys.float_info.max, sys.float_info.max, "be a finite real >= 0"))
     if alpha <= 0.0:
         raise ValueError("concatenation needs alpha > 0")
     ratio, copy = _concat_constants(alpha)

@@ -13,7 +13,8 @@ operation acts on all terms at once. A leading batch axis holds many
 states of one term layout, and every operation acts on all members at
 once, each as it would alone. This module is the brute-force oracle used
 to cross-check the formulas in :mod:`catpurify.analytic`; it shares no
-derivation with them beyond the coherent-state overlap.
+derivation with them beyond the coherent-state overlap, and it reads a
+mixture's record (amplitude, fraction, phase) off the state's coefficients.
 """
 
 from __future__ import annotations
@@ -247,27 +248,18 @@ def _pairs(alpha: np.ndarray, phi: np.ndarray) -> zip:
     return zip(alpha.ravel().tolist(), phi.ravel().tolist())
 
 
-def _css_dyads(alpha: np.ndarray, phase: np.ndarray) -> DyadState:
-    """The unnormalized density of |alpha> + phase |-alpha>; its trace
-    is the squared norm of that superposition."""
-    one = np.ones_like(phase)
-    return _derived(
-        _stack_last(one, phase.conj(), phase, one),
-        _stack_last(alpha, alpha, -alpha, -alpha)[..., None],
-        _stack_last(alpha, -alpha, alpha, -alpha)[..., None],
-    )
-
-
-# the dephased pair as weights on the four superposition dyads
-_DEPHASED_WEIGHTS = np.array([0.5, 0.0, 0.0, 0.5], dtype=complex)
-
-
 def _mixture(p: np.ndarray, alpha: np.ndarray, phi: np.ndarray) -> DyadState:
     """p * rho_css + (1 - p) * rho_0 on the four dyads of rho_css, from float
     arrays with one entry per batch member (0-d for one state). Every
     superposition must be normalizable unless p = 0 for all of them."""
-    css = _css_dyads(alpha, np.exp(1j * phi))
-    coeff = (1.0 - p)[..., None] * _DEPHASED_WEIGHTS
+    phase, one = np.exp(1j * phi), np.ones_like(phi)
+    # |alpha> + e^{i phi} |-alpha> unnormalized, and rho_0 as weights on its dyads
+    css = _derived(
+        _stack_last(one, phase.conj(), phase, one),
+        _stack_last(alpha, alpha, -alpha, -alpha)[..., None],
+        _stack_last(alpha, -alpha, alpha, -alpha)[..., None],
+    )
+    coeff = (1.0 - p)[..., None] * np.array([0.5, 0.0, 0.0, 0.5], dtype=complex)
     if p.any():  # rho_0 alone needs no norm, so a degenerate pair still builds at p = 0
         for a, f in _pairs(alpha, phi):
             _nonzero_norm(a, f)
@@ -429,8 +421,10 @@ def _clicked(state: DyadState, mode: int) -> DyadState:
     _check_mode(state, mode)
     k = state.ket[..., mode]
     b = state.bra[..., mode]
-    # <b|k> - <b|0><0|k> = <b|0><0|k> (e^{conj(b) k} - 1)
-    weight = np.exp(-0.5 * (np.abs(b) ** 2 + np.abs(k) ** 2)) * np.expm1(b.conj() * k)
+    # <b|k> - <b|0><0|k> = e^s (e^{conj(b) k} - 1) with s = -(|b|^2 + |k|^2)/2
+    s, bk = -0.5 * (np.abs(b) ** 2 + np.abs(k) ** 2), b.conj() * k
+    large = np.abs(bk) > 1.0  # add a large exponent to s first: e^s underflows as e^{conj(b) k} overflows
+    weight = np.where(large, np.exp(s + bk * large) - np.exp(s), np.exp(s) * np.expm1(bk * ~large))
     return merge_terms(_drop_mode(state, mode, state.coeff * weight))
 
 
@@ -483,23 +477,38 @@ def purity(state: DyadState) -> float | np.ndarray:
     return _scalar_or_batch(square.sum(axis=(-2, -1)).real)
 
 
+def _record(state: DyadState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(beta, p e^{i phi}, defect) of each member of a one-mode state read as
+    p * rho_css(beta, phi) + (1 - p) * rho_0(beta), which is d = p/N + (1 - p)/2
+    on |+-beta><+-beta| and c = p e^{i phi}/N on |-beta><beta|, with
+    N = 2 (1 + cos(phi) e^{-2 beta^2}): so p = 1 + 2 (|c| - d). Terms sum by
+    the signs of their amplitudes, in any order. The defect is the largest
+    distance of an amplitude from +-beta, of the two diagonal sums, of the
+    two cross sums as conjugates and of the trace from 1."""
+    ket, bra = state.ket[..., 0], state.bra[..., 0]
+    beta = np.abs(ket).max(axis=-1, initial=0.0)
+    amps = np.concatenate([ket, bra], axis=-1)
+    negative = amps.real < 0.0
+    spread = np.abs(np.where(negative, -amps, amps) - beta[..., None]).max(axis=-1, initial=0.0)
+    pattern = 2 * negative[..., : ket.shape[-1]] + negative[..., ket.shape[-1] :]  # ++, +-, -+, -- as (ket, bra)
+    d_pp, c_pm, c_mp, d_mm = ((state.coeff * (pattern == i)).sum(axis=-1) for i in range(4))
+    trace = d_pp + d_mm + np.exp(-2.0 * (beta * beta)) * (c_pm + c_mp)
+    defect = np.maximum.reduce([spread, np.abs(d_pp - d_mm), np.abs(c_pm - c_mp.conj()), np.abs(trace - 1.0)])
+    size = np.abs(c_mp)  # p = 1 + 2 (|c| - d) times e^{i phi} = c/|c|
+    return beta, (1.0 + (2.0 * size - (d_pp + d_mm).real)) * c_mp / np.where(size > 0.0, size, 1.0), defect
+
+
 def extract_fraction(
     state: DyadState, params: CssParams | Sequence[CssParams]
 ) -> float | np.ndarray:
     """Recover p from rho = p * rho_css(params) + (1 - p) * rho_0(alpha);
     a batch takes one CssParams per member (no members give an empty array).
 
-    Inverts the decomposition through the fidelity F = <psi|rho|psi>:
-    with F0 the fidelity of rho_0 against the superposition,
-    p = (F - F0)/(1 - F0). Both come from one table of the overlaps of
-    <+-alpha| with the kets and bras of the state's terms and of the
-    superposition's four dyads, on which rho_0 is the weights (1/2, 0, 0,
-    1/2); the norm of psi is the trace of its unnormalized density. A
-    residual check in the dyad Gram norm of the state less one combined
-    block on those dyads confirms the input actually lies in the
-    two-component family, and p must lie in [0, 1] up to 1e-9 (it is
-    clipped there); failure signals a physics bug upstream rather than a
-    recoverable condition.
+    p is the part along e^{i phi} of the record p' e^{i phi'} read off the
+    state (`_record`), so it is signed. The state must lie in the family, at
+    amplitude alpha and with no part across that phase, to 1e-9, and p in
+    [0, 1] up to 1e-9 (it is clipped there); failure signals a physics bug
+    upstream rather than a recoverable condition.
     """
     if state.mode_count != 1:
         raise ValueError("fraction extraction expects a single-mode state")
@@ -510,29 +519,15 @@ def extract_fraction(
         if _pair_norm(f, 2.0 * (a * a)) == 0.0:
             raise DegenerateStateError("cannot extract against the zero-norm superposition")
         if a == 0.0:
-            raise StateFamilyError(
-                "the two-component family collapses at alpha=0; the fraction is undefined"
-            )
-    phase = np.exp(1j * phi)
-    css = _css_dyads(alpha, phase)
-    norm = _traces(css).real
-    n = state.coeff.shape[-1]
-    sides = np.concatenate([np.array((state.ket, state.bra)), np.array((css.ket, css.bra))], axis=-2)
-    amps = _overlap(np.array([alpha, -alpha])[..., None, None], sides[:, None])  # [side, branch, ..., term]
-    on_ket, on_bra = amps[:, 0] + phase.conj()[..., None] * amps[:, 1]
-    seen = on_ket * on_bra.conj()  # norm * <psi|k><b|psi> for each dyad |k><b|
-    f0 = (_DEPHASED_WEIGHTS * seen[..., n:]).sum(axis=-1).real / norm
-    p = ((state.coeff * seen[..., :n]).sum(axis=-1).real / norm - f0) / (1.0 - f0)
-
-    block = (-p / norm)[..., None] * css.coeff + (p - 1.0)[..., None] * _DEPHASED_WEIGHTS
-    rest = _derived(np.concatenate([state.coeff, block], axis=-1), *sides)
-    residual = np.max(gram_norm(merge_terms(rest)), initial=0.0)
+            raise StateFamilyError("the two-component family collapses at alpha=0; the fraction is undefined")
+    beta, z, defect = _record(state)
+    along = np.multiply(z, np.exp(-1j * phi))  # the ufunc: numpy's scalar `*` rounds complex products otherwise
+    residual = np.max(np.maximum.reduce([np.abs(beta - alpha), np.abs(along.imag), defect]), initial=0.0)
     if residual > 1e-9:
-        raise StateFamilyError(
-            f"state outside model family: residual {residual:.3e} exceeds 1e-9"
-        )
+        raise StateFamilyError(f"state outside model family: residual {residual:.3e} exceeds 1e-9")
     # rounding may carry p just past 0 or 1; a larger excursion is a signed
     # combination of the two components, not a mixture
+    p = along.real
     clipped = np.minimum(np.maximum(p, 0.0), 1.0)
     outside = np.abs(p - clipped) > 1e-9
     if outside.any():

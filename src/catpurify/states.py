@@ -52,6 +52,14 @@ def _checked(value, label: str, domain: tuple[float, float, str]) -> float:
     raise ValueError(f"{label} must {must}, got {value!r}")
 
 
+def _required(value, label: str, record: type):
+    """`value` if it is a `record`; otherwise a ValueError that names `label`
+    and shows the value as given."""
+    if type(value) is not record:
+        raise ValueError(f"{label} must be a {record.__name__}, got {value!r}")
+    return value
+
+
 # beyond y = 1 - ln(5e-324) the weight e^{-y} is below half the least
 # subnormal and rounds to 0
 _WEIGHTLESS = 1.0 - math.log(math.ulp(0.0))
@@ -124,9 +132,7 @@ class MixedCss:
     p: float = 1.0
 
     def __init__(self, params: CssParams, p: float = 1.0) -> None:
-        if type(params) is not CssParams:
-            raise ValueError(f"params must be a CssParams, got {params!r}")
-        _set(self, "params", params)
+        _set(self, "params", _required(params, "params", CssParams))
         _set(self, "p", _checked(p, "fraction p", _UNIT))
 
 

@@ -12,18 +12,20 @@ where members leave the paper's setup (a lossy line, a tap and a
 homodyne detector); purity reads its members before the line. The
 amplifier check runs a batch of its own. The purified-fraction and
 inefficient-detector checks run one conditioning comparison, of the
-output fraction and the joint outcome density; the first draws no
+output record and the joint outcome density; the first draws no
 detector efficiency and so tests the ideal detector.
-The oracle takes no derivation from the closed forms beyond the
-coherent-state overlap, but it extracts the loss and detector fractions
-against their output records: a wrong one raises StateFamilyError for the
-whole suite instead of failing its check, and the amplifier's is never
-compared. Agreement at 1e-10 (1e-9 for the amplifier cascade) is strong
-evidence both are right. ``catpurify verify`` runs the suite.
+The oracle takes no derivation and no record from the closed forms beyond
+the coherent-state overlap. It reads each output record, the amplitude and
+p e^{i phi}, off its own state (the amplifier's family, (sqrt(2) alpha,
+2 phi), is its own physics), and the whole record enters the error, so a
+wrong closed-form record fails its own check and ``catpurify verify``
+exits 1. Agreement at 1e-10 (1e-9 for the amplifier cascade) is strong
+evidence both are right.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import random
@@ -95,11 +97,12 @@ def _detected(drawn: _Table) -> list[tuple[MixedCss, float, float]]:
     return [analytic.purify(s, tap) for s, tap in zip(_mixtures(drawn), taps)]
 
 
-def _detector_errors(drawn: _Table, closed, fraction: np.ndarray, density: np.ndarray) -> np.ndarray:
-    joint = [p * d_css + (1.0 - p) * d_mix for p, (_, d_css, d_mix) in zip(drawn["p"], closed)]
-    return np.maximum(
-        np.abs(np.subtract([out.p for out, _, _ in closed], fraction)), np.abs(density - joint)
-    )
+def _record_errors(closed: list[MixedCss], beta, z, defect=0.0) -> np.ndarray:
+    """The largest difference of each closed-form output record from the oracle's
+    amplitude beta and coefficient z = p e^{i phi}, or the oracle state's family defect."""
+    alpha = np.array([s.params.alpha for s in closed])
+    coeff = np.array([s.p * cmath.exp(1j * s.params.phi) for s in closed])
+    return np.maximum(np.maximum(np.abs(beta - alpha), np.abs(z - coeff)), defect)
 
 
 def _line_and_detector(
@@ -113,8 +116,8 @@ def _line_and_detector(
     the line and leave at the detector, a loss of eta_H on the tapped arm,
     with every density. Only the loss draws cross the line, and they leave
     after it; a tap of T = 1 would move their rounding. Purity's leave
-    before the line. One extraction serves all but the density members,
-    whose fractions are not checked."""
+    before the line. One reading of the output records serves all but the
+    density members, whose records are not checked."""
     ones = [1.0] * len(densities["k"])
     purified = dict(purified, eta_H=ones)  # an ideal detector
     unextracted = [dict(densities, p=p, eta_H=ones) for p in (ones, [0.0] * len(ones))]
@@ -128,33 +131,33 @@ def _line_and_detector(
         analytic.homodyne_density_css(x, CssParams(a, f), t) for a, f, t, x in zip(*densities.values())
     ]
     closed_mix = [analytic.homodyne_density_mix(x) for x in densities["k"]]
-    ideal, noisy = _detected(purified), _detected(inefficient)
+    detected = _detected(purified) + _detected(inefficient)
+    joint = [p * d_css + (1.0 - p) * d_mix for p, (_, d_css, d_mix) in zip(_column(tapped[2:], "p"), detected)]
 
     mixed = dyads._mixture(*(np.array(_column(tapped + [lossy, pure], c)) for c in ("p", "alpha", "phi")))
     line = dyads.loss_on_dyad(dyads._members((mixed, slice(at_tap, at_line))), 0, lossy["eta"])
     split = dyads.bs_on_product(dyads.attach_vacuum(dyads._members((mixed, slice(at_tap)))), (0, 1), T)
     cond, density = dyads.project_quadrature(dyads.loss_on_dyad(split, 1, eta_H), 1, k, _HALF_PI)
-    fraction = dyads.extract_fraction(
-        dyads._members((cond, slice(unchecked, None)), (line, slice(None))),
-        [out.params for out, _, _ in ideal + noisy] + [out.params for out in outs],
-    )
+    read = dyads._record(dyads._members((cond, slice(unchecked, None)), (line, slice(None))))
+    errors = _record_errors([out for out, _, _ in detected] + outs, *read)
+    errors[: len(joint)] = np.maximum(errors[: len(joint)], np.abs(density[unchecked:] - joint))
     purity = dyads.purity(dyads._members((mixed, slice(at_line, None))))
-    css, mix, ideal_density, noisy_density = density.reshape(len(tapped), -1)
-    ideal_fraction, noisy_fraction, lossy_fraction = fraction.reshape(3, -1)
+    css, mix = density[:unchecked].reshape(2, -1)
+    ideal, noisy, lossy_error = errors.reshape(3, -1)
     return [
-        np.abs(np.subtract([out.p for out in outs], lossy_fraction)),
+        lossy_error,
         np.maximum(np.abs(css - closed_css), np.abs(mix - closed_mix)),
-        _detector_errors(purified, ideal, ideal_fraction, ideal_density),
-        _detector_errors(inefficient, noisy, noisy_fraction, noisy_density),
+        ideal,
+        noisy,
         np.abs(np.subtract([analytic.purity_mixed_css(s) for s in _mixtures(pure)], purity)),
     ]
 
 
 def _amplifier(drawn: _Table) -> np.ndarray:
     states = _mixtures(drawn)
-    closed = [analytic.amplify(s).p for s in states]
     oracle = dyads.amplifier_sim(drawn["p"], [s.params for s in states])
-    return np.abs(np.subtract(closed, oracle))
+    alpha, phi = np.array(drawn["alpha"]), np.array(drawn["phi"])  # the oracle's own (sqrt(2) alpha, 2 phi)
+    return _record_errors([analytic.amplify(s) for s in states], math.sqrt(2.0) * alpha, oracle * np.exp(2j * phi))
 
 
 # name, tolerance, parameter bounds in drawing order; the first five checks

@@ -952,7 +952,7 @@ class TestRawFloatMessages:
                 lambda: window_acceptance(_MIX, 1.5, 0.0, 1.0),
                 "transmittance must lie in (0, 1], got 1.5",
             ),
-            (lambda: window_acceptance(_MIX, 0.5, 0.0, -1.0), "window half-width must be >= 0"),
+            (lambda: window_acceptance(_MIX, 0.5, 0.0, -1.0), "window half-width must be >= 0, got -1.0"),
             (lambda: concat_stages(1.5, 1.0), "fraction must lie in [0, 1], got 1.5"),
             (lambda: concat_stages(-0.5, 1.0), "fraction must lie in [0, 1], got -0.5"),
             (lambda: concat_stages(0.5, 0.0), "concatenation needs alpha > 0"),
@@ -981,10 +981,10 @@ class TestRawFloatMessages:
             ),
             (lambda: concat_stages(0.5, "0"), "concatenation needs alpha > 0"),
             (lambda: concat_stages(0.5, np.float64(-1.0)), "concatenation needs alpha > 0"),
-            (lambda: concat_stages(0.5, "nan"), "alpha must be a finite real >= 0, got nan"),
-            (lambda: concat_stages(0.5, "inf"), "alpha must be a finite real >= 0, got inf"),
-            (lambda: window_acceptance(_MIX, 0.5, 0.0, "-1"), "window half-width must be >= 0"),
-            (lambda: window_acceptance(_MIX, 0.5, 0.0, "nan"), "window half-width must be >= 0"),
+            (lambda: concat_stages(0.5, "nan"), "alpha must be a finite real >= 0, got 'nan'"),
+            (lambda: concat_stages(0.5, "inf"), "alpha must be a finite real >= 0, got 'inf'"),
+            (lambda: window_acceptance(_MIX, 0.5, 0.0, "-1"), "window half-width must be >= 0, got '-1'"),
+            (lambda: window_acceptance(_MIX, 0.5, 0.0, "nan"), "window half-width must be >= 0, got 'nan'"),
             # a value float() rejects lies in no domain
             (lambda: theta_of_k(None, 1.0, 0.5), "homodyne outcome must be finite, got None"),
             (lambda: detection_ratio(_CAT, None, 0.0), "transmittance must lie in (0, 1], got None"),
@@ -998,6 +998,22 @@ class TestRawFloatMessages:
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: purify(None, TapSetting(0.5)), "state must be a MixedCss, got None"),
+            (lambda: purify(_MIX, (0.5, 0.0)), "tap must be a TapSetting, got (0.5, 0.0)"),
+            (lambda: apply_loss(_MIX, 0.5), "ch must be a ChannelSetting, got 0.5"),
+            (lambda: apply_loss(_CAT, ChannelSetting(0.5)), "state must be a MixedCss, got " + repr(_CAT)),
+            (lambda: amplify((1.0, 0.5)), "state must be a MixedCss, got (1.0, 0.5)"),
+            (lambda: concat_stages(0.5, None), "alpha must be a finite real >= 0, got None"),
+            (lambda: window_acceptance(_MIX, 0.5, 0.0, None), "window half-width must be >= 0, got None"),
+        ],
+    )
+    def test_wrong_types_raise_the_parameter_error(self, call, message):
+        # no raw AttributeError or TypeError escapes: each names its parameter
+        assert _outcome(call) == (ValueError, message)
 
     def test_numeric_strings_and_numpy_scalars_convert(self):
         assert concat_stages(0.5, "1") == concat_stages(0.5, np.float64(1.0)) == concat_stages(0.5, 1.0)

@@ -1,12 +1,13 @@
 """Cross-validation harness tests."""
 
+import cmath
 import math
 import random
 
 import numpy as np
 import pytest
 
-from catpurify import ChannelSetting, CssParams, MixedCss, TapSetting, analytic, verify
+from catpurify import CssParams, MixedCss, analytic, cli, verify
 from catpurify import dyads as dy
 
 HALF_PI = math.pi / 2.0
@@ -176,30 +177,29 @@ def test_draws_equal_sequential_per_draw_calls(monkeypatch):
 
 
 # (draws, amp_draws, seed) -> each check's max_error as float.hex, recorded
-# when the suite came to draw from random.Random(seed); the loss, density and
-# detector columns equal those of a copy of the code in which every oracle
-# check ran its own chain, and purity's was recorded when it came to sum each
-# batch member as it would sum it alone; the (5, 1) seeds but the last are
-# those that random.Random(11).getrandbits(32) gives twelve times in a row
+# when each record check came to compare the whole output record read off the
+# oracle's state (the density and purity columns did not move then); the (5, 1)
+# seeds but the last are those that random.Random(11).getrandbits(32) gives
+# twelve times in a row
 PINNED_MAX_ERRORS = [
-    ((200, 50, 20260814), ('0x1.a848000000000p-41', '0x1.4000000000000p-51', '0x1.e4c0000000000p-44', '0x1.e520000000000p-42', '0x1.e480000000000p-43', '0x1.2800000000000p-50')),
-    ((5, 1, 1942955373), ('0x1.b000000000000p-50', '0x1.4000000000000p-52', '0x1.1300000000000p-49', '0x1.0000000000000p-52', '0x1.0000000000000p-53', '0x0.0p+0')),
-    ((5, 1, 3718334796), ('0x1.2e00000000000p-46', '0x1.0000000000000p-54', '0x1.a800000000000p-48', '0x1.c000000000000p-51', '0x1.0000000000000p-51', '0x1.0000000000000p-52')),
-    ((5, 1, 2404204071), ('0x1.0000000000000p-50', '0x1.0000000000000p-52', '0x1.2000000000000p-50', '0x1.4000000000000p-51', '0x1.8000000000000p-52', '0x1.c000000000000p-54')),
-    ((5, 1, 3680198571), ('0x1.a000000000000p-52', '0x1.0000000000000p-54', '0x1.8000000000000p-52', '0x1.c000000000000p-53', '0x1.8000000000000p-52', '0x1.8000000000000p-52')),
-    ((5, 1, 3969454221), ('0x1.1880000000000p-46', '0x1.0000000000000p-52', '0x1.5800000000000p-49', '0x1.cf80000000000p-45', '0x1.0000000000000p-53', '0x1.7000000000000p-52')),
-    ((5, 1, 3355305989), ('0x1.c000000000000p-51', '0x1.0000000000000p-53', '0x1.3000000000000p-48', '0x1.8200000000000p-48', '0x1.0000000000000p-52', '0x0.0p+0')),
-    ((5, 1, 1999951809), ('0x1.6000000000000p-52', '0x1.0000000000000p-52', '0x1.e000000000000p-50', '0x1.0000000000000p-51', '0x1.8000000000000p-52', '0x1.0000000000000p-53')),
-    ((5, 1, 1940605046), ('0x1.0000000000000p-51', '0x1.0000000000000p-55', '0x1.9950000000000p-43', '0x1.a000000000000p-50', '0x1.8000000000000p-51', '0x1.e800000000000p-55')),
-    ((5, 1, 2181161661), ('0x1.1000000000000p-49', '0x1.8000000000000p-53', '0x1.a800000000000p-48', '0x1.c400000000000p-48', '0x1.0000000000000p-53', '0x1.c000000000000p-51')),
-    ((5, 1, 3672393040), ('0x1.9000000000000p-49', '0x1.0000000000000p-54', '0x1.bc00000000000p-46', '0x1.4000000000000p-51', '0x1.8000000000000p-52', '0x1.0000000000000p-51')),
-    ((5, 1, 2522798642), ('0x1.5000000000000p-47', '0x1.0000000000000p-54', '0x1.2400000000000p-48', '0x1.0000000000000p-52', '0x1.45c0000000000p-42', '0x1.8000000000000p-53')),
-    ((5, 1, 815623033), ('0x1.0800000000000p-48', '0x1.0000000000000p-52', '0x1.4000000000000p-51', '0x1.4000000000000p-51', '0x1.0000000000000p-52', '0x1.c740000000000p-52')),
-    ((37, 3, 1), ('0x1.ed00000000000p-44', '0x1.0000000000000p-52', '0x1.0000000000000p-46', '0x1.68c0000000000p-43', '0x1.1a00000000000p-45', '0x1.0000000000000p-53')),
+    ((200, 50, 20260814), ('0x1.0000000000000p-51', '0x1.4000000000000p-51', '0x1.40ca4015ebbedp-48', '0x1.0000000000000p-48', '0x1.e480000000000p-43', '0x1.58a68a4a8d9f3p-51')),
+    ((5, 1, 1942955373), ('0x1.2de32c6628741p-53', '0x1.4000000000000p-52', '0x1.04760c95db310p-50', '0x1.1451937b0e741p-51', '0x1.0000000000000p-53', '0x1.854bfb363dc38p-54')),
+    ((5, 1, 3718334796), ('0x1.0000000000000p-52', '0x1.0000000000000p-54', '0x1.0000000000000p-49', '0x1.0000000000000p-51', '0x1.0000000000000p-51', '0x1.0000000000000p-52')),
+    ((5, 1, 2404204071), ('0x1.0000000000000p-52', '0x1.0000000000000p-52', '0x1.50e4a602ff9ecp-51', '0x1.804c74cf9ac9ep-51', '0x1.8000000000000p-52', '0x1.9000000000000p-53')),
+    ((5, 1, 3680198571), ('0x1.4027fd804ff38p-52', '0x1.0000000000000p-54', '0x1.32c02ebc2dadcp-51', '0x1.c06181583d1e5p-51', '0x1.8000000000000p-52', '0x1.58a68a4a8d9f3p-52')),
+    ((5, 1, 3969454221), ('0x1.0000000000000p-53', '0x1.0000000000000p-52', '0x1.1e3779b97f4a8p-51', '0x1.0000000000000p-43', '0x1.0000000000000p-53', '0x1.c98f098b93ce1p-53')),
+    ((5, 1, 3355305989), ('0x1.0000000000000p-52', '0x1.0000000000000p-53', '0x1.0079e1ab4f62fp-51', '0x1.419894c2329f0p-52', '0x1.0000000000000p-52', '0x1.0000000000000p-52')),
+    ((5, 1, 1999951809), ('0x1.0000000000000p-53', '0x1.0000000000000p-52', '0x1.854bfb363dc38p-51', '0x1.001367b7297bap-51', '0x1.8000000000000p-52', '0x1.d000000000000p-53')),
+    ((5, 1, 1940605046), ('0x1.1e3779b97f4a8p-52', '0x1.0000000000000p-55', '0x1.0007f419f93b0p-52', '0x1.7da8d73aba1c4p-50', '0x1.8000000000000p-51', '0x1.39ca2c4db8b65p-54')),
+    ((5, 1, 2181161661), ('0x1.0000000000000p-52', '0x1.8000000000000p-53', '0x1.8bd171a07e38ap-52', '0x1.00260f0e13e76p-50', '0x1.0000000000000p-53', '0x1.1e3779b97f4a8p-54')),
+    ((5, 1, 3672393040), ('0x1.0000000000000p-52', '0x1.0000000000000p-54', '0x1.c00cd03fa1a71p-51', '0x1.6ad552d31e5eap-50', '0x1.8000000000000p-52', '0x1.07e0f66afed07p-52')),
+    ((5, 1, 2522798642), ('0x1.0000000000000p-51', '0x1.0000000000000p-54', '0x1.c000c4bce77a3p-51', '0x1.2ae79842f2858p-50', '0x1.45c0000000000p-42', '0x1.485121ac5c4adp-55')),
+    ((5, 1, 815623033), ('0x1.0000000000000p-52', '0x1.0000000000000p-52', '0x1.0f876ccdf6cdap-51', '0x1.07e0f66afed07p-52', '0x1.0000000000000p-52', '0x1.ab7b2267b1fb0p-56')),
+    ((37, 3, 1), ('0x1.d1ed52076fbeap-51', '0x1.0000000000000p-52', '0x1.4000279cff817p-50', '0x1.678e26e30fc22p-50', '0x1.1a00000000000p-45', '0x1.0135cc8c48f40p-53')),
     # the purity check's closest call (8.15e-11) while its batch summed this draw 6e-11 away from the draw alone
-    ((5, 1, 4365), ('0x1.3000000000000p-50', '0x1.0000000000000p-52', '0x1.a800000000000p-46', '0x1.8000000000000p-52', '0x1.a390000000000p-41', '0x0.0p+0')),
+    ((5, 1, 4365), ('0x1.007fe00ff6070p-53', '0x1.0000000000000p-52', '0x1.20084be03fc2fp-51', '0x1.00008ccfb760ap-50', '0x1.a390000000000p-41', '0x1.cd82b446159f4p-53')),
     # the purity check's closest call over seeds 0-19,999 (6.45e-11), where dyads.purity cancels near alpha = 0, phi = pi
-    ((5, 1, 1729), ('0x1.4000000000000p-52', '0x1.0000000000000p-53', '0x1.f000000000000p-52', '0x1.1000000000000p-49', '0x1.1bbc600000000p-34', '0x1.0000000000000p-53')),
+    ((5, 1, 1729), ('0x1.0000000000000p-52', '0x1.0000000000000p-53', '0x1.4000000000000p-51', '0x1.3b29d7d635662p-52', '0x1.1bbc600000000p-34', '0x1.1e3779b97f4a8p-52')),
 ]
 
 
@@ -208,15 +208,21 @@ def test_max_errors_are_bit_identical_to_the_per_check_chains(args, expected):
     assert tuple(r.max_error.hex() for r in verify.run_suite(*args)) == expected
 
 
+def record_error(closed, beta, z):
+    """The error of one draw's closed-form output record against the oracle's amplitude and p e^{i phi}."""
+    return max(abs(closed.params.alpha - beta), abs(closed.p * cmath.exp(1j * closed.params.phi) - z))
+
+
 def test_max_error_is_the_largest_single_draw_error():
     # the amplifier error of each draw, recomputed one draw at a time
     seed, amp_draws = 99, 12
     res = verify.run_suite(1, amp_draws, seed)[5]
     rows = sequential_draws(seed, 1, amp_draws)["amplifier coincidence fraction"]
     errors = [
-        abs(
-            analytic.amplify(mixture(d)).p
-            - dy.amplifier_sim(d["p"], mixture(d).params)
+        record_error(
+            analytic.amplify(mixture(d)),
+            math.sqrt(2.0) * d["alpha"],
+            dy.amplifier_sim(d["p"], mixture(d).params) * cmath.exp(2j * d["phi"]),
         )
         for d in rows
     ]
@@ -225,31 +231,27 @@ def test_max_error_is_the_largest_single_draw_error():
 
 def test_batched_oracle_matches_single_draw_calls(monkeypatch):
     seed, draws, amp_draws = verify.DEFAULT_SEED, 200, 50
-    log = record_calls(
-        monkeypatch, dy, ("extract_fraction", "project_quadrature", "purity", "amplifier_sim")
-    )
+    log = record_calls(monkeypatch, dy, ("_record", "project_quadrature", "purity", "amplifier_sim"))
     verify.run_suite(draws, amp_draws, seed)
     monkeypatch.undo()
     # every check equals its single calls exactly; the shared pass holds
     # `draws` members per part: densities of the superposition, the dephased
-    # pair, the purified and the inefficient-detector draws, fractions of the
-    # last two and of the loss draws, then purity; the amplifier extracts
-    # last, inside its simulation
+    # pair, the purified and the inefficient-detector draws, records of the
+    # last two and of the loss draws, then purity; the amplifier reads its
+    # record last, inside its simulation
     densities = np.split(log["project_quadrature"][0][1], 4)
-    purified, inefficient, lossy = np.split(log["extract_fraction"][0], 3)
+    purified, inefficient, lossy = zip(*(np.split(part, 3) for part in log["_record"][0]))
     expected = sequential_draws(seed, draws, amp_draws)
 
     def close(batched, singles):
         assert np.asarray(batched).tolist() == singles
 
-    rows = expected["loss fraction"]
-    close(lossy, [
-        dy.extract_fraction(
-            dy.loss_on_dyad(dy.make_mixed(mixture(d)), 0, d["eta"]),
-            analytic.apply_loss(mixture(d), ChannelSetting(d["eta"])).params,
-        )
-        for d in rows
-    ])
+    def same_records(batched, states):
+        assert [tuple(v.tolist() for v in member) for member in zip(*batched)] == [
+            tuple(v.item() for v in dy._record(state)) for state in states
+        ]
+
+    same_records(lossy, [dy.loss_on_dyad(dy.make_mixed(mixture(d)), 0, d["eta"]) for d in expected["loss fraction"]])
     rows = expected["homodyne densities"]
     for p, batched in ((1.0, densities[0]), (0.0, densities[1])):
         close(batched, [
@@ -263,23 +265,14 @@ def test_batched_oracle_matches_single_draw_calls(monkeypatch):
         dy.project_quadrature(tapped(mixture(d), d["T"]), 1, d["k"], HALF_PI) for d in rows
     ]
     close(densities[2], [dens for _, dens in singles])
-    close(purified, [
-        dy.extract_fraction(cond, analytic.purify(mixture(d), TapSetting(d["T"], d["k"]))[0].params)
-        for (cond, _), d in zip(singles, rows)
-    ])
+    same_records(purified, [cond for cond, _ in singles])
     rows = expected["inefficient-detector fraction"]
     singles = [
         dy.project_quadrature(dy.loss_on_dyad(tapped(mixture(d), d["T"]), 1, d["eta_H"]), 1, d["k"], HALF_PI)
         for d in rows
     ]
     close(densities[3], [dens for _, dens in singles])
-    close(inefficient, [
-        dy.extract_fraction(
-            cond,
-            analytic.purify_with_inefficiency(mixture(d), TapSetting(d["T"], d["k"], d["eta_H"])).params,
-        )
-        for (cond, _), d in zip(singles, rows)
-    ])
+    same_records(inefficient, [cond for cond, _ in singles])
     close(log["purity"][0], [dy.purity(dy.make_mixed(mixture(d))) for d in expected["purity"]])
     close(log["amplifier_sim"][0], [
         dy.amplifier_sim(d["p"], mixture(d).params) for d in expected["amplifier coincidence fraction"]
@@ -287,9 +280,10 @@ def test_batched_oracle_matches_single_draw_calls(monkeypatch):
 
 
 def test_each_check_is_one_array_pass(monkeypatch):
-    # one projection and one extraction serve the loss, density and both
-    # detector checks; amplifier_sim makes its own extraction
-    log = record_calls(monkeypatch, dy, ("project_quadrature", "extract_fraction"))
+    # one projection and one record reading serve the loss, density and both
+    # detector checks; amplifier_sim reads its own, and only it extracts a
+    # fraction against a record, one of its own physics
+    log = record_calls(monkeypatch, dy, ("project_quadrature", "_record", "extract_fraction"))
     inside = []
     original = dy.amplifier_sim
 
@@ -301,8 +295,10 @@ def test_each_check_is_one_array_pass(monkeypatch):
 
     monkeypatch.setattr(dy, "amplifier_sim", amplifier_sim)
     verify.run_suite(200, 50)
-    assert inside == [{"project_quadrature": 0, "extract_fraction": 1}]
-    assert {name: len(calls) for name, calls in log.items()} == {"project_quadrature": 1, "extract_fraction": 2}
+    assert inside == [{"project_quadrature": 0, "_record": 1, "extract_fraction": 1}]
+    assert {name: len(calls) for name, calls in log.items()} == {
+        "project_quadrature": 1, "_record": 2, "extract_fraction": 1
+    }
 
 
 def test_one_mixture_batch_serves_five_checks(monkeypatch):
@@ -345,3 +341,45 @@ def test_perturbed_inefficient_density_fails_its_check(monkeypatch):
     monkeypatch.setattr(analytic, "purify", perturbed)
     results = verify.run_suite()
     assert [res.name for res in results if not res.passed] == ["inefficient-detector fraction"]
+
+
+def off_phase(original):
+    """`original` with the phase of its output record 1e-3 off."""
+
+    def wrapped(*args):
+        out = original(*args)
+        state, rest = (out, ()) if isinstance(out, MixedCss) else (out[0], out[1:])
+        moved = MixedCss(CssParams(state.params.alpha, state.params.phi + 1e-3), state.p)
+        return (moved, *rest) if rest else moved
+
+    return wrapped
+
+
+def off_amplitude(original):
+    """`original` with the amplitude of its output record 1e-6 off."""
+
+    def wrapped(*args):
+        out = original(*args)
+        return MixedCss(CssParams(out.params.alpha + 1e-6, out.params.phi), out.p)
+
+    return wrapped
+
+
+@pytest.mark.parametrize(
+    "name, wrong, failing",
+    [
+        ("purify", off_phase, ["purified fraction", "inefficient-detector fraction"]),
+        ("apply_loss", off_amplitude, ["loss fraction"]),
+        ("amplify", off_phase, ["amplifier coincidence fraction"]),
+    ],
+)
+def test_wrong_output_record_fails_only_its_own_check(monkeypatch, capsys, name, wrong, failing):
+    # the oracle reads every record off its own state, so a wrong closed-form
+    # record is a failed check, not an error that stops the suite
+    monkeypatch.setattr(analytic, name, wrong(getattr(analytic, name)))
+    results = verify.run_suite()
+    assert [res.name for res in results if not res.passed] == failing
+    assert cli.main(["verify"]) == 1
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")] == [
+        f"FAIL {name}" for name in failing
+    ]
