@@ -454,8 +454,7 @@ def concat_stages(p_in: float, alpha: float) -> tuple[float, float]:
     `amplify`'s output record and pair norms), so a scan that holds alpha
     while p_in varies pays for them once."""
     p_in = _checked(p_in, "fraction", _UNIT)
-    if type(alpha) is not float:  # a float's NaN or inf is rejected once, by the record of a copy
-        alpha = _checked(alpha, "alpha", (-sys.float_info.max, sys.float_info.max, "be a finite real >= 0"))
+    alpha = _checked(alpha, "alpha", (-sys.float_info.max, sys.float_info.max, "be a finite real >= 0"))
     if alpha <= 0.0:
         raise ValueError("concatenation needs alpha > 0")
     ratio, copy = _concat_constants(alpha)

@@ -477,14 +477,17 @@ def purity(state: DyadState) -> float | np.ndarray:
     return _scalar_or_batch(square.sum(axis=(-2, -1)).real)
 
 
-def _record(state: DyadState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(beta, p e^{i phi}, defect) of each member of a one-mode state read as
+def _record(state: DyadState, unit: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(beta, z, defect) of each member of a one-mode state read as
     p * rho_css(beta, phi) + (1 - p) * rho_0(beta), which is d = p/N + (1 - p)/2
     on |+-beta><+-beta| and c = p e^{i phi}/N on |-beta><beta|, with
-    N = 2 (1 + cos(phi) e^{-2 beta^2}): so p = 1 + 2 (|c| - d). Terms sum by
-    the signs of their amplitudes, in any order. The defect is the largest
-    distance of an amplitude from +-beta, of the two diagonal sums, of the
-    two cross sums as conjugates and of the trace from 1."""
+    N = 2 (1 + cos(phi) e^{-2 beta^2}): so p = 1 + 2 (Re(c e^{-i phi}) - d).
+    By default e^{i phi} = c/|c|, where p >= 0, and z = p e^{i phi}. Given
+    `unit` = e^{i phi}, one per member, z = 1 + 2 (c e^{-i phi} - d): its real
+    part is p at that phase, signed, and its imaginary part twice the part of
+    c across it. Terms sum by the signs of their amplitudes, in any order. The
+    defect is the largest distance of an amplitude from +-beta, of the two
+    diagonal sums, of the two cross sums as conjugates and of the trace from 1."""
     ket, bra = state.ket[..., 0], state.bra[..., 0]
     beta = np.abs(ket).max(axis=-1, initial=0.0)
     amps = np.concatenate([ket, bra], axis=-1)
@@ -494,7 +497,9 @@ def _record(state: DyadState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     d_pp, c_pm, c_mp, d_mm = ((state.coeff * (pattern == i)).sum(axis=-1) for i in range(4))
     trace = d_pp + d_mm + np.exp(-2.0 * (beta * beta)) * (c_pm + c_mp)
     defect = np.maximum.reduce([spread, np.abs(d_pp - d_mm), np.abs(c_pm - c_mp.conj()), np.abs(trace - 1.0)])
-    size = np.abs(c_mp)  # p = 1 + 2 (|c| - d) times e^{i phi} = c/|c|
+    if unit is not None:  # the ufunc: numpy's scalar `*` rounds complex products otherwise
+        return beta, 1.0 + (2.0 * np.multiply(c_mp, unit.conj()) - (d_pp + d_mm).real), defect
+    size = np.abs(c_mp)
     return beta, (1.0 + (2.0 * size - (d_pp + d_mm).real)) * c_mp / np.where(size > 0.0, size, 1.0), defect
 
 
@@ -504,11 +509,11 @@ def extract_fraction(
     """Recover p from rho = p * rho_css(params) + (1 - p) * rho_0(alpha);
     a batch takes one CssParams per member (no members give an empty array).
 
-    p is the part along e^{i phi} of the record p' e^{i phi'} read off the
-    state (`_record`), so it is signed. The state must lie in the family, at
-    amplitude alpha and with no part across that phase, to 1e-9, and p in
-    [0, 1] up to 1e-9 (it is clipped there); failure signals a physics bug
-    upstream rather than a recoverable condition.
+    The state's record is read at phase phi (`_record`), so p is signed. The
+    state must lie in the family, at amplitude alpha and with no part across
+    that phase, to 1e-9, and p in [0, 1] up to 1e-9 (it is clipped there);
+    failure signals a physics bug upstream rather than a recoverable
+    condition.
     """
     if state.mode_count != 1:
         raise ValueError("fraction extraction expects a single-mode state")
@@ -519,12 +524,15 @@ def extract_fraction(
         if _pair_norm(f, 2.0 * (a * a)) == 0.0:
             raise DegenerateStateError("cannot extract against the zero-norm superposition")
         if a == 0.0:
-            raise StateFamilyError("the two-component family collapses at alpha=0; the fraction is undefined")
-    beta, z, defect = _record(state)
-    along = np.multiply(z, np.exp(-1j * phi))  # the ufunc: numpy's scalar `*` rounds complex products otherwise
+            raise StateFamilyError(
+                "the two-component family collapses at alpha=0; the fraction is undefined"
+            )
+    beta, along, defect = _record(state, np.exp(1j * phi))
     residual = np.max(np.maximum.reduce([np.abs(beta - alpha), np.abs(along.imag), defect]), initial=0.0)
     if residual > 1e-9:
-        raise StateFamilyError(f"state outside model family: residual {residual:.3e} exceeds 1e-9")
+        raise StateFamilyError(
+            f"state outside model family: residual {residual:.3e} exceeds 1e-9"
+        )
     # rounding may carry p just past 0 or 1; a larger excursion is a signed
     # combination of the two components, not a mixture
     p = along.real

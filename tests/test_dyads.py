@@ -10,6 +10,7 @@ performed while the suite was built.
 import cmath
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -488,12 +489,18 @@ class TestExtractFraction:
             np.concatenate([pure.bra, mixed.bra]),
         )
 
-    @pytest.mark.parametrize("p", [1.2, -0.3])
-    def test_signed_combination_rejected_not_clamped(self, p):
-        params = CssParams(0.9, 2.4)
+    @pytest.mark.parametrize(
+        "params,p",
+        [(CssParams(0.9, 2.4), 1.2), (CssParams(0.9, 2.4), -0.3), (CssParams(0.02, 0.0), -1e-6)],
+        ids=["1.2", "-0.3", "-1e-06-at-alpha-0.02"],
+    )
+    def test_signed_combination_rejected_not_clamped(self, params, p):
+        # p is read at the target phase, so its sign survives even where
+        # 4/N - 1 is small (alpha = 0.02, phi = 0)
         combo = self.signed_mixture(params, p)
-        with pytest.raises(StateFamilyError, match=r"fraction \S+ lies beyond \[0, 1\] by more than 1e-9"):
+        with pytest.raises(StateFamilyError, match=r"fraction \S+ lies beyond \[0, 1\] by more than 1e-9") as err:
             dy.extract_fraction(combo, params)
+        assert float(re.search(r"fraction (\S+)", str(err.value))[1]) == pytest.approx(p, rel=1e-9)
         batch = dy.DyadState([combo.coeff] * 2, [combo.ket] * 2, [combo.bra] * 2)
         with pytest.raises(StateFamilyError, match="fraction"):
             dy.extract_fraction(batch, [params] * 2)

@@ -560,9 +560,9 @@ class TestConcatScanWork:
         spec = sweeps.default_spec("concat_scan")
         table = sweeps.run_sweep(spec)
         alphas = spec.grid[0].count
-        # per row: p_in and the two MixedCss; per alpha: the two CssParams
-        # records; per sweep: both ends of both grid axes
-        assert calls <= 3 * len(table.rows) + 4 * alphas + 4
+        # per row: p_in, alpha and the two MixedCss; per alpha: the two
+        # CssParams records; per sweep: both ends of both grid axes
+        assert calls <= 4 * len(table.rows) + 4 * alphas + 4
 
     def test_each_amplitude_computed_once_per_sweep(self):
         for kernel in self._KERNELS:
