@@ -74,7 +74,7 @@ def loss_fraction(eta: float, params: CssParams) -> float:
     / [1 + cos(phi) e^{-2 alpha^2}]; the surviving amplitude is
     sqrt(eta) alpha with the phase unchanged.
     """
-    _nonzero_norm(params.alpha, params.phi)
+    _nonzero_norm(_required(params, "params", CssParams).alpha, params.phi)
     eta = _checked(eta, "transmittance", _POSITIVE_UNIT)
     a2 = params.alpha * params.alpha
     lost = 2.0 * (1.0 - eta) * a2 if eta < 1.0 else 0.0
@@ -126,7 +126,7 @@ def homodyne_density_css(k: float, params: CssParams, T: float) -> float:
     would imprint."""
     T = _checked(T, "transmittance", _POSITIVE_UNIT)
     k = _checked(k, "homodyne outcome", _FINITE)
-    return _homodyne_density(k, params.alpha, params.phi, T)
+    return _homodyne_density(k, _required(params, "params", CssParams).alpha, params.phi, T)
 
 
 def _homodyne_density(k: float, alpha: float, phi: float, T: float) -> float:
@@ -169,7 +169,7 @@ def detection_ratio(params: CssParams, T: float, theta: float) -> float:
     minimized at theta = -phi (mod 2 pi).
     """
     T = _checked(T, "transmittance", _POSITIVE_UNIT)
-    return _ratio(params.alpha, params.phi, T, _checked(theta, "phase", _FINITE))
+    return _ratio(_required(params, "params", CssParams).alpha, params.phi, T, _checked(theta, "phase", _FINITE))
 
 
 def _ratio(alpha: float, phi: float, T: float, theta: float) -> float:
@@ -258,7 +258,7 @@ def success_region(params: CssParams, R: float) -> tuple[tuple[float, float], ..
     tuple means no outcome helps.
     """
     R = _checked(R, "reflectivity", _UNIT)
-    if params.alpha <= 0.0:
+    if _required(params, "params", CssParams).alpha <= 0.0:
         raise DegenerateStateError(
             "alpha=0 leaves nothing to purify; the region degenerates"
         )
@@ -291,7 +291,7 @@ def optimal_k(params: CssParams, R: float) -> float:
     e^{-k^2} = 0 and never occurs: ZeroDensityError.
     """
     R = _checked(R, "reflectivity", _UNIT)
-    if params.alpha <= 0.0 or R == 0.0:
+    if _required(params, "params", CssParams).alpha <= 0.0 or R == 0.0:
         raise PhysicsError(
             "no outcome can imprint a phase when alpha=0 or R=0"
         )
@@ -355,7 +355,7 @@ def window_acceptance(
     sum is >= 0 term by term; it is capped at 1, which a window holding
     the whole peak can pass by a rounding error.
     """
-    params = state.params
+    params = _required(state, "state", MixedCss).params
     norm = _nonzero_norm(params.alpha, params.phi)
     T = _checked(T, "transmittance", _POSITIVE_UNIT)
     center = _checked(center, "window center", _FINITE)
@@ -478,7 +478,7 @@ def purity_mixed_css(state: MixedCss) -> float:
     (1 + 2 g cos(phi) + g^2) / (2 (1 + g cos(phi))), and
     tr[rho_0^2] = (1 + g^2)/2.
     """
-    params, p = state.params, state.p
+    params, p = _required(state, "state", MixedCss).params, state.p
     norm = _nonzero_norm(params.alpha, params.phi)
     g = math.exp(-2.0 * (params.alpha * params.alpha))
     cross = (1.0 + 2.0 * g * math.cos(params.phi) + g * g) / (2.0 * norm)

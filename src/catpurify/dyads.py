@@ -7,7 +7,8 @@ Every state that the protocols here can produce is a finite sum
 of multimode coherent dyads. Linear loss, beam splitters, quadrature
 projections and on/off photodetection each map such sums to such sums,
 so the whole pipeline can be evaluated in closed form with no Fock-space
-truncation; no term is dropped unless its coefficient is exactly 0. A
+truncation. Each operation keeps the terms as it builds them, except that
+a click, and a mixture at p = 0, drop the terms that are exactly 0. A
 state is three arrays (coefficients, ket and bra amplitudes), and every
 operation acts on all terms at once. A leading batch axis holds many
 states of one term layout, and every operation acts on all members at
@@ -41,7 +42,6 @@ __all__ = [
     "attach_vacuum",
     "trace",
     "normalize",
-    "merge_terms",
     "loss_on_dyad",
     "bs_on_product",
     "homodyne_amplitude",
@@ -49,7 +49,6 @@ __all__ = [
     "project_click",
     "extract_fraction",
     "purity",
-    "gram_norm",
     "hermiticity_defect",
     "amplifier_sim",
 ]
@@ -66,7 +65,7 @@ class DyadState:
     A batch of B such states with one term layout adds a leading axis:
     `coeff` [B, n], `ket` and `bra` [B, n, m]. Member b (coeff[b], ket[b],
     bra[b]) goes through every operation bit for bit as it would alone, except
-    that `merge_terms` merges or drops a term only where it may in every member.
+    that a term is dropped only where it is 0 in every member.
     Functions that return a number return one per member, as an array.
     Parameters that take one value per member (transmittances, outcomes)
     also take a single value for all of them.
@@ -165,35 +164,12 @@ def _members(*parts: tuple[DyadState, slice]) -> DyadState:
     return _derived(joined("coeff"), joined("ket"), joined("bra"))
 
 
-def merge_terms(state: DyadState) -> DyadState:
-    """Combine terms with identical dyads and drop those that sum to exactly 0.
-
-    Dyads match on exact amplitude equality (-0.0 matches +0.0, NaN
-    nothing), and terms keep the order of each dyad's first occurrence.
-    In a batch, two terms merge only if their amplitudes match in every
-    member, and a term is dropped only if it is 0 in every member.
-    """
-    terms = state.coeff.shape[-1]
-    if not state.coeff.size:  # no terms, or no member to keep one in
-        return _derived(state.coeff[..., :0], state.ket[..., :0, :], state.bra[..., :0, :])
-    amps = np.concatenate([state.ket, state.bra], axis=-1)
-    # one row per term; adding 0.0 turns -0.0 into +0.0, so equal rows hold equal bytes
-    rows = np.add(amps.swapaxes(0, -2), 0.0, order="C").reshape(terms, -1)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
-    first: dict[bytes | int, int] = {}
-    owner = [first.setdefault(key, i) for i, key in enumerate(keys)]
-    if len(first) < terms and np.isnan(rows).any():  # a row holding NaN matches none
-        first, nan = {}, np.isnan(rows).any(axis=1).tolist()
-        owner = [first.setdefault(i if nan[i] else key, i) for i, key in enumerate(keys)]
-    summed = state.coeff
-    if len(first) < terms:
-        summed = np.zeros_like(summed)
-        np.add.at(summed.T, owner, state.coeff.T)  # each sum lands on its first occurrence
-    nonzero = (summed != 0.0).reshape(-1, terms).any(axis=0).tolist()
-    kept = np.array([i for i in first.values() if nonzero[i]], dtype=np.intp)
-    if len(kept) == terms:
+def _nonzero(state: DyadState) -> DyadState:
+    """`state` without the terms whose coefficient is exactly 0 in every member."""
+    kept = (state.coeff != 0.0).any(axis=tuple(range(state.coeff.ndim - 1)))
+    if kept.all():
         return state
-    return _derived(summed[..., kept], state.ket[..., kept, :], state.bra[..., kept, :])
+    return _derived(state.coeff[..., kept], state.ket[..., kept, :], state.bra[..., kept, :])
 
 
 def _traces(state: DyadState) -> np.ndarray:
@@ -218,8 +194,8 @@ def _unit_trace_coeff(state: DyadState) -> np.ndarray:
 
 
 def normalize(state: DyadState) -> DyadState:
-    """Rescale to unit trace; rejects states of vanishing trace."""
-    return merge_terms(_derived(_unit_trace_coeff(state), state.ket, state.bra))
+    """Rescale to unit trace, term by term; rejects states of vanishing trace."""
+    return _derived(_unit_trace_coeff(state), state.ket, state.bra)
 
 
 def make_coherent(*amplitudes: complex) -> DyadState:
@@ -264,20 +240,17 @@ def _mixture(p: np.ndarray, alpha: np.ndarray, phi: np.ndarray) -> DyadState:
         for a, f in _pairs(alpha, phi):
             _nonzero_norm(a, f)
         coeff = p[..., None] * _unit_trace_coeff(css) + coeff
-    mixed = _derived(coeff, css.ket, css.bra)
-    # the dyads differ where alpha != 0, so merge_terms could only drop a term 0 in every member
-    if alpha.any() and (coeff != 0.0).reshape(-1, 4).any(axis=0).all():
-        return mixed
-    return merge_terms(mixed)
+    return _nonzero(_derived(coeff, css.ket, css.bra))
 
 
 def make_mixed(state: MixedCss | Sequence[MixedCss]) -> DyadState:
     """Dyad form of p * rho_css + (1 - p) * rho_0; a sequence of mixtures
     gives one state per batch member.
 
-    The dyads of rho_0 are two of those of rho_css, so the merged sum
-    lists the terms of rho_css. A batch needs every member's
-    superposition to be normalizable unless p = 0 for all of them."""
+    The dyads of rho_0 are two of those of rho_css, so the sum lists the
+    terms of rho_css, less the cross terms where p = 0 for every member. A
+    batch needs every member's superposition to be normalizable unless p = 0
+    for all of them."""
     return _mixture(*_unpack(state, "state", MixedCss, "p", "params.alpha", "params.phi"))
 
 
@@ -401,7 +374,8 @@ def project_quadrature(
 
     The measured mode collapses to scalar amplitudes on ket and bra sides;
     the function returns the remaining modes renormalized to unit trace,
-    together with the outcome density (trace of the unnormalized result).
+    term by term, together with the outcome density (trace of the
+    unnormalized result).
     """
     _check_mode(state, mode)
     x = _per_member(state, x, "homodyne outcome", _FINITE)
@@ -413,7 +387,7 @@ def project_quadrature(
     if vanishing.any():
         raise ZeroDensityError(f"homodyne density vanishes at x={_first(x, vanishing[..., None])!r}")
     unit = _derived(reduced.coeff / density[..., None], reduced.ket, reduced.bra)
-    return merge_terms(unit), _scalar_or_batch(density)  # normalize(reduced), its trace known
+    return unit, _scalar_or_batch(density)  # normalize(reduced), its trace known
 
 
 def _clicked(state: DyadState, mode: int) -> DyadState:
@@ -425,7 +399,7 @@ def _clicked(state: DyadState, mode: int) -> DyadState:
     s, bk = -0.5 * (np.abs(b) ** 2 + np.abs(k) ** 2), b.conj() * k
     large = np.abs(bk) > 1.0  # add a large exponent to s first: e^s underflows as e^{conj(b) k} overflows
     weight = np.where(large, np.exp(s + bk * large) - np.exp(s), np.exp(s) * np.expm1(bk * ~large))
-    return merge_terms(_drop_mode(state, mode, state.coeff * weight))
+    return _nonzero(_drop_mode(state, mode, state.coeff * weight))
 
 
 def project_click(state: DyadState, mode: int) -> tuple[DyadState, float | np.ndarray]:
@@ -433,36 +407,25 @@ def project_click(state: DyadState, mode: int) -> tuple[DyadState, float | np.nd
 
     Per dyad, tr_mode[(1 - |0><0|) |k><b|] = <b|k> - <b|0><0|k>, so the
     result stays a finite dyad combination. Returns the unnormalized
-    conditional state (its trace is the click weight relative to the
-    input) and the click probability. Probability 0 is a valid return;
-    normalizing the conditional state then raises.
+    conditional state, less the terms the click leaves exactly 0 in every
+    member (its trace is the click weight relative to the input), and the
+    click probability. Probability 0 is a valid return; normalizing the
+    conditional state then raises.
     """
     reduced = _clicked(state, mode)
     return reduced, _scalar_or_batch(np.maximum(_traces(reduced).real, 0.0))
 
 
-def gram_norm(state: DyadState) -> float | np.ndarray:
-    """Hilbert-Schmidt norm sqrt(tr[X^dagger X]) evaluated through coherent
-    Gram overlaps, valid for arbitrary (non-Hermitian) dyad combinations:
-    tr[X^dagger X] = sum_ij conj(c_i) c_j <k_i|k_j> <b_j|b_i>."""
-    sides = np.array((state.ket, state.bra))
-    on_ket, on_bra = _gram(sides, sides)
-    pairs = on_ket * np.swapaxes(on_bra, -1, -2)
-    # an elementwise sum rounds each batch member as it would round alone
-    square = (state.coeff.conj()[..., :, None] * pairs * state.coeff[..., None, :]).sum(axis=(-2, -1)).real
-    return _scalar_or_batch(np.sqrt(np.maximum(square, 0.0)))
-
-
 def hermiticity_defect(state: DyadState) -> float:
-    """Largest coefficient mismatch between each dyad and its conjugate, for
-    an unbatched state."""
+    """Largest mismatch between the summed coefficients of each dyad and the
+    conjugate sum of its mirror dyads, for an unbatched state. Dyads match on
+    exact amplitude equality (-0.0 matches +0.0), one holding NaN only itself."""
     if state.coeff.ndim != 1:
         raise ValueError("hermiticity_defect takes one state, not a batch")
-    merged = merge_terms(state)
-    ket, bra = merged.ket, merged.bra
-    mirrors = (ket[:, None] == bra[None]).all(-1) & (bra[:, None] == ket[None]).all(-1)
-    mirror = mirrors @ merged.coeff  # merged dyads are distinct: one match at most
-    return float(np.abs(merged.coeff - mirror.conj()).max(initial=0.0))
+    dyads = np.concatenate([state.ket, state.bra], axis=-1)
+    same = (dyads[:, None] == dyads[None]).all(-1) | np.eye(len(dyads), dtype=bool)
+    mirrors = (dyads[:, None] == np.concatenate([state.bra, state.ket], axis=-1)[None]).all(-1)
+    return float(np.abs(same @ state.coeff - (mirrors @ state.coeff).conj()).max(initial=0.0))
 
 
 def purity(state: DyadState) -> float | np.ndarray:
@@ -471,7 +434,8 @@ def purity(state: DyadState) -> float | np.ndarray:
     off = np.abs(tr - 1.0) > 1e-8
     if off.any():
         raise StateFamilyError(f"purity expects a unit-trace state, trace was {_first(tr, off)!r}")
-    # tr[rho^2] = sum_ij c_i c_j <b_i|k_j> <b_j|k_i>, summed elementwise as in gram_norm
+    # tr[rho^2] = sum_ij c_i c_j <b_i|k_j> <b_j|k_i>, summed elementwise so that
+    # each batch member rounds as it would alone
     cross = _gram(state.bra, state.ket)
     square = state.coeff[..., :, None] * (cross * np.swapaxes(cross, -1, -2)) * state.coeff[..., None, :]
     return _scalar_or_batch(square.sum(axis=(-2, -1)).real)
@@ -571,9 +535,9 @@ def amplifier_sim(
     joint = _with_mode(joint, math.sqrt(2.0) * alpha)  # the coherent ancilla
     joint = bs_on_product(joint, (0, 2), 0.5)
     joint = _clicked(joint, 2)  # its click probability is not needed
-    joint, coincidence = project_click(joint, 0)  # merged; coincidence is its trace unless negative
+    joint, coincidence = project_click(joint, 0)  # coincidence is its trace unless negative
     if np.any(coincidence < _MIN_DENSITY):
         raise ZeroDensityError("both-click coincidence has vanishing probability")
-    conditioned = _derived(joint.coeff / np.asarray(coincidence)[..., None], joint.ket, joint.bra)  # still merged
+    conditioned = _derived(joint.coeff / np.asarray(coincidence)[..., None], joint.ket, joint.bra)
     out = [CssParams(math.sqrt(2.0) * a, 2.0 * f) for a, f in _pairs(alpha, phi)]
     return extract_fraction(conditioned, out if alpha.ndim else out[0])

@@ -46,11 +46,11 @@ class GridAxis:
     step: float
 
     def __post_init__(self) -> None:
-        if not (
-            math.isfinite(self.start)
-            and math.isfinite(self.stop)
-            and math.isfinite(self.step)
-        ):
+        try:
+            finite = all(map(math.isfinite, (self.start, self.stop, self.step)))
+        except TypeError:  # not a real number
+            finite = False
+        if not finite:
             raise ValueError(f"grid axis {self.name!r} must be finite")
         if self.step <= 0.0 or self.start >= self.stop:
             raise ValueError(
@@ -85,6 +85,14 @@ class SweepSpec:
         object.__setattr__(self, "grid", tuple(self.grid))
 
 
+def _float_row(i: int, row) -> tuple[float, ...]:
+    """Row i of a table as a tuple of floats, or a ValueError that names it."""
+    try:
+        return tuple(map(float, row))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"row {i} must be a sequence of floats, got {row!r}") from None
+
+
 @dataclass(frozen=True)
 class SweepTable:
     columns: tuple[str, ...]  # names; every column is dimensionless
@@ -95,7 +103,7 @@ class SweepTable:
         # one type scan keeps run_sweep's tuples of floats as built
         rows = tuple(self.rows)
         if not (set(map(type, rows)) <= {tuple} and set(map(type, chain.from_iterable(rows))) <= {float}):
-            rows = tuple(tuple(map(float, row)) for row in rows)
+            rows = tuple(starmap(_float_row, enumerate(rows)))
         width = len(self.columns)
         # one pass over the whole table; the rows are walked only to name
         # the first bad one

@@ -1015,6 +1015,26 @@ class TestRawFloatMessages:
         # no raw AttributeError or TypeError escapes: each names its parameter
         assert _outcome(call) == (ValueError, message)
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: loss_fraction(0.5, None), "params must be a CssParams, got None"),
+            (lambda: homodyne_density_css(0.0, None, 0.5), "params must be a CssParams, got None"),
+            (lambda: detection_ratio(None, 0.5, 0.0), "params must be a CssParams, got None"),
+            (lambda: success_region(None, 0.5), "params must be a CssParams, got None"),
+            (lambda: optimal_k(None, 0.5), "params must be a CssParams, got None"),
+            (lambda: window_acceptance(None, 0.5, 0.0, 1.0), "state must be a MixedCss, got None"),
+            (lambda: purity_mixed_css(None), "state must be a MixedCss, got None"),
+        ],
+        ids=[
+            "loss_fraction", "homodyne_density_css", "detection_ratio", "success_region",
+            "optimal_k", "window_acceptance", "purity_mixed_css",
+        ],
+    )
+    def test_wrong_records_raise_the_parameter_error(self, call, message):
+        # a record is checked for its type before any of its fields is read
+        assert _outcome(call) == (ValueError, message)
+
     def test_numeric_strings_and_numpy_scalars_convert(self):
         assert concat_stages(0.5, "1") == concat_stages(0.5, np.float64(1.0)) == concat_stages(0.5, 1.0)
         accepted = window_acceptance(_MIX, 0.5, 0.0, 1.0)

@@ -100,78 +100,78 @@ class TestDyadState:
             dy.DyadState([0.5, bad], [[1.0], [-1.0]], [[1.0], [-1.0]])
 
 
-class TestMergeTerms:
-    def test_signed_zeros_fold_into_first_occurrence(self):
-        neg = complex(-0.0, -0.0)
-        state = dy.DyadState(
-            [1.0, 2.0, 3.0, 4.0],
-            [[0.5], [neg], [0.5], [0.0]],
-            [[1.0], [0.0], [1.0], [neg]],
-        )
-        merged = dy.merge_terms(state)
-        assert merged.coeff.tolist() == [4.0 + 0.0j, 6.0 + 0.0j]
-        assert merged.ket[:, 0].tolist() == [0.5 + 0.0j, 0.0j]
-        # the kept amplitudes are those of the first occurrence, signs included
-        assert math.copysign(1.0, merged.ket[1, 0].real) == -1.0
-        assert math.copysign(1.0, merged.bra[1, 0].real) == 1.0
+class TestTermLayout:
+    """Operations keep the terms as they build them, so a state may list one
+    dyad in several terms, or a term that is exactly 0; its numbers are those
+    of the state with each dyad once."""
 
-    def test_order_of_first_occurrence_and_pruning(self):
-        # the sum at 0.3 is exactly 0 and goes; a sum of 1e-17 is not 0 and stays
-        amps = [[0.3], [0.1], [0.3], [0.2], [0.1], [0.4]]
-        state = dy.DyadState([1.0, 2.0, -1.0, 3.0, 5.0, 1e-17], amps, amps)
-        merged = dy.merge_terms(state)
-        assert merged.ket[:, 0].tolist() == [0.1 + 0.0j, 0.2 + 0.0j, 0.4 + 0.0j]
-        assert merged.coeff.tolist() == [7.0 + 0.0j, 3.0 + 0.0j, 1e-17 + 0.0j]
-        assert dy.merge_terms(merged) is merged
+    @staticmethod
+    def variants(state):
+        """`state` (the four dyads of make_mixed) with its |-beta><beta| term
+        split into two equal halves, and with an extra exactly-zero term on
+        |beta><-beta|, one of the family's dyads, since `_record` reads the
+        amplitudes of every term."""
+        coeff, ket, bra = state.coeff, state.ket, state.bra
+        split = dy.DyadState([*coeff[:2], 0.5 * coeff[2], coeff[3], 0.5 * coeff[2]], [*ket, ket[2]], [*bra, bra[2]])
+        zero = dy.DyadState([*coeff, 0.0], [*ket, ket[1]], [*bra, bra[1]])
+        return split, zero
 
-    @pytest.mark.parametrize("batched", [False, True], ids=["single", "batch"])
-    def test_zero_imaginary_parts_of_either_sign_match(self, batched):
-        def ket(a):
-            return [[complex(a, 0.0)], [complex(a, -0.0)], [complex(-a, -0.0)], [complex(-a, 0.0)]]
+    def test_repeated_and_zero_terms_read_as_the_merged_state(self):
+        rng = random.Random("term-layout")
+        for _ in range(20):
+            params = CssParams(rng.uniform(0.05, 3.0), rng.uniform(0.0, 2.0 * math.pi))
+            lossy = dy.loss_on_dyad(dy.make_mixed(MixedCss(params, rng.random())), 0, rng.uniform(0.05, 1.0))
+            target = CssParams(lossy.ket[0, 0].real, params.phi)
+            for state in self.variants(lossy):
+                assert len(state.coeff) == 5
+                assert abs(dy.trace(state) - dy.trace(lossy)) <= 1e-15
+                assert abs(dy.purity(state) - dy.purity(lossy)) <= 1e-15
+                assert abs(dy.extract_fraction(state, target) - dy.extract_fraction(lossy, target)) <= 1e-15
+                beta, z, defect = dy._record(state)
+                merged = dy._record(lossy)
+                assert beta == merged[0] and abs(z - merged[1]) <= 1e-15 and defect <= merged[2] + 1e-15
+                assert dy.hermiticity_defect(state) == dy.hermiticity_defect(lossy) == 0.0
 
-        bra = [[complex(1.0, -0.0)]] * 4
-        coeff = [1.0, 2.0, 4.0, 8.0]
-        if batched:  # a second member with other amplitudes, signs as in the first
-            state = dy.DyadState([coeff, coeff], [ket(0.5), ket(0.25)], [bra, bra])
-        else:
-            state = dy.DyadState(coeff, ket(0.5), bra)
-        merged = dy.merge_terms(state)
-        assert merged.coeff.tolist() == ([[3.0 + 0.0j, 12.0 + 0.0j]] * 2 if batched else [3.0 + 0.0j, 12.0 + 0.0j])
-        assert np.signbit(merged.ket.imag).tolist() == ([[[False], [True]]] * 2 if batched else [[False], [True]])
+    def test_split_terms_must_sum_to_their_mirror(self):
+        # a per-term comparison would flag the split halves of a Hermitian
+        # state; a sum that is not its mirror's conjugate is still flagged
+        split, _ = self.variants(dy.make_mixed(MixedCss(CssParams(0.9, 2.4), 0.6)))
+        assert dy.hermiticity_defect(split) == 0.0
+        coeff = split.coeff.copy()
+        coeff[4] *= 1.5
+        assert dy.hermiticity_defect(dy.DyadState(coeff, split.ket, split.bra)) == pytest.approx(0.5 * abs(split.coeff[4]))
 
-    def test_amplitudes_one_bit_apart_stay_apart(self):
-        # every single-bit change of a nonzero amplitude, in its real or imaginary part
-        base = np.array([0.7 + 0.3j])
-        flips = np.repeat(base.view(np.uint64)[None], 128, axis=0)
-        flips[np.arange(128), np.arange(128) // 64] ^= np.uint64(1) << (np.arange(128) % 64).astype(np.uint64)
-        amps = np.concatenate([base, flips.view(complex)[:, 0]])
-        assert np.isfinite(amps).all()
-        state = dy.DyadState(np.ones(129), amps[:, None], np.ones((129, 1)))
-        assert dy.merge_terms(state) is state
-        # in a batch, one member one bit apart keeps two terms apart
-        ket = np.array([[[base[0]], [base[0]]], [[base[0]], [amps[1]]]])
-        batch = dy.DyadState(np.ones((2, 2)), ket, np.ones((2, 2, 1)))
-        assert dy.merge_terms(batch) is batch
-
-    def test_amplitudes_holding_nan_match_nothing(self):
-        # NaN equals no number, itself included, so its dyads are never merged,
-        # while the other repeated dyads still are
+    def test_nan_dyads_match_only_themselves(self):
         nan = complex(math.nan, 0.0)
-        ket = [[nan], [1.0], [nan], [1.0]]
-        merged = dy.merge_terms(dy.DyadState([1.0, 2.0, 4.0, 8.0], ket, [[1.0]] * 4))
-        assert merged.coeff.tolist() == [1.0 + 0.0j, 10.0 + 0.0j, 4.0 + 0.0j]
-        assert np.isnan(merged.ket[[0, 2], 0]).all()
-        # in a batch, a NaN in one member keeps a term apart from its equal in the other
-        batch_ket = [[[nan], [nan], [0.5], [0.5]], [[0.3], [0.3], [0.2], [0.2]]]
-        batch = dy.DyadState([[1.0, 2.0, 4.0, 8.0]] * 2, batch_ket, [[[1.0]] * 4] * 2)
-        assert dy.merge_terms(batch).coeff.tolist() == [[1.0 + 0.0j, 2.0 + 0.0j, 12.0 + 0.0j]] * 2
+        state = dy.DyadState([1.0, 2.0], [[nan], [nan]], [[nan], [nan]])
+        assert dy.hermiticity_defect(state) == 2.0
 
-    def test_distinct_dyads_are_kept_as_they_are(self):
-        state = cat(CssParams(0.7, 1.0))
-        merged = dy.merge_terms(state)
-        assert merged.coeff.tolist() == state.coeff.tolist()
-        assert merged.ket.tolist() == state.ket.tolist()
-        assert merged.bra.tolist() == state.bra.tolist()
+
+class TestNonzero:
+    def test_drops_a_term_only_where_every_member_is_zero(self):
+        # term 1 is 0 in member 0 only and stays; term 2 is 0 in both and goes
+        ket = np.array([[[0.1], [0.2], [0.3]], [[0.4], [0.5], [0.6]]])
+        state = dy.DyadState([[1.0, 0.0, 0.0], [1e-17, 2.0, -0.0]], ket, ket)
+        kept = dy._nonzero(state)
+        assert kept.coeff.tolist() == [[1.0 + 0.0j, 0.0j], [1e-17 + 0.0j, 2.0 + 0.0j]]
+        assert kept.ket[..., 0].tolist() == [[0.1 + 0.0j, 0.2 + 0.0j], [0.4 + 0.0j, 0.5 + 0.0j]]
+        assert dy._nonzero(kept) is kept
+        alone = dy._nonzero(dy.DyadState(state.coeff[0], ket[0], ket[0]))
+        assert alone.coeff.tolist() == [1.0 + 0.0j] and alone.ket.tolist() == [[0.1 + 0.0j]]
+
+    def test_batch_of_no_members_keeps_no_terms(self):
+        # every term is 0 in each of no members, as for make_mixed([])
+        state = dy.DyadState(np.zeros((0, 3)), np.zeros((0, 3, 2)), np.zeros((0, 3, 2)))
+        kept = dy._nonzero(state)
+        assert (kept.coeff.shape, kept.ket.shape, kept.bra.shape) == ((0, 0), (0, 0, 2), (0, 0, 2))
+        assert dy.make_mixed([]).coeff.shape == (0, 0)
+        for fraction in (dy.extract_fraction(dy.make_mixed([]), []), dy.amplifier_sim([], [])):
+            assert fraction.shape == (0,) and fraction.dtype == float
+
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)], ids=["single", "batch"])
+    def test_state_of_no_terms_passes_through(self, shape):
+        state = dy.DyadState(np.zeros(shape), np.zeros(shape + (1,)), np.zeros(shape + (1,)))
+        assert dy._nonzero(state) is state
 
 
 class TestOverlap:
@@ -212,11 +212,11 @@ class TestMakeStates:
         state = cat(CssParams(1.0, math.pi / 3.0))
         assert dy.purity(state) == pytest.approx(1.0, abs=1e-12)
 
-    def test_alpha_zero_merges_to_single_vacuum_dyad(self):
+    def test_alpha_zero_sums_to_the_vacuum_dyad(self):
+        # the four dyads all sit at the vacuum and keep their own terms
         state = cat(CssParams(0.0, math.pi / 3.0))
-        assert len(state.coeff) == 1
-        assert state.ket.tolist() == [[0.0 + 0.0j]] and state.bra.tolist() == [[0.0 + 0.0j]]
-        assert state.coeff[0] == pytest.approx(1.0, abs=1e-15)
+        assert state.ket.tolist() == state.bra.tolist() == [[0.0 + 0.0j]] * 4
+        assert state.coeff.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_degenerate_rejected(self):
         with pytest.raises(DegenerateStateError):
@@ -608,10 +608,11 @@ class TestAmplifierSim:
         )
 
     def test_term_count_stays_bounded(self):
-        """Terms after each stage of the chain: the copy, the two copies,
-        their beam splitter, the ancilla, its beam splitter, the two clicks
-        and the normalization. A pure or fully dephased copy has half the
-        terms of a mixture."""
+        """Terms after each stage of the amplifier chain: the copy, the two
+        copies, their beam splitter, the ancilla, its beam splitter, the two
+        clicks and the normalization. A pure or fully dephased copy has half
+        the terms of a mixture. The tap chain keeps a mixture's four terms
+        at every stage."""
         mixed, dephased = (4, 16, 16, 16, 16, 9, 4, 4), (2, 4, 4, 4, 4, 3, 2, 2)
         cases = [
             ((1.1, math.pi, 0.37), mixed),
@@ -637,6 +638,23 @@ class TestAmplifierSim:
             counts.append(len(joint.coeff))
             counts.append(len(dy.normalize(joint).coeff))
             assert tuple(counts) == expected, (alpha, phi, p)
+        for alpha, phi, p in [(1.1, math.pi, 0.37), (0.4, 0.0, 0.8), (1.1, math.pi, 1.0)]:
+            # as verify runs it: the tap mode, its beam splitter, the
+            # detector's loss, the homodyne outcome, a lossy line, normalization
+            state = dy.make_mixed(MixedCss(CssParams(alpha, phi), p))
+            counts = [len(state.coeff)]
+            state = dy.attach_vacuum(state)
+            counts.append(len(state.coeff))
+            state = dy.bs_on_product(state, (0, 1), 0.5)
+            counts.append(len(state.coeff))
+            state = dy.loss_on_dyad(state, 1, 0.9)
+            counts.append(len(state.coeff))
+            state, _ = dy.project_quadrature(state, 1, 0.3, HALF_PI)
+            counts.append(len(state.coeff))
+            state = dy.loss_on_dyad(state, 0, 0.6)
+            counts.append(len(state.coeff))
+            counts.append(len(dy.normalize(state).coeff))
+            assert counts == [4] * 7, (alpha, phi, p)
 
     # (p, alpha, phi) -> float.hex of the output fraction, frozen so that any
     # change in the oracle's arithmetic shows at the bit level; recorded when
@@ -816,10 +834,9 @@ class TestArrayFormMatchesTermLoops:
     and each batched call against the unbatched call on every member.
 
     Amplitude updates are the same float operations, so they must agree
-    exactly (merging depends on it); sums over terms may round in another
-    order, so those agree to 1e-12 relative to the terms' total weight.
-    Batched traces and fractions agree with the unbatched ones to 1e-12
-    relative, Gram norms and purities bit for bit.
+    exactly; sums over terms may round in another order, so those agree to
+    1e-12 relative to the terms' total weight. Batched traces and fractions
+    agree with the unbatched ones to 1e-12 relative, purities bit for bit.
     """
 
     def test_tensor(self):
@@ -856,29 +873,13 @@ class TestArrayFormMatchesTermLoops:
             factor = cmath.exp(-0.5 * (1.0 - eta) * exponent)
             assert abs(cl - c * factor) <= 1e-12 * abs(c * factor)
 
-    def test_merge_terms(self):
-        rng = np.random.default_rng(33)
-        state = random_dyads(rng)
-        acc = {}
-        for c, k, b in rows(state):
-            acc[(k, b)] = acc.get((k, b), 0.0 + 0.0j) + c
-        expected = [(c, k, b) for (k, b), c in acc.items() if c != 0.0]
-        assert len(expected) == 5
-        assert rows(dy.merge_terms(state)) == expected
-
-    def test_trace_gram_norm_and_purity(self):
+    def test_trace_and_purity(self):
         rng = np.random.default_rng(34)
         state = random_dyads(rng)
         terms = rows(state)
         scale = sum(abs(c) for c, _, _ in terms)
         trace = sum(c * multi_overlap(b, k) for c, k, b in terms)
         assert abs(dy.trace(state) - trace) <= 1e-12 * scale
-        hs = sum(
-            ca.conjugate() * cb * multi_overlap(ka, kb) * multi_overlap(bb, ba)
-            for ca, ka, ba in terms
-            for cb, kb, bb in terms
-        )
-        assert dy.gram_norm(state) ** 2 == pytest.approx(hs.real, abs=1e-12 * scale**2)
         unit = dy.DyadState(state.coeff / dy.trace(state), state.ket, state.bra)
         square = sum(
             ca * cb * multi_overlap(ba, kb) * multi_overlap(bb, ka)
@@ -898,9 +899,10 @@ class TestArrayFormMatchesTermLoops:
             for c, k, b in rows(state)
         ]
         kept = [0, 2]
-        reference = dy.merge_terms(dy.DyadState(click, state.ket[:, kept], state.bra[:, kept]))
-        assert [t[1:] for t in rows(clicked)] == [t[1:] for t in rows(reference)]
-        assert np.abs(clicked.coeff - reference.coeff).max() <= 1e-12 * scale
+        reference = [(c, tuple(k[kept]), tuple(b[kept])) for c, k, b in zip(click, state.ket, state.bra) if c != 0.0]
+        assert len(reference) == 7
+        assert [t[1:] for t in rows(clicked)] == [t[1:] for t in reference]
+        assert np.abs(clicked.coeff - [c for c, _, _ in reference]).max() <= 1e-12 * scale
 
         tapped = dy.bs_on_product(dy.attach_vacuum(random_mixture(rng)), (0, 1), 0.4)
         x, lam = 0.4, 1.1
@@ -913,11 +915,9 @@ class TestArrayFormMatchesTermLoops:
         )
         cond, got = dy.project_quadrature(tapped, 1, x, lam)
         assert got == pytest.approx(density.real, rel=1e-12)
-        scaled = np.array(weights) / density.real
-        expected = dy.merge_terms(dy.DyadState(scaled, tapped.ket[:, :1], tapped.bra[:, :1]))
-        assert [t[1:] for t in rows(cond)] == [t[1:] for t in rows(expected)]
-        tolerance = 1e-12 * np.abs(expected.coeff).sum()
-        assert np.abs(cond.coeff - expected.coeff).max() <= tolerance
+        expected = np.array(weights) / density.real
+        assert cond.ket.tolist() == tapped.ket[:, :1].tolist() and cond.bra.tolist() == tapped.bra[:, :1].tolist()
+        assert np.abs(cond.coeff - expected).max() <= 1e-12 * np.abs(expected).sum()
 
     def test_batched_tensor_loss_and_beam_splitter(self):
         rng = np.random.default_rng(41)
@@ -960,16 +960,15 @@ class TestArrayFormMatchesTermLoops:
         assert [v.hex() for v in dy.purity(mixed).tolist()] == [dy.purity(dy.make_mixed(s)).hex() for s in states]
 
     @pytest.mark.parametrize("members", range(2, 10))
-    def test_batched_purity_and_gram_norm_equal_single_calls_bit_for_bit(self, members):
+    def test_batched_purity_equals_single_calls_bit_for_bit(self, members):
         # summed elementwise, each member rounds as it would alone
         rng = np.random.default_rng(47 + members)
         for _ in range(5):
             _, mixed = mixture_batch(rng, members)
             lossy = dy.loss_on_dyad(mixed, 0, rng.uniform(0.05, 1.0, members))
-            cases = (dy.purity, mixed), (dy.purity, lossy), (dy.gram_norm, lossy)
-            for fn, batch in (*cases, (dy.gram_norm, random_batch(rng, members))):
-                singles = [fn(member(batch, i)).hex() for i in range(members)]
-                assert [value.hex() for value in fn(batch).tolist()] == singles
+            for batch in (mixed, lossy):
+                singles = [dy.purity(member(batch, i)).hex() for i in range(members)]
+                assert [value.hex() for value in dy.purity(batch).tolist()] == singles
 
     def test_random_batches_equal_single_calls_bit_for_bit(self):
         # seeded batches of 2-50 members: each member of every primitive's
@@ -990,7 +989,6 @@ class TestArrayFormMatchesTermLoops:
                 (dy.project_click, split, 1),
                 (dy.extract_fraction, lossy, targets),
                 (dy.purity, lossy),
-                (dy.gram_norm, noncanonical),
                 (dy.trace, noncanonical),
                 (dy.amplifier_sim, rng.uniform(0.0, 1.0, members).tolist(), [s.params for s in states]),
             ]
@@ -1035,46 +1033,11 @@ class TestArrayFormMatchesTermLoops:
     def test_scalar_results_stay_python_numbers(self):
         state = dy.make_mixed(MixedCss(CssParams(0.8, 1.0), 0.6))
         assert type(dy.trace(state)) is complex
-        for value in (dy.gram_norm(state), dy.purity(state)):
-            assert type(value) is float
+        assert type(dy.purity(state)) is float
         _, density = dy.project_quadrature(dy.attach_vacuum(state), 1, 0.3, HALF_PI)
         _, prob = dy.project_click(dy.attach_vacuum(state), 1)
         assert type(density) is float and type(prob) is float
         assert type(dy.extract_fraction(state, CssParams(0.8, 1.0))) is float
-
-    def test_batched_merge_requires_equality_in_every_member(self):
-        # terms 0 and 1 share amplitudes in member 0 only; term 2 repeats
-        # term 0 in both members
-        ket = np.array([[[0.5], [0.5], [0.5]], [[0.2], [0.7], [0.2]]])
-        state = dy.DyadState([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], ket, ket)
-        merged = dy.merge_terms(state)
-        assert merged.coeff.tolist() == [[4.0 + 0.0j, 2.0 + 0.0j], [10.0 + 0.0j, 5.0 + 0.0j]]
-        assert merged.ket[..., 0].tolist() == [[0.5 + 0.0j, 0.5 + 0.0j], [0.2 + 0.0j, 0.7 + 0.0j]]
-
-    def test_batched_prune_only_where_every_member_is_zero(self):
-        # term 1 is 0 in member 0 only and stays; term 2 is 0 in both and goes
-        ket = np.array([[[0.1], [0.2], [0.3]], [[0.4], [0.5], [0.6]]])
-        state = dy.DyadState([[1.0, 0.0, 0.0], [1e-17, 2.0, -0.0]], ket, ket)
-        merged = dy.merge_terms(state)
-        assert merged.coeff.tolist() == [[1.0 + 0.0j, 0.0j], [1e-17 + 0.0j, 2.0 + 0.0j]]
-        assert merged.ket[..., 0].tolist() == [[0.1 + 0.0j, 0.2 + 0.0j], [0.4 + 0.0j, 0.5 + 0.0j]]
-        assert dy.merge_terms(merged) is merged
-
-    def test_batch_of_no_members_keeps_no_terms(self):
-        # every term is 0 in each of no members, as for make_mixed([])
-        state = dy.DyadState(np.zeros((0, 3)), np.zeros((0, 3, 2)), np.zeros((0, 3, 2)))
-        merged = dy.merge_terms(state)
-        assert (merged.coeff.shape, merged.ket.shape, merged.bra.shape) == ((0, 0), (0, 0, 2), (0, 0, 2))
-        assert dy.make_mixed([]).coeff.shape == (0, 0)
-        for fraction in (dy.extract_fraction(dy.make_mixed([]), []), dy.amplifier_sim([], [])):
-            assert fraction.shape == (0,) and fraction.dtype == float
-
-    def test_batched_merge_matches_members(self):
-        rng = np.random.default_rng(46)
-        state = random_batch(rng)
-        merged = dy.merge_terms(state)
-        assert merged.coeff.shape == (4, 5)
-        assert_same_terms(merged, [dy.merge_terms(member(state, i)) for i in range(4)])
 
 
 class TestBatchValidation:

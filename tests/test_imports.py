@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import catpurify
-from catpurify import analytic, errors
+from catpurify import analytic, dyads, errors
 from catpurify.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -100,8 +100,8 @@ def test_package_exports_are_pinned():
 MODULE_PUBLIC = {
     "dyads": [
         "DyadState", "make_coherent", "make_mixed", "tensor", "attach_vacuum", "trace", "normalize",
-        "merge_terms", "loss_on_dyad", "bs_on_product", "homodyne_amplitude", "project_quadrature",
-        "project_click", "extract_fraction", "purity", "gram_norm", "hermiticity_defect", "amplifier_sim",
+        "loss_on_dyad", "bs_on_product", "homodyne_amplitude", "project_quadrature",
+        "project_click", "extract_fraction", "purity", "hermiticity_defect", "amplifier_sim",
     ],
     "sweeps": [
         "GridAxis", "SweepSpec", "SweepTable", "FIGURE_IDS", "default_spec", "run_sweep", "emit_csv", "csv_name",
@@ -122,3 +122,16 @@ def test_module_exports_are_pinned(module):
 def test_module_lists_are_exported_as_themselves(module, name):
     assert name in catpurify.__all__
     assert getattr(catpurify, name) is getattr(module, name)
+
+
+# perfbench's traced runs wrap these names where the package defines them and
+# skip the rest, whose per-layer metrics then read 0
+TRACED_BUT_UNDEFINED = {"merge_terms", "gram_norm"}
+
+
+def test_traced_names_the_package_lacks_are_known(monkeypatch):
+    monkeypatch.syspath_prepend(str(SRC.parent / "perfbench"))
+    spans = importlib.import_module("spans")
+    lacking = {name for module, names in ((analytic, spans.ANALYTIC), (dyads, spans.DYADS))
+               for name in names if not hasattr(module, name)}
+    assert lacking == TRACED_BUT_UNDEFINED

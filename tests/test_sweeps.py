@@ -67,6 +67,14 @@ class TestGridAxis:
             sweeps.GridAxis("k", **ends)
         assert str(info.value) == "grid axis 'k' must be finite"
 
+    @pytest.mark.parametrize("bad", [None, "0.5", 1j], ids=["None", "str", "complex"])
+    @pytest.mark.parametrize("end", ["start", "stop", "step"])
+    def test_rejects_non_numbers(self, end, bad):
+        ends = {"start": 0.0, "stop": 1.0, "step": 0.1, end: bad}
+        with pytest.raises(ValueError) as info:
+            sweeps.GridAxis("k", **ends)
+        assert str(info.value) == "grid axis 'k' must be finite"
+
 
 class TestRegistry:
     def test_known_ids(self):
@@ -160,6 +168,20 @@ class TestValidation:
         rows = self.VALID + [(1.0,), (float("nan"), 0.0, 0.0)]
         with pytest.raises(ValueError, match="^row 1000 has 1 values for 3 columns$"):
             sweeps.SweepTable(self.COLUMNS, rows, {})
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (((None,),), "row 0 must be a sequence of floats, got (None,)"),
+            ((1.0,), "row 0 must be a sequence of floats, got 1.0"),
+            (((1.0,), ("one",)), "row 1 must be a sequence of floats, got ('one',)"),
+        ],
+        ids=["None", "bare-float", "word"],
+    )
+    def test_rows_that_are_not_sequences_of_floats_named(self, rows, message):
+        with pytest.raises(ValueError) as info:
+            sweeps.SweepTable(("x",), rows, {})
+        assert str(info.value) == message
 
     def test_table_stores_float_tuples(self):
         table = sweeps.SweepTable(self.COLUMNS[:2], [[1, True], (0.5, "2")], {"a": "b"})
