@@ -19,8 +19,8 @@ import warnings
 
 from .errors import DegenerateStateError, PhysicsError, ZeroDensityError
 from .states import (
-    _FINITE, _NONNEGATIVE, _POSITIVE_UNIT, _UNIT, TWO_PI, ChannelSetting, CssParams,
-    MixedCss, TapSetting, _checked, _nonzero_norm, _pair_norm, _required,
+    _FINITE, _NONNEGATIVE, _POSITIVE_UNIT, _UNIT, _WEIGHTLESS, TWO_PI, ChannelSetting,
+    CssParams, MixedCss, TapSetting, _checked, _nonzero_norm, _pair_norm, _required,
 )
 
 __all__ = [
@@ -233,8 +233,7 @@ def purify(state: MixedCss, tap: TapSetting) -> tuple[MixedCss, float, float]:
         raise _never_occurs(k)
     phi = (params.phi + theta) % TWO_PI
     a2 = params.alpha * params.alpha
-    lost = 2.0 * missed * a2 if missed else 0.0
-    survived = _surviving_fraction(phi, 2.0 * tap.T * a2, lost)
+    survived = _surviving_fraction(phi, 2.0 * tap.T * a2, 2.0 * missed * a2) if missed else 1.0
     out = MixedCss(CssParams(math.sqrt(tap.T) * params.alpha, phi), _posterior(p, ratio) * survived)
     return out, density_css, density_mix
 
@@ -331,8 +330,9 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
     return tuple(rule)
 
 
-# 20 nodes per panel integrate e^{-k^2} to ~1e-13 relative on unit panels
-# out to |k| = 27.28, and cos(c k) on panels a third of its period wide
+# 20 nodes per panel integrate e^{-k^2} to ~1e-14 relative on panels no wider
+# than min(3, 9 / |k|) out to |k| = 27.28, below the rounding of e^{-k^2}
+# itself there, and cos(c k) on panels up to one period 2 pi / c wide
 _GAUSS_LEGENDRE_20 = _gauss_legendre(20)
 
 
@@ -346,14 +346,17 @@ def window_acceptance(
     on exact outcomes (densities), not windows. The joint outcome density
     p P_C + (1-p) P_0 is e^{-k^2} (1 - p + p N(phi + c k) / N(phi)) /
     sqrt(pi), with N the pair norm and c = 2 sqrt(2 R) alpha the phase per
-    unit outcome. It is integrated by a fixed 20-point Gauss-Legendre rule
-    on equal panels no wider than min(1, 2/c) (1 once the oscillating term's
-    weight e^{-2 T alpha^2} is below e^{-40}), over the part of the window
-    where e^{-k^2} is representable (|k| <= 27.28) and within e^{-40} of
-    its largest value in the window, so far tails keep their relative
-    precision. A window wholly outside |k| <= 27.28 accepts nothing. The
-    sum is >= 0 term by term; it is capped at 1, which a window holding
-    the whole peak can pass by a rounding error.
+    unit outcome. It is integrated over the part of the window where
+    e^{-k^2} is representable (|k| <= 27.28) and within e^{-40} of its
+    largest value in the window, by a fixed 20-point Gauss-Legendre rule on
+    equal panels no wider than min(3, 9 / K), K the window's largest |k|:
+    across such a panel e^{-k^2} changes by at most e^{18}, and past
+    |k| = 9 the panels narrow so far tails keep their relative precision.
+    While the oscillating term's weight e^{-2 T alpha^2} is above e^{-40}
+    a panel is also no wider than one period 2 pi / c. A window wholly
+    outside |k| <= 27.28 accepts nothing. The sum is >= 0 term by term; it
+    is capped at 1, which a window holding the whole peak can pass by a
+    rounding error.
     """
     params = _required(state, "state", MixedCss).params
     norm = _nonzero_norm(params.alpha, params.phi)
@@ -371,19 +374,29 @@ def window_acceptance(
     c = _theta(1.0, params.alpha, 1.0 - T)
     a2 = params.alpha * params.alpha
     kept_y = 2.0 * T * a2
-    # cos(c k) enters with weight e^{-kept_y}; past e^{-40} it is below
-    # rounding and unit panels suffice
-    resolved = 0.5 * c if kept_y < 40.0 else 0.0
-    panels = math.ceil((hi - lo) * max(1.0, resolved))
+    # e^{-k^2} changes by at most e^{18} across a panel; cos(c k) enters with
+    # weight e^{-kept_y}, and until that is below e^{-40} a panel spans at
+    # most one period of it
+    width = min(3.0, 9.0 / max(abs(lo), abs(hi)))
+    if kept_y < 40.0 and c > 0.0:
+        width = min(width, TWO_PI / c)
+    panels = math.ceil((hi - lo) / width)
     half = 0.5 * (hi - lo) / panels
-    p = state.p
+    p, phi = state.p, params.phi
+    q = 1.0 - p
+    fade = math.expm1(-kept_y)
+    weightless = kept_y > _WEIGHTLESS
     total = 0.0
     for i in range(panels):
         mid = lo + (2 * i + 1) * half
         for x, weight in _GAUSS_LEGENDRE_20:
             k = mid + half * x
-            kept = _pair_norm(params.phi + c * k, kept_y)
-            total += weight * math.exp(-k * k) * (1.0 - p + p * (kept / norm))
+            if weightless:
+                kept = 1.0
+            else:  # _pair_norm's arithmetic, in its order
+                cos = math.cos(phi + c * k)
+                kept = (1.0 + cos) + cos * fade
+            total += weight * math.exp(-k * k) * (q + p * (kept / norm))
     return min(total * half / _SQRT_PI, 1.0)
 
 

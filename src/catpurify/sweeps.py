@@ -81,8 +81,17 @@ class SweepSpec:
     grid: tuple[GridAxis, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fixed_params", dict(self.fixed_params))
-        object.__setattr__(self, "grid", tuple(self.grid))
+        object.__setattr__(self, "fixed_params", _collection(dict, self.fixed_params, "fixed_params", "a mapping"))
+        object.__setattr__(self, "grid", _collection(tuple, self.grid, "grid", "a sequence of GridAxis"))
+
+
+def _collection(convert, value, label: str, kind: str):
+    """convert(value), or a ValueError that names `label` and shows the value
+    as given."""
+    try:
+        return convert(value)
+    except TypeError:
+        raise ValueError(f"{label} must be {kind}, got {value!r}") from None
 
 
 def _float_row(i: int, row) -> tuple[float, ...]:
@@ -100,11 +109,12 @@ class SweepTable:
     metadata: Mapping[str, str]
 
     def __post_init__(self) -> None:
+        columns = _collection(tuple, self.columns, "columns", "a sequence of names")
         # one type scan keeps run_sweep's tuples of floats as built
-        rows = tuple(self.rows)
+        rows = _collection(tuple, self.rows, "rows", "a sequence of rows")
         if not (set(map(type, rows)) <= {tuple} and set(map(type, chain.from_iterable(rows))) <= {float}):
             rows = tuple(starmap(_float_row, enumerate(rows)))
-        width = len(self.columns)
+        width = len(columns)
         # one pass over the whole table; the rows are walked only to name
         # the first bad one
         if not (
@@ -116,14 +126,14 @@ class SweepTable:
                     raise ValueError(
                         f"row {i} has {len(row)} values for {width} columns"
                     )
-                for name, v in zip(self.columns, row):
+                for name, v in zip(columns, row):
                     if not math.isfinite(v):
                         raise ValueError(
                             f"non-finite value {v!r} in column {name!r}, row {i}"
                         )
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "columns", tuple(self.columns))
-        object.__setattr__(self, "metadata", dict(self.metadata))
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "metadata", _collection(dict, self.metadata, "metadata", "a mapping"))
 
 
 @dataclass(frozen=True)

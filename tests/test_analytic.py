@@ -278,6 +278,33 @@ class TestPurify:
             )
         assert out.p == pytest.approx(0.5, abs=1e-16)
 
+    def test_no_missed_light_matches_the_survival_path(self):
+        # at eta_H = 1, or at T = 1 for any eta_H, the line after the tap
+        # loses nothing and its surviving fraction is exactly 1
+        rng = np.random.default_rng(28)
+        for i in range(3000):
+            params = CssParams(10.0 ** rng.uniform(-3.0, 1.0), rng.uniform(0.0, TWO_PI))
+            p, k = rng.uniform(), rng.uniform(-4.0, 4.0)
+            T, eta_H = (1.0, rng.uniform(0.02, 1.0)) if i % 5 == 0 else (rng.uniform(0.02, 1.0), 1.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the blind tap T = 1 warns
+                try:
+                    out, density_css, density_mix = purify(MixedCss(params, p), TapSetting(T, k, eta_H))
+                except ZeroDensityError:
+                    continue
+            theta = theta_of_k(k, params.alpha, 1.0 - T)
+            phi = (params.phi + theta) % TWO_PI
+            survived = analytic._surviving_fraction(phi, 2.0 * T * (params.alpha * params.alpha), 0.0)
+            expected = (
+                analytic._posterior(p, detection_ratio(params, T, theta)) * survived,
+                math.sqrt(T) * params.alpha,
+                CssParams(1.0, phi).phi,
+                homodyne_density_css(k, params, T),
+                homodyne_density_mix(k),
+            )
+            got = (out.p, out.params.alpha, out.params.phi, density_css, density_mix)
+            assert _hex(got) == _hex(expected), (params, p, T, k, eta_H)
+
     @pytest.mark.parametrize("condition", [purify, purify_with_inefficiency])
     def test_blind_tap_warning_names_the_caller(self, condition):
         with warnings.catch_warnings(record=True) as caught:
@@ -618,11 +645,52 @@ class TestWindowAcceptance:
         expected = _window_reference(alpha, 2.0, 0.6, 0.5, -0.8, 1.2)
         assert window_acceptance(state, 0.5, 0.2, 1.0) == pytest.approx(expected, rel=1e-11)
 
+    def test_far_tail_windows(self):
+        # panels narrow as 9 / |k| past |k| = 9, out to the representable edge
+        rng = np.random.default_rng(2801)
+        for _ in range(150):
+            alpha, phi, p = rng.uniform(0.05, 3.0), rng.uniform(0.0, TWO_PI), rng.uniform()
+            T = rng.uniform(0.05, 1.0)
+            center = rng.choice([-1.0, 1.0]) * rng.uniform(5.0, 27.0)
+            # the near end stays within |k| = 26.5, where the acceptance is a normal float
+            half_width = rng.uniform(max(0.01, abs(center) - 26.5), 3.0)
+            _assert_window(alpha, phi, p, T, center, half_width)
+
+    def test_fast_phase_windows(self):
+        # large alpha behind a nearly transparent tap: panels one period 2 pi / c wide
+        rng = np.random.default_rng(2802)
+        for _ in range(150):
+            alpha, phi, p = rng.uniform(5.0, 20.0), rng.uniform(0.0, TWO_PI), rng.uniform()
+            T = 10.0 ** rng.uniform(-3.0, -1.0)
+            _assert_window(alpha, phi, p, T, rng.uniform(-4.0, 4.0), rng.uniform(0.01, 4.0))
+
+    @pytest.mark.parametrize("alpha, T", [(0.5, 0.5), (3.0, 0.5), (2.0, 0.05), (6.0, 0.2)])
+    def test_window_one_period_wide(self, alpha, T):
+        period = TWO_PI / analytic._theta(1.0, alpha, 1.0 - T)
+        for center in (0.0, 0.37, -1.2, 2.9):
+            for phi in (0.0, 1.0, math.pi):
+                _assert_window(alpha, phi, 0.7, T, center, 0.5 * period)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(2.5, 3.5), (-3.6, -2.2), (0.0, 3.2), (8.5, 9.5), (-9.3, -8.9), (6.0, 12.0), (26.4, 28.0), (-29.0, -26.4)],
+    )
+    def test_windows_across_panel_rule_edges(self, lo, hi):
+        # |k| = 3 (widest panel), 9 (panels begin to narrow), 27.28 (the clip)
+        for alpha, phi, T in [(0.8, 0.3, 0.5), (2.0, math.pi, 0.3), (1.0, 4.0, 0.9)]:
+            _assert_window(alpha, phi, 0.4, T, 0.5 * (lo + hi), 0.5 * (hi - lo))
+
     def test_rule_matches_numpy_leggauss(self):
         nodes, weights = np.polynomial.legendre.leggauss(20)
         rule = sorted(analytic._GAUSS_LEGENDRE_20)
         assert np.max(np.abs([x for x, _ in rule] - nodes)) <= 1e-15
         assert np.max(np.abs([w for _, w in rule] - weights)) <= 1e-14
+
+
+def _assert_window(alpha, phi, p, T, center, half_width):
+    got = window_acceptance(MixedCss(CssParams(alpha, phi), p), T, center, half_width)
+    expected = _window_reference(alpha, phi, p, T, center - half_width, center + half_width)
+    assert got == pytest.approx(expected, rel=1e-12), (alpha, phi, p, T, center, half_width)
 
 
 def _window_reference(alpha, phi, p, T, lo, hi):

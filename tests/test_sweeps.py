@@ -183,6 +183,22 @@ class TestValidation:
             sweeps.SweepTable(("x",), rows, {})
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: sweeps.SweepTable(("x",), None, {}), "rows must be a sequence of rows, got None"),
+            (lambda: sweeps.SweepTable(("x",), ((1.0,),), None), "metadata must be a mapping, got None"),
+            (lambda: sweeps.SweepTable(None, ((1.0,),), {}), "columns must be a sequence of names, got None"),
+            (lambda: sweeps.SweepSpec("fig2_densities", None, ()), "fixed_params must be a mapping, got None"),
+            (lambda: sweeps.SweepSpec("fig2_densities", {}, None), "grid must be a sequence of GridAxis, got None"),
+        ],
+        ids=["table-rows", "table-metadata", "table-columns", "spec-fixed_params", "spec-grid"],
+    )
+    def test_missing_collections_named(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_table_stores_float_tuples(self):
         table = sweeps.SweepTable(self.COLUMNS[:2], [[1, True], (0.5, "2")], {"a": "b"})
         assert table.rows == ((1.0, 1.0), (0.5, 2.0))
