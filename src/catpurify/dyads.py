@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DegenerateStateError, StateFamilyError, ZeroDensityError
 from .states import (
-    _FINITE, _POSITIVE_UNIT, _UNIT, CssParams, MixedCss, _checked, _nonzero_norm, _pair_norm,
+    _FINITE, _POSITIVE_UNIT, _UNIT, CssParams, MixedCss, _checked, _nonzero_norm, _pair_norm, _required,
 )
 
 __all__ = [
@@ -70,9 +70,10 @@ class DyadState:
     Parameters that take one value per member (transmittances, outcomes)
     also take a single value for all of them.
 
-    The constructor converts and checks what it is given; a state that this
-    module builds has only its coefficients checked, for finiteness. Such
-    states may share arrays, never changed in place, so treat them as read-only.
+    The constructor converts what it is given and checks its shapes and that
+    every number is finite; a state that this module builds has only its
+    coefficients checked, for finiteness. Such states may share arrays, never
+    changed in place, so treat them as read-only.
     """
 
     coeff: np.ndarray
@@ -80,13 +81,18 @@ class DyadState:
     bra: np.ndarray
 
     def __post_init__(self) -> None:
-        coeff, ket, bra = (np.asarray(part, dtype=complex) for part in (self.coeff, self.ket, self.bra))
+        try:
+            coeff, ket, bra = (np.asarray(part, dtype=complex) for part in (self.coeff, self.ket, self.bra))
+        except (TypeError, ValueError):
+            raise ValueError("coeff, ket and bra must be arrays of complex numbers") from None
         if ket.ndim not in (2, 3) or ket.shape != bra.shape or ket.shape[-1] < 1:
             raise ValueError(
                 "ket and bra must share one shape, [n, m] or [batch, n, m], with m >= 1 modes"
             )
         if coeff.shape != ket.shape[:-1]:
             raise ValueError("one coefficient per dyad and batch member is required")
+        if not (np.isfinite(ket).all() and np.isfinite(bra).all()):
+            raise ValueError("ket and bra amplitudes must be finite")
         _derived(coeff, ket, bra, self)
 
     @property
@@ -120,13 +126,21 @@ def _first(values, where: np.ndarray):
     return np.broadcast_to(values, where.shape)[where][0].item()
 
 
-def _require_in(values: np.ndarray, name: str, domain: tuple[float, float, str]) -> None:
-    """The array form of `states._checked`: the error names the first
-    value outside the domain."""
+def _floats(value, name: str, domain: tuple[float, float, str]) -> np.ndarray:
+    """The array form of `states._checked`: `value` as a float array in
+    `domain`; the error names the first value outside it, or the value
+    itself where it is not real numbers (complex ones included)."""
     lo, hi, must = domain
+    try:
+        values = None if np.iscomplexobj(value) else np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        values = None
+    if values is None:
+        raise ValueError(f"{name} must {must}, got {value!r}")
     inside = (lo <= values) & (values <= hi)
     if not inside.all():
         raise ValueError(f"{name} must {must}, got {_first(values, ~inside)!r}")
+    return values
 
 
 def _per_member(
@@ -136,10 +150,9 @@ def _per_member(
     with a trailing term axis, a scalar or one value per batch member."""
     if type(value) is float:
         return _checked(value, name, domain)
-    values = np.asarray(value, dtype=float)
+    values = _floats(value, name, domain)
     if values.ndim and values.shape != state.coeff.shape[:-1]:
         raise ValueError(f"{name} takes one value, or one per batch member")
-    _require_in(values, name, domain)
     return values[..., None]
 
 
@@ -164,9 +177,14 @@ def _members(*parts: tuple[DyadState, slice]) -> DyadState:
     return _derived(joined("coeff"), joined("ket"), joined("bra"))
 
 
+def _kept(coeff: np.ndarray) -> np.ndarray:
+    """Which terms have a coefficient that is not exactly 0 in some member."""
+    return (coeff != 0.0).any(axis=tuple(range(coeff.ndim - 1)))
+
+
 def _nonzero(state: DyadState) -> DyadState:
     """`state` without the terms whose coefficient is exactly 0 in every member."""
-    kept = (state.coeff != 0.0).any(axis=tuple(range(state.coeff.ndim - 1)))
+    kept = _kept(state.coeff)
     if kept.all():
         return state
     return _derived(state.coeff[..., kept], state.ket[..., kept, :], state.bra[..., kept, :])
@@ -180,7 +198,7 @@ def _traces(state: DyadState) -> np.ndarray:
 
 def trace(state: DyadState) -> complex | np.ndarray:
     """Trace: a complex number, or an array of one per batch member."""
-    return _scalar_or_batch(_traces(state))
+    return _scalar_or_batch(_traces(_required(state, "state", DyadState)))
 
 
 def _unit_trace_coeff(state: DyadState) -> np.ndarray:
@@ -195,7 +213,7 @@ def _unit_trace_coeff(state: DyadState) -> np.ndarray:
 
 def normalize(state: DyadState) -> DyadState:
     """Rescale to unit trace, term by term; rejects states of vanishing trace."""
-    return _derived(_unit_trace_coeff(state), state.ket, state.bra)
+    return _derived(_unit_trace_coeff(_required(state, "state", DyadState)), state.ket, state.bra)
 
 
 def make_coherent(*amplitudes: complex) -> DyadState:
@@ -203,7 +221,13 @@ def make_coherent(*amplitudes: complex) -> DyadState:
     Amplitude arrays, one entry per batch member, give a batch."""
     if not amplitudes:
         raise ValueError("at least one mode amplitude is required")
-    amps = _stack_last(*np.broadcast_arrays(*amplitudes))[..., None, :]
+    try:
+        amps = _stack_last(*np.broadcast_arrays(*amplitudes))[..., None, :]
+        finite = np.isfinite(amps).all()
+    except (TypeError, ValueError):
+        finite = False
+    if not finite:
+        raise ValueError(f"amplitudes must be finite complex numbers, or arrays of them that broadcast, got {amplitudes!r}")
     return DyadState(np.ones(amps.shape[:-1]), amps, amps)
 
 
@@ -265,6 +289,8 @@ def _product_indices(n_left: int, n_right: int) -> tuple[np.ndarray, np.ndarray]
 def tensor(left: DyadState, right: DyadState) -> DyadState:
     """Product of every term of `left` with every term of `right`, left-major.
     An unbatched operand is shared by every member of a batched one."""
+    _required(left, "left", DyadState)
+    _required(right, "right", DyadState)
     i, j = _product_indices(left.coeff.shape[-1], right.coeff.shape[-1])
     coeff = left.coeff[..., i] * right.coeff[..., j]
 
@@ -277,21 +303,18 @@ def tensor(left: DyadState, right: DyadState) -> DyadState:
     return _derived(coeff, joined(left.ket, right.ket), joined(left.bra, right.bra))
 
 
-def _with_mode(state: DyadState, amplitude) -> DyadState:
-    """`state` with one more mode in the coherent state `amplitude`, one or one per member."""
-    sides = np.empty((2, *state.coeff.shape, state.mode_count + 1), complex)
-    sides[..., :-1], sides[..., -1] = (state.ket, state.bra), np.asarray(amplitude)[..., None]
+def attach_vacuum(state: DyadState) -> DyadState:
+    """Append one vacuum mode."""
+    sides = np.zeros((2, *_required(state, "state", DyadState).coeff.shape, state.mode_count + 1), complex)
+    sides[..., :-1] = state.ket, state.bra
     return _derived(state.coeff, *sides)
 
 
-def attach_vacuum(state: DyadState) -> DyadState:
-    """Append one vacuum mode."""
-    return _with_mode(state, 0.0)
-
-
-def _check_mode(state: DyadState, mode: int) -> None:
-    if not 0 <= mode < state.mode_count:
-        raise ValueError(f"mode index {mode} out of range for {state.mode_count} modes")
+def _check_mode(state: DyadState, mode: int, name: str = "mode") -> None:
+    """`state` must be a DyadState and `mode` the index of one of its modes."""
+    _required(state, "state", DyadState)
+    if not isinstance(mode, (int, np.integer)) or not 0 <= mode < state.mode_count:
+        raise ValueError(f"{name} must be an index in [0, {state.mode_count}), got {mode!r}")
 
 
 def loss_on_dyad(state: DyadState, mode: int, eta: float) -> DyadState:
@@ -321,9 +344,12 @@ def bs_on_product(state: DyadState, modes: tuple[int, int], T: float) -> DyadSta
     sqrt(R) a + sqrt(T) b) with R = 1 - T, so |alpha>|0> goes to
     |sqrt(T) alpha>|sqrt(R) alpha> and coefficients are unchanged.
     """
-    ma, mb = modes
-    _check_mode(state, ma)
-    _check_mode(state, mb)
+    try:
+        ma, mb = modes
+    except (TypeError, ValueError):
+        raise ValueError(f"modes must be a pair of mode indices, got {modes!r}") from None
+    _check_mode(state, ma, "modes")
+    _check_mode(state, mb, "modes")
     if ma == mb:
         raise ValueError("beam splitter needs two distinct modes")
     T = _per_member(state, T, "transmittance", _UNIT)
@@ -348,7 +374,18 @@ def homodyne_amplitude(beta: complex, x: float, lam: float) -> complex:
     For real beta this satisfies <x_{pi/2}|-beta> =
     e^{i 2 sqrt(2) x beta} <x_{pi/2}|beta> identically.
     """
-    beta = np.asarray(beta, dtype=complex)
+    try:
+        beta = np.asarray(beta, dtype=complex)
+    except (TypeError, ValueError):
+        beta = np.asarray(math.nan)
+    if not np.isfinite(beta).all():
+        raise ValueError("beta must be finite complex amplitudes")
+    _floats(x, "homodyne outcome", _FINITE)
+    return _homodyne(beta, x, _checked(lam, "local-oscillator phase", _FINITE))
+
+
+def _homodyne(beta: np.ndarray, x, lam: float) -> np.ndarray:
+    """`homodyne_amplitude` of a complex array `beta`, its arguments unchecked."""
     rot = cmath.exp(-1j * lam)
     return _QUARTIC_ROOT_PI * np.exp(
         -0.5 * x * x
@@ -380,7 +417,7 @@ def project_quadrature(
     _check_mode(state, mode)
     x = _per_member(state, x, "homodyne outcome", _FINITE)
     sides = np.array((state.ket[..., mode], state.bra[..., mode]))
-    amp_k, amp_b = homodyne_amplitude(sides, x, lam)
+    amp_k, amp_b = _homodyne(sides, x, _checked(lam, "local-oscillator phase", _FINITE))
     reduced = _drop_mode(state, mode, state.coeff * amp_k * amp_b.conj())
     density = _traces(reduced).real
     vanishing = density < _MIN_DENSITY
@@ -393,13 +430,17 @@ def project_quadrature(
 def _clicked(state: DyadState, mode: int) -> DyadState:
     """The unnormalized state after a click on `mode`, that mode traced out."""
     _check_mode(state, mode)
-    k = state.ket[..., mode]
-    b = state.bra[..., mode]
-    # <b|k> - <b|0><0|k> = e^s (e^{conj(b) k} - 1) with s = -(|b|^2 + |k|^2)/2
+    weight = _click_weight(state.ket[..., mode], state.bra[..., mode])
+    return _nonzero(_drop_mode(state, mode, state.coeff * weight))
+
+
+def _click_weight(k: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tr[(1 - |0><0|) |k><b|] = <b|k> - <b|0><0|k> of each dyad, from its ket and bra amplitudes."""
+    # = e^s (e^{conj(b) k} - 1) with s = -(|b|^2 + |k|^2)/2
     s, bk = -0.5 * (np.abs(b) ** 2 + np.abs(k) ** 2), b.conj() * k
     large = np.abs(bk) > 1.0  # add a large exponent to s first: e^s underflows as e^{conj(b) k} overflows
-    weight = np.where(large, np.exp(s + bk * large) - np.exp(s), np.exp(s) * np.expm1(bk * ~large))
-    return _nonzero(_drop_mode(state, mode, state.coeff * weight))
+    small = np.exp(s) * np.expm1(bk * ~large)
+    return np.where(large, np.exp(s + bk * large) - np.exp(s), small) if large.any() else small
 
 
 def project_click(state: DyadState, mode: int) -> tuple[DyadState, float | np.ndarray]:
@@ -420,7 +461,7 @@ def hermiticity_defect(state: DyadState) -> float:
     """Largest mismatch between the summed coefficients of each dyad and the
     conjugate sum of its mirror dyads, for an unbatched state. Dyads match on
     exact amplitude equality (-0.0 matches +0.0), one holding NaN only itself."""
-    if state.coeff.ndim != 1:
+    if _required(state, "state", DyadState).coeff.ndim != 1:
         raise ValueError("hermiticity_defect takes one state, not a batch")
     dyads = np.concatenate([state.ket, state.bra], axis=-1)
     same = (dyads[:, None] == dyads[None]).all(-1) | np.eye(len(dyads), dtype=bool)
@@ -430,7 +471,7 @@ def hermiticity_defect(state: DyadState) -> float:
 
 def purity(state: DyadState) -> float | np.ndarray:
     """Tr[rho^2] through the pairwise Gram overlaps of the dyad terms."""
-    tr = _traces(state).real
+    tr = _traces(_required(state, "state", DyadState)).real
     off = np.abs(tr - 1.0) > 1e-8
     if off.any():
         raise StateFamilyError(f"purity expects a unit-trace state, trace was {_first(tr, off)!r}")
@@ -458,7 +499,8 @@ def _record(state: DyadState, unit: np.ndarray | None = None) -> tuple[np.ndarra
     negative = amps.real < 0.0
     spread = np.abs(np.where(negative, -amps, amps) - beta[..., None]).max(axis=-1, initial=0.0)
     pattern = 2 * negative[..., : ket.shape[-1]] + negative[..., ket.shape[-1] :]  # ++, +-, -+, -- as (ket, bra)
-    d_pp, c_pm, c_mp, d_mm = ((state.coeff * (pattern == i)).sum(axis=-1) for i in range(4))
+    sums = (state.coeff[..., None, :] * (pattern[..., None, :] == np.arange(4)[:, None])).sum(axis=-1)
+    d_pp, c_pm, c_mp, d_mm = sums.T
     trace = d_pp + d_mm + np.exp(-2.0 * (beta * beta)) * (c_pm + c_mp)
     defect = np.maximum.reduce([spread, np.abs(d_pp - d_mm), np.abs(c_pm - c_mp.conj()), np.abs(trace - 1.0)])
     if unit is not None:  # the ufunc: numpy's scalar `*` rounds complex products otherwise
@@ -479,7 +521,7 @@ def extract_fraction(
     failure signals a physics bug upstream rather than a recoverable
     condition.
     """
-    if state.mode_count != 1:
+    if _required(state, "state", DyadState).mode_count != 1:
         raise ValueError("fraction extraction expects a single-mode state")
     alpha, phi = _unpack(params, "params", CssParams, "alpha", "phi")
     if alpha.shape != state.coeff.shape[:-1]:
@@ -521,23 +563,37 @@ def amplifier_sim(
     sqrt(2) alpha on a second balanced beam splitter, and both comparison
     ports must register a click. The surviving mode is then a mixture in
     the (sqrt(2) alpha, 2 phi) family, whose fraction is extracted exactly.
+
+    The network runs in one pass over the products of the copy's terms, bit
+    for bit as composing the primitives would (`tensor`, `bs_on_product`
+    on modes (0, 1), the ancilla, `bs_on_product` on (0, 2), `project_click`
+    on modes 2 and 0, `normalize`, `extract_fraction`). Its stages, with
+    their terms for a mixed copy: the 16 products, 9 left after the
+    ancilla's click, 4 after the difference's, 4 normalized; a pure or fully
+    dephased copy has 4, 3, 2 and 2.
     """
     alpha, phi = _unpack(params, "params", CssParams, "alpha", "phi")
-    fraction = np.asarray(state_fraction, dtype=float)
+    fraction = _floats(state_fraction, "state fraction", _UNIT)
     if fraction.shape != alpha.shape:
         raise ValueError("one state fraction per CssParams is required")
-    _require_in(fraction, "state fraction", _UNIT)
     if (alpha <= 0.0).any():
         raise ValueError("amplification needs alpha > 0")
     copy = _mixture(fraction, alpha, phi)
-    joint = tensor(copy, copy)
-    joint = bs_on_product(joint, (0, 1), 0.5)  # mode 0 difference, mode 1 sum
-    joint = _with_mode(joint, math.sqrt(2.0) * alpha)  # the coherent ancilla
-    joint = bs_on_product(joint, (0, 2), 0.5)
-    joint = _clicked(joint, 2)  # its click probability is not needed
-    joint, coincidence = project_click(joint, 0)  # coincidence is its trace unless negative
+    i, j = _product_indices(copy.coeff.shape[-1], copy.coeff.shape[-1])
+    half, ancilla = math.sqrt(0.5), np.asarray(math.sqrt(2.0) * alpha, complex)[..., None]
+    amps = np.array((copy.ket[..., 0], copy.bra[..., 0]))  # [side (ket, bra), ..., term]
+    # bs_on_product's arithmetic: the copies' difference and sum, then the difference against the ancilla
+    difference, total = half * amps[..., i] - half * amps[..., j], half * amps[..., i] + half * amps[..., j]
+    ports = np.array((half * difference + half * ancilla, half * difference - half * ancilla))
+    ancilla_weight, compared_weight = _click_weight(ports[:, 0], ports[:, 1])
+    ancilla_click = copy.coeff[..., i] * copy.coeff[..., j] * ancilla_weight  # its probability is not needed
+    first = np.flatnonzero(_kept(ancilla_click))
+    both_clicks = ancilla_click[..., first] * compared_weight[..., first]
+    second = _kept(both_clicks)
+    joint = _derived(both_clicks[..., second], *total[..., first[second], None])
+    coincidence = np.maximum(_traces(joint).real, 0.0)  # project_click's probability
     if np.any(coincidence < _MIN_DENSITY):
         raise ZeroDensityError("both-click coincidence has vanishing probability")
-    conditioned = _derived(joint.coeff / np.asarray(coincidence)[..., None], joint.ket, joint.bra)
+    conditioned = _derived(joint.coeff / coincidence[..., None], joint.ket, joint.bra)
     out = [CssParams(math.sqrt(2.0) * a, 2.0 * f) for a, f in _pairs(alpha, phi)]
     return extract_fraction(conditioned, out if alpha.ndim else out[0])

@@ -142,8 +142,10 @@ class TestTermLayout:
         assert dy.hermiticity_defect(dy.DyadState(coeff, split.ket, split.bra)) == pytest.approx(0.5 * abs(split.coeff[4]))
 
     def test_nan_dyads_match_only_themselves(self):
+        # the constructor rejects NaN amplitudes, but a chain can still make
+        # them (a beam splitter that overflows), so build this one as a chain does
         nan = complex(math.nan, 0.0)
-        state = dy.DyadState([1.0, 2.0], [[nan], [nan]], [[nan], [nan]])
+        state = dy._derived(np.array([1.0, 2.0], complex), np.array([[nan], [nan]]), np.array([[nan], [nan]]))
         assert dy.hermiticity_defect(state) == 2.0
 
 
@@ -608,11 +610,9 @@ class TestAmplifierSim:
         )
 
     def test_term_count_stays_bounded(self):
-        """Terms after each stage of the amplifier chain: the copy, the two
-        copies, their beam splitter, the ancilla, its beam splitter, the two
-        clicks and the normalization. A pure or fully dephased copy has half
-        the terms of a mixture. The tap chain keeps a mixture's four terms
-        at every stage."""
+        """Terms after each stage of the amplifier chain (`amplifier_chain`).
+        A pure or fully dephased copy has half the terms of a mixture. The tap
+        chain keeps a mixture's four terms at every stage."""
         mixed, dephased = (4, 16, 16, 16, 16, 9, 4, 4), (2, 4, 4, 4, 4, 3, 2, 2)
         cases = [
             ((1.1, math.pi, 0.37), mixed),
@@ -622,22 +622,8 @@ class TestAmplifierSim:
             ((0.4, 0.0, 0.0), dephased),
         ]
         for (alpha, phi, p), expected in cases:
-            state = dy.make_mixed(MixedCss(CssParams(alpha, phi), p))
-            counts = [len(state.coeff)]
-            joint = dy.tensor(state, state)
-            counts.append(len(joint.coeff))
-            joint = dy.bs_on_product(joint, (0, 1), 0.5)
-            counts.append(len(joint.coeff))
-            joint = dy.tensor(joint, dy.make_coherent(math.sqrt(2.0) * alpha))
-            counts.append(len(joint.coeff))
-            joint = dy.bs_on_product(joint, (0, 2), 0.5)
-            counts.append(len(joint.coeff))
-            joint, _ = dy.project_click(joint, 2)
-            counts.append(len(joint.coeff))
-            joint, _ = dy.project_click(joint, 0)
-            counts.append(len(joint.coeff))
-            counts.append(len(dy.normalize(joint).coeff))
-            assert tuple(counts) == expected, (alpha, phi, p)
+            stages, _ = amplifier_chain(p, CssParams(alpha, phi))
+            assert tuple(len(state.coeff) for state in stages) == expected, (alpha, phi, p)
         for alpha, phi, p in [(1.1, math.pi, 0.37), (0.4, 0.0, 0.8), (1.1, math.pi, 1.0)]:
             # as verify runs it: the tap mode, its beam splitter, the
             # detector's loss, the homodyne outcome, a lossy line, normalization
@@ -667,6 +653,19 @@ class TestAmplifierSim:
         ((0.55, 1.5, math.pi), "0x1.38e83e7417c5cp-2"),
         ((1.0, 0.35, 4.4), "0x1.0000000000000p+0"),
     ]
+
+    def test_equals_the_public_chain_bit_for_bit(self):
+        # alpha log-uniform up to 30, so that both click-weight branches run
+        rng = random.Random("amplifier-chain")
+        draws = [
+            (rng.choice([0.0, 1.0, rng.random()]), CssParams(math.exp(rng.uniform(math.log(0.02), math.log(30.0))), rng.uniform(0.0, 7.0)))
+            for _ in range(300)
+        ]
+        for p, params in draws:
+            assert dy.amplifier_sim(p, params).hex() == amplifier_chain(p, params)[1].hex(), (p, params)
+        fractions, params = [p for p, _ in draws], [q for _, q in draws]
+        batch = dy.amplifier_sim(fractions, params)
+        assert [v.hex() for v in batch.tolist()] == [v.hex() for v in amplifier_chain(fractions, params)[1].tolist()]
 
     def test_pinned_values_alone_and_in_one_batch(self):
         expected = [value for _, value in self.PINNED]
@@ -709,6 +708,67 @@ class TestAmplifierSim:
         with pytest.raises(ZeroDensityError) as info:
             dy.amplifier_sim(fractions, params)
         assert str(info.value) == "both-click coincidence has vanishing probability"
+
+
+def amplifier_chain(fractions, params):
+    """`amplifier_sim` composed from the public primitives, for one fraction
+    and CssParams or a list of each: the states after each stage (the copy,
+    the two copies, their beam splitter, the ancilla, its beam splitter, the
+    ancilla's click, the difference's click, the normalization) and the
+    output fraction."""
+    batched = isinstance(params, list)
+    members = list(zip(fractions, params)) if batched else [(fractions, params)]
+    alpha = np.array([q.alpha for _, q in members]) if batched else params.alpha
+    copy = dy.make_mixed([MixedCss(q, p) for p, q in members] if batched else MixedCss(params, fractions))
+    stages = [copy, dy.tensor(copy, copy)]
+    stages.append(dy.bs_on_product(stages[-1], (0, 1), 0.5))
+    stages.append(dy.tensor(stages[-1], dy.make_coherent(math.sqrt(2.0) * alpha)))
+    stages.append(dy.bs_on_product(stages[-1], (0, 2), 0.5))
+    stages.append(dy.project_click(stages[-1], 2)[0])
+    stages.append(dy.project_click(stages[-1], 0)[0])
+    stages.append(dy.normalize(stages[-1]))
+    out = [CssParams(math.sqrt(2.0) * q.alpha, 2.0 * q.phi) for _, q in members]
+    return stages, dy.extract_fraction(stages[-1], out if batched else out[0])
+
+
+PARAMETERS = CssParams(0.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda st: dy.tensor(st, None), "right must be a DyadState, got None", id="tensor"),
+        pytest.param(lambda st: dy.normalize(None), "state must be a DyadState, got None", id="normalize"),
+        pytest.param(lambda st: dy.trace(None), "state must be a DyadState, got None", id="trace"),
+        pytest.param(lambda st: dy.attach_vacuum(None), "state must be a DyadState, got None", id="attach_vacuum"),
+        pytest.param(lambda st: dy.purity(None), "state must be a DyadState, got None", id="purity"),
+        pytest.param(lambda st: dy.hermiticity_defect(None), "state must be a DyadState, got None", id="hermiticity"),
+        pytest.param(lambda st: dy.extract_fraction(None, PARAMETERS), "state must be a DyadState, got None", id="extract"),
+        pytest.param(lambda st: dy.project_click(None, 0), "state must be a DyadState, got None", id="click-state"),
+        pytest.param(lambda st: dy.loss_on_dyad(st, 0.5, 0.9), "mode must be an index in [0, 2), got 0.5", id="loss-mode"),
+        pytest.param(lambda st: dy.loss_on_dyad(st, 0, "a"), "loss transmittance must lie in (0, 1], got 'a'", id="loss-eta"),
+        pytest.param(lambda st: dy.loss_on_dyad(st, 0, np.complex128(0.5 + 2j)), "loss transmittance must lie in (0, 1], got ", id="loss-complex"),
+        pytest.param(lambda st: dy.project_click(st, 1.0), "mode must be an index in [0, 2), got 1.0", id="click-mode"),
+        pytest.param(lambda st: dy.project_click(st, 2), "mode must be an index in [0, 2), got 2", id="click-range"),
+        pytest.param(lambda st: dy.project_quadrature(st, "1", 0.3, 0.0), "mode must be an index in [0, 2), got '1'", id="quadrature-mode"),
+        pytest.param(lambda st: dy.project_quadrature(st, 1, 0.3, None), "local-oscillator phase must be finite, got None", id="quadrature-phase"),
+        pytest.param(lambda st: dy.homodyne_amplitude(None, 0.3, 0.0), "beta must be finite complex amplitudes", id="homodyne-beta"),
+        pytest.param(lambda st: dy.homodyne_amplitude(1.0, "a", 0.0), "homodyne outcome must be finite, got 'a'", id="homodyne-x"),
+        pytest.param(lambda st: dy.bs_on_product(st, None, 0.5), "modes must be a pair of mode indices, got None", id="bs-none"),
+        pytest.param(lambda st: dy.bs_on_product(st, (0,), 0.5), "modes must be a pair of mode indices, got (0,)", id="bs-one-mode"),
+        pytest.param(lambda st: dy.bs_on_product(st, (0, 2), 0.5), "modes must be an index in [0, 2), got 2", id="bs-range"),
+        pytest.param(lambda st: dy.amplifier_sim(0.5 + 1j, PARAMETERS), "state fraction must lie in [0, 1], got (0.5+1j)", id="amplifier"),
+        pytest.param(lambda st: dy.make_coherent(None), "amplitudes must be finite complex numbers", id="coherent-none"),
+        pytest.param(lambda st: dy.make_coherent(math.inf), "amplitudes must be finite complex numbers", id="coherent-inf"),
+        pytest.param(lambda st: dy.make_coherent("a"), "amplitudes must be finite complex numbers", id="coherent-text"),
+        pytest.param(lambda st: dy.DyadState([1], [[math.nan]], [[0]]), "ket and bra amplitudes must be finite", id="state-nan"),
+        pytest.param(lambda st: dy.DyadState(["a"], [[1]], [[0]]), "coeff, ket and bra must be arrays of complex numbers", id="state-text"),
+    ],
+)
+def test_bad_parameters_raise_value_errors_that_name_them(call, message):
+    st = dy.attach_vacuum(dy.make_mixed(MixedCss(PARAMETERS, 0.5)))
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call(st)
 
 
 def lossy_far_cat():
