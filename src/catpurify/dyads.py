@@ -129,10 +129,11 @@ def _first(values, where: np.ndarray):
 def _floats(value, name: str, domain: tuple[float, float, str]) -> np.ndarray:
     """The array form of `states._checked`: `value` as a float array in
     `domain`; the error names the first value outside it, or the value
-    itself where it is not real numbers (complex ones included)."""
+    itself where it is not real numbers (complex ones and None included:
+    numpy would read None as NaN)."""
     lo, hi, must = domain
     try:
-        values = None if np.iscomplexobj(value) else np.asarray(value, dtype=float)
+        values = None if value is None or np.iscomplexobj(value) else np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         values = None
     if values is None:
@@ -311,9 +312,10 @@ def attach_vacuum(state: DyadState) -> DyadState:
 
 
 def _check_mode(state: DyadState, mode: int, name: str = "mode") -> None:
-    """`state` must be a DyadState and `mode` the index of one of its modes."""
+    """`state` must be a DyadState and `mode` the index of one of its modes
+    (not a bool, which numpy would read as a mask)."""
     _required(state, "state", DyadState)
-    if not isinstance(mode, (int, np.integer)) or not 0 <= mode < state.mode_count:
+    if type(mode) is bool or not isinstance(mode, (int, np.integer)) or not 0 <= mode < state.mode_count:
         raise ValueError(f"{name} must be an index in [0, {state.mode_count}), got {mode!r}")
 
 

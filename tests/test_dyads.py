@@ -748,6 +748,7 @@ PARAMETERS = CssParams(0.5, 1.0)
         pytest.param(lambda st: dy.loss_on_dyad(st, 0.5, 0.9), "mode must be an index in [0, 2), got 0.5", id="loss-mode"),
         pytest.param(lambda st: dy.loss_on_dyad(st, 0, "a"), "loss transmittance must lie in (0, 1], got 'a'", id="loss-eta"),
         pytest.param(lambda st: dy.loss_on_dyad(st, 0, np.complex128(0.5 + 2j)), "loss transmittance must lie in (0, 1], got ", id="loss-complex"),
+        pytest.param(lambda st: dy.loss_on_dyad(st, True, 0.9), "mode must be an index in [0, 2), got True", id="loss-bool"),
         pytest.param(lambda st: dy.project_click(st, 1.0), "mode must be an index in [0, 2), got 1.0", id="click-mode"),
         pytest.param(lambda st: dy.project_click(st, 2), "mode must be an index in [0, 2), got 2", id="click-range"),
         pytest.param(lambda st: dy.project_quadrature(st, "1", 0.3, 0.0), "mode must be an index in [0, 2), got '1'", id="quadrature-mode"),
@@ -758,6 +759,7 @@ PARAMETERS = CssParams(0.5, 1.0)
         pytest.param(lambda st: dy.bs_on_product(st, (0,), 0.5), "modes must be a pair of mode indices, got (0,)", id="bs-one-mode"),
         pytest.param(lambda st: dy.bs_on_product(st, (0, 2), 0.5), "modes must be an index in [0, 2), got 2", id="bs-range"),
         pytest.param(lambda st: dy.amplifier_sim(0.5 + 1j, PARAMETERS), "state fraction must lie in [0, 1], got (0.5+1j)", id="amplifier"),
+        pytest.param(lambda st: dy.amplifier_sim(None, PARAMETERS), "state fraction must lie in [0, 1], got None", id="amplifier-none"),
         pytest.param(lambda st: dy.make_coherent(None), "amplitudes must be finite complex numbers", id="coherent-none"),
         pytest.param(lambda st: dy.make_coherent(math.inf), "amplitudes must be finite complex numbers", id="coherent-inf"),
         pytest.param(lambda st: dy.make_coherent("a"), "amplitudes must be finite complex numbers", id="coherent-text"),
