@@ -21,8 +21,8 @@ mixture's record (amplitude, fraction, phase) off the state's coefficients.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
+import sys
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Sequence
@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DegenerateStateError, StateFamilyError, ZeroDensityError
 from .states import (
-    _FINITE, _POSITIVE_UNIT, _UNIT, CssParams, MixedCss, _checked, _nonzero_norm, _pair_norm, _required,
+    _FINITE, _POSITIVE_UNIT, _UNIT, TWO_PI, CssParams, MixedCss, _checked, _nonzero_norm, _pair_norm, _required,
 )
 
 __all__ = [
@@ -55,6 +55,7 @@ __all__ = [
 
 _QUARTIC_ROOT_PI = math.pi ** (-0.25)
 _MIN_DENSITY = 1e-300
+_MAX_AMPLITUDE = math.sqrt(sys.float_info.max)  # the largest modulus whose square stays finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,6 +94,8 @@ class DyadState:
             raise ValueError("one coefficient per dyad and batch member is required")
         if not (np.isfinite(ket).all() and np.isfinite(bra).all()):
             raise ValueError("ket and bra amplitudes must be finite")
+        if (np.abs(ket) > _MAX_AMPLITUDE).any() or (np.abs(bra) > _MAX_AMPLITUDE).any():
+            raise ValueError("ket and bra amplitudes must not exceed sqrt(sys.float_info.max) in modulus")
         _derived(coeff, ket, bra, self)
 
     @property
@@ -128,9 +131,9 @@ def _first(values, where: np.ndarray):
 
 def _floats(value, name: str, domain: tuple[float, float, str]) -> np.ndarray:
     """The array form of `states._checked`: `value` as a float array in
-    `domain`; the error names the first value outside it, or the value
-    itself where it is not real numbers (complex ones and None included:
-    numpy would read None as NaN)."""
+    `domain`; the error shows the first element outside it as given (a
+    numpy number as a Python one), or the value itself where it is not real
+    numbers (complex ones and None included: numpy would read None as NaN)."""
     lo, hi, must = domain
     try:
         values = None if value is None or np.iscomplexobj(value) else np.asarray(value, dtype=float)
@@ -140,17 +143,16 @@ def _floats(value, name: str, domain: tuple[float, float, str]) -> np.ndarray:
         raise ValueError(f"{name} must {must}, got {value!r}")
     inside = (lo <= values) & (values <= hi)
     if not inside.all():
-        raise ValueError(f"{name} must {must}, got {_first(values, ~inside)!r}")
+        given = np.asarray(value, dtype=object)[~inside][0]
+        raise ValueError(f"{name} must {must}, got {given.item() if isinstance(given, np.generic) else given!r}")
     return values
 
 
 def _per_member(
     state: DyadState, value, name: str, domain: tuple[float, float, str]
-) -> float | np.ndarray:
-    """A setting in `domain`: a Python float as it is, or else a float array
-    with a trailing term axis, a scalar or one value per batch member."""
-    if type(value) is float:
-        return _checked(value, name, domain)
+) -> np.ndarray:
+    """A setting in `domain` as a float array with a trailing term axis:
+    one value for all members, or one per batch member."""
     values = _floats(value, name, domain)
     if values.ndim and values.shape != state.coeff.shape[:-1]:
         raise ValueError(f"{name} takes one value, or one per batch member")
@@ -161,11 +163,6 @@ def _overlap(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """<left|right> across the last (mode) axis, broadcast over the others."""
     # sum_j conj(l_j) (r_j - l_j/2) - |r_j|^2/2; vecdot conjugates its first argument
     return np.exp(np.vecdot(left, right - 0.5 * left) - 0.5 * np.vecdot(right, right))
-
-
-def _gram(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """G[..., i, j] = <left[..., i]|right[..., j]> for two [..., n, m] amplitude arrays."""
-    return _overlap(left[..., :, None, :], right[..., None, :, :])
 
 
 def _members(*parts: tuple[DyadState, slice]) -> DyadState:
@@ -202,13 +199,13 @@ def trace(state: DyadState) -> complex | np.ndarray:
     return _scalar_or_batch(_traces(_required(state, "state", DyadState)))
 
 
-def _unit_trace_coeff(state: DyadState) -> np.ndarray:
+def _unit_trace_coeff(state: DyadState, vanishing: str = "cannot normalize a state of vanishing trace") -> np.ndarray:
     """The coefficients rescaled to unit trace. Rejects states of
     (near-)zero weight, which arise when conditioning on an impossible
-    measurement record."""
+    measurement record, with the message `vanishing`."""
     tr = _traces(state).real
     if (tr < _MIN_DENSITY).any():
-        raise ZeroDensityError("cannot normalize a state of vanishing trace")
+        raise ZeroDensityError(vanishing)
     return state.coeff / tr[..., None]
 
 
@@ -279,12 +276,9 @@ def make_mixed(state: MixedCss | Sequence[MixedCss]) -> DyadState:
     return _mixture(*_unpack(state, "state", MixedCss, "p", "params.alpha", "params.phi"))
 
 
-@functools.lru_cache(maxsize=64)
 def _product_indices(n_left: int, n_right: int) -> tuple[np.ndarray, np.ndarray]:
-    """The left and right term of each term of a left-major product, shared and read-only."""
-    i, j = np.divmod(np.arange(n_left * n_right), n_right)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
+    """The left and right term of each term of a left-major product."""
+    return np.divmod(np.arange(n_left * n_right), n_right)
 
 
 def tensor(left: DyadState, right: DyadState) -> DyadState:
@@ -339,6 +333,11 @@ def loss_on_dyad(state: DyadState, mode: int, eta: float) -> DyadState:
     return _derived(state.coeff * factor, *sides)
 
 
+def _mix(a: np.ndarray, b: np.ndarray, ct, cr) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes (a, b) after a beam splitter of amplitude transmittance ct and reflectance cr."""
+    return ct * a - cr * b, cr * a + ct * b
+
+
 def bs_on_product(state: DyadState, modes: tuple[int, int], T: float) -> DyadState:
     """Beam splitter of transmittance T in [0, 1] across two modes.
 
@@ -355,11 +354,8 @@ def bs_on_product(state: DyadState, modes: tuple[int, int], T: float) -> DyadSta
     if ma == mb:
         raise ValueError("beam splitter needs two distinct modes")
     T = _per_member(state, T, "transmittance", _UNIT)
-    sqrt = math.sqrt if type(T) is float else np.sqrt
-    ct, cr = sqrt(T), sqrt(1.0 - T)
     sides = np.array((state.ket, state.bra))
-    a, b = sides[..., ma], sides[..., mb]
-    sides[..., ma], sides[..., mb] = ct * a - cr * b, cr * a + ct * b
+    sides[..., ma], sides[..., mb] = _mix(sides[..., ma], sides[..., mb], np.sqrt(T), np.sqrt(1.0 - T))
     return _derived(state.coeff, *sides)
 
 
@@ -382,7 +378,7 @@ def homodyne_amplitude(beta: complex, x: float, lam: float) -> complex:
         beta = np.asarray(math.nan)
     if not np.isfinite(beta).all():
         raise ValueError("beta must be finite complex amplitudes")
-    _floats(x, "homodyne outcome", _FINITE)
+    x = _floats(x, "homodyne outcome", _FINITE)
     return _homodyne(beta, x, _checked(lam, "local-oscillator phase", _FINITE))
 
 
@@ -429,13 +425,6 @@ def project_quadrature(
     return unit, _scalar_or_batch(density)  # normalize(reduced), its trace known
 
 
-def _clicked(state: DyadState, mode: int) -> DyadState:
-    """The unnormalized state after a click on `mode`, that mode traced out."""
-    _check_mode(state, mode)
-    weight = _click_weight(state.ket[..., mode], state.bra[..., mode])
-    return _nonzero(_drop_mode(state, mode, state.coeff * weight))
-
-
 def _click_weight(k: np.ndarray, b: np.ndarray) -> np.ndarray:
     """tr[(1 - |0><0|) |k><b|] = <b|k> - <b|0><0|k> of each dyad, from its ket and bra amplitudes."""
     # = e^s (e^{conj(b) k} - 1) with s = -(|b|^2 + |k|^2)/2
@@ -455,7 +444,9 @@ def project_click(state: DyadState, mode: int) -> tuple[DyadState, float | np.nd
     click probability. Probability 0 is a valid return; normalizing the
     conditional state then raises.
     """
-    reduced = _clicked(state, mode)
+    _check_mode(state, mode)
+    weight = _click_weight(state.ket[..., mode], state.bra[..., mode])
+    reduced = _nonzero(_drop_mode(state, mode, state.coeff * weight))
     return reduced, _scalar_or_batch(np.maximum(_traces(reduced).real, 0.0))
 
 
@@ -474,12 +465,12 @@ def hermiticity_defect(state: DyadState) -> float:
 def purity(state: DyadState) -> float | np.ndarray:
     """Tr[rho^2] through the pairwise Gram overlaps of the dyad terms."""
     tr = _traces(_required(state, "state", DyadState)).real
-    off = np.abs(tr - 1.0) > 1e-8
+    off = ~(np.abs(tr - 1.0) <= 1e-8)  # a NaN trace is off too
     if off.any():
         raise StateFamilyError(f"purity expects a unit-trace state, trace was {_first(tr, off)!r}")
     # tr[rho^2] = sum_ij c_i c_j <b_i|k_j> <b_j|k_i>, summed elementwise so that
     # each batch member rounds as it would alone
-    cross = _gram(state.bra, state.ket)
+    cross = _overlap(state.bra[..., :, None, :], state.ket[..., None, :, :])  # <b_i|k_j>
     square = state.coeff[..., :, None] * (cross * np.swapaxes(cross, -1, -2)) * state.coeff[..., None, :]
     return _scalar_or_batch(square.sum(axis=(-2, -1)).real)
 
@@ -535,6 +526,11 @@ def extract_fraction(
             raise StateFamilyError(
                 "the two-component family collapses at alpha=0; the fraction is undefined"
             )
+    return _fraction(state, alpha, phi)
+
+
+def _fraction(state: DyadState, alpha: np.ndarray, phi: np.ndarray) -> float | np.ndarray:
+    """`extract_fraction` on float arrays alpha and phi in [0, 2 pi), one per member, unchecked."""
     beta, along, defect = _record(state, np.exp(1j * phi))
     residual = np.max(np.maximum.reduce([np.abs(beta - alpha), np.abs(along.imag), defect]), initial=0.0)
     if residual > 1e-9:
@@ -569,7 +565,9 @@ def amplifier_sim(
     The network runs in one pass over the products of the copy's terms, bit
     for bit as composing the primitives would (`tensor`, `bs_on_product`
     on modes (0, 1), the ancilla, `bs_on_product` on (0, 2), `project_click`
-    on modes 2 and 0, `normalize`, `extract_fraction`). Its stages, with
+    on modes 2 and 0, `normalize`, `extract_fraction`), and it calls their
+    own code for each step: the beam splitters' mixing, the click weight, the
+    rescaling to unit trace and the reading of the fraction. Its stages, with
     their terms for a mixed copy: the 16 products, 9 left after the
     ancilla's click, 4 after the difference's, 4 normalized; a pure or fully
     dephased copy has 4, 3, 2 and 2.
@@ -584,18 +582,13 @@ def amplifier_sim(
     i, j = _product_indices(copy.coeff.shape[-1], copy.coeff.shape[-1])
     half, ancilla = math.sqrt(0.5), np.asarray(math.sqrt(2.0) * alpha, complex)[..., None]
     amps = np.array((copy.ket[..., 0], copy.bra[..., 0]))  # [side (ket, bra), ..., term]
-    # bs_on_product's arithmetic: the copies' difference and sum, then the difference against the ancilla
-    difference, total = half * amps[..., i] - half * amps[..., j], half * amps[..., i] + half * amps[..., j]
-    ports = np.array((half * difference + half * ancilla, half * difference - half * ancilla))
-    ancilla_weight, compared_weight = _click_weight(ports[:, 0], ports[:, 1])
+    difference, total = _mix(amps[..., i], amps[..., j], half, half)
+    ports = np.array(_mix(difference, ancilla, half, half))  # [port (difference, ancilla), side, ..., term]
+    compared_weight, ancilla_weight = _click_weight(ports[:, 0], ports[:, 1])
     ancilla_click = copy.coeff[..., i] * copy.coeff[..., j] * ancilla_weight  # its probability is not needed
     first = np.flatnonzero(_kept(ancilla_click))
     both_clicks = ancilla_click[..., first] * compared_weight[..., first]
     second = _kept(both_clicks)
     joint = _derived(both_clicks[..., second], *total[..., first[second], None])
-    coincidence = np.maximum(_traces(joint).real, 0.0)  # project_click's probability
-    if np.any(coincidence < _MIN_DENSITY):
-        raise ZeroDensityError("both-click coincidence has vanishing probability")
-    conditioned = _derived(joint.coeff / coincidence[..., None], joint.ket, joint.bra)
-    out = [CssParams(math.sqrt(2.0) * a, 2.0 * f) for a, f in _pairs(alpha, phi)]
-    return extract_fraction(conditioned, out if alpha.ndim else out[0])
+    conditioned = _derived(_unit_trace_coeff(joint, "both-click coincidence has vanishing probability"), joint.ket, joint.bra)
+    return _fraction(conditioned, math.sqrt(2.0) * alpha, np.mod(2.0 * phi, TWO_PI))  # reduced exactly, as CssParams does

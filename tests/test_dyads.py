@@ -11,6 +11,7 @@ import cmath
 import math
 import random
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -98,6 +99,14 @@ class TestDyadState:
     def test_rejects_non_finite_coefficients(self, bad):
         with pytest.raises(ValueError, match="finite"):
             dy.DyadState([0.5, bad], [[1.0], [-1.0]], [[1.0], [-1.0]])
+
+    def test_amplitudes_up_to_the_square_root_of_the_largest_float(self):
+        # the overlaps square every amplitude: at the bound the trace is still 1, one ulp past it is rejected
+        bound = math.sqrt(sys.float_info.max)
+        state = dy.make_coherent(-1j * bound)
+        assert dy.trace(state) == 1.0 and dy.purity(state) == 1.0
+        with pytest.raises(ValueError, match=r"^ket and bra amplitudes must not exceed sqrt\(sys.float_info.max\)"):
+            dy.make_coherent(0.0, math.nextafter(bound, math.inf))
 
 
 class TestTermLayout:
@@ -361,6 +370,17 @@ class TestHomodyneAmplitude:
         summed = hermite_quadrature_amplitude(beta, x, lam, terms=60)
         assert abs(closed - summed) <= 1e-10
 
+    def test_outcome_arrays_give_one_call_per_element(self):
+        def hexes(values):
+            return [(z.real.hex(), z.imag.hex()) for z in map(complex, values)]
+
+        outcomes = [0.1, 0.2, -1.3]
+        for beta in (1.0, complex(0.7, -0.6)):
+            assert hexes(dy.homodyne_amplitude(beta, outcomes, 2.2)) == hexes(
+                [dy.homodyne_amplitude(beta, x, 2.2) for x in outcomes]
+            )
+        assert hexes([dy.homodyne_amplitude(1.0, "0.5", 0.0)]) == hexes([dy.homodyne_amplitude(1.0, 0.5, 0.0)])
+
 
 class TestProjectQuadrature:
     def test_vacuum_density(self):
@@ -575,6 +595,14 @@ class TestPurityAndProbes:
         with pytest.raises(StateFamilyError):
             dy.purity(bad)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_trace_rejected(self):
+        # four modes of 1e154 overflow the overlap's sum of squares: the trace is NaN
+        state = dy.make_coherent(*[1e154] * 4)
+        assert cmath.isnan(dy.trace(state))
+        with pytest.raises(StateFamilyError, match="^purity expects a unit-trace state, trace was nan$"):
+            dy.purity(state)
+
     def test_positivity_proxy_on_random_states(self):
         rng = np.random.default_rng(19)
         probes = [random_complex(rng, radius=2.5) for _ in range(32)]
@@ -732,6 +760,7 @@ def amplifier_chain(fractions, params):
 
 
 PARAMETERS = CssParams(0.5, 1.0)
+OVERFLOWING = "ket and bra amplitudes must not exceed sqrt(sys.float_info.max) in modulus"
 
 
 @pytest.mark.parametrize(
@@ -760,11 +789,20 @@ PARAMETERS = CssParams(0.5, 1.0)
         pytest.param(lambda st: dy.bs_on_product(st, (0, 2), 0.5), "modes must be an index in [0, 2), got 2", id="bs-range"),
         pytest.param(lambda st: dy.amplifier_sim(0.5 + 1j, PARAMETERS), "state fraction must lie in [0, 1], got (0.5+1j)", id="amplifier"),
         pytest.param(lambda st: dy.amplifier_sim(None, PARAMETERS), "state fraction must lie in [0, 1], got None", id="amplifier-none"),
+        pytest.param(lambda st: dy.amplifier_sim([0.5, None], [PARAMETERS] * 2), "state fraction must lie in [0, 1], got None", id="amplifier-none-element"),
+        pytest.param(
+            lambda st: dy.loss_on_dyad(dy.make_mixed([MixedCss(PARAMETERS, 0.5)] * 2), 0, [0.5, None]),
+            "loss transmittance must lie in (0, 1], got None",
+            id="loss-none-element",
+        ),
         pytest.param(lambda st: dy.make_coherent(None), "amplitudes must be finite complex numbers", id="coherent-none"),
         pytest.param(lambda st: dy.make_coherent(math.inf), "amplitudes must be finite complex numbers", id="coherent-inf"),
         pytest.param(lambda st: dy.make_coherent("a"), "amplitudes must be finite complex numbers", id="coherent-text"),
         pytest.param(lambda st: dy.DyadState([1], [[math.nan]], [[0]]), "ket and bra amplitudes must be finite", id="state-nan"),
         pytest.param(lambda st: dy.DyadState(["a"], [[1]], [[0]]), "coeff, ket and bra must be arrays of complex numbers", id="state-text"),
+        pytest.param(lambda st: dy.make_coherent(1e155), OVERFLOWING, id="coherent-1e155"),
+        pytest.param(lambda st: dy.DyadState([1], [[0]], [[1e155j]]), OVERFLOWING, id="state-1e155"),
+        pytest.param(lambda st: dy.DyadState([1], [[1.5e308 + 1.5e308j]], [[0]]), OVERFLOWING, id="state-modulus-overflows"),
     ],
 )
 def test_bad_parameters_raise_value_errors_that_name_them(call, message):
@@ -1136,7 +1174,7 @@ class TestBatchValidation:
             dy.loss_on_dyad(dy.make_coherent(0.1, 0.0), 0, [0.5, 0.5])
 
     def test_scalar_settings_agree_whatever_their_type(self):
-        # a Python float skips the array conversion; results and messages stay the same
+        # a Python float, a numpy scalar and a 0-d array give the same results and messages
         state = dy.attach_vacuum(dy.make_mixed(MixedCss(CssParams(0.8, 1.0), 0.6)))
 
         def chain(convert):

@@ -281,9 +281,9 @@ def test_batched_oracle_matches_single_draw_calls(monkeypatch):
 
 def test_each_check_is_one_array_pass(monkeypatch):
     # one projection and one record reading serve the loss, density and both
-    # detector checks; amplifier_sim reads its own, and only it extracts a
-    # fraction against a record, one of its own physics
-    log = record_calls(monkeypatch, dy, ("project_quadrature", "_record", "extract_fraction"))
+    # detector checks; amplifier_sim reads its own, and only it reads a
+    # fraction against a record (extract_fraction's `_fraction`), one of its own physics
+    log = record_calls(monkeypatch, dy, ("project_quadrature", "_record", "_fraction"))
     inside = []
     original = dy.amplifier_sim
 
@@ -295,9 +295,9 @@ def test_each_check_is_one_array_pass(monkeypatch):
 
     monkeypatch.setattr(dy, "amplifier_sim", amplifier_sim)
     verify.run_suite(200, 50)
-    assert inside == [{"project_quadrature": 0, "_record": 1, "extract_fraction": 1}]
+    assert inside == [{"project_quadrature": 0, "_record": 1, "_fraction": 1}]
     assert {name: len(calls) for name, calls in log.items()} == {
-        "project_quadrature": 1, "_record": 2, "extract_fraction": 1
+        "project_quadrature": 1, "_record": 2, "_fraction": 1
     }
 
 
