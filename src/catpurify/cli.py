@@ -142,7 +142,7 @@ def resolve_params(command: str, config_file: str | None, flags: dict[str, Any])
     for key, value in raw.items():
         try:
             params[key] = converters[key](value)
-        except (ValueError, TypeError):
+        except (TypeError, ValueError, OverflowError):
             problems.append(f"invalid value for {key}: {value!r}")
     missing = sorted(required - set(params))
     if missing:

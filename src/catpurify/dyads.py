@@ -55,7 +55,13 @@ __all__ = [
 
 _QUARTIC_ROOT_PI = math.pi ** (-0.25)
 _MIN_DENSITY = 1e-300
-_MAX_AMPLITUDE = math.sqrt(sys.float_info.max)  # the largest modulus whose square stays finite
+# The amplitude domain: each ket's and bra's norm over its modes, and each homodyne
+# outcome, at most sqrt(max)/2, so every overlap and homodyne exponent stays finite
+# (|l|^2 + |r|^2 <= max/2). Beam splitters keep the norm, and loss and projections
+# lower it: only what enters from outside (states, amplitudes, alphas, x) is checked.
+_MAX_NORM = math.sqrt(sys.float_info.max) / 2.0
+_AMPLITUDE = (0.0, _MAX_NORM, "lie in [0, sqrt(sys.float_info.max)/2]")
+_OUTCOME = (-_MAX_NORM, _MAX_NORM, "have magnitude at most sqrt(sys.float_info.max)/2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,9 +77,9 @@ class DyadState:
     Parameters that take one value per member (transmittances, outcomes)
     also take a single value for all of them.
 
-    The constructor converts what it is given and checks its shapes and that
-    every number is finite; a state that this module builds has only its
-    coefficients checked, for finiteness. Such states may share arrays, never
+    The constructor converts what it is given and checks its shapes, its
+    amplitudes (see _MAX_NORM) and that its coefficients are finite; a state
+    that this module builds has only its coefficients checked, for finiteness. Such states may share arrays, never
     changed in place, so treat them as read-only.
     """
 
@@ -83,24 +89,32 @@ class DyadState:
 
     def __post_init__(self) -> None:
         try:
-            coeff, ket, bra = (np.asarray(part, dtype=complex) for part in (self.coeff, self.ket, self.bra))
-        except (TypeError, ValueError):
-            raise ValueError("coeff, ket and bra must be arrays of complex numbers") from None
+            coeff = np.asarray(self.coeff, dtype=complex)
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError("coeff must be an array of complex numbers") from None
+        ket, bra = _amplitudes(self.ket, "ket"), _amplitudes(self.bra, "bra")
         if ket.ndim not in (2, 3) or ket.shape != bra.shape or ket.shape[-1] < 1:
-            raise ValueError(
-                "ket and bra must share one shape, [n, m] or [batch, n, m], with m >= 1 modes"
-            )
+            raise ValueError("ket and bra must share one shape, [n, m] or [batch, n, m], with m >= 1 modes")
         if coeff.shape != ket.shape[:-1]:
             raise ValueError("one coefficient per dyad and batch member is required")
-        if not (np.isfinite(ket).all() and np.isfinite(bra).all()):
-            raise ValueError("ket and bra amplitudes must be finite")
-        if (np.abs(ket) > _MAX_AMPLITUDE).any() or (np.abs(bra) > _MAX_AMPLITUDE).any():
-            raise ValueError("ket and bra amplitudes must not exceed sqrt(sys.float_info.max) in modulus")
         _derived(coeff, ket, bra, self)
 
     @property
     def mode_count(self) -> int:
         return self.ket.shape[-1]
+
+
+def _amplitudes(value, name: str) -> np.ndarray:
+    """`value` as a complex array in the amplitude domain, its last axis over modes;
+    otherwise, or where numpy cannot read it as complex, a ValueError naming `name`."""
+    try:
+        amps = np.asarray(value, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        amps = np.asarray(math.nan)
+    # hypot neither overflows nor rounds a one-mode norm; NaN fails the comparison
+    if not (np.hypot.reduce(np.atleast_1d(np.abs(amps)), axis=-1, initial=0.0) <= _MAX_NORM).all():
+        raise ValueError(f"{name} must be complex amplitudes of norm at most sqrt(sys.float_info.max)/2 over the modes")
+    return amps
 
 
 def _derived(coeff: np.ndarray, ket: np.ndarray, bra: np.ndarray, state=None) -> DyadState:
@@ -137,7 +151,7 @@ def _floats(value, name: str, domain: tuple[float, float, str]) -> np.ndarray:
     lo, hi, must = domain
     try:
         values = None if value is None or np.iscomplexobj(value) else np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         values = None
     if values is None:
         raise ValueError(f"{name} must {must}, got {value!r}")
@@ -219,13 +233,7 @@ def make_coherent(*amplitudes: complex) -> DyadState:
     Amplitude arrays, one entry per batch member, give a batch."""
     if not amplitudes:
         raise ValueError("at least one mode amplitude is required")
-    try:
-        amps = _stack_last(*np.broadcast_arrays(*amplitudes))[..., None, :]
-        finite = np.isfinite(amps).all()
-    except (TypeError, ValueError):
-        finite = False
-    if not finite:
-        raise ValueError(f"amplitudes must be finite complex numbers, or arrays of them that broadcast, got {amplitudes!r}")
+    amps = _amplitudes(np.stack(np.broadcast_arrays(*amplitudes), axis=-1), "amplitudes")[..., None, :]
     return DyadState(np.ones(amps.shape[:-1]), amps, amps)
 
 
@@ -250,6 +258,7 @@ def _mixture(p: np.ndarray, alpha: np.ndarray, phi: np.ndarray) -> DyadState:
     """p * rho_css + (1 - p) * rho_0 on the four dyads of rho_css, from float
     arrays with one entry per batch member (0-d for one state). Every
     superposition must be normalizable unless p = 0 for all of them."""
+    _floats(alpha, "alpha", _AMPLITUDE)
     phase, one = np.exp(1j * phi), np.ones_like(phi)
     # |alpha> + e^{i phi} |-alpha> unnormalized, and rho_0 as weights on its dyads
     css = _derived(
@@ -293,7 +302,7 @@ def tensor(left: DyadState, right: DyadState) -> DyadState:
         out = np.empty(coeff.shape + (a.shape[-1] + b.shape[-1],), dtype=complex)
         out[..., : a.shape[-1]] = a[..., i, :]  # assignment broadcasts an unbatched side
         out[..., a.shape[-1] :] = b[..., j, :]
-        return out
+        return _amplitudes(out, "left and right")  # the squared norms of the sides add
 
     return _derived(coeff, joined(left.ket, right.ket), joined(left.bra, right.bra))
 
@@ -372,13 +381,8 @@ def homodyne_amplitude(beta: complex, x: float, lam: float) -> complex:
     For real beta this satisfies <x_{pi/2}|-beta> =
     e^{i 2 sqrt(2) x beta} <x_{pi/2}|beta> identically.
     """
-    try:
-        beta = np.asarray(beta, dtype=complex)
-    except (TypeError, ValueError):
-        beta = np.asarray(math.nan)
-    if not np.isfinite(beta).all():
-        raise ValueError("beta must be finite complex amplitudes")
-    x = _floats(x, "homodyne outcome", _FINITE)
+    beta = _amplitudes(np.expand_dims(beta, -1), "beta")[..., 0]
+    x = _floats(x, "homodyne outcome", _OUTCOME)
     return _homodyne(beta, x, _checked(lam, "local-oscillator phase", _FINITE))
 
 
@@ -413,7 +417,7 @@ def project_quadrature(
     unnormalized result).
     """
     _check_mode(state, mode)
-    x = _per_member(state, x, "homodyne outcome", _FINITE)
+    x = _per_member(state, x, "homodyne outcome", _OUTCOME)
     sides = np.array((state.ket[..., mode], state.bra[..., mode]))
     amp_k, amp_b = _homodyne(sides, x, _checked(lam, "local-oscillator phase", _FINITE))
     reduced = _drop_mode(state, mode, state.coeff * amp_k * amp_b.conj())
@@ -576,8 +580,8 @@ def amplifier_sim(
     fraction = _floats(state_fraction, "state fraction", _UNIT)
     if fraction.shape != alpha.shape:
         raise ValueError("one state fraction per CssParams is required")
-    if (alpha <= 0.0).any():
-        raise ValueError("amplification needs alpha > 0")
+    # the network carries 2 alpha per side: two copies and the sqrt(2) alpha ancilla
+    _floats(alpha, "alpha", (math.ulp(0.0), _MAX_NORM / 2.0, "lie in (0, sqrt(sys.float_info.max)/4]"))
     copy = _mixture(fraction, alpha, phi)
     i, j = _product_indices(copy.coeff.shape[-1], copy.coeff.shape[-1])
     half, ancilla = math.sqrt(0.5), np.asarray(math.sqrt(2.0) * alpha, complex)[..., None]

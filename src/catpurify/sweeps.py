@@ -12,6 +12,7 @@ byte-identical across runs (the timestamp line is suppressed under
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, product, starmap
@@ -20,7 +21,7 @@ from typing import Callable, Mapping
 from . import analytic
 from ._version import __version__
 from .errors import ConfigError
-from .states import _FINITE, _NONNEGATIVE, _POSITIVE_UNIT, CssParams, _checked, _reduce_phase
+from .states import _FINITE, _NONNEGATIVE, _POSITIVE_UNIT, CssParams, _checked, _reduce_phase, _required
 
 __all__ = [
     "GridAxis",
@@ -46,16 +47,10 @@ class GridAxis:
     step: float
 
     def __post_init__(self) -> None:
-        try:
-            finite = all(map(math.isfinite, (self.start, self.stop, self.step)))
-        except TypeError:  # not a real number
-            finite = False
-        if not finite:
-            raise ValueError(f"grid axis {self.name!r} must be finite")
+        for end in ("start", "stop", "step"):
+            object.__setattr__(self, end, _checked(getattr(self, end), f"grid axis {self.name!r}", _FINITE))
         if self.step <= 0.0 or self.start >= self.stop:
-            raise ValueError(
-                f"grid axis {self.name!r} needs step > 0 and start < stop"
-            )
+            raise ValueError(f"grid axis {self.name!r} needs step > 0 and start < stop")
         if math.isinf((self.stop - self.start) / self.step):
             raise ValueError(f"grid axis {self.name!r} has more steps than a float can count")
         if self.count > _MAX_GRID_POINTS:
@@ -90,16 +85,8 @@ def _collection(convert, value, label: str, kind: str):
     as given."""
     try:
         return convert(value)
-    except TypeError:
-        raise ValueError(f"{label} must be {kind}, got {value!r}") from None
-
-
-def _float_row(i: int, row) -> tuple[float, ...]:
-    """Row i of a table as a tuple of floats, or a ValueError that names it."""
-    try:
-        return tuple(map(float, row))
     except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"row {i} must be a sequence of floats, got {row!r}") from None
+        raise ValueError(f"{label} must be {kind}, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -113,24 +100,20 @@ class SweepTable:
         # one type scan keeps run_sweep's tuples of floats as built
         rows = _collection(tuple, self.rows, "rows", "a sequence of rows")
         if not (set(map(type, rows)) <= {tuple} and set(map(type, chain.from_iterable(rows))) <= {float}):
-            rows = tuple(starmap(_float_row, enumerate(rows)))
+            rows = tuple(
+                _collection(lambda r: tuple(map(float, r)), row, f"row {i}", "a sequence of floats")
+                for i, row in enumerate(rows)
+            )
         width = len(columns)
         # one pass over the whole table; the rows are walked only to name
         # the first bad one
-        if not (
-            set(map(len, rows)) <= {width}
-            and all(map(math.isfinite, chain.from_iterable(rows)))
-        ):
+        if not (set(map(len, rows)) <= {width} and all(map(math.isfinite, chain.from_iterable(rows)))):
             for i, row in enumerate(rows):
                 if len(row) != width:
-                    raise ValueError(
-                        f"row {i} has {len(row)} values for {width} columns"
-                    )
+                    raise ValueError(f"row {i} has {len(row)} values for {width} columns")
                 for name, v in zip(columns, row):
                     if not math.isfinite(v):
-                        raise ValueError(
-                            f"non-finite value {v!r} in column {name!r}, row {i}"
-                        )
+                        raise ValueError(f"non-finite value {v!r} in column {name!r}, row {i}")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "metadata", _collection(dict, self.metadata, "metadata", "a mapping"))
@@ -316,7 +299,7 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
     layer. A fixed value or a grid axis end outside its parameter's domain,
     and a grid of more than a million points, are ValueErrors raised before
     any row is built; the rows then compute on the checked floats."""
-    fig = _figure(spec.figure_id)
+    fig = _figure(_required(spec, "spec", SweepSpec).figure_id)
     _validate(spec, fig)
     fixed = {
         name: _checked(v, f"{spec.figure_id}: fixed {name}", _DOMAINS[name])
@@ -350,8 +333,9 @@ def emit_csv(table: SweepTable, path: str, reproducible: bool = False) -> None:
     `name[1]` header (every column is dimensionless), then rows at 12
     significant digits with LF endings. With reproducible=True no
     timestamp line is written and the bytes depend on the table alone."""
-    lines = [f"# {key}: {value}" for key, value in table.metadata.items()]
-    if not reproducible:
+    lines = [f"# {key}: {value}" for key, value in _required(table, "table", SweepTable).metadata.items()]
+    path = _collection(os.fspath, path, "path", "a file path")
+    if not _required(reproducible, "reproducible", bool):
         stamp = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
         lines.append(f"# generated: {stamp}")
     lines.append(",".join(f"{name}[1]" for name in table.columns))

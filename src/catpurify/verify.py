@@ -176,9 +176,14 @@ _CHECKS = (
 )
 
 
-def _checked(value: object, name: str, least: int) -> int:
+_MAX_DRAWS = 10**5  # per check; the draw tables and the oracle's batches grow with it
+
+
+def _count(value: object, name: str, least: int, most: float = math.inf) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value!r}")
     return int(value)
 
 
@@ -190,9 +195,9 @@ def run_suite(
     suite's own `random.Random(seed)`; the oracle then runs one batched
     pass for the five checks on the lossy line, the detector and purity,
     and one for the amplifier."""
-    draws = _checked(draws, "draws", 1)
-    amp_draws = _checked(amp_draws, "amp_draws", 1)
-    rng = random.Random(_checked(seed, "seed", 0))
+    draws = _count(draws, "draws", 1, _MAX_DRAWS)
+    amp_draws = _count(amp_draws, "amp_draws", 1, _MAX_DRAWS)
+    rng = random.Random(_count(seed, "seed", 0))
     tables = [_draw(rng, amp_draws if name == _AMPLIFIER else draws, bounds) for name, _, bounds in _CHECKS]
     errors = [*_line_and_detector(*tables[:5]), _amplifier(tables[5])]
     # max() keeps a NaN error, so a check that produced one fails

@@ -331,6 +331,13 @@ class TestConfigFile:
             "missing required parameter(s): alpha\n"
         )
 
+    def test_integer_beyond_the_float_range_is_an_invalid_value(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"alpha": ' + "9" * 400 + ', "phi": 0, "p_in": 0.5}')
+        code, out, err = run_cli(capsys, "amplify", "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == f"error: amplify: invalid value for alpha: {'9' * 400}; missing required parameter(s): alpha\n"
+
     def test_unknown_file_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps(
@@ -551,6 +558,10 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", flag, value)
         assert code == 2 and out == ""
         assert err == f"error: {name} must be an integer >= {0 if name == 'seed' else 1}, got {value}\n"
+
+    def test_draws_beyond_the_maximum_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--draws", "1000000000000")
+        assert (code, out, err) == (2, "", "error: draws must be at most 100000, got 1000000000000\n")
 
 
 # the --help text of the top level and of every subcommand but verify
