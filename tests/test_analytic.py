@@ -994,28 +994,114 @@ class TestPurity:
             purity_mixed_css(MixedCss(CssParams(0.0, math.pi), 0.5))
 
 
-_MIX = MixedCss(CssParams(1.0, 0.0), 0.5)
+_CAT = CssParams(1.0, 0.0)
+_MIX = MixedCss(_CAT, 0.5)
 
 
 class TestRawFloatMessages:
     """The entry points that take bare floats name the offending value
-    exactly as the records do. tests/test_api_fuzz.py states the message of
-    every parameter for its pool of values; these are strings that it lacks."""
+    exactly as the records do."""
 
     @pytest.mark.parametrize(
         "call, message",
         [
+            (lambda: loss_fraction(1.5, _CAT), "transmittance must lie in (0, 1], got 1.5"),
+            (lambda: loss_fraction(math.nan, _CAT), "transmittance must lie in (0, 1], got nan"),
+            (lambda: theta_of_k(0.1, 1.0, -0.5), "reflectivity must lie in [0, 1], got -0.5"),
+            (lambda: theta_of_k(0.1, 1.0, math.nan), "reflectivity must lie in [0, 1], got nan"),
+            (
+                lambda: homodyne_density_css(0.0, _CAT, 1.5),
+                "transmittance must lie in (0, 1], got 1.5",
+            ),
+            (lambda: detection_ratio(_CAT, 0, 0.0), "transmittance must lie in (0, 1], got 0"),
+            (lambda: success_region(_CAT, 1.5), "reflectivity must lie in [0, 1], got 1.5"),
+            (lambda: optimal_k(_CAT, -0.5), "reflectivity must lie in [0, 1], got -0.5"),
+            (
+                lambda: window_acceptance(_MIX, 1.5, 0.0, 1.0),
+                "transmittance must lie in (0, 1], got 1.5",
+            ),
+            (lambda: window_acceptance(_MIX, 0.5, 0.0, -1.0), "window half-width must be >= 0, got -1.0"),
+            (lambda: concat_stages(1.5, 1.0), "fraction must lie in [0, 1], got 1.5"),
+            (lambda: concat_stages(-0.5, 1.0), "fraction must lie in [0, 1], got -0.5"),
+            (lambda: concat_stages(0.5, 0.0), "concatenation needs alpha > 0"),
+            (
+                lambda: homodyne_density_css(math.nan, _CAT, 0.5),
+                "homodyne outcome must be finite, got nan",
+            ),
+            (lambda: homodyne_density_mix(math.nan), "homodyne outcome must be finite, got nan"),
+            (lambda: theta_of_k(math.nan, 1.0, 0.5), "homodyne outcome must be finite, got nan"),
+            (
+                lambda: theta_of_k(1.0, math.nan, 0.5),
+                "amplitude must be a finite real >= 0, got nan",
+            ),
+            (lambda: detection_ratio(_CAT, 0.5, math.nan), "phase must be finite, got nan"),
+            (
+                lambda: amplification_threshold(math.nan),
+                "amplitude must be a finite real >= 0, got nan",
+            ),
+            (
+                lambda: amplification_threshold(-1.0),
+                "amplitude must be a finite real >= 0, got -1.0",
+            ),
+            (
+                lambda: window_acceptance(_MIX, 0.5, math.nan, 1.0),
+                "window center must be finite, got nan",
+            ),
             (lambda: concat_stages(0.5, "0"), "concatenation needs alpha > 0"),
+            (lambda: concat_stages(0.5, np.float64(-1.0)), "concatenation needs alpha > 0"),
             (lambda: concat_stages(0.5, "nan"), "alpha must be a finite real >= 0, got 'nan'"),
             (lambda: concat_stages(0.5, "inf"), "alpha must be a finite real >= 0, got 'inf'"),
             (lambda: window_acceptance(_MIX, 0.5, 0.0, "-1"), "window half-width must be >= 0, got '-1'"),
             (lambda: window_acceptance(_MIX, 0.5, 0.0, "nan"), "window half-width must be >= 0, got 'nan'"),
+            # a value float() rejects lies in no domain
+            (lambda: theta_of_k(None, 1.0, 0.5), "homodyne outcome must be finite, got None"),
+            (lambda: detection_ratio(_CAT, None, 0.0), "transmittance must lie in (0, 1], got None"),
+            (lambda: loss_fraction(None, _CAT), "transmittance must lie in (0, 1], got None"),
+            (lambda: success_region(_CAT, None), "reflectivity must lie in [0, 1], got None"),
+            (lambda: amplification_threshold(None), "amplitude must be a finite real >= 0, got None"),
+            (lambda: concat_stages(None, 1.0), "fraction must lie in [0, 1], got None"),
         ],
     )
     def test_exact_message(self, call, message):
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: purify(None, TapSetting(0.5)), "state must be a MixedCss, got None"),
+            (lambda: purify(_MIX, (0.5, 0.0)), "tap must be a TapSetting, got (0.5, 0.0)"),
+            (lambda: apply_loss(_MIX, 0.5), "ch must be a ChannelSetting, got 0.5"),
+            (lambda: apply_loss(_CAT, ChannelSetting(0.5)), "state must be a MixedCss, got " + repr(_CAT)),
+            (lambda: amplify((1.0, 0.5)), "state must be a MixedCss, got (1.0, 0.5)"),
+            (lambda: concat_stages(0.5, None), "alpha must be a finite real >= 0, got None"),
+            (lambda: window_acceptance(_MIX, 0.5, 0.0, None), "window half-width must be >= 0, got None"),
+        ],
+    )
+    def test_wrong_types_raise_the_parameter_error(self, call, message):
+        # no raw AttributeError or TypeError escapes: each names its parameter
+        assert _outcome(call) == (ValueError, message)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: loss_fraction(0.5, None), "params must be a CssParams, got None"),
+            (lambda: homodyne_density_css(0.0, None, 0.5), "params must be a CssParams, got None"),
+            (lambda: detection_ratio(None, 0.5, 0.0), "params must be a CssParams, got None"),
+            (lambda: success_region(None, 0.5), "params must be a CssParams, got None"),
+            (lambda: optimal_k(None, 0.5), "params must be a CssParams, got None"),
+            (lambda: window_acceptance(None, 0.5, 0.0, 1.0), "state must be a MixedCss, got None"),
+            (lambda: purity_mixed_css(None), "state must be a MixedCss, got None"),
+        ],
+        ids=[
+            "loss_fraction", "homodyne_density_css", "detection_ratio", "success_region",
+            "optimal_k", "window_acceptance", "purity_mixed_css",
+        ],
+    )
+    def test_wrong_records_raise_the_parameter_error(self, call, message):
+        # a record is checked for its type before any of its fields is read
+        assert _outcome(call) == (ValueError, message)
 
     def test_numeric_strings_and_numpy_scalars_convert(self):
         assert concat_stages(0.5, "1") == concat_stages(0.5, np.float64(1.0)) == concat_stages(0.5, 1.0)

@@ -240,6 +240,11 @@ class TestMakeStates:
         with pytest.raises(DegenerateStateError):
             cat(CssParams(0.0, math.pi))
 
+    @pytest.mark.parametrize("state", [(1.0, 0.0, 0.5), CssParams(1.0), [MixedCss(CssParams(1.0)), None]])
+    def test_wrong_record_rejected(self, state):
+        with pytest.raises(ValueError, match="^state must be a MixedCss or a sequence of them, got "):
+            dy.make_mixed(state)
+
     def test_mixture_trace_and_hermiticity(self):
         rng = np.random.default_rng(13)
         for _ in range(25):
@@ -555,6 +560,11 @@ class TestExtractFraction:
         with pytest.raises(StateFamilyError):
             dy.extract_fraction(dy.make_coherent(0.0), CssParams(0.0, 0.0))
 
+    @pytest.mark.parametrize("params", [(1.0, 0.0), MixedCss(CssParams(1.0)), None])
+    def test_wrong_record_rejected(self, params):
+        with pytest.raises(ValueError, match="^params must be a CssParams or a sequence of them, got "):
+            dy.extract_fraction(cat(CssParams(1.0)), params)
+
     @pytest.mark.parametrize("family", ["cat", "lossy", "homodyne"])
     def test_matches_the_closed_forms(self, family):
         # 40 states alone, then one batch of each size from 2 to 20
@@ -715,6 +725,12 @@ class TestAmplifierSim:
         with pytest.raises(ValueError):
             dy.amplifier_sim(0.5, CssParams(0.0, 0.0))
 
+    @pytest.mark.parametrize("params", [(0.5, 0.0), None, [CssParams(0.5), (0.5, 0.0)]])
+    def test_wrong_record_rejected(self, params):
+        fractions = [0.5, 0.5] if isinstance(params, list) else 0.5
+        with pytest.raises(ValueError, match="^params must be a CssParams or a sequence of them, got "):
+            dy.amplifier_sim(fractions, params)
+
     @pytest.mark.parametrize(
         "fractions, params",
         [
@@ -749,6 +765,58 @@ def amplifier_chain(fractions, params):
     stages.append(dy.normalize(stages[-1]))
     out = [CssParams(math.sqrt(2.0) * q.alpha, 2.0 * q.phi) for _, q in members]
     return stages, dy.extract_fraction(stages[-1], out if batched else out[0])
+
+
+PARAMETERS = CssParams(0.5, 1.0)
+OUT_OF_DOMAIN = "must be complex amplitudes of norm at most sqrt(sys.float_info.max)/2 over the modes"
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda st: dy.tensor(st, None), "right must be a DyadState, got None", id="tensor"),
+        pytest.param(lambda st: dy.normalize(None), "state must be a DyadState, got None", id="normalize"),
+        pytest.param(lambda st: dy.trace(None), "state must be a DyadState, got None", id="trace"),
+        pytest.param(lambda st: dy.attach_vacuum(None), "state must be a DyadState, got None", id="attach_vacuum"),
+        pytest.param(lambda st: dy.purity(None), "state must be a DyadState, got None", id="purity"),
+        pytest.param(lambda st: dy.hermiticity_defect(None), "state must be a DyadState, got None", id="hermiticity"),
+        pytest.param(lambda st: dy.extract_fraction(None, PARAMETERS), "state must be a DyadState, got None", id="extract"),
+        pytest.param(lambda st: dy.project_click(None, 0), "state must be a DyadState, got None", id="click-state"),
+        pytest.param(lambda st: dy.loss_on_dyad(st, 0.5, 0.9), "mode must be an index in [0, 2), got 0.5", id="loss-mode"),
+        pytest.param(lambda st: dy.loss_on_dyad(st, 0, "a"), "loss transmittance must lie in (0, 1], got 'a'", id="loss-eta"),
+        pytest.param(lambda st: dy.loss_on_dyad(st, 0, np.complex128(0.5 + 2j)), "loss transmittance must lie in (0, 1], got ", id="loss-complex"),
+        pytest.param(lambda st: dy.loss_on_dyad(st, True, 0.9), "mode must be an index in [0, 2), got True", id="loss-bool"),
+        pytest.param(lambda st: dy.project_click(st, 1.0), "mode must be an index in [0, 2), got 1.0", id="click-mode"),
+        pytest.param(lambda st: dy.project_click(st, 2), "mode must be an index in [0, 2), got 2", id="click-range"),
+        pytest.param(lambda st: dy.project_quadrature(st, "1", 0.3, 0.0), "mode must be an index in [0, 2), got '1'", id="quadrature-mode"),
+        pytest.param(lambda st: dy.project_quadrature(st, 1, 0.3, None), "local-oscillator phase must be finite, got None", id="quadrature-phase"),
+        pytest.param(lambda st: dy.homodyne_amplitude(None, 0.3, 0.0), "beta " + OUT_OF_DOMAIN, id="homodyne-beta"),
+        pytest.param(lambda st: dy.homodyne_amplitude(1.0, "a", 0.0), "homodyne outcome must have magnitude at most ", id="homodyne-x"),
+        pytest.param(lambda st: dy.bs_on_product(st, None, 0.5), "modes must be a pair of mode indices, got None", id="bs-none"),
+        pytest.param(lambda st: dy.bs_on_product(st, (0,), 0.5), "modes must be a pair of mode indices, got (0,)", id="bs-one-mode"),
+        pytest.param(lambda st: dy.bs_on_product(st, (0, 2), 0.5), "modes must be an index in [0, 2), got 2", id="bs-range"),
+        pytest.param(lambda st: dy.amplifier_sim(0.5 + 1j, PARAMETERS), "state fraction must lie in [0, 1], got (0.5+1j)", id="amplifier"),
+        pytest.param(lambda st: dy.amplifier_sim(None, PARAMETERS), "state fraction must lie in [0, 1], got None", id="amplifier-none"),
+        pytest.param(lambda st: dy.amplifier_sim([0.5, None], [PARAMETERS] * 2), "state fraction must lie in [0, 1], got None", id="amplifier-none-element"),
+        pytest.param(
+            lambda st: dy.loss_on_dyad(dy.make_mixed([MixedCss(PARAMETERS, 0.5)] * 2), 0, [0.5, None]),
+            "loss transmittance must lie in (0, 1], got None",
+            id="loss-none-element",
+        ),
+        pytest.param(lambda st: dy.make_coherent(None), "amplitudes " + OUT_OF_DOMAIN, id="coherent-none"),
+        pytest.param(lambda st: dy.make_coherent(math.inf), "amplitudes " + OUT_OF_DOMAIN, id="coherent-inf"),
+        pytest.param(lambda st: dy.make_coherent("a"), "amplitudes " + OUT_OF_DOMAIN, id="coherent-text"),
+        pytest.param(lambda st: dy.DyadState([1], [[math.nan]], [[0]]), "ket " + OUT_OF_DOMAIN, id="state-nan"),
+        pytest.param(lambda st: dy.DyadState(["a"], [[1]], [[0]]), "coeff must be an array of complex numbers", id="state-text"),
+        pytest.param(lambda st: dy.make_coherent(1e155), "amplitudes " + OUT_OF_DOMAIN, id="coherent-1e155"),
+        pytest.param(lambda st: dy.DyadState([1], [[0]], [[1e155j]]), "bra " + OUT_OF_DOMAIN, id="state-1e155"),
+        pytest.param(lambda st: dy.DyadState([1], [[1.5e308 + 1.5e308j]], [[0]]), "ket " + OUT_OF_DOMAIN, id="state-modulus-overflows"),
+    ],
+)
+def test_bad_parameters_raise_value_errors_that_name_them(call, message):
+    st = dy.attach_vacuum(dy.make_mixed(MixedCss(PARAMETERS, 0.5)))
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call(st)
 
 
 def lossy_far_cat():

@@ -160,19 +160,31 @@ def _message(call):
 
 
 class TestMessages:
-    """tests/test_api_fuzz.py states each field's message for its pool of
-    values; these are the numeric strings that it lacks, and field order."""
-
     @pytest.mark.parametrize(
         "call, message",
         [
+            (lambda: CssParams(-0.1), "alpha must be a finite real >= 0, got -0.1"),
+            (lambda: CssParams(math.inf), "alpha must be a finite real >= 0, got inf"),
             (lambda: CssParams("nan"), "alpha must be a finite real >= 0, got 'nan'"),
+            (lambda: CssParams(1.0, math.nan), "phi must be finite, got nan"),
             (lambda: CssParams(1.0, "-inf"), "phi must be finite, got '-inf'"),
+            (lambda: MixedCss(CssParams(1.0), 1.2), "fraction p must lie in [0, 1], got 1.2"),
             (lambda: MixedCss(CssParams(1.0), "nan"), "fraction p must lie in [0, 1], got 'nan'"),
+            (lambda: MixedCss(CssParams(1.0), -1), "fraction p must lie in [0, 1], got -1"),
+            (lambda: MixedCss((1.0, 0.0), 0.5), "params must be a CssParams, got (1.0, 0.0)"),
+            (lambda: TapSetting(0.0), "transmittance T must lie in (0, 1], got 0.0"),
+            (lambda: TapSetting(2), "transmittance T must lie in (0, 1], got 2"),
+            (lambda: TapSetting(0.5, math.inf), "homodyne outcome k must be finite, got inf"),
+            (
+                lambda: TapSetting(0.5, 0.0, 0.0),
+                "detector efficiency eta_H must lie in (0, 1], got 0.0",
+            ),
             (
                 lambda: TapSetting(0.5, eta_H="1.5"),
                 "detector efficiency eta_H must lie in (0, 1], got '1.5'",
             ),
+            (lambda: ChannelSetting(1.5), "channel transmittance eta must lie in (0, 1], got 1.5"),
+            (lambda: ChannelSetting(math.nan), "channel transmittance eta must lie in (0, 1], got nan"),
         ],
     )
     def test_exact_message(self, call, message):
@@ -182,6 +194,23 @@ class TestMessages:
         assert _message(lambda: CssParams(-1.0, math.nan)).startswith("alpha ")
         assert _message(lambda: TapSetting(0.0, math.inf, 0.0)).startswith("transmittance T ")
         assert _message(lambda: TapSetting(0.5, math.inf, 0.0)).startswith("homodyne outcome k ")
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: CssParams("one"), "alpha must be a finite real >= 0, got 'one'"),
+            (lambda: CssParams(None), "alpha must be a finite real >= 0, got None"),
+            (lambda: CssParams(1.0, [0.0]), "phi must be finite, got [0.0]"),
+            (lambda: CssParams(10**400), f"alpha must be a finite real >= 0, got {10**400!r}"),
+            (lambda: MixedCss(CssParams(1.0), None), "fraction p must lie in [0, 1], got None"),
+            (lambda: TapSetting(0.5, None), "homodyne outcome k must be finite, got None"),
+            (lambda: ChannelSetting(None), "channel transmittance eta must lie in (0, 1], got None"),
+        ],
+        ids=["string", "None", "list", "huge-int", "p-None", "k-None", "eta-None"],
+    )
+    def test_unconvertible_input_lies_in_no_domain(self, call, message):
+        # a value float() rejects gets its parameter's message, not float()'s
+        assert _message(call) == message
 
 
 def _parent_reduction(phi):

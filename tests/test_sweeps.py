@@ -60,6 +60,26 @@ class TestGridAxis:
         # only the count is asked for: no list of a million values is built
         assert sweeps.GridAxis("k", 1.0, 1e6, 1.0).count == 10**6
 
+    @pytest.mark.parametrize("end", ["start", "stop", "step"])
+    def test_rejects_nan(self, end):
+        ends = {"start": 0.0, "stop": 1.0, "step": 0.1, end: math.nan}
+        with pytest.raises(ValueError) as info:
+            sweeps.GridAxis("k", **ends)
+        assert str(info.value) == "grid axis 'k' must be finite, got nan"
+
+    @pytest.mark.parametrize("bad", [None, "a", 1j], ids=["None", "str", "complex"])
+    @pytest.mark.parametrize("end", ["start", "stop", "step"])
+    def test_rejects_non_numbers(self, end, bad):
+        ends = {"start": 0.0, "stop": 1.0, "step": 0.1, end: bad}
+        with pytest.raises(ValueError) as info:
+            sweeps.GridAxis("k", **ends)
+        assert str(info.value) == f"grid axis 'k' must be finite, got {bad!r}"
+
+    def test_numeric_strings_convert(self):
+        # the ends go through the records' converter, which takes what float() takes
+        axis = sweeps.GridAxis("k", "0", "1", "0.5")
+        assert (axis.start, axis.stop, axis.step) == (0.0, 1.0, 0.5)
+
 
 class TestRegistry:
     def test_known_ids(self):
@@ -166,6 +186,22 @@ class TestValidation:
     def test_rows_that_are_not_sequences_of_floats_named(self, rows, message):
         with pytest.raises(ValueError) as info:
             sweeps.SweepTable(("x",), rows, {})
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: sweeps.SweepTable(("x",), None, {}), "rows must be a sequence of rows, got None"),
+            (lambda: sweeps.SweepTable(("x",), ((1.0,),), None), "metadata must be a mapping, got None"),
+            (lambda: sweeps.SweepTable(None, ((1.0,),), {}), "columns must be a sequence of names, got None"),
+            (lambda: sweeps.SweepSpec("fig2_densities", None, ()), "fixed_params must be a mapping, got None"),
+            (lambda: sweeps.SweepSpec("fig2_densities", {}, None), "grid must be a sequence of GridAxis, got None"),
+        ],
+        ids=["table-rows", "table-metadata", "table-columns", "spec-fixed_params", "spec-grid"],
+    )
+    def test_missing_collections_named(self, build, message):
+        with pytest.raises(ValueError) as info:
+            build()
         assert str(info.value) == message
 
     def test_table_stores_float_tuples(self):

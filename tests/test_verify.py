@@ -132,6 +132,26 @@ def test_rejects_empty_suite():
         verify.run_suite(draws=10, amp_draws=0)
 
 
+@pytest.mark.parametrize(
+    "args,name",
+    [
+        ((2.5, 1), "draws"),
+        (("5", 1), "draws"),
+        ((True, 1), "draws"),
+        ((-1, 1), "draws"),
+        ((5, 1.0), "amp_draws"),
+        ((5, False), "amp_draws"),
+        ((5, 1, 1.5), "seed"),
+        ((5, 1, -3), "seed"),
+        ((5, 1, True), "seed"),
+        ((5, 1, "7"), "seed"),
+    ],
+)
+def test_rejects_bad_arguments_by_name(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        verify.run_suite(*args)
+
+
 @pytest.mark.parametrize("args, name", [((10**12, 1), "draws"), ((5, 10**12), "amp_draws")])
 def test_draw_counts_beyond_the_maximum_rejected_before_any_draw(monkeypatch, args, name):
     monkeypatch.setattr(verify, "_draw", None)  # a draw would raise TypeError
