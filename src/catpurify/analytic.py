@@ -2,12 +2,15 @@
 amplification.
 
 All functions here are pure algebra on the parameters of the mixture
-p * rho_css(alpha, phi) + (1 - p) * rho_0(alpha): linear loss keeps the
-mixture in that family, a tap-and-homodyne stage conditions the fraction
-on the outcome, and the two-copy amplifier maps the family onto itself at
-amplitude sqrt(2) alpha and phase 2 phi. Every formula is cross-validated
-against the exact dyad simulation in :mod:`catpurify.dyads` by the test
-suite and by ``catpurify verify``.
+p * rho_css(alpha, phi) + (1 - p) * rho_0(alpha), and every stage moves one
+coordinate of it, the decoherence L = ln(1 + (1 - p) N(phi, 2 alpha^2) / p):
+e^{-L} is the cross weight of the state over its diagonal weight, L = 0 is
+the pure cat and L = inf the dephased pair. A line of transmittance eta
+adds 2 (1 - eta) alpha^2 to L, a tap-and-homodyne stage conditions on its
+outcome at fixed L (its detector's missed light adds 2 (1 - eta_H) R alpha^2),
+and the two-copy amplifier doubles L at amplitude sqrt(2) alpha and phase
+2 phi. Every formula is cross-validated against the exact dyad simulation
+in :mod:`catpurify.dyads` by the test suite and by ``catpurify verify``.
 """
 
 from __future__ import annotations
@@ -57,13 +60,19 @@ def _posterior(p: float, ratio: float) -> float:
     return p / (p + ratio * (1.0 - p))
 
 
-def _surviving_fraction(phi: float, kept: float, lost: float) -> float:
-    """(1 + cos(phi) e^{-kept}) e^{-lost} / (1 + cos(phi) e^{-kept-lost}),
-    the part of a pure cat left by a loss (kept = 2 eta a^2, lost =
-    2 (1 - eta) a^2). The denominator is the numerator plus 1 - e^{-lost},
-    so the fraction never exceeds 1."""
-    survived = _pair_norm(phi, kept) * math.exp(-lost)
-    return survived / (survived - math.expm1(-lost))
+def _decoherence(p: float, norm: float) -> float:
+    """L of fraction p at pair norm `norm`: inf at p = 0, and wherever the
+    odds (1 - p) norm / p overflow (p below about 1e-308), so such a p
+    reads as 0 after any stage."""
+    return math.log1p((1.0 - p) * norm / p) if p > 0.0 else math.inf
+
+
+def _fraction_at(norm: float, L: float) -> float:
+    """p = norm / (norm + expm1(L)) at pair norm `norm`, written in e^{-L}
+    so that it holds for every L >= 0 (expm1 overflows past L ~ 709). The
+    denominator is the numerator plus 1 - e^{-L}, so p never exceeds 1."""
+    survived = norm * math.exp(-L)
+    return survived / (survived - math.expm1(-L))
 
 
 def loss_fraction(eta: float, params: CssParams) -> float:
@@ -74,34 +83,35 @@ def loss_fraction(eta: float, params: CssParams) -> float:
     / [1 + cos(phi) e^{-2 alpha^2}]; the surviving amplitude is
     sqrt(eta) alpha with the phase unchanged.
     """
-    _nonzero_norm(_required(params, "params", CssParams).alpha, params.phi)
-    eta = _checked(eta, "transmittance", _POSITIVE_UNIT)
-    a2 = params.alpha * params.alpha
-    lost = 2.0 * (1.0 - eta) * a2 if eta < 1.0 else 0.0
-    return _surviving_fraction(params.phi, 2.0 * eta * a2, lost)
+    norm = _nonzero_norm(_required(params, "params", CssParams).alpha, params.phi)
+    return _lossy(params, 1.0, norm, _checked(eta, "transmittance", _POSITIVE_UNIT))
 
 
 def apply_loss(state: MixedCss, ch: ChannelSetting) -> MixedCss:
     """Send the mixture through a lossy line.
 
-    The dephased component rho_0 maps to rho_0(sqrt(eta) alpha), so the
-    cat fraction composes multiplicatively with the pure-state fraction.
+    The dephased component rho_0 maps to rho_0(sqrt(eta) alpha), and the
+    line adds 2 (1 - eta) alpha^2 to the decoherence L of the mixture.
     """
     params = _required(state, "state", MixedCss).params
-    factor = loss_fraction(_required(ch, "ch", ChannelSetting).eta, params)
-    out_params = CssParams(math.sqrt(ch.eta) * params.alpha, params.phi)
-    return MixedCss(out_params, state.p * factor)
+    eta = _required(ch, "ch", ChannelSetting).eta
+    p = _lossy(params, state.p, _nonzero_norm(params.alpha, params.phi), eta)
+    return MixedCss(CssParams(math.sqrt(eta) * params.alpha, params.phi), p)
+
+
+def _lossy(params: CssParams, p: float, norm: float, eta: float) -> float:
+    """The fraction after a line of transmittance eta, read off L."""
+    a2 = params.alpha * params.alpha
+    lost = 2.0 * (1.0 - eta) * a2 if eta < 1.0 else 0.0
+    return _fraction_at(_pair_norm(params.phi, 2.0 * eta * a2), _decoherence(p, norm) + lost)
 
 
 def theta_of_k(k: float, alpha: float, R: float) -> float:
     """Phase shift theta = 2 sqrt(2 R) alpha k imprinted on the kept mode by
     a homodyne outcome k on the reflected arm. Reported unreduced; compare
     phases mod 2 pi. A theta beyond the float range is a ValueError."""
-    return _imprinted(
-        _checked(k, "homodyne outcome", _FINITE),
-        _checked(alpha, "amplitude", _NONNEGATIVE),
-        _checked(R, "reflectivity", _UNIT),
-    )
+    k, alpha = _checked(k, "homodyne outcome", _FINITE), _checked(alpha, "amplitude", _NONNEGATIVE)
+    return _imprinted(k, alpha, _checked(R, "reflectivity", _UNIT))
 
 
 def _theta(k: float, alpha: float, R: float) -> float:
@@ -173,16 +183,14 @@ def detection_ratio(params: CssParams, T: float, theta: float) -> float:
 
 
 def _ratio(alpha: float, phi: float, T: float, theta: float) -> float:
-    norm = _nonzero_norm(alpha, phi)
-    return _ratio_of(_kept_norm(alpha, phi, T, theta), norm)
+    return _nonzero_norm(alpha, phi) / _produced(_kept_norm(alpha, phi, T, theta))
 
 
-def _ratio_of(kept: float, norm: float) -> float:
+def _produced(kept: float) -> float:
+    """A kept norm, checked: at 0 the superposition never produces the outcome."""
     if kept <= 0.0:
-        raise ZeroDensityError(
-            "event of zero density: the superposition never produces this outcome"
-        )
-    return norm / kept
+        raise ZeroDensityError("event of zero density: the superposition never produces this outcome")
+    return kept
 
 
 def _warn_if_blind_tap(T: float) -> None:
@@ -208,13 +216,13 @@ def purify(state: MixedCss, tap: TapSetting) -> tuple[MixedCss, float, float]:
     Gaussian for every eta_H.
 
     The detector is one more linear loss, on the tapped arm, and the light
-    it misses might as well have stayed in the line: the stage is the ideal
-    conditioning behind a tap of reflectivity eta_H R, whose outcome
-    density is P_C, followed by a lossy line of transmittance
-    T / (1 - eta_H R) on the kept mode. The output has amplitude
-    sqrt(T) alpha, phase shift 2 sqrt(2 eta_H R) alpha k and a fraction in
-    [0, 1] by construction (nothing is clamped); an outcome of zero density
-    raises ZeroDensityError. At eta_H = 1 the line loss is none.
+    it misses might as well have stayed in the line: the tap, of
+    reflectivity eta_H R and outcome density P_C, keeps the decoherence L,
+    and the missed light adds 2 (1 - eta_H) R alpha^2 to it. The output has
+    amplitude sqrt(T) alpha, phase shift theta = 2 sqrt(2 eta_H R) alpha k
+    and the fraction n / (n + expm1(L)) at its pair norm n = N(phi + theta,
+    2 T alpha^2), in [0, 1] by construction. An outcome of zero density
+    raises ZeroDensityError.
     """
     params = _required(state, "state", MixedCss).params
     _warn_if_blind_tap(_required(tap, "tap", TapSetting).T)
@@ -226,15 +234,14 @@ def purify(state: MixedCss, tap: TapSetting) -> tuple[MixedCss, float, float]:
         raise _never_occurs(k)
     missed = (1.0 - tap.eta_H) * tap.R
     theta = _imprinted(k, params.alpha, tap.eta_H * tap.R)
-    kept = _kept_norm(params.alpha, params.phi, tap.T + missed, theta)
-    ratio, density_css = _ratio_of(kept, norm), _density_css(density_mix, kept, norm)
-    p = state.p
+    kept = _produced(_kept_norm(params.alpha, params.phi, tap.T + missed, theta))
+    density_css, p = _density_css(density_mix, kept, norm), state.p
     if p * density_css + (1.0 - p) * density_mix == 0.0:
         raise _never_occurs(k)
-    phi = (params.phi + theta) % TWO_PI
-    a2 = params.alpha * params.alpha
-    survived = _surviving_fraction(phi, 2.0 * tap.T * a2, 2.0 * missed * a2) if missed else 1.0
-    out = MixedCss(CssParams(math.sqrt(tap.T) * params.alpha, phi), _posterior(p, ratio) * survived)
+    # (2 missed alpha) alpha is 0, not 0 * inf, at missed = 0
+    decohered = _decoherence(p, norm) + 2.0 * missed * params.alpha * params.alpha
+    fraction = _fraction_at(_kept_norm(params.alpha, params.phi, tap.T, theta), decohered)
+    out = MixedCss(CssParams(math.sqrt(tap.T) * params.alpha, params.phi + theta), fraction)
     return out, density_css, density_mix
 
 
@@ -258,9 +265,7 @@ def success_region(params: CssParams, R: float) -> tuple[tuple[float, float], ..
     """
     R = _checked(R, "reflectivity", _UNIT)
     if _required(params, "params", CssParams).alpha <= 0.0:
-        raise DegenerateStateError(
-            "alpha=0 leaves nothing to purify; the region degenerates"
-        )
+        raise DegenerateStateError("alpha=0 leaves nothing to purify; the region degenerates")
     _nonzero_norm(params.alpha, params.phi)
     y = 2.0 * R * (params.alpha * params.alpha) if R else 0.0
     bound = math.cos(params.phi) * math.exp(-y)
@@ -270,8 +275,7 @@ def success_region(params: CssParams, R: float) -> tuple[tuple[float, float], ..
         return ((0.0, TWO_PI),)
     half_width = math.acos(bound)
     center = (-params.phi) % TWO_PI
-    lo = center - half_width
-    hi = center + half_width
+    lo, hi = center - half_width, center + half_width
     if lo < 0.0:
         pieces = ((0.0, hi), (lo + TWO_PI, TWO_PI))
     elif hi > TWO_PI:
@@ -291,16 +295,15 @@ def optimal_k(params: CssParams, R: float) -> float:
     """
     R = _checked(R, "reflectivity", _UNIT)
     if _required(params, "params", CssParams).alpha <= 0.0 or R == 0.0:
-        raise PhysicsError(
-            "no outcome can imprint a phase when alpha=0 or R=0"
-        )
+        raise PhysicsError("no outcome can imprint a phase when alpha=0 or R=0")
     target = (-params.phi) % TWO_PI
     if target > math.pi:
         target -= TWO_PI
     per_outcome = _theta(1.0, params.alpha, R)
     if math.isinf(per_outcome):  # past alpha ~ 6e307 the phase per unit outcome overflows
         return target / (2.0 * math.sqrt(2.0 * R)) / params.alpha
-    k = target / per_outcome
+    # a phase per unit outcome that underflows to 0 reaches a zero target only
+    k = target / per_outcome if per_outcome else (math.inf if target else 0.0)
     if math.isinf(k):
         raise ZeroDensityError(
             f"event of zero density: the outcome that cancels the phase at "
@@ -336,9 +339,7 @@ def _gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
 _GAUSS_LEGENDRE_20 = _gauss_legendre(20)
 
 
-def window_acceptance(
-    state: MixedCss, T: float, center: float, half_width: float
-) -> float:
+def window_acceptance(state: MixedCss, T: float, center: float, half_width: float) -> float:
     """Probability that the homodyne outcome lands in
     [center - half_width, center + half_width].
 
@@ -374,9 +375,6 @@ def window_acceptance(
     c = _theta(1.0, params.alpha, 1.0 - T)
     a2 = params.alpha * params.alpha
     kept_y = 2.0 * T * a2
-    # e^{-k^2} changes by at most e^{18} across a panel; cos(c k) enters with
-    # weight e^{-kept_y}, and until that is below e^{-40} a panel spans at
-    # most one period of it
     width = min(3.0, 9.0 / max(abs(lo), abs(hi)))
     if kept_y < 40.0 and c > 0.0:
         width = min(width, TWO_PI / c)
@@ -410,10 +408,11 @@ def amplify(state: MixedCss) -> MixedCss:
         p_out = M / (M + x (2 + x)),   x = (1-p) N / p,
 
     where N = 1 + cos(phi) e^{-2 alpha^2} and M = 1 + cos(2 phi) e^{-4 alpha^2}
-    are the pair norms of the input and the output cat. N only multiplies,
-    so a small odd cat, whose N vanishes with alpha, stays finite where N^2
-    underflows. A degenerate input or output pair raises
-    DegenerateStateError.
+    are the pair norms of the input and the output cat. x = expm1(L) for
+    the input's decoherence L, and x (2 + x) = expm1(2 L): the amplifier
+    doubles L as it doubles alpha^2. N only multiplies, so a small odd
+    cat, whose N vanishes with alpha, stays finite where N^2 underflows. A
+    degenerate input or output pair raises DegenerateStateError.
 
     The output record and the two pair norms depend on (alpha, phi) alone
     and are computed once per amplitude through a small bounded memo, so a
@@ -462,18 +461,15 @@ def concat_stages(p_in: float, alpha: float) -> tuple[float, float]:
     of an even cat: (after conditioning two copies at T=1/2, k=0; after
     `amplify` takes the copies, at alpha / sqrt(2) and phase 0, back to alpha).
 
-    The detection ratio and the record of a copy depend on alpha alone and
-    are computed once per amplitude through a small bounded memo (as are
-    `amplify`'s output record and pair norms), so a scan that holds alpha
-    while p_in varies pays for them once."""
+    As in `amplify`, the constants of an amplitude (here the detection
+    ratio and the record of a copy) come from a small bounded memo."""
     p_in = _checked(p_in, "fraction", _UNIT)
     alpha = _checked(alpha, "alpha", (-sys.float_info.max, sys.float_info.max, "be a finite real >= 0"))
     if alpha <= 0.0:
         raise ValueError("concatenation needs alpha > 0")
     ratio, copy = _concat_constants(alpha)
     p_mid = _posterior(p_in, ratio)
-    boosted = amplify(MixedCss(copy, p_mid))
-    return p_mid, boosted.p
+    return p_mid, amplify(MixedCss(copy, p_mid)).p
 
 
 @functools.lru_cache(maxsize=_AMPLITUDES_KEPT)

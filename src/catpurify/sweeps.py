@@ -76,8 +76,13 @@ class SweepSpec:
     grid: tuple[GridAxis, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fixed_params", _collection(dict, self.fixed_params, "fixed_params", "a mapping"))
-        object.__setattr__(self, "grid", _collection(tuple, self.grid, "grid", "a sequence of GridAxis"))
+        fixed = _collection(dict, self.fixed_params, "fixed_params", "a mapping")
+        for name in fixed:
+            _required(name, "fixed_params key", str)
+        as_axes = lambda grid: tuple(_required(axis, "axis", GridAxis) for axis in grid)  # noqa: E731
+        axes = _collection(as_axes, self.grid, "grid", "a sequence of GridAxis")
+        object.__setattr__(self, "fixed_params", fixed)
+        object.__setattr__(self, "grid", axes)
 
 
 def _collection(convert, value, label: str, kind: str):
@@ -170,8 +175,7 @@ def _matched_ratios(alpha, T):
 
 def _improvements(p_in, ratio0, ratio_pi):
     """p_out and p_out - p_in behind each phase-matched tap."""
-    out0 = analytic._posterior(p_in, ratio0)
-    out_pi = analytic._posterior(p_in, ratio_pi)
+    out0, out_pi = analytic._posterior(p_in, ratio0), analytic._posterior(p_in, ratio_pi)
     return out0, out0 - p_in, out_pi, out_pi - p_in
 
 

@@ -279,8 +279,9 @@ class TestPurify:
         assert out.p == pytest.approx(0.5, abs=1e-16)
 
     def test_no_missed_light_matches_the_survival_path(self):
-        # at eta_H = 1, or at T = 1 for any eta_H, the line after the tap
-        # loses nothing and its surviving fraction is exactly 1
+        # at eta_H = 1, or at T = 1 for any eta_H, no light is missed and the
+        # tap keeps L: the fraction read off L is the posterior of the
+        # detection ratio to 2.2e-16, and the rest of the output bit for bit
         rng = np.random.default_rng(28)
         for i in range(3000):
             params = CssParams(10.0 ** rng.uniform(-3.0, 1.0), rng.uniform(0.0, TWO_PI))
@@ -293,16 +294,15 @@ class TestPurify:
                 except ZeroDensityError:
                     continue
             theta = theta_of_k(k, params.alpha, 1.0 - T)
-            phi = (params.phi + theta) % TWO_PI
-            survived = analytic._surviving_fraction(phi, 2.0 * T * (params.alpha * params.alpha), 0.0)
+            posterior = analytic._posterior(p, detection_ratio(params, T, theta))
+            assert abs(out.p - posterior) <= 2.3e-16, (params, p, T, k, eta_H)
             expected = (
-                analytic._posterior(p, detection_ratio(params, T, theta)) * survived,
                 math.sqrt(T) * params.alpha,
-                CssParams(1.0, phi).phi,
+                CssParams(1.0, (params.phi + theta) % TWO_PI).phi,
                 homodyne_density_css(k, params, T),
                 homodyne_density_mix(k),
             )
-            got = (out.p, out.params.alpha, out.params.phi, density_css, density_mix)
+            got = (out.params.alpha, out.params.phi, density_css, density_mix)
             assert _hex(got) == _hex(expected), (params, p, T, k, eta_H)
 
     @pytest.mark.parametrize("condition", [purify, purify_with_inefficiency])
@@ -576,6 +576,19 @@ class TestOptimalK:
             f"R={R!r} is beyond the float range and never occurs"
         )
         # an aligned phase needs no outcome at all
+        assert optimal_k(CssParams(alpha, 0.0), R) == 0.0
+
+    @pytest.mark.parametrize("alpha, R", [(5e-324, 1e-16), (1e-320, 1e-300)])
+    def test_phase_per_outcome_underflowed_to_zero(self, alpha, R):
+        # 2 sqrt(2 R) alpha is 0 although alpha > 0 and R > 0: no outcome
+        # reaches a nonzero target, and a zero target needs none
+        assert analytic._theta(1.0, alpha, R) == 0.0
+        with pytest.raises(ZeroDensityError) as info:
+            optimal_k(CssParams(alpha, 4.5), R)
+        assert str(info.value) == (
+            f"event of zero density: the outcome that cancels the phase at alpha={alpha!r}, "
+            f"R={R!r} is beyond the float range and never occurs"
+        )
         assert optimal_k(CssParams(alpha, 0.0), R) == 0.0
 
     def test_unreachable_rejected(self):

@@ -8,10 +8,17 @@ the value, only a ValueError or a PhysicsError escapes, and no RuntimeWarning
 ending in ", got" is a validator's, and shows the value as given: the whole
 value, or the first element that is out of its domain. Every DyadState that
 a call returns has a finite trace.
+
+Changing one argument at a time cannot reach a fault that needs two extreme
+arguments at once, so a seeded composite fuzz draws every argument of the
+closed forms from pools of extreme floats together, and hand-written cases
+cover the junk sweep specs that only `run_sweep` used to reach.
 """
 
 import inspect
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -180,3 +187,75 @@ def test_one_bad_argument_at_a_time(call, args, index, prefixes, tmp_path, monke
         for part in result if isinstance(result, tuple) else (result,):
             if isinstance(part, dyads.DyadState):
                 assert np.isfinite(dyads.trace(part)).all(), value
+
+
+@pytest.mark.parametrize(
+    "fixed, grid, message",
+    [
+        ({"T": 0.5, "alpha": 1.0, "phi": 0.0}, ("a",), "grid must be a sequence of GridAxis, got ('a',)"),
+        ({"T": 0.5, "alpha": 1.0, "phi": 0.0}, None, "grid must be a sequence of GridAxis, got None"),
+        ({"T": 0.5, "alpha": 1.0, 1: 2.0}, (sweeps.GridAxis("k", -1.0, 1.0, 0.5),), "fixed_params key must be a str, got 1"),
+    ],
+    ids=["grid-of-strings", "grid-none", "fixed-int-key"],
+)
+def test_junk_sweep_spec_is_a_value_error(fixed, grid, message):
+    # each of these once reached run_sweep and raised AttributeError or TypeError there
+    with pytest.raises(ValueError) as info:
+        sweeps.run_sweep(sweeps.SweepSpec("fig2_densities", fixed, grid))
+    assert str(info.value) == message
+
+
+# Extreme floats for the composite fuzz: subnormal and huge amplitudes, phases
+# at and next to pi, reflectivities within 1e-16 of 0 and of 1, outcomes
+# about the point sqrt(-ln(5e-324)) = 27.297 where e^{-k^2} underflows, and
+# fractions at 0, at the least subnormal and at 1.
+_ALPHAS = [5e-324, 1e-320, 1e-170, 1e-160, 1e-8, 1e-3, 0.5, 1.0, 30.0, 1e154, 1e155, 1e300]
+_PHIS = [0.0, 1.0, 4.5, math.pi, math.pi - 1e-8, math.nextafter(math.pi, 0.0), 2.0 * math.pi - 1e-16]
+_FRACTIONS = [0.0, 5e-324, 1e-300, 0.5, 1.0 - 1e-16, 1.0]
+_TRANSMITTANCES = [5e-324, 1e-300, 1e-16, 1.1e-16, 0.5, 1.0 - 1e-16, 0.9999999999999999, 1.0]
+_OUTCOMES = [0.0, 1e-300, -1.5, 27.2, 27.29, 27.2972, 27.3, -27.3, 1e200]
+_EFFICIENCIES = [5e-324, 1e-16, 0.98, 1.0 - 1e-16, 1.0]
+
+
+def _closed_form_calls(rng):
+    """One call of each closed form, with arguments drawn from the pools
+    above. Each returns the fractions it computed; a call whose result is
+    not a fraction returns none, or NaN where that result breaks its own
+    bound (a finite outcome, a non-negative ratio or density)."""
+    params = CssParams(rng.choice(_ALPHAS), rng.choice(_PHIS))
+    state = MixedCss(params, rng.choice(_FRACTIONS))
+    T = rng.choice(_TRANSMITTANCES)
+    R = 1.0 - rng.choice(_TRANSMITTANCES)
+    k, eta_H = rng.choice(_OUTCOMES), rng.choice(_EFFICIENCIES)
+    return [
+        ("apply_loss", lambda: [analytic.apply_loss(state, ChannelSetting(T)).p]),
+        ("purify", lambda: [analytic.purify(state, TapSetting(T, k, eta_H))[0].p]),
+        ("amplify", lambda: [analytic.amplify(state).p]),
+        ("concat_stages", lambda: list(analytic.concat_stages(state.p, params.alpha))),
+        ("optimal_k", lambda: [] if math.isfinite(analytic.optimal_k(params, R)) else [math.nan]),
+        ("success_region", lambda: [] if analytic.success_region(params, R) is not None else [math.nan]),
+        ("detection_ratio", lambda: [] if analytic.detection_ratio(params, T, k) >= 0.0 else [math.nan]),
+        ("homodyne_density_css", lambda: [] if analytic.homodyne_density_css(k, params, T) >= 0.0 else [math.nan]),
+        ("purity_mixed_css", lambda: [analytic.purity_mixed_css(state)]),
+    ]
+
+
+def test_composite_fuzz_of_the_closed_forms():
+    # every argument of a call extreme at once: only a ValueError or a
+    # PhysicsError escapes, and every fraction (or purity) lies in [0, 1];
+    # a record that rejects a closed form's own output fails the fuzz too
+    rng = random.Random(32)
+    for draw in range(10000):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the blind tap T = 1 warns
+            for name, call in _closed_form_calls(rng):
+                try:
+                    fractions = call()
+                except PhysicsError:
+                    continue
+                except ValueError as exc:
+                    assert not str(exc).startswith("fraction p must"), (draw, name, exc)
+                    continue
+                except Exception as exc:  # a RuntimeWarning too, which pyproject.toml makes an error
+                    pytest.fail(f"draw {draw}: {name} raised {exc!r}")
+                assert all(0.0 <= f <= 1.0 for f in fractions), (draw, name, fractions)

@@ -127,6 +127,19 @@ class TestPurifyCommand:
             "alpha=1e-310, R=0.5 is beyond the float range and never occurs\n"
         )
 
+    def test_optimal_outcome_with_an_underflowed_phase_per_outcome_is_a_physics_error(self, capsys):
+        # 2 sqrt(2 R) alpha underflows to 0 at alpha = 5e-324, R = 1.1e-16
+        code, out, err = run_cli(
+            capsys,
+            "purify", "--alpha", "5e-324", "--phi", "1", "--p-in", "0.5",
+            "--T", "0.9999999999999999", "--k", "optimal",
+        )
+        assert code == 3 and out == ""
+        assert err == (
+            "physics error: event of zero density: the outcome that cancels the phase at "
+            "alpha=5e-324, R=1.1102230246251565e-16 is beyond the float range and never occurs\n"
+        )
+
     @pytest.mark.parametrize(
         "flag,value,name",
         [

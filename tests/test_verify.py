@@ -186,28 +186,30 @@ def test_draws_equal_sequential_per_draw_calls(monkeypatch):
 
 # (draws, amp_draws, seed) -> each check's max_error as float.hex, recorded
 # when each record check came to compare the whole output record read off the
-# oracle's state (the density and purity columns did not move then); the (5, 1)
-# seeds but the last are those that random.Random(11).getrandbits(32) gives
-# twelve times in a row
+# oracle's state (the density and purity columns did not move then), and
+# re-pinned in the loss, purified and inefficient-detector columns when
+# apply_loss and purify came to read their fractions off the decoherence L;
+# the (5, 1) seeds but the last are those that random.Random(11).getrandbits(32)
+# gives twelve times in a row
 PINNED_MAX_ERRORS = [
-    ((200, 50, 20260814), ('0x1.0000000000000p-51', '0x1.4000000000000p-51', '0x1.40ca4015ebbedp-48', '0x1.0000000000000p-48', '0x1.e480000000000p-43', '0x1.58a68a4a8d9f3p-51')),
-    ((5, 1, 1942955373), ('0x1.2de32c6628741p-53', '0x1.4000000000000p-52', '0x1.04760c95db310p-50', '0x1.1451937b0e741p-51', '0x1.0000000000000p-53', '0x1.854bfb363dc38p-54')),
+    ((200, 50, 20260814), ('0x1.0000000000000p-51', '0x1.4000000000000p-51', '0x1.38cad85131ac9p-48', '0x1.0000000000000p-48', '0x1.e480000000000p-43', '0x1.58a68a4a8d9f3p-51')),
+    ((5, 1, 1942955373), ('0x1.01fe03f61bad0p-53', '0x1.4000000000000p-52', '0x1.066b651a8ab0fp-50', '0x1.1451937b0e741p-51', '0x1.0000000000000p-53', '0x1.854bfb363dc38p-54')),
     ((5, 1, 3718334796), ('0x1.0000000000000p-52', '0x1.0000000000000p-54', '0x1.0000000000000p-49', '0x1.0000000000000p-51', '0x1.0000000000000p-51', '0x1.0000000000000p-52')),
-    ((5, 1, 2404204071), ('0x1.0000000000000p-52', '0x1.0000000000000p-52', '0x1.50e4a602ff9ecp-51', '0x1.804c74cf9ac9ep-51', '0x1.8000000000000p-52', '0x1.49d93405be849p-53')),
-    ((5, 1, 3680198571), ('0x1.4027fd804ff38p-52', '0x1.0000000000000p-54', '0x1.32c02ebc2dadcp-51', '0x1.c06181583d1e5p-51', '0x1.8000000000000p-52', '0x1.58a68a4a8d9f3p-52')),
+    ((5, 1, 2404204071), ('0x1.0000000000000p-52', '0x1.0000000000000p-52', '0x1.4000000000000p-51', '0x1.804c74cf9ac9ep-51', '0x1.8000000000000p-52', '0x1.49d93405be849p-53')),
+    ((5, 1, 3680198571), ('0x1.001ffe003ff60p-52', '0x1.0000000000000p-54', '0x1.32c02ebc2dadcp-51', '0x1.c06181583d1e5p-51', '0x1.8000000000000p-52', '0x1.58a68a4a8d9f3p-52')),
     ((5, 1, 3969454221), ('0x1.0000000000000p-53', '0x1.0000000000000p-52', '0x1.1e3779b97f4a8p-51', '0x1.0000000000000p-43', '0x1.0000000000000p-53', '0x1.c98f098b93ce1p-53')),
-    ((5, 1, 3355305989), ('0x1.0000000000000p-52', '0x1.0000000000000p-53', '0x1.0079e1ab4f62fp-51', '0x1.419894c2329f0p-52', '0x1.0000000000000p-52', '0x1.0000000000000p-52')),
+    ((5, 1, 3355305989), ('0x1.0000000000000p-52', '0x1.0000000000000p-53', '0x1.0079e1ab4f62fp-51', '0x1.60d13630e6115p-52', '0x1.0000000000000p-52', '0x1.0000000000000p-52')),
     ((5, 1, 1999951809), ('0x1.0000000000000p-53', '0x1.0000000000000p-52', '0x1.854bfb363dc38p-51', '0x1.001367b7297bap-51', '0x1.8000000000000p-52', '0x1.d000000000000p-53')),
-    ((5, 1, 1940605046), ('0x1.1e3779b97f4a8p-52', '0x1.0000000000000p-55', '0x1.0007f419f93b0p-52', '0x1.7da8d73aba1c4p-50', '0x1.8000000000000p-51', '0x1.39ca2c4db8b65p-54')),
+    ((5, 1, 1940605046), ('0x1.1e3779b97f4a8p-53', '0x1.0000000000000p-55', '0x1.0007f419f93b0p-52', '0x1.5a22073490377p-50', '0x1.8000000000000p-51', '0x1.39ca2c4db8b65p-54')),
     ((5, 1, 2181161661), ('0x1.0000000000000p-52', '0x1.8000000000000p-53', '0x1.8bd171a07e38ap-52', '0x1.00260f0e13e76p-50', '0x1.0000000000000p-53', '0x1.1e3779b97f4a8p-54')),
-    ((5, 1, 3672393040), ('0x1.0000000000000p-52', '0x1.0000000000000p-54', '0x1.c00cd03fa1a71p-51', '0x1.6ad552d31e5eap-50', '0x1.8000000000000p-52', '0x1.8bd171a07e38ap-52')),
+    ((5, 1, 3672393040), ('0x1.0000000000000p-52', '0x1.0000000000000p-54', '0x1.c00cd03fa1a71p-51', '0x1.8addf80d92e95p-50', '0x1.8000000000000p-52', '0x1.8bd171a07e38ap-52')),
     ((5, 1, 2522798642), ('0x1.0000000000000p-51', '0x1.0000000000000p-54', '0x1.c000c4bce77a3p-51', '0x1.2ae79842f2858p-50', '0x1.45c0000000000p-42', '0x1.485121ac5c4adp-55')),
     ((5, 1, 815623033), ('0x1.0000000000000p-52', '0x1.0000000000000p-52', '0x1.0f876ccdf6cdap-51', '0x1.07e0f66afed07p-52', '0x1.0000000000000p-52', '0x1.ab7b2267b1fb0p-56')),
-    ((37, 3, 1), ('0x1.d1ed52076fbeap-51', '0x1.0000000000000p-52', '0x1.4000279cff817p-50', '0x1.678e26e30fc22p-50', '0x1.1a00000000000p-45', '0x1.002e1bd8fd7ecp-53')),
+    ((37, 3, 1), ('0x1.09eeacab398f3p-50', '0x1.0000000000000p-52', '0x1.4000279cff817p-50', '0x1.678e26e30fc22p-50', '0x1.1a00000000000p-45', '0x1.002e1bd8fd7ecp-53')),
     # the purity check's closest call (8.15e-11) while its batch summed this draw 6e-11 away from the draw alone
-    ((5, 1, 4365), ('0x1.007fe00ff6070p-53', '0x1.0000000000000p-52', '0x1.20084be03fc2fp-51', '0x1.00008ccfb760ap-50', '0x1.a390000000000p-41', '0x1.4000000000000p-52')),
+    ((5, 1, 4365), ('0x1.4e16fdacff937p-53', '0x1.0000000000000p-52', '0x1.20084be03fc2fp-51', '0x1.00008ccfb760ap-50', '0x1.a390000000000p-41', '0x1.4000000000000p-52')),
     # the purity check's closest call over seeds 0-19,999 (6.45e-11), where dyads.purity cancels near alpha = 0, phi = pi
-    ((5, 1, 1729), ('0x1.0000000000000p-52', '0x1.0000000000000p-53', '0x1.4000000000000p-51', '0x1.3b29d7d635662p-52', '0x1.1bbc600000000p-34', '0x1.0000000000000p-52')),
+    ((5, 1, 1729), ('0x1.0000000000000p-52', '0x1.0000000000000p-53', '0x1.4000000000000p-51', '0x1.4000000000000p-52', '0x1.1bbc600000000p-34', '0x1.0000000000000p-52')),
 ]
 
 
