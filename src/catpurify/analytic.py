@@ -183,14 +183,10 @@ def detection_ratio(params: CssParams, T: float, theta: float) -> float:
 
 
 def _ratio(alpha: float, phi: float, T: float, theta: float) -> float:
-    return _nonzero_norm(alpha, phi) / _produced(_kept_norm(alpha, phi, T, theta))
-
-
-def _produced(kept: float) -> float:
-    """A kept norm, checked: at 0 the superposition never produces the outcome."""
+    norm, kept = _nonzero_norm(alpha, phi), _kept_norm(alpha, phi, T, theta)
     if kept <= 0.0:
         raise ZeroDensityError("event of zero density: the superposition never produces this outcome")
-    return kept
+    return norm / kept
 
 
 def _warn_if_blind_tap(T: float) -> None:
@@ -221,8 +217,9 @@ def purify(state: MixedCss, tap: TapSetting) -> tuple[MixedCss, float, float]:
     and the missed light adds 2 (1 - eta_H) R alpha^2 to it. The output has
     amplitude sqrt(T) alpha, phase shift theta = 2 sqrt(2 eta_H R) alpha k
     and the fraction n / (n + expm1(L)) at its pair norm n = N(phi + theta,
-    2 T alpha^2), in [0, 1] by construction. An outcome of zero density
-    raises ZeroDensityError.
+    2 T alpha^2), in [0, 1] by construction; an outcome that only the
+    dephased component produces leaves fraction 0. An outcome of zero joint
+    density raises ZeroDensityError.
     """
     params = _required(state, "state", MixedCss).params
     _warn_if_blind_tap(_required(tap, "tap", TapSetting).T)
@@ -234,13 +231,13 @@ def purify(state: MixedCss, tap: TapSetting) -> tuple[MixedCss, float, float]:
         raise _never_occurs(k)
     missed = (1.0 - tap.eta_H) * tap.R
     theta = _imprinted(k, params.alpha, tap.eta_H * tap.R)
-    kept = _produced(_kept_norm(params.alpha, params.phi, tap.T + missed, theta))
+    kept = _kept_norm(params.alpha, params.phi, tap.T + missed, theta)
     density_css, p = _density_css(density_mix, kept, norm), state.p
     if p * density_css + (1.0 - p) * density_mix == 0.0:
         raise _never_occurs(k)
     # (2 missed alpha) alpha is 0, not 0 * inf, at missed = 0
     decohered = _decoherence(p, norm) + 2.0 * missed * params.alpha * params.alpha
-    fraction = _fraction_at(_kept_norm(params.alpha, params.phi, tap.T, theta), decohered)
+    fraction = _fraction_at(_kept_norm(params.alpha, params.phi, tap.T, theta), decohered) if kept else 0.0
     out = MixedCss(CssParams(math.sqrt(tap.T) * params.alpha, params.phi + theta), fraction)
     return out, density_css, density_mix
 
@@ -418,7 +415,7 @@ def amplify(state: MixedCss) -> MixedCss:
     and are computed once per amplitude through a small bounded memo, so a
     scan that holds alpha while p varies pays for them once.
     """
-    params = _required(state, "state", MixedCss).params
+    params = (state if type(state) is MixedCss else _required(state, "state", MixedCss)).params
     if params.alpha <= 0.0:
         raise ValueError("amplification needs alpha > 0")
     out_params, norm_in, norm_out = _amplifier(params.alpha, params.phi)
@@ -463,8 +460,10 @@ def concat_stages(p_in: float, alpha: float) -> tuple[float, float]:
 
     As in `amplify`, the constants of an amplitude (here the detection
     ratio and the record of a copy) come from a small bounded memo."""
-    p_in = _checked(p_in, "fraction", _UNIT)
-    alpha = _checked(alpha, "alpha", (-sys.float_info.max, sys.float_info.max, "be a finite real >= 0"))
+    if not (type(p_in) is float and _UNIT[0] <= p_in <= _UNIT[1]):
+        p_in = _checked(p_in, "fraction", _UNIT)
+    if not (type(alpha) is float and _FINITE[0] <= alpha <= _FINITE[1]):
+        alpha = _checked(alpha, "alpha", (*_FINITE[:2], "be a finite real >= 0"))
     if alpha <= 0.0:
         raise ValueError("concatenation needs alpha > 0")
     ratio, copy = _concat_constants(alpha)

@@ -79,7 +79,7 @@ class DyadState:
 
     The constructor converts what it is given and checks its shapes, its
     amplitudes (see _MAX_NORM) and that its coefficients are finite; a state
-    that this module builds has only its coefficients checked, for finiteness. Such states may share arrays, never
+    that this module builds has only its new coefficients checked, for finiteness. Such states may share arrays, never
     changed in place, so treat them as read-only.
     """
 
@@ -118,10 +118,15 @@ def _amplitudes(value, name: str) -> np.ndarray:
 
 
 def _derived(coeff: np.ndarray, ket: np.ndarray, bra: np.ndarray, state=None) -> DyadState:
-    """A state (`state` if given) of complex arrays that match: only the coefficients are checked.
-    They are stored C-contiguous, so a batch member's sums round as the member's alone would."""
+    """`_stored` of new coefficients, which are checked first: they must be finite."""
     if not all(np.isfinite(coeff).ravel().tolist()):  # for a few terms, faster than .all()
         raise ValueError("dyad coefficients must be finite")
+    return _stored(coeff, ket, bra, state)
+
+
+def _stored(coeff: np.ndarray, ket: np.ndarray, bra: np.ndarray, state=None) -> DyadState:
+    """A state (`state` if given) of complex arrays that match, unchecked: the coefficients are checked
+    states', or parts of them. Stored C-contiguous, so a batch member's sums round as its own would."""
     state = object.__new__(DyadState) if state is None else state
     contiguous = np.ascontiguousarray
     vars(state).update(coeff=contiguous(coeff), ket=contiguous(ket), bra=contiguous(bra))
@@ -186,7 +191,7 @@ def _members(*parts: tuple[DyadState, slice]) -> DyadState:
         chosen = [getattr(state, side)[where] for state, where in parts]
         return chosen[0] if len(parts) == 1 else np.concatenate(chosen)
 
-    return _derived(joined("coeff"), joined("ket"), joined("bra"))
+    return _stored(joined("coeff"), joined("ket"), joined("bra"))
 
 
 def _kept(coeff: np.ndarray) -> np.ndarray:
@@ -199,7 +204,7 @@ def _nonzero(state: DyadState) -> DyadState:
     kept = _kept(state.coeff)
     if kept.all():
         return state
-    return _derived(state.coeff[..., kept], state.ket[..., kept, :], state.bra[..., kept, :])
+    return _stored(state.coeff[..., kept], state.ket[..., kept, :], state.bra[..., kept, :])
 
 
 def _traces(state: DyadState) -> np.ndarray:
@@ -311,7 +316,7 @@ def attach_vacuum(state: DyadState) -> DyadState:
     """Append one vacuum mode."""
     sides = np.zeros((2, *_required(state, "state", DyadState).coeff.shape, state.mode_count + 1), complex)
     sides[..., :-1] = state.ket, state.bra
-    return _derived(state.coeff, *sides)
+    return _stored(state.coeff, *sides)
 
 
 def _check_mode(state: DyadState, mode: int, name: str = "mode") -> None:
@@ -365,7 +370,7 @@ def bs_on_product(state: DyadState, modes: tuple[int, int], T: float) -> DyadSta
     T = _per_member(state, T, "transmittance", _UNIT)
     sides = np.array((state.ket, state.bra))
     sides[..., ma], sides[..., mb] = _mix(sides[..., ma], sides[..., mb], np.sqrt(T), np.sqrt(1.0 - T))
-    return _derived(state.coeff, *sides)
+    return _stored(state.coeff, *sides)
 
 
 def homodyne_amplitude(beta: complex, x: float, lam: float) -> complex:

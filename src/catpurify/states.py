@@ -96,8 +96,9 @@ def _reduce_phase(phi: float) -> float:
 
 
 # Each record declares its fields for `dataclasses` (repr, ==, hash,
-# frozenness, `replace`, `fields`) but writes its own __init__, which
-# converts, validates and stores every field once through `_checked`.
+# frozenness, `replace`, `fields`) but writes its own __init__, which stores
+# each field once: an exact float inside its domain as given, after one
+# comparison, and any other value as `_checked` converts it or raises.
 _set = object.__setattr__
 
 
@@ -119,8 +120,12 @@ class CssParams:
     phi: float = 0.0
 
     def __init__(self, alpha: float, phi: float = 0.0) -> None:
-        _set(self, "alpha", _checked(alpha, "alpha", _NONNEGATIVE))
-        _set(self, "phi", _reduce_phase(_checked(phi, "phi", _FINITE)))
+        inside = type(alpha) is float and _NONNEGATIVE[0] <= alpha <= _NONNEGATIVE[1]
+        _set(self, "alpha", alpha if inside else _checked(alpha, "alpha", _NONNEGATIVE))
+        if not (type(phi) is float and 0.0 < phi < TWO_PI):  # else phi is its own reduction
+            inside = type(phi) is float and _FINITE[0] <= phi <= _FINITE[1]
+            phi = _reduce_phase(phi if inside else _checked(phi, "phi", _FINITE))
+        _set(self, "phi", phi)
 
 
 @dataclass(frozen=True, init=False)
@@ -132,8 +137,8 @@ class MixedCss:
     p: float = 1.0
 
     def __init__(self, params: CssParams, p: float = 1.0) -> None:
-        _set(self, "params", _required(params, "params", CssParams))
-        _set(self, "p", _checked(p, "fraction p", _UNIT))
+        _set(self, "params", params if type(params) is CssParams else _required(params, "params", CssParams))
+        _set(self, "p", p if type(p) is float and _UNIT[0] <= p <= _UNIT[1] else _checked(p, "fraction p", _UNIT))
 
 
 @dataclass(frozen=True, init=False)
@@ -152,9 +157,12 @@ class TapSetting:
     eta_H: float = 1.0
 
     def __init__(self, T: float, k: float = 0.0, eta_H: float = 1.0) -> None:
-        _set(self, "T", _checked(T, "transmittance T", _POSITIVE_UNIT))
-        _set(self, "k", _checked(k, "homodyne outcome k", _FINITE))
-        _set(self, "eta_H", _checked(eta_H, "detector efficiency eta_H", _POSITIVE_UNIT))
+        inside = type(T) is float and _POSITIVE_UNIT[0] <= T <= _POSITIVE_UNIT[1]
+        _set(self, "T", T if inside else _checked(T, "transmittance T", _POSITIVE_UNIT))
+        inside = type(k) is float and _FINITE[0] <= k <= _FINITE[1]
+        _set(self, "k", k if inside else _checked(k, "homodyne outcome k", _FINITE))
+        inside = type(eta_H) is float and _POSITIVE_UNIT[0] <= eta_H <= _POSITIVE_UNIT[1]
+        _set(self, "eta_H", eta_H if inside else _checked(eta_H, "detector efficiency eta_H", _POSITIVE_UNIT))
 
     @property
     def R(self) -> float:
@@ -168,4 +176,5 @@ class ChannelSetting:
     eta: float
 
     def __init__(self, eta: float) -> None:
-        _set(self, "eta", _checked(eta, "channel transmittance eta", _POSITIVE_UNIT))
+        inside = type(eta) is float and _POSITIVE_UNIT[0] <= eta <= _POSITIVE_UNIT[1]
+        _set(self, "eta", eta if inside else _checked(eta, "channel transmittance eta", _POSITIVE_UNIT))

@@ -110,9 +110,9 @@ class SweepTable:
                 for i, row in enumerate(rows)
             )
         width = len(columns)
-        # one pass over the whole table; the rows are walked only to name
-        # the first bad one
-        if not (set(map(len, rows)) <= {width} and all(map(math.isfinite, chain.from_iterable(rows)))):
+        # a finite sum means every value is finite; otherwise the rows are
+        # walked to name the first bad value, which an overflowed sum lacks
+        if not (set(map(len, rows)) <= {width} and math.isfinite(sum(chain.from_iterable(rows)))):
             for i, row in enumerate(rows):
                 if len(row) != width:
                     raise ValueError(f"row {i} has {len(row)} values for {width} columns")

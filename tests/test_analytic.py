@@ -271,6 +271,26 @@ class TestPurify:
             purify(state, TapSetting(0.5, k))
         assert str(info.value) == "event of zero density: the outcome k=27.2 never occurs"
 
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_outcome_only_the_dephased_component_produces(self, p):
+        # 2 T alpha^2 underflows and phi + theta rounds to pi, so the kept
+        # norm is 0: the joint density is (1 - p) P_0, and where that is
+        # positive the posterior is 0
+        alpha, k = 0.5, (math.pi - 1.0) / math.sqrt(2.0)
+        tap = TapSetting(5e-324, k)
+        assert analytic._kept_norm(alpha, 1.0, tap.T, theta_of_k(k, alpha, tap.R)) == 0.0
+        state = MixedCss(CssParams(alpha, 1.0), p)
+        if p == 1.0:
+            with pytest.raises(ZeroDensityError) as info:
+                purify(state, tap)
+            assert str(info.value) == f"event of zero density: the outcome k={k!r} never occurs"
+            return
+        out, density_css, density_mix = purify(state, tap)
+        assert (out.p, density_css, density_mix) == (0.0, 0.0, homodyne_density_mix(k))
+        assert math.copysign(1.0, out.p) == math.copysign(1.0, density_css) == 1.0
+        assert (1.0 - p) * density_mix > 0.028
+        assert out.params == CssParams(math.sqrt(tap.T) * alpha, 1.0 + theta_of_k(k, alpha, tap.R))
+
     def test_blind_tap_warns_and_changes_nothing(self):
         with pytest.warns(UserWarning):
             out, _, _ = purify(

@@ -849,6 +849,42 @@ def test_derived_states_reject_non_finite_coefficients():
         dy._derived(np.array([math.nan + 0j]), np.zeros((1, 1), complex), np.zeros((1, 1), complex))
 
 
+def test_coefficients_are_checked_once(monkeypatch):
+    # an operation that keeps a checked state's coefficients, or a part of
+    # them, stores them without a second finiteness pass; every operation that
+    # makes new coefficients makes one
+    passes = 0
+    isfinite = np.isfinite
+
+    def counting(*args, **kwargs):
+        nonlocal passes
+        passes += 1
+        return isfinite(*args, **kwargs)
+
+    batch = dy.make_mixed([MixedCss(CssParams(1.0, 0.5), p) for p in (0.0, 0.3, 1.0)])
+    monkeypatch.setattr(np, "isfinite", counting)
+    kept = [
+        dy.attach_vacuum(batch),
+        dy.bs_on_product(dy.attach_vacuum(batch), (0, 1), 0.3),
+        dy._members((batch, slice(1))),
+        dy._members((batch, slice(2, None)), (batch, slice(1))),
+        dy._nonzero(dy._members((batch, slice(1)))),
+    ]
+    assert passes == 0
+    for state in kept:
+        assert all(getattr(state, side).flags.c_contiguous for side in ("coeff", "ket", "bra"))
+    new = [
+        lambda: dy.loss_on_dyad(batch, 0, 0.5),
+        lambda: dy.normalize(batch),
+        lambda: dy.tensor(batch, batch),
+        lambda: dy.project_quadrature(dy.attach_vacuum(batch), 1, 0.3, 0.0),
+    ]
+    for operation in new:
+        passes = 0
+        operation()
+        assert passes >= 1
+
+
 def random_dyads(rng, terms=7, modes=3):
     """A non-Hermitian dyad sum whose last two dyads repeat its first two."""
     distinct = terms - 2

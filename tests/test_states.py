@@ -2,7 +2,8 @@
 `dataclasses` support and the exact validation messages.
 
 These pin behaviour that callers see, independent of how the records
-store their fields.
+store their fields; `TestOneComparisonEntry` holds the records' fast entry
+for exact floats to `states._checked`, field by field.
 """
 
 import copy
@@ -11,10 +12,12 @@ import math
 import pickle
 import random
 from dataclasses import FrozenInstanceError, fields, replace
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from catpurify import ChannelSetting, CssParams, MixedCss, TapSetting
+from catpurify import ChannelSetting, CssParams, MixedCss, TapSetting, analytic, states
 
 TWO_PI = 2.0 * math.pi
 
@@ -237,3 +240,99 @@ class TestPhaseReduction:
         phases += [n * TWO_PI for n in range(-200, 201)] + [math.nextafter(0.0, -1.0), -1e-300]
         for phi in phases:
             assert CssParams(1.0, phi).phi == _parent_reduction(phi), phi
+
+
+class _Float(float):
+    """A float subclass, which no record stores as it is given."""
+
+
+def _inputs(domain):
+    """Exact floats at, one ulp past and between a domain's ends, the float
+    specials, and values of every other kind a caller might pass."""
+    lo, hi, _ = domain
+    ends = [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)]
+    floats = ends + [
+        0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-300, 0.5, 1.0, math.pi, TWO_PI,
+        math.nextafter(TWO_PI, 0.0), 7.0, -7.0, math.nan, math.inf, -math.inf,
+    ]
+    others = [
+        0, 1, -1, 2, 7, 2**1100, -(2**1100), True, False,
+        np.float64(0.5), np.float64(-0.0), np.float64(math.nan), np.float64(math.inf),
+        _Float(0.5), _Float(-0.0), _Float(math.nan), Fraction(1, 3), Fraction(-7, 2),
+        "0.5", "-0.0", "1e400", "nan", "one", "", None,
+    ]
+    return floats + others
+
+
+def _outcome(call):
+    """("value", the bits of what `call` returns, each an exact float) or
+    ("error", the ValueError's message)."""
+    try:
+        value = call()
+    except ValueError as error:
+        assert type(error) is ValueError
+        return "error", str(error)
+    return "value", [_bits(x) for x in (value if type(value) is tuple else (value,))]
+
+
+def _bits(x):
+    """A float's bits, the sign of zero included."""
+    assert type(x) is float
+    return x.hex()
+
+
+# each record field: the record built with a value there, the field, and the
+# label and domain of its check
+_FIELDS = [
+    (lambda v: CssParams(v, 1.0), "alpha", "alpha", states._NONNEGATIVE),
+    (lambda v: CssParams(1.0, v), "phi", "phi", states._FINITE),
+    (lambda v: MixedCss(CssParams(1.0), v), "p", "fraction p", states._UNIT),
+    (lambda v: TapSetting(v), "T", "transmittance T", states._POSITIVE_UNIT),
+    (lambda v: TapSetting(0.5, v), "k", "homodyne outcome k", states._FINITE),
+    (lambda v: TapSetting(0.5, 0.0, v), "eta_H", "detector efficiency eta_H", states._POSITIVE_UNIT),
+    (lambda v: ChannelSetting(v), "eta", "channel transmittance eta", states._POSITIVE_UNIT),
+]
+
+
+class TestOneComparisonEntry:
+    """A record stores an exact float inside its domain after one comparison
+    and sends every other value through `_checked`: both entries store the
+    same bits, as an exact float, and raise the same message."""
+
+    @pytest.mark.parametrize("build, field, label, domain", _FIELDS, ids=[f[1] for f in _FIELDS])
+    def test_record_field_stores_what_checked_returns(self, build, field, label, domain):
+        reduced = states._reduce_phase if field == "phi" else float
+        for value in _inputs(domain):
+            expected = _outcome(lambda: reduced(states._checked(value, label, domain)))
+            assert _outcome(lambda: getattr(build(value), field)) == expected, (field, value)
+
+    @pytest.mark.parametrize("build, field, label, domain", _FIELDS, ids=[f[1] for f in _FIELDS])
+    def test_in_domain_exact_floats_make_no_check_call(self, monkeypatch, build, field, label, domain):
+        def unexpected(*args):
+            raise AssertionError(f"a check call for {args!r}")
+
+        monkeypatch.setattr(states, "_checked", unexpected)
+        monkeypatch.setattr(states, "_required", unexpected)
+        lo, hi, _ = domain
+        for value in [v for v in (lo, hi, 0.0, -0.0, 5e-324, 0.5, TWO_PI, 7.0, -7.0) if lo <= v <= hi]:
+            stored = getattr(build(value), field)
+            # a phase outside (0, 2 pi), a zero included, is stored reduced
+            assert stored is value if field != "phi" else _bits(stored) == _bits(states._reduce_phase(value))
+
+    def test_concat_stages_inputs(self):
+        alpha_domain = (*states._FINITE[:2], "be a finite real >= 0")
+        for value in _inputs(states._UNIT):
+            expected = _outcome(lambda: analytic.concat_stages(states._checked(value, "fraction", states._UNIT), 1.0))
+            assert _outcome(lambda: analytic.concat_stages(value, 1.0)) == expected, value
+        for value in _inputs(states._NONNEGATIVE):
+            expected = _outcome(lambda: analytic.concat_stages(0.5, states._checked(value, "alpha", alpha_domain)))
+            assert _outcome(lambda: analytic.concat_stages(0.5, value)) == expected, value
+
+    def test_amplify_state(self):
+        class Sub(MixedCss):
+            pass
+
+        state = MixedCss(CssParams(1.0, 0.5), 0.5)
+        for value in [state, Sub(state.params, 0.5), state.params, (state.params, 0.5), 0.5, "state", None]:
+            expected = _outcome(lambda: analytic.amplify(states._required(value, "state", MixedCss)).p)
+            assert _outcome(lambda: analytic.amplify(value).p) == expected, value
