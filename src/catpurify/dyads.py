@@ -21,11 +21,12 @@ mixture's record (amplitude, fraction, phase) off the state's coefficients.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,6 +63,13 @@ _MIN_DENSITY = 1e-300
 _MAX_NORM = math.sqrt(sys.float_info.max) / 2.0
 _AMPLITUDE = (0.0, _MAX_NORM, "lie in [0, sqrt(sys.float_info.max)/2]")
 _OUTCOME = (-_MAX_NORM, _MAX_NORM, "have magnitude at most sqrt(sys.float_info.max)/2")
+# the four dyads of rho_css, |a><a|, |a><-a|, |-a><a| and |-a><-a|: the signs of their
+# ket and bra amplitudes, rho_0 as weights on them, and the (ket, bra) sign classes
+# ++, +-, -+, -- in which `_record` sums terms
+_KET_SIGNS = np.array([[1.0], [1.0], [-1.0], [-1.0]], dtype=complex)
+_BRA_SIGNS = np.array([[1.0], [-1.0], [1.0], [-1.0]], dtype=complex)
+_RHO0 = np.array([0.5, 0.0, 0.0, 0.5], dtype=complex)
+_SIGN_CLASSES = np.arange(4)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,11 +139,6 @@ def _stored(coeff: np.ndarray, ket: np.ndarray, bra: np.ndarray, state=None) -> 
     contiguous = np.ascontiguousarray
     vars(state).update(coeff=contiguous(coeff), ket=contiguous(ket), bra=contiguous(bra))
     return state
-
-
-def _stack_last(*parts: np.ndarray) -> np.ndarray:
-    """Equal-shape arrays of at most one (batch) axis, stacked as complex along a new last axis."""
-    return np.array(parts, dtype=complex).T
 
 
 def _scalar_or_batch(values: np.ndarray) -> complex | float | np.ndarray:
@@ -218,19 +221,25 @@ def trace(state: DyadState) -> complex | np.ndarray:
     return _scalar_or_batch(_traces(_required(state, "state", DyadState)))
 
 
-def _unit_trace_coeff(state: DyadState, vanishing: str = "cannot normalize a state of vanishing trace") -> np.ndarray:
-    """The coefficients rescaled to unit trace. Rejects states of
-    (near-)zero weight, which arise when conditioning on an impossible
-    measurement record, with the message `vanishing`."""
+def _unit_trace(state: DyadState, vanishing: Callable[[np.ndarray], str]) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients rescaled to unit trace, and each member's trace.
+    Rejects states of (near-)zero weight, which arise when conditioning on
+    an impossible measurement record, with the message that `vanishing`
+    makes of the mask of such members."""
     tr = _traces(state).real
-    if (tr < _MIN_DENSITY).any():
-        raise ZeroDensityError(vanishing)
-    return state.coeff / tr[..., None]
+    low = tr < _MIN_DENSITY
+    if low.any():
+        raise ZeroDensityError(vanishing(low))
+    return state.coeff / tr[..., None], tr
+
+
+def _cannot_normalize(low: np.ndarray) -> str:
+    return "cannot normalize a state of vanishing trace"
 
 
 def normalize(state: DyadState) -> DyadState:
     """Rescale to unit trace, term by term; rejects states of vanishing trace."""
-    return _derived(_unit_trace_coeff(_required(state, "state", DyadState)), state.ket, state.bra)
+    return _derived(_unit_trace(_required(state, "state", DyadState), _cannot_normalize)[0], state.ket, state.bra)
 
 
 def make_coherent(*amplitudes: complex) -> DyadState:
@@ -261,21 +270,20 @@ def _pairs(alpha: np.ndarray, phi: np.ndarray) -> zip:
 
 def _mixture(p: np.ndarray, alpha: np.ndarray, phi: np.ndarray) -> DyadState:
     """p * rho_css + (1 - p) * rho_0 on the four dyads of rho_css, from float
-    arrays with one entry per batch member (0-d for one state). Every
-    superposition must be normalizable unless p = 0 for all of them."""
-    _floats(alpha, "alpha", _AMPLITUDE)
-    phase, one = np.exp(1j * phi), np.ones_like(phi)
-    # |alpha> + e^{i phi} |-alpha> unnormalized, and rho_0 as weights on its dyads
-    css = _derived(
-        _stack_last(one, phase.conj(), phase, one),
-        _stack_last(alpha, alpha, -alpha, -alpha)[..., None],
-        _stack_last(alpha, -alpha, alpha, -alpha)[..., None],
-    )
-    coeff = (1.0 - p)[..., None] * np.array([0.5, 0.0, 0.0, 0.5], dtype=complex)
+    arrays with one entry per batch member (0-d for one state), alpha in
+    the amplitude domain. Every superposition must be normalizable unless
+    p = 0 for all of them."""
+    phase = np.exp(1j * phi)
+    # |alpha> + e^{i phi} |-alpha> unnormalized, whose coefficients have modulus 1
+    cross = np.ones(phi.shape + (4,), dtype=complex)
+    cross[..., 1], cross[..., 2] = phase.conj(), phase
+    amplitude = alpha[..., None, None]
+    css = _stored(cross, amplitude * _KET_SIGNS, amplitude * _BRA_SIGNS)
+    coeff = (1.0 - p)[..., None] * _RHO0
     if p.any():  # rho_0 alone needs no norm, so a degenerate pair still builds at p = 0
         for a, f in _pairs(alpha, phi):
             _nonzero_norm(a, f)
-        coeff = p[..., None] * _unit_trace_coeff(css) + coeff
+        coeff = p[..., None] * _unit_trace(css, _cannot_normalize)[0] + coeff
     return _nonzero(_derived(coeff, css.ket, css.bra))
 
 
@@ -287,11 +295,14 @@ def make_mixed(state: MixedCss | Sequence[MixedCss]) -> DyadState:
     terms of rho_css, less the cross terms where p = 0 for every member. A
     batch needs every member's superposition to be normalizable unless p = 0
     for all of them."""
-    return _mixture(*_unpack(state, "state", MixedCss, "p", "params.alpha", "params.phi"))
+    p, alpha, phi = _unpack(state, "state", MixedCss, "p", "params.alpha", "params.phi")
+    return _mixture(p, _floats(alpha, "alpha", _AMPLITUDE), phi)
 
 
+@functools.lru_cache(maxsize=4)  # the amplifier's copy has 4 terms, or 2 when pure or dephased
 def _product_indices(n_left: int, n_right: int) -> tuple[np.ndarray, np.ndarray]:
-    """The left and right term of each term of a left-major product."""
+    """The left and right term of each term of a left-major product,
+    built once per recent pair of term counts and shared, so never written to."""
     return np.divmod(np.arange(n_left * n_right), n_right)
 
 
@@ -337,14 +348,17 @@ def loss_on_dyad(state: DyadState, mode: int, eta: float) -> DyadState:
     """
     _check_mode(state, mode)
     eta = _per_member(state, eta, "loss transmittance", _POSITIVE_UNIT)
-    a1 = state.ket[..., mode]
-    a2 = state.bra[..., mode]
-    factor = np.exp(
-        -0.5 * (1.0 - eta) * (np.abs(a1) ** 2 + np.abs(a2) ** 2 - 2.0 * a1 * a2.conj())
-    )
+    factor, scale = _loss(state.ket[..., mode], state.bra[..., mode], eta)
     sides = np.array((state.ket, state.bra))
-    sides[..., mode] *= np.sqrt(eta)
+    sides[..., mode] *= scale
     return _derived(state.coeff * factor, *sides)
+
+
+def _loss(a1: np.ndarray, a2: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficient factor and the amplitude scale of loss eta on a mode
+    whose ket and bra amplitudes are a1 and a2 (see `loss_on_dyad`)."""
+    factor = np.exp(-0.5 * (1.0 - eta) * (np.abs(a1) ** 2 + np.abs(a2) ** 2 - 2.0 * a1 * a2.conj()))
+    return factor, np.sqrt(eta)
 
 
 def _mix(a: np.ndarray, b: np.ndarray, ct, cr) -> tuple[np.ndarray, np.ndarray]:
@@ -402,12 +416,11 @@ def _homodyne(beta: np.ndarray, x, lam: float) -> np.ndarray:
     )
 
 
-def _drop_mode(state: DyadState, mode: int, coeff: np.ndarray) -> DyadState:
-    """The terms with new coefficients and one mode's column removed."""
+def _other_modes(state: DyadState, mode: int) -> list[np.ndarray]:
+    """The ket and bra amplitudes with one mode's column removed."""
     if state.mode_count < 2:
         raise ValueError("projection would leave no modes; keep at least one")
-    ket, bra = (np.concatenate((s[..., :mode], s[..., mode + 1 :]), axis=-1) for s in (state.ket, state.bra))
-    return _derived(coeff, ket, bra)
+    return [np.concatenate((s[..., :mode], s[..., mode + 1 :]), axis=-1) for s in (state.ket, state.bra)]
 
 
 def project_quadrature(
@@ -423,15 +436,41 @@ def project_quadrature(
     """
     _check_mode(state, mode)
     x = _per_member(state, x, "homodyne outcome", _OUTCOME)
-    sides = np.array((state.ket[..., mode], state.bra[..., mode]))
-    amp_k, amp_b = _homodyne(sides, x, _checked(lam, "local-oscillator phase", _FINITE))
-    reduced = _drop_mode(state, mode, state.coeff * amp_k * amp_b.conj())
-    density = _traces(reduced).real
-    vanishing = density < _MIN_DENSITY
-    if vanishing.any():
-        raise ZeroDensityError(f"homodyne density vanishes at x={_first(x, vanishing[..., None])!r}")
-    unit = _derived(reduced.coeff / density[..., None], reduced.ket, reduced.bra)
-    return unit, _scalar_or_batch(density)  # normalize(reduced), its trace known
+    lam = _checked(lam, "local-oscillator phase", _FINITE)
+    measured = np.array((state.ket[..., mode], state.bra[..., mode]))
+    unit, density = _projected(state.coeff, measured, _other_modes(state, mode), x, lam)
+    return unit, _scalar_or_batch(density)
+
+
+def _projected(
+    coeff: np.ndarray, measured: np.ndarray, rest: Sequence[np.ndarray], x: np.ndarray, lam: float
+) -> tuple[DyadState, np.ndarray]:
+    """`project_quadrature` past its checks: the terms `coeff`, weighted by
+    the homodyne amplitudes at outcome x (one per member, with a trailing
+    term axis) of the measured mode's ket and bra amplitudes `measured`, on
+    the other modes' ket and bra amplitudes `rest`. Returns them rescaled to
+    unit trace, and each member's outcome density, their trace before."""
+    amp_k, amp_b = _homodyne(measured, x, lam)
+    reduced = _derived(coeff * amp_k * amp_b.conj(), *rest)
+    unit, density = _unit_trace(
+        reduced, lambda low: f"homodyne density vanishes at x={_first(x, low[..., None])!r}"
+    )
+    return _derived(unit, reduced.ket, reduced.bra), density
+
+
+def _tap(state: DyadState, T: np.ndarray, eta: np.ndarray, x: np.ndarray, lam: float) -> tuple[DyadState, np.ndarray]:
+    """The paper's tap on a one-mode state in one pass, bit for bit as the
+    chain `attach_vacuum`, `bs_on_product` on modes (0, 1) at transmittance
+    T, the detector's `loss_on_dyad` of efficiency eta on mode 1 and
+    `project_quadrature` of outcome x on mode 1. It calls their own code for
+    each step: the mixing, the loss and the projection. T, eta and x are
+    float arrays in their domains with one entry per member (0-d for one
+    state), unchecked. Returns the conditioned state and the densities."""
+    T, eta, x = T[..., None], eta[..., None], x[..., None]
+    amps = np.array((state.ket[..., 0], state.bra[..., 0]))  # [side (ket, bra), ..., term]
+    kept, tapped = _mix(amps, 0.0, np.sqrt(T), np.sqrt(1.0 - T))  # the vacuum mode's amplitude is 0
+    factor, scale = _loss(*tapped, eta)
+    return _projected(state.coeff * factor, tapped * scale, kept[..., None], x, lam)
 
 
 def _click_weight(k: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -455,7 +494,7 @@ def project_click(state: DyadState, mode: int) -> tuple[DyadState, float | np.nd
     """
     _check_mode(state, mode)
     weight = _click_weight(state.ket[..., mode], state.bra[..., mode])
-    reduced = _nonzero(_drop_mode(state, mode, state.coeff * weight))
+    reduced = _nonzero(_derived(state.coeff * weight, *_other_modes(state, mode)))
     return reduced, _scalar_or_batch(np.maximum(_traces(reduced).real, 0.0))
 
 
@@ -501,10 +540,11 @@ def _record(state: DyadState, unit: np.ndarray | None = None) -> tuple[np.ndarra
     negative = amps.real < 0.0
     spread = np.abs(np.where(negative, -amps, amps) - beta[..., None]).max(axis=-1, initial=0.0)
     pattern = 2 * negative[..., : ket.shape[-1]] + negative[..., ket.shape[-1] :]  # ++, +-, -+, -- as (ket, bra)
-    sums = (state.coeff[..., None, :] * (pattern[..., None, :] == np.arange(4)[:, None])).sum(axis=-1)
+    sums = (state.coeff[..., None, :] * (pattern[..., None, :] == _SIGN_CLASSES)).sum(axis=-1)
     d_pp, c_pm, c_mp, d_mm = sums.T
     trace = d_pp + d_mm + np.exp(-2.0 * (beta * beta)) * (c_pm + c_mp)
-    defect = np.maximum.reduce([spread, np.abs(d_pp - d_mm), np.abs(c_pm - c_mp.conj()), np.abs(trace - 1.0)])
+    defect = np.maximum(spread, np.abs(d_pp - d_mm))
+    defect = np.maximum(np.maximum(defect, np.abs(c_pm - c_mp.conj())), np.abs(trace - 1.0))
     if unit is not None:  # the ufunc: numpy's scalar `*` rounds complex products otherwise
         return beta, 1.0 + (2.0 * np.multiply(c_mp, unit.conj()) - (d_pp + d_mm).real), defect
     size = np.abs(c_mp)
@@ -541,7 +581,7 @@ def extract_fraction(
 def _fraction(state: DyadState, alpha: np.ndarray, phi: np.ndarray) -> float | np.ndarray:
     """`extract_fraction` on float arrays alpha and phi in [0, 2 pi), one per member, unchecked."""
     beta, along, defect = _record(state, np.exp(1j * phi))
-    residual = np.max(np.maximum.reduce([np.abs(beta - alpha), np.abs(along.imag), defect]), initial=0.0)
+    residual = np.max(np.maximum(np.maximum(np.abs(beta - alpha), np.abs(along.imag)), defect), initial=0.0)
     if residual > 1e-9:
         raise StateFamilyError(
             f"state outside model family: residual {residual:.3e} exceeds 1e-9"
@@ -599,5 +639,6 @@ def amplifier_sim(
     both_clicks = ancilla_click[..., first] * compared_weight[..., first]
     second = _kept(both_clicks)
     joint = _derived(both_clicks[..., second], *total[..., first[second], None])
-    conditioned = _derived(_unit_trace_coeff(joint, "both-click coincidence has vanishing probability"), joint.ket, joint.bra)
+    unit, _ = _unit_trace(joint, lambda _: "both-click coincidence has vanishing probability")
+    conditioned = _derived(unit, joint.ket, joint.bra)
     return _fraction(conditioned, math.sqrt(2.0) * alpha, np.mod(2.0 * phi, TWO_PI))  # reduced exactly, as CssParams does

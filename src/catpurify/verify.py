@@ -74,12 +74,17 @@ class CheckResult:
 _Table = dict[str, list[float]]
 
 
-def _draw(rng: random.Random, draws: int, bounds: dict[str, tuple[float, float]]) -> _Table:
-    """`draws` values of each named parameter, uniform within its bounds.
-    The table fills row by row, one rng.uniform(low, high) call per draw
-    and parameter, in the order of `bounds`."""
-    rows = [[rng.uniform(low, high) for low, high in bounds.values()] for _ in range(draws)]
-    return dict(zip(bounds, map(list, zip(*rows))))
+def _draw(rng: random.Random, draws: int, spans: dict[str, tuple[float, float]]) -> _Table:
+    """`draws` values of each named parameter, uniform within its bounds,
+    from its (low, high - low) span. The table fills row by row, from one
+    rng.random() per draw and parameter in the order of `spans`, as
+    low + (high - low) * rng.random(): the value that one
+    rng.uniform(low, high) call per draw and parameter gives."""
+    stream = [rng.random() for _ in range(draws * len(spans))]
+    return {
+        name: [low + width * u for u in stream[column :: len(spans)]]
+        for column, (name, (low, width)) in enumerate(spans.items())
+    }
 
 
 def _mixtures(drawn: _Table) -> list[MixedCss]:
@@ -114,7 +119,7 @@ def _line_and_detector(
     the chain. The tapped ones, the density check's superpositions and
     dephased pairs, then the purified and inefficient-detector draws, skip
     the line and leave at the detector, a loss of eta_H on the tapped arm,
-    with every density. Only the loss draws cross the line, and they leave
+    with every density, from one pass of the tap (`dyads._tap`). Only the loss draws cross the line, and they leave
     after it; a tap of T = 1 would move their rounding. Purity's leave
     before the line. One reading of the output records serves all but the
     density members, whose records are not checked."""
@@ -136,8 +141,7 @@ def _line_and_detector(
 
     mixed = dyads._mixture(*(np.array(_column(tapped + [lossy, pure], c)) for c in ("p", "alpha", "phi")))
     line = dyads.loss_on_dyad(dyads._members((mixed, slice(at_tap, at_line))), 0, lossy["eta"])
-    split = dyads.bs_on_product(dyads.attach_vacuum(dyads._members((mixed, slice(at_tap)))), (0, 1), T)
-    cond, density = dyads.project_quadrature(dyads.loss_on_dyad(split, 1, eta_H), 1, k, _HALF_PI)
+    cond, density = dyads._tap(dyads._members((mixed, slice(at_tap))), *map(np.array, (T, eta_H, k)), _HALF_PI)
     read = dyads._record(dyads._members((cond, slice(unchecked, None)), (line, slice(None))))
     errors = _record_errors([out for out, _, _ in detected] + outs, *read)
     errors[: len(joint)] = np.maximum(errors[: len(joint)], np.abs(density[unchecked:] - joint))
@@ -176,6 +180,9 @@ _CHECKS = (
 )
 
 
+# each check's bounds as the (low, high - low) spans that `_draw` reads
+_SPANS = [{name: (low, high - low) for name, (low, high) in bounds.items()} for _, _, bounds in _CHECKS]
+
 _MAX_DRAWS = 10**5  # per check; the draw tables and the oracle's batches grow with it
 
 
@@ -198,7 +205,8 @@ def run_suite(
     draws = _count(draws, "draws", 1, _MAX_DRAWS)
     amp_draws = _count(amp_draws, "amp_draws", 1, _MAX_DRAWS)
     rng = random.Random(_count(seed, "seed", 0))
-    tables = [_draw(rng, amp_draws if name == _AMPLIFIER else draws, bounds) for name, _, bounds in _CHECKS]
+    counts = [amp_draws if name == _AMPLIFIER else draws for name, _, _ in _CHECKS]
+    tables = [_draw(rng, count, spans) for count, spans in zip(counts, _SPANS)]
     errors = [*_line_and_detector(*tables[:5]), _amplifier(tables[5])]
     # max() keeps a NaN error, so a check that produced one fails
     results = [CheckResult(name, e.size, float(e.max()), tol) for (name, tol, _), e in zip(_CHECKS, errors)]

@@ -427,6 +427,76 @@ class TestProjectQuadrature:
             dy.project_quadrature(dy.make_coherent(1.0), 0, 0.0, HALF_PI)
 
 
+def tap_chain(state, T, eta_H, x):
+    """The paper's tap composed from the public primitives: a vacuum mode,
+    the beam splitter on modes (0, 1), the detector's loss on mode 1 and the
+    homodyne projection on mode 1 (the conditioned state and its density)."""
+    split = dy.bs_on_product(dy.attach_vacuum(state), (0, 1), T)
+    return dy.project_quadrature(dy.loss_on_dyad(split, 1, eta_H), 1, x, HALF_PI)
+
+
+class TestTapPass:
+    # e^{-x^2}/sqrt(pi), the density of the dephased pair, meets the density
+    # floor 1e-300 at |x| = 26.27; outcomes are drawn out past it
+    FLOOR = math.sqrt(-math.log(1e-300 * math.sqrt(math.pi)))
+
+    def draws(self, seed, count):
+        """(state, T, eta_H, x): alpha log-uniform up to 30, pure, dephased and
+        mixed states, T up to 1, ideal and lossy detectors, and outcomes of
+        both signs near the origin and around the density floor."""
+        rng = random.Random(seed)
+        out = []
+        for _ in range(count):
+            params = CssParams(math.exp(rng.uniform(math.log(0.02), math.log(30.0))), rng.uniform(0.0, 7.0))
+            x = rng.choice([-1.0, 1.0]) * rng.choice([rng.uniform(0.0, 3.0), rng.uniform(self.FLOOR - 2.0, self.FLOOR + 0.5)])
+            out.append((
+                MixedCss(params, rng.choice([0.0, 1.0, rng.random()])),
+                rng.choice([1.0, rng.random()]),
+                rng.choice([1.0, rng.uniform(0.01, 1.0)]),
+                x,
+            ))
+        return out
+
+    def tap(self, state, T, eta_H, x):
+        return dy._tap(state, *map(np.array, (T, eta_H, x)), HALF_PI)
+
+    def test_equals_the_public_chain_bit_for_bit(self):
+        draws = self.draws("tap-pass", 400)
+        kept, floor, vanished = [], 0, 0
+        for mixed, T, eta_H, x in draws:
+            state = dy.make_mixed(mixed)
+            try:
+                expected = tap_chain(state, T, eta_H, x)
+            except ZeroDensityError as error:
+                with pytest.raises(ZeroDensityError) as info:
+                    self.tap(state, T, eta_H, x)
+                assert str(info.value) == str(error)
+                vanished += 1
+                continue
+            got = self.tap(state, T, eta_H, x)
+            assert got[1].shape == ()
+            assert bits(got) == bits(expected), (mixed, T, eta_H, x)
+            kept.append((mixed, T, eta_H, x))
+            floor += expected[1] < 1e-290
+        # every kind of draw ran: both detectors, both signs, out to the floor
+        assert floor >= 10 and vanished >= 10
+        assert {eta_H == 1.0 for _, _, eta_H, _ in kept} == {True, False}
+        assert {x > 0.0 for _, _, _, x in kept} == {True, False}
+        batch, T, eta_H, x = (list(column) for column in zip(*kept))
+        state = dy.make_mixed(batch)
+        assert bits(self.tap(state, T, eta_H, x)) == bits(tap_chain(state, T, eta_H, x))
+
+    def test_vanishing_density_names_the_first_outcome(self):
+        # both members past the floor; the batch names the first, as the chain does
+        state = dy.make_mixed([MixedCss(CssParams(0.8, 1.0), 0.5)] * 2)
+        T, eta_H, x = [0.5, 0.5], [1.0, 0.9], [-30.0, 27.0]
+        with pytest.raises(ZeroDensityError) as chain:
+            tap_chain(state, T, eta_H, x)
+        with pytest.raises(ZeroDensityError) as info:
+            self.tap(state, T, eta_H, x)
+        assert str(info.value) == str(chain.value) == "homodyne density vanishes at x=-30.0"
+
+
 class TestProjectClick:
     def test_vacuum_probability_zero(self):
         state = dy.attach_vacuum(dy.make_coherent(0.9))
@@ -878,6 +948,7 @@ def test_coefficients_are_checked_once(monkeypatch):
         lambda: dy.normalize(batch),
         lambda: dy.tensor(batch, batch),
         lambda: dy.project_quadrature(dy.attach_vacuum(batch), 1, 0.3, 0.0),
+        lambda: dy._tap(batch, np.full(3, 0.5), np.full(3, 0.9), np.full(3, 0.3), 0.0),
     ]
     for operation in new:
         passes = 0

@@ -241,15 +241,16 @@ def test_max_error_is_the_largest_single_draw_error():
 
 def test_batched_oracle_matches_single_draw_calls(monkeypatch):
     seed, draws, amp_draws = verify.DEFAULT_SEED, 200, 50
-    log = record_calls(monkeypatch, dy, ("_record", "project_quadrature", "purity", "amplifier_sim"))
+    log = record_calls(monkeypatch, dy, ("_record", "_tap", "purity", "amplifier_sim"))
     verify.run_suite(draws, amp_draws, seed)
     monkeypatch.undo()
-    # every check equals its single calls exactly; the shared pass holds
-    # `draws` members per part: densities of the superposition, the dephased
-    # pair, the purified and the inefficient-detector draws, records of the
+    # every check equals its single calls, through the public primitives,
+    # exactly; the shared pass holds `draws` members per part: densities of
+    # the superposition, the dephased pair, the purified and the
+    # inefficient-detector draws (from the one-pass tap), records of the
     # last two and of the loss draws, then purity; the amplifier reads its
     # record last, inside its simulation
-    densities = np.split(log["project_quadrature"][0][1], 4)
+    densities = np.split(log["_tap"][0][1], 4)
     purified, inefficient, lossy = zip(*(np.split(part, 3) for part in log["_record"][0]))
     expected = sequential_draws(seed, draws, amp_draws)
 
@@ -290,10 +291,11 @@ def test_batched_oracle_matches_single_draw_calls(monkeypatch):
 
 
 def test_each_check_is_one_array_pass(monkeypatch):
-    # one projection and one record reading serve the loss, density and both
-    # detector checks; amplifier_sim reads its own, and only it reads a
-    # fraction against a record (extract_fraction's `_fraction`), one of its own physics
-    log = record_calls(monkeypatch, dy, ("project_quadrature", "_record", "_fraction"))
+    # one tap pass, with one projection, and one record reading serve the
+    # loss, density and both detector checks; amplifier_sim reads its own,
+    # and only it reads a fraction against a record (extract_fraction's
+    # `_fraction`), one of its own physics
+    log = record_calls(monkeypatch, dy, ("_tap", "project_quadrature", "_projected", "_record", "_fraction"))
     inside = []
     original = dy.amplifier_sim
 
@@ -305,21 +307,23 @@ def test_each_check_is_one_array_pass(monkeypatch):
 
     monkeypatch.setattr(dy, "amplifier_sim", amplifier_sim)
     verify.run_suite(200, 50)
-    assert inside == [{"project_quadrature": 0, "_record": 1, "_fraction": 1}]
+    assert inside == [{"_tap": 0, "project_quadrature": 0, "_projected": 0, "_record": 1, "_fraction": 1}]
     assert {name: len(calls) for name, calls in log.items()} == {
-        "project_quadrature": 1, "_record": 2, "_fraction": 1
+        "_tap": 1, "project_quadrature": 0, "_projected": 1, "_record": 2, "_fraction": 1
     }
 
 
 def test_one_mixture_batch_serves_five_checks(monkeypatch):
     # one build of six members per draw from the drawn columns, then one of
     # the amplifier's copies; purity reads its members before the line, which
-    # takes only the loss draws, and the detector the four tapped parts
-    log = record_calls(monkeypatch, dy, ("_mixture", "make_mixed", "loss_on_dyad", "purity"))
+    # takes only the loss draws, and the tap pass, with the detector's loss,
+    # the four tapped parts
+    log = record_calls(monkeypatch, dy, ("_mixture", "make_mixed", "loss_on_dyad", "_tap", "purity"))
     verify.run_suite(20, 5, 3)
     assert [state.coeff.shape[0] for state in log["_mixture"]] == [6 * 20, 5]
     assert log["make_mixed"] == []
-    assert [state.coeff.shape[0] for state in log["loss_on_dyad"]] == [20, 4 * 20]
+    assert [state.coeff.shape[0] for state in log["loss_on_dyad"]] == [20]
+    assert [(state.coeff.shape[0], len(density)) for state, density in log["_tap"]] == [(4 * 20, 4 * 20)]
     assert [len(values) for values in log["purity"]] == [20]
 
 
