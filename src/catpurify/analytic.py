@@ -5,12 +5,15 @@ All functions here are pure algebra on the parameters of the mixture
 p * rho_css(alpha, phi) + (1 - p) * rho_0(alpha), and every stage moves one
 coordinate of it, the decoherence L = ln(1 + (1 - p) N(phi, 2 alpha^2) / p):
 e^{-L} is the cross weight of the state over its diagonal weight, L = 0 is
-the pure cat and L = inf the dephased pair. A line of transmittance eta
-adds 2 (1 - eta) alpha^2 to L, a tap-and-homodyne stage conditions on its
-outcome at fixed L (its detector's missed light adds 2 (1 - eta_H) R alpha^2),
+the pure cat and L = inf the dephased pair. The code carries L as its odds
+x = expm1(L) = (1 - p) N / p and never takes the logarithm. A line of
+transmittance eta adds d = 2 (1 - eta) alpha^2 to L, x -> x e^d + expm1(d);
+a tap-and-homodyne stage conditions on its outcome at fixed L, x -> x (its
+detector's missed light adds d = 2 (1 - eta_H) R alpha^2 as a line does);
 and the two-copy amplifier doubles L at amplitude sqrt(2) alpha and phase
-2 phi. Every formula is cross-validated against the exact dyad simulation
-in :mod:`catpurify.dyads` by the test suite and by ``catpurify verify``.
+2 phi, x -> x (2 + x). Every formula is cross-validated against the exact
+dyad simulation in :mod:`catpurify.dyads` by the test suite and by
+``catpurify verify``.
 """
 
 from __future__ import annotations
@@ -60,19 +63,20 @@ def _posterior(p: float, ratio: float) -> float:
     return p / (p + ratio * (1.0 - p))
 
 
-def _decoherence(p: float, norm: float) -> float:
-    """L of fraction p at pair norm `norm`: inf at p = 0, and wherever the
-    odds (1 - p) norm / p overflow (p below about 1e-308), so such a p
-    reads as 0 after any stage."""
-    return math.log1p((1.0 - p) * norm / p) if p > 0.0 else math.inf
+def _odds(p: float, norm: float) -> float:
+    """x = expm1(L) = (1 - p) norm / p of fraction p at pair norm `norm`:
+    inf at p = 0, and wherever the odds overflow (p below about 1e-308),
+    so such a p reads as 0 after any stage."""
+    return (1.0 - p) * norm / p if p > 0.0 else math.inf
 
 
-def _fraction_at(norm: float, L: float) -> float:
-    """p = norm / (norm + expm1(L)) at pair norm `norm`, written in e^{-L}
-    so that it holds for every L >= 0 (expm1 overflows past L ~ 709). The
-    denominator is the numerator plus 1 - e^{-L}, so p never exceeds 1."""
-    survived = norm * math.exp(-L)
-    return survived / (survived - math.expm1(-L))
+def _fraction_at(norm: float, x: float, lost: float) -> float:
+    """p = norm / (norm + expm1(L + lost)) at pair norm `norm`, for odds
+    x = expm1(L) and an added decoherence lost >= 0. Written over e^{-lost},
+    p = n e^{-lost} / (n e^{-lost} + x - expm1(-lost)): exactly n / (n + x)
+    at lost = 0, with no overflow at any lost, and never above 1."""
+    survived = norm * math.exp(-lost)
+    return survived / (survived + x - math.expm1(-lost))
 
 
 def loss_fraction(eta: float, params: CssParams) -> float:
@@ -100,10 +104,10 @@ def apply_loss(state: MixedCss, ch: ChannelSetting) -> MixedCss:
 
 
 def _lossy(params: CssParams, p: float, norm: float, eta: float) -> float:
-    """The fraction after a line of transmittance eta, read off L."""
+    """The fraction after a line of transmittance eta, which adds 2 (1 - eta) alpha^2 to L."""
     a2 = params.alpha * params.alpha
     lost = 2.0 * (1.0 - eta) * a2 if eta < 1.0 else 0.0
-    return _fraction_at(_pair_norm(params.phi, 2.0 * eta * a2), _decoherence(p, norm) + lost)
+    return _fraction_at(_pair_norm(params.phi, 2.0 * eta * a2), _odds(p, norm), lost)
 
 
 def theta_of_k(k: float, alpha: float, R: float) -> float:
@@ -236,8 +240,8 @@ def purify(state: MixedCss, tap: TapSetting) -> tuple[MixedCss, float, float]:
     if p * density_css + (1.0 - p) * density_mix == 0.0:
         raise _never_occurs(k)
     # (2 missed alpha) alpha is 0, not 0 * inf, at missed = 0
-    decohered = _decoherence(p, norm) + 2.0 * missed * params.alpha * params.alpha
-    fraction = _fraction_at(_kept_norm(params.alpha, params.phi, tap.T, theta), decohered) if kept else 0.0
+    lost = 2.0 * missed * params.alpha * params.alpha
+    fraction = _fraction_at(_kept_norm(params.alpha, params.phi, tap.T, theta), _odds(p, norm), lost) if kept else 0.0
     out = MixedCss(CssParams(math.sqrt(tap.T) * params.alpha, params.phi + theta), fraction)
     return out, density_css, density_mix
 
@@ -419,8 +423,7 @@ def amplify(state: MixedCss) -> MixedCss:
     if params.alpha <= 0.0:
         raise ValueError("amplification needs alpha > 0")
     out_params, norm_in, norm_out = _amplifier(params.alpha, params.phi)
-    p = state.p
-    x = (1.0 - p) * norm_in / p if p > 0.0 else math.inf
+    x = _odds(state.p, norm_in)
     return MixedCss(out_params, norm_out / (norm_out + x * (2.0 + x)))
 
 

@@ -173,23 +173,22 @@ def _matched_ratios(alpha, T):
     return analytic._ratio(alpha, 0.0, T, 0.0), analytic._ratio(alpha, math.pi, T, math.pi), k_pi
 
 
-def _improvements(p_in, ratio0, ratio_pi):
-    """p_out and p_out - p_in behind each phase-matched tap."""
+def _improvements(p_in, ratio0, ratio_pi, k_pi):
+    """p_out and p_out - p_in behind each phase-matched tap, then the
+    degenerate flag: 1.0 where the phase-pi outcome k_pi never occurs (its
+    e^{-k^2} is 0, and purify would refuse it), else 0.0. The phase-pi
+    fraction of such a row is the limit its ratio gives."""
     out0, out_pi = analytic._posterior(p_in, ratio0), analytic._posterior(p_in, ratio_pi)
-    return out0, out0 - p_in, out_pi, out_pi - p_in
+    return out0, out0 - p_in, out_pi, out_pi - p_in, float(analytic._gaussian(k_pi) == 0.0)
 
 
 def _pout_vs_pin(T, alpha):
-    ratio0, ratio_pi, _ = _matched_ratios(alpha, T)
-    return lambda p_in: (p_in, *_improvements(p_in, ratio0, ratio_pi))
+    matched = _matched_ratios(alpha, T)
+    return lambda p_in: (p_in, *_improvements(p_in, *matched))
 
 
 def _pout_vs_alpha(T, p_in):
-    def row(alpha):
-        ratio0, ratio_pi, _ = _matched_ratios(alpha, T)
-        return (alpha, *_improvements(p_in, ratio0, ratio_pi))
-
-    return row
+    return lambda alpha: (alpha, *_improvements(p_in, *_matched_ratios(alpha, T)))
 
 
 def _gain_density_vs_T(alpha, p_in):
@@ -199,16 +198,12 @@ def _gain_density_vs_T(alpha, p_in):
             # the favorable outcome recedes to k -> inf: the phase-pi tap
             # still shows the limiting gain but the event has density 0;
             # the blind phi=0 tap leaves the fraction as it is
-            ratio0, ratio_pi = 1.0, analytic._ratio(alpha, math.pi, T, math.pi)
-            density_pi = 0.0
+            ratio0, ratio_pi, k_pi = 1.0, analytic._ratio(alpha, math.pi, T, math.pi), math.inf
         else:
             ratio0, ratio_pi, k_pi = _matched_ratios(alpha, T)
-            density_pi = analytic._homodyne_density(k_pi, alpha, math.pi, T)
-        out0, _, out_pi, _ = _improvements(p_in, ratio0, ratio_pi)
-        return (
-            T, out0, out0 / p_in, density0,
-            out_pi, out_pi / p_in, density_pi, float(T == 1.0),
-        )
+        out0, _, out_pi, _, degenerate = _improvements(p_in, ratio0, ratio_pi, k_pi)
+        density_pi = analytic._homodyne_density(k_pi, alpha, math.pi, T)
+        return T, out0, out0 / p_in, density0, out_pi, out_pi / p_in, density_pi, degenerate
 
     return row
 
@@ -220,7 +215,7 @@ def _concat_row(alpha, p_in):
 
 _K = GridAxis("k", -4.0, 4.0, 0.01)
 _ALPHA = GridAxis("alpha", 0.05, 2.0, 0.01)
-_IMPROVEMENTS = "p_out_phi0 improvement_phi0 p_out_phipi improvement_phipi"
+_IMPROVEMENTS = "p_out_phi0 improvement_phi0 p_out_phipi improvement_phipi degenerate"
 
 _FIGURES: dict[str, _Figure] = {
     "fig2_densities": _Figure(

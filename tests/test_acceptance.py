@@ -172,12 +172,14 @@ def test_criterion_5_structural_identities():
         )
 
     norm_err = 0.0
-    for alpha, phi, T in [(1.0, 0.0, 0.5), (1.0, math.pi, 0.5), (0.6, 2.4, 0.8)]:
-        params = CssParams(alpha, phi)
-        total = float(mpmath.quad(lambda k: homodyne_density_css(k, params, T), [-12.0, 12.0]))
+    # 15 digits whatever precision an imported module set for the session
+    with mpmath.workdps(15):
+        for alpha, phi, T in [(1.0, 0.0, 0.5), (1.0, math.pi, 0.5), (0.6, 2.4, 0.8)]:
+            params = CssParams(alpha, phi)
+            total = float(mpmath.quad(lambda k: homodyne_density_css(k, params, T), [-12.0, 12.0]))
+            norm_err = max(norm_err, abs(total - 1.0))
+        total = float(mpmath.quad(homodyne_density_mix, [-12.0, 12.0]))
         norm_err = max(norm_err, abs(total - 1.0))
-    total = float(mpmath.quad(homodyne_density_mix, [-12.0, 12.0]))
-    norm_err = max(norm_err, abs(total - 1.0))
 
     phase_err = 0.0
     for _ in range(100):

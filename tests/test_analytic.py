@@ -8,6 +8,7 @@ they pin the formulas against silent regressions.
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -45,7 +46,17 @@ from catpurify.errors import (
 )
 from catpurify.states import _pair_norm
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import refs  # noqa: E402  (the benchmark's 50-digit references, read only)
+
 TWO_PI = 2.0 * math.pi
+
+
+def _integral(density) -> float:
+    """The integral of a density over [-12, 12] by mpmath.quad at 15 digits,
+    whatever precision an imported module set for the session (refs sets 50)."""
+    with mpmath.workdps(15):
+        return float(mpmath.quad(density, [-12.0, 12.0]))
 
 
 class TestStates:
@@ -150,11 +161,11 @@ class TestDensities:
     )
     def test_css_density_normalized(self, alpha, phi, T):
         params = CssParams(alpha, phi)
-        total = float(mpmath.quad(lambda k: homodyne_density_css(k, params, T), [-12.0, 12.0]))
+        total = _integral(lambda k: homodyne_density_css(k, params, T))
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_mix_density_normalized(self):
-        total = float(mpmath.quad(homodyne_density_mix, [-12.0, 12.0]))
+        total = _integral(homodyne_density_mix)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_degenerate_rejected(self):
@@ -378,16 +389,6 @@ class TestPurifyWithInefficiency:
         )
 
 
-def _loss_fraction_mp(eta, alpha, phi):
-    """The surviving fraction of a pure cat at 50 digits, from the float inputs."""
-    with mpmath.workdps(50):
-        a2 = mpmath.mpf(alpha) ** 2
-        cos_phi = mpmath.cos(mpmath.mpf(phi))
-        kept = 1 + cos_phi * mpmath.exp(-2 * mpmath.mpf(eta) * a2)
-        original = 1 + cos_phi * mpmath.exp(-2 * a2)
-        return kept / original * mpmath.exp(-2 * (1 - mpmath.mpf(eta)) * a2)
-
-
 def _amplify_mp(alpha, phi, p):
     """The amplifier fraction at 50 digits, from the float inputs, in the
     uncleared form A p^2 / [A p^2 + 2 p (1-p)/N + (1-p)^2], A = M / N^2,
@@ -414,8 +415,59 @@ class TestLossFractionPrecision:
     def test_small_odd_cat_matches_mpmath(self, alpha):
         # 1 + cos(phi) e^{-2 alpha^2} cancels for an odd cat at small alpha
         got = loss_fraction(0.5, CssParams(alpha, math.pi))
-        want = _loss_fraction_mp(0.5, alpha, math.pi)
+        want = refs.loss_fraction(0.5, alpha, math.pi)
         assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def _ulps(value: float, reference: float) -> float:
+    return abs(value - reference) / math.ulp(reference)
+
+
+def _small_fraction_draws(count: int):
+    """(state, line, ideal tap, detector tap) draws with p in [1e-12, 1e-2],
+    alpha in [0.3, 2] and phi in [0, 2]. Each tap's outcome k imprints the
+    phase that leaves the output at a phase drawn from [0, 2] as well, so
+    every pair norm 1 + cos(phase) e^{-y} stays above 1 + cos(2) and none
+    cancels; that cancellation near phase pi limits every form of the
+    stage alike."""
+    rng = np.random.default_rng(1)
+    for _ in range(count):
+        alpha, phi = rng.uniform(0.3, 2.0), rng.uniform(0.0, 2.0)
+        p = 10.0 ** rng.uniform(-12.0, -2.0)
+        eta, T, eta_H = rng.uniform(0.05, 1.0), rng.uniform(0.05, 0.95), rng.uniform(0.05, 1.0)
+        out_phase = rng.uniform(0.0, 2.0)
+        per_outcome = theta_of_k(1.0, alpha, 1.0 - T)
+        yield (
+            MixedCss(CssParams(alpha, phi), p),
+            ChannelSetting(eta),
+            TapSetting(T, (out_phase - phi) / per_outcome),
+            TapSetting(T, (out_phase - phi) / (math.sqrt(eta_H) * per_outcome), eta_H),
+        )
+
+
+class TestSmallFractionPrecision:
+    """A small p has large odds x = (1 - p) N / p, which the closed forms
+    carry as they are: no logarithm of them is taken and exponentiated back."""
+
+    # the line's e^{-2 (1 - eta) alpha^2} multiplies the rounding of its
+    # exponent, up to 7.6 here, into the fraction; so does the detector's
+    # missed light
+    @pytest.mark.parametrize("stage, bound", [("line", 16), ("ideal tap", 8), ("detector", 16)])
+    def test_within_ulps_of_the_50_digit_reference(self, stage, bound):
+        worst = 0.0
+        for state, line, ideal, detector in _small_fraction_draws(1000):
+            alpha, phi, p = state.params.alpha, state.params.phi, state.p
+            if stage == "line":
+                got = apply_loss(state, line).p
+                want = p * refs.loss_fraction(line.eta, alpha, phi)
+            elif stage == "ideal tap":
+                got = purify(state, ideal)[0].p
+                want = refs.ideal_fraction(p, alpha, phi, ideal.T, ideal.k)
+            else:
+                got = purify(state, detector)[0].p
+                want = refs.detector_fraction(p, alpha, phi, detector.T, detector.k, detector.eta_H)
+            worst = max(worst, _ulps(got, want))
+        assert worst <= bound, worst
 
 
 _alphas = st.floats(1e-3, 5.0)

@@ -52,7 +52,15 @@ def _norm(params: CssParams) -> float:
 
 
 def _decoherence(state: MixedCss) -> float:
-    return analytic._decoherence(state.p, _norm(state.params))
+    """L of the state, through the package's odds x = expm1(L)."""
+    return math.log1p(analytic._odds(state.p, _norm(state.params)))
+
+
+def _fraction_at(norm: float, L: float) -> float:
+    """p = n / (n + expm1(L)), written over e^{-L} so that it holds past
+    expm1's overflow at L ~ 709."""
+    survived = norm * math.exp(-L)
+    return survived / (survived - math.expm1(-L))
 
 
 def _draws(seed: int, count: int):
@@ -76,7 +84,7 @@ class TestStageTable:
             state = MixedCss(params, p)
             out = apply_loss(state, ChannelSetting(eta))
             a2 = params.alpha * params.alpha
-            law = analytic._fraction_at(_norm(out.params), _decoherence(state) + 2.0 * (1.0 - eta) * a2)
+            law = _fraction_at(_norm(out.params), _decoherence(state) + 2.0 * (1.0 - eta) * a2)
             assert abs(out.p - law) <= 1e-15, (params, p, eta)
             # the same stage as a product: the pure cat's surviving fraction times p
             assert abs(out.p - p * loss_fraction(eta, params)) <= 1e-15, (params, p, eta)
@@ -92,7 +100,7 @@ class TestStageTable:
                 except PhysicsError:
                     continue
             theta = theta_of_k(k, params.alpha, 1.0 - T)
-            assert abs(out.p - analytic._fraction_at(_norm(out.params), _decoherence(MixedCss(params, p)))) <= 1e-15
+            assert abs(out.p - _fraction_at(_norm(out.params), _decoherence(MixedCss(params, p)))) <= 1e-15
             # the same stage as Bayes' rule on the detection ratio
             assert abs(out.p - analytic._posterior(p, detection_ratio(params, T, theta))) <= 1e-15, (params, p, T, k)
 
@@ -108,7 +116,7 @@ class TestStageTable:
                     continue
             theta = theta_of_k(k, params.alpha, eta_H * tap.R)
             missed = 2.0 * (1.0 - eta_H) * tap.R * (params.alpha * params.alpha)
-            law = analytic._fraction_at(_norm(out.params), _decoherence(MixedCss(params, p)) + missed)
+            law = _fraction_at(_norm(out.params), _decoherence(MixedCss(params, p)) + missed)
             assert abs(out.p - law) <= 1e-15, (params, p, tap)
             # the same stage as an ideal tap of reflectivity eta_H R followed
             # by a line of transmittance T / (1 - eta_H R), in product form;
@@ -126,7 +134,7 @@ class TestStageTable:
                 out = amplify(state)
             except PhysicsError:
                 continue
-            assert abs(out.p - analytic._fraction_at(_norm(out.params), 2.0 * _decoherence(state))) <= 1e-15
+            assert abs(out.p - _fraction_at(_norm(out.params), 2.0 * _decoherence(state))) <= 1e-15
             assert out.params == CssParams(math.sqrt(2.0) * params.alpha, 2.0 * params.phi)
 
 
@@ -236,5 +244,5 @@ def test_no_chain_lowers_L(alpha, phi, p, stages):
             after = _decoherence(state)
         except PhysicsError:
             return
-        assert state.p <= analytic._fraction_at(_norm(state.params), before) + 1e-15, stage
+        assert state.p <= _fraction_at(_norm(state.params), before) + 1e-15, stage
         assert after >= before * (1.0 - 1e-14) - 1e-14, stage

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from catpurify import CssParams, MixedCss, TapSetting, analytic, detection_ratio, states, sweeps
-from catpurify.errors import ConfigError, DegenerateStateError, ZeroDensityError
+from catpurify.errors import ConfigError, DegenerateStateError, PhysicsError, ZeroDensityError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -19,8 +19,8 @@ FIGURE_DIGESTS = {
     "fig3_densities": "5a05ac82a24638d22aca6aee27909b9c15e775bf73d83d41ca6200c9625a6f3a",
     "fig4_gain_vs_k_phi0": "24a5992f84a2c1d50bb003c155e95629bed96d234edeb7e05ef28409c5efd032",
     "fig5_gain_vs_k_phipi": "116e426298e07bf10a51fb9ffa9a62c17f8a47eb2381942cb0c16ceea241265e",
-    "fig6_pout_vs_pin": "badf966d08714e6b6fa2174d41ef640b4b9ea78129eb84314401dc95b1373cf9",
-    "fig7_gain_vs_alpha": "d5f141068ba9eb338bc351add46abf7f66012906ce9f2036eb2b1845406940e7",
+    "fig6_pout_vs_pin": "b47e71c0a29a84e753aa7dfe2ff4516f30164d3b2d466de0682cd306b9022d5f",
+    "fig7_gain_vs_alpha": "51dc7d08dee2061869d2eb0edcd1509775a0c9b424ef220c1e975d0c6af109eb",
     "fig8_gain_and_density_vs_T": "37cd7c8ae4657456d9b5c071e560961a85a0513a707460482687db5088756c1f",
     "concat_scan": "c12d7c8027d5b0c765a8e152914d65b58ca6b39679b26ecf6462c216ab2ded5e",
 }
@@ -239,10 +239,43 @@ class TestFigureContent:
             "improvement_phi0",
             "p_out_phipi",
             "improvement_phipi",
+            "degenerate",
         ]
         for row in table.rows:
             assert row[1] >= row[0] and row[3] >= row[0]
             assert row[2] == pytest.approx(row[1] - row[0], abs=1e-15)
+            assert row[5] == 0.0
+
+    @pytest.mark.parametrize(
+        "figure_id, fixed, flagged",
+        [
+            # at alpha = 0.05 the phase-pi outcome is k = 31.4
+            ("fig7_gain_vs_alpha", {}, [0.05]),
+            # at alpha = 0.1 it passes |k| = 27.3 above T = 0.834; T = 1 is the blind tap
+            ("fig8_gain_and_density_vs_T", {"alpha": 0.1}, [0.835 + 0.005 * i for i in range(34)]),
+        ],
+        ids=["fig7", "fig8"],
+    )
+    def test_phase_pi_outcome_that_never_occurs_is_flagged(self, figure_id, fixed, flagged):
+        # e^{-k^2} is 0 at such an outcome, and purify refuses it; the row
+        # keeps the fraction its ratio gives and is flagged, not dropped
+        spec = sweeps.default_spec(figure_id)
+        spec = sweeps.SweepSpec(figure_id, {**spec.fixed_params, **fixed}, spec.grid)
+        table = sweeps.run_sweep(spec)
+        rows = [{**spec.fixed_params, **dict(zip(table.columns, row))} for row in table.rows]
+
+        def refused(alpha, T):
+            opposed = CssParams(alpha, math.pi)
+            try:
+                analytic.purify(MixedCss(opposed, 0.5), TapSetting(T, analytic.optimal_k(opposed, 1.0 - T)))
+            except PhysicsError:  # ZeroDensityError, or no outcome at all behind the blind tap
+                return True
+            return False
+
+        scanned = table.columns[0]
+        assert [row[scanned] for row in rows if row["degenerate"] == 1.0] == pytest.approx(flagged)
+        assert [row[scanned] for row in rows if refused(row["alpha"], row["T"])] == pytest.approx(flagged)
+        assert {row["degenerate"] for row in rows} == {0.0, 1.0}
 
     def test_fig8_degenerate_terminal_row(self):
         table = sweeps.run_sweep(sweeps.default_spec("fig8_gain_and_density_vs_T"))
